@@ -2,9 +2,10 @@
 
 Subcommands: classify, angles-check, volume, rectify, flow, selftest.
 Exit codes: 0 success, 1 domain error (with a machine-readable
-``ERR <code> <detail>`` line), 2 usage error.  All numeric output uses
-12 significant digits; the environment variable ``POLYVOL_SEED``
-overrides ``--seed``.
+``ERR <code> <detail>`` line), 2 usage error.  A reported volume that
+ran out of its quadrature budget adds a ``WARN BudgetExceeded`` line on
+stderr.  All numeric output uses 12 significant digits; the environment
+variable ``POLYVOL_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _warn_budget(res):
+    if res.budget_exceeded:
+        sys.stderr.write(f"WARN BudgetExceeded evaluations={res.evaluations} "
+                         f"error={_fmt(res.error_estimate)}\n")
 
 
 def _cmd_classify(args) -> int:
@@ -75,6 +82,7 @@ def _cmd_volume(args) -> int:
     P = parse_polyhedron(_read(args.input), rectified=args.rectified,
                          verify="full")
     res = polyhedron_volume(P, tol=args.quad_tol, budget=args.quad_budget)
+    _warn_budget(res)
     _emit(f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n", args.out)
     return 0
 
@@ -88,6 +96,7 @@ def _cmd_rectify(args) -> int:
     g = parse_graph(_read(args.input))
     P = rectification(g)
     res = polyhedron_volume(P)
+    _warn_budget(res)
     text = format_polyhedron(P) + f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n"
     _emit(text, args.out)
     return 0
@@ -102,6 +111,7 @@ def _cmd_flow(args) -> int:
         P = nudge_ideal_vertices(P)
     opts = FlowOptions(seed=args.seed, t_floor=args.t_floor)
     trace = run_flow(P, opts)
+    _warn_budget(trace.samples[-1].volume)
     _emit(trace_to_csv(trace), args.out)
     return 0
 

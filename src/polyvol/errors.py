@@ -86,6 +86,10 @@ class ImproperInput(PolyvolError):
     code = "ImproperInput"
 
 
+class TruncationDegenerate(ImproperInput):
+    """A face of P or a truncation face collapses under truncation."""
+
+
 # --- volume ---------------------------------------------------------------
 
 class NotIdeal(PolyvolError):

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._realize import solve_plane_system
 from .core import (
+    AffineDeformation,
     OrientedPlane,
     PointKind,
     Separation,
@@ -32,11 +33,13 @@ from .core import (
     poles_separated,
 )
 from .errors import (
+    CollapseMakesDegenerate,
     ImproperInput,
     MaxEventsExceeded,
     NewtonDiverged,
     NoIdealVertices,
     NoSeparatingPlane,
+    PolyvolError,
     PropernessLost,
     SkeletonChanged,
     SkeletonMismatch,
@@ -55,12 +58,35 @@ from .polyhedron import (
 )
 from .volume import VolumeResult, polyhedron_volume
 
+#: Residual required of each prescribed-angle realization.
+REALIZE_TOL = 1e-11
+#: Initial and smallest step in t; the step halves on rejection.
+DT_INIT = 1e-2
+DT_MIN = 1e-7
+#: A real vertex within this chart distance of the sphere is becoming ideal.
+IDEAL_BAND = 1e-5
+#: A real vertex this close to a polar plane starts an almost-proper stratum.
+ALMOST_PROPER_BAND = 1e-6
+#: Chart length of a collapsing edge; relative width of a collapsing face.
+EDGE_COLLAPSE_TOL = 1e-6
+FACE_COLLAPSE_TOL = 1e-6
+#: Quadrature tolerances along the path and at the final state.
+VOL_TOL_PATH = 1e-3
+VOL_TOL_FINAL = 1e-5
+#: Stop once the Schlafli bound on the remaining gain is this share of the volume.
+ENDGAME_REL = 0.002
+#: Half-width of the uniform jitter added to the angle direction on rebasing.
+PERTURBATION = 1e-6
+#: Accepted steps between recorded samples.
+SAMPLE_EVERY = 10
+MAX_STEPS = 20000
+
 
 # --- realization with prescribed angles --------------------------------------
 
 
 def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
-                        held=(), tol: float = 1e-11, verify: str = "fast") -> Polyhedron:
+                        held=()) -> Polyhedron:
     """Realize a polyhedron with skeleton g and the prescribed dihedral angles.
 
     ``seed`` must carry the same skeleton and no ideal vertices; the
@@ -82,12 +108,12 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
             raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
         targets[e] = -math.cos(th)
     normals, verts, report = solve_plane_system(
-        g, targets, seed.normal_matrix, seed.vertex_charts, held=tuple(held), tol=tol)
+        g, targets, seed.normal_matrix, seed.vertex_charts, held=tuple(held), tol=REALIZE_TOL)
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
     try:
-        return build_polyhedron(planes, g, verify=verify)
+        return build_polyhedron(planes, g, verify="fast")
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
         raise SkeletonChanged(str(exc), witness=exc)
 
@@ -103,14 +129,13 @@ def _interior_point(P: Polyhedron):
     return c
 
 
-def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3,
-                         tol: float = TAU_IDEAL) -> Polyhedron:
+def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     """Expand P slightly so its ideal vertices become hyperideal.
 
     A homothety with factor 1 + delta about an interior point; delta is
     halved adaptively until properness and the skeleton survive.
     """
-    report = classify_vertices(P, tol)
+    report = classify_vertices(P)
     ideal = [v for v, k in enumerate(report.kinds) if k == PointKind.IDEAL]
     if not ideal:
         raise NoIdealVertices("no ideal vertices to remove")
@@ -119,18 +144,14 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3,
     center = _interior_point(P)
     d = delta
     for _ in range(20):
-        factor = 1.0 + d
-        T = np.eye(4)
-        T[1:, 1:] *= factor
-        T[1:, 0] = (1.0 - factor) * center
-        from .core import _apply_matrix_plane
-        planes = tuple(_apply_matrix_plane(T, pl) for pl in P.planes)
+        H = AffineDeformation.homothety(center, 1.0 + d)
+        planes = tuple(H.apply_plane(pl) for pl in P.planes)
         try:
             Q = build_polyhedron(planes, P.skeleton, verify="fast")
-        except Exception:
+        except (PolyvolError, ValueError):
             d /= 2
             continue
-        rep = classify_vertices(Q, tol)
+        rep = classify_vertices(Q)
         ok = (not rep.is_improper()
               and all(rep.kinds[v] == PointKind.HYPERIDEAL for v in ideal)
               and not any(k == PointKind.IDEAL for k in rep.kinds))
@@ -141,7 +162,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3,
 
 
 def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
-                       delta: float = 1e-5, tol: float = TAU_IDEAL) -> Polyhedron:
+                       delta: float = 1e-5) -> Polyhedron:
     """Translate P so the near-ideal vertex v becomes just hyperideal.
 
     A hyperideal probe point near v supplies a separating polar plane;
@@ -154,28 +175,27 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     charts = P.vertex_charts
     x = charts[v]
     r = float(np.linalg.norm(x))
-    if r > 1.0 + 10 * tol:
+    if r > 1.0 + 10 * TAU_IDEAL:
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
-    report = classify_vertices(P, tol)
+    report = classify_vertices(P)
     hyper = [w for w, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL and w != v]
 
     probe = (1.0 + max(delta, 2.0 * (1.0 - r) + delta)) * u
     for w in range(len(charts)):
         if w == v or w == almost_pole:
             continue
-        if 1.0 - float(probe @ charts[w]) <= 10 * tol:
+        if 1.0 - float(probe @ charts[w]) <= 10 * TAU_IDEAL:
             raise NoSeparatingPlane(f"vertex {w} is not separated from {v}")
     for h in hyper:
         if h == almost_pole:
             continue
-        if poles_separated(probe, charts[h], tol) != Separation.SEGMENT_THROUGH:
+        if poles_separated(probe, charts[h], TAU_IDEAL) != Separation.SEGMENT_THROUGH:
             raise NoSeparatingPlane(f"polar plane of vertex {h} is not separated")
 
     lam0 = (1.0 + delta) - r
     if lam0 <= 0:
         lam0 = delta
-    from .core import _apply_matrix_plane
 
     def attempt(d):
         shift = d * u
@@ -185,21 +205,20 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
             w = charts[almost_pole]
             nw = w / np.linalg.norm(w)
             shift = d * u - (max(0.0, d * float(u @ nw)) + 0.5 * d) * nw
-        T = np.eye(4)
-        T[1:, 0] = shift
+        T = AffineDeformation.translation(shift)
         try:
-            planes = tuple(_apply_matrix_plane(T, pl) for pl in P.planes)
+            planes = tuple(T.apply_plane(pl) for pl in P.planes)
             Q = build_polyhedron(planes, P.skeleton, verify="fast")
-        except Exception:
+        except (PolyvolError, ValueError):
             return None
-        rep = classify_vertices(Q, tol)
+        rep = classify_vertices(Q)
         if rep.is_improper():
             return None
         if any(k == PointKind.IDEAL for w_, k in enumerate(rep.kinds) if w_ != v):
             return None
         if almost_pole is not None:
             m = 1.0 - float(Q.vertex_charts[almost_pole] @ Q.vertex_charts[v])
-            if m <= tol:
+            if m <= TAU_IDEAL:
                 return None
         return Q, rep.kinds[v], float(np.linalg.norm(Q.vertex_charts[v]))
 
@@ -227,7 +246,9 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
 # --- flow events and traces ----------------------------------------------------
 
 
-class FlowEventKind(enum.Enum):
+class FlowEventKind(str, enum.Enum):
+    """A degeneration of the flow's stratum; the value is its CSV name."""
+
     EDGE_COLLAPSED = "EdgeCollapsed"
     FACE_COLLAPSED = "FaceCollapsed"
     VERTEX_BECAME_IDEAL = "VertexBecameIdeal"
@@ -252,7 +273,7 @@ class FlowSample:
     angles: dict
     polyhedron: Polyhedron
     volume: VolumeResult
-    event: str = ""
+    event: FlowEventKind | None = None
 
 
 @dataclass
@@ -274,84 +295,69 @@ class FlowTrace:
 
 @dataclass
 class FlowOptions:
-    t_floor: float = 1e-3
-    dt_init: float = 1e-2
-    dt_min: float = 1e-7
-    ideal_band: float = 1e-5
-    almost_proper_band: float = 1e-6
-    edge_collapse_tol: float = 1e-6
-    face_collapse_tol: float = 1e-6
-    vol_tol_path: float = 1e-3
-    vol_tol_final: float = 1e-5
-    endgame_rel: float = 0.002
-    perturbation: float = 1e-6
+    """Seed of the angle jitter; ``t`` at which the all-hyperideal endgame stops."""
+
     seed: int = 0
-    max_events: int | None = None
-    sample_every: int = 10
-    max_steps: int = 20000
+    t_floor: float = 1e-3
 
 
-def _scan_signals(P: Polyhedron, prev_kinds, held, opts: FlowOptions):
-    """Degeneration signals of a step landing at P, worst first.
+def _scan_signals(P: Polyhedron, prev_kinds, held, relaxed: bool = False):
+    """Degeneration signals ``(kind, data, size)`` of a step landing at P, worst first.
 
     ``prev_kinds`` are the vertex kinds before the step; a previously
     real vertex entering the ideal band (or jumping past it) signals.
+    ``relaxed`` widens the ideal band and the collapse thresholds, for a
+    state stalled against the realizability boundary.
     """
+    ideal_band = 1e2 * IDEAL_BAND if relaxed else IDEAL_BAND
+    edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
+    face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     out = []
     rep = classify_vertices(P)
     charts = P.vertex_charts
     radii = np.linalg.norm(charts, axis=1)
     for v, k in enumerate(prev_kinds):
-        if k == PointKind.REAL and radii[v] > 1.0 - opts.ideal_band:
-            out.append(("vertex_ideal", v, abs(1.0 - radii[v])))
+        if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
+            out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
     hyper = [v for v, k in enumerate(rep.kinds) if k == PointKind.HYPERIDEAL]
     held_set = set(held)
     for v in hyper:
         if prev_kinds[v] != PointKind.HYPERIDEAL:
-            continue  # fresh crossing handled as vertex_ideal
+            continue  # a fresh crossing signals as VERTEX_BECAME_IDEAL
         for w, k in enumerate(rep.kinds):
             if w == v or k != PointKind.REAL or (w, v) in held_set:
                 continue
             m = 1.0 - float(charts[v] @ charts[w])
-            if m < opts.almost_proper_band:
-                out.append(("almost_proper", (w, v), m))
+            if m < ALMOST_PROPER_BAND:
+                out.append((FlowEventKind.ALMOST_PROPER_ONSET, (w, v), m))
     for (a, b) in P.skeleton.edges:
         d = float(np.linalg.norm(charts[a] - charts[b]))
-        if d < opts.edge_collapse_tol:
-            out.append(("edge_collapse", (a, b), d))
+        if d < edge_tol:
+            out.append((FlowEventKind.EDGE_COLLAPSED, (a, b), d))
     for f, cyc in enumerate(P.skeleton.faces):
         pts = charts[list(cyc)]
         s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-        if s[1] < opts.face_collapse_tol * max(1.0, s[0]):
-            out.append(("face_collapse", f, s[1]))
+        if s[1] < face_tol * max(1.0, s[0]):
+            out.append((FlowEventKind.FACE_COLLAPSED, f, s[1]))
     out.sort(key=lambda item: item[2])
     return out
-
-
-_EVENT_NAMES = {
-    "vertex_ideal": "VertexBecameIdeal",
-    "almost_proper": "AlmostProperOnset",
-    "edge_collapse": "EdgeCollapsed",
-    "face_collapse": "FaceCollapsed",
-    "hyperideal_only": "BecameHyperidealOnly",
-}
 
 
 def _scaled(angles_dir, t):
     return {e: t * a for e, a in angles_dir.items()}
 
 
-def _rebase(P, t, rng, perturbation):
+def _rebase(P, t, rng):
     th = dihedral_angles(P)
-    return {e: (a + rng.uniform(-perturbation, perturbation)) / t for e, a in th.items()}
+    return {e: (a + rng.uniform(-PERTURBATION, PERTURBATION)) / t for e, a in th.items()}
 
 
-def _path_volume(P, opts, final=False):
+def _path_volume(P, final=False):
     # Fixed-depth quadrature along the path: cheap, deterministic, and
     # smooth in the polyhedron; the final state gets a deeper grid.
     if final:
-        return polyhedron_volume(P, tol=opts.vol_tol_final, budget=2_000_000)
-    return polyhedron_volume(P, tol=opts.vol_tol_path, budget=1_000_000,
+        return polyhedron_volume(P, tol=VOL_TOL_FINAL, budget=2_000_000)
+    return polyhedron_volume(P, tol=VOL_TOL_PATH, budget=1_000_000,
                              mode="fixed", depth=2)
 
 
@@ -378,26 +384,25 @@ def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
     return None
 
 
-def _collapse_rewrite(kind, data, g, P_state, rng, opts, t):
+def _collapse_rewrite(kind, data, g, P_state, rng, t):
     """Apply an edge or face collapse move and rebuild on the new skeleton.
 
-    Returns (new_g, new_P, new_theta_dir, event_kind, event_data) or
-    raises StallDetected-style ValueError strings for the caller to wrap.
+    Returns (new_g, new_P, new_theta_dir, event_data); raises
+    CollapseMakesDegenerate when the move leaves no polyhedral skeleton.
     """
-    if kind == "edge_collapse":
+    if kind == FlowEventKind.EDGE_COLLAPSED:
         res = edge_collapse(g, data)
-        ev_kind = FlowEventKind.EDGE_COLLAPSED
         ev_data = {"edge": data}
     else:
         split = _face_collapse_split(g, data, P_state.vertex_charts,
-                                     1e3 * opts.face_collapse_tol)
+                                     1e3 * FACE_COLLAPSE_TOL)
         if split is None:
-            raise ValueError(f"face {data} degenerates without a collapse pattern")
+            raise CollapseMakesDegenerate(
+                f"face {data} degenerates without a collapse pattern")
         res = face_collapse(g, data, split)
-        ev_kind = FlowEventKind.FACE_COLLAPSED
         ev_data = {"face": data, "split": split}
     if not res.three_connected:
-        raise ValueError("collapse leaves a non-3-connected skeleton")
+        raise CollapseMakesDegenerate("collapse leaves a non-3-connected skeleton")
     new_g = res.graph
     order = sorted((new_idx, old) for old, new_idx in res.face_map.items()
                    if new_idx is not None)
@@ -410,14 +415,9 @@ def _collapse_rewrite(kind, data, g, P_state, rng, opts, t):
             counts[new] += 1
     verts /= np.maximum(counts, 1)[:, None]
     seed_poly = Polyhedron(planes=planes, skeleton=new_g, vertex_lifts=lift(verts))
-    from .core import dihedral_angle as _da
-    th_now = {}
-    for e in new_g.edges:
-        f1, f2 = new_g.edge_faces[e]
-        th_now[e] = _da(planes[f1], planes[f2])
-    P_new = realize_from_angles(new_g, th_now, seed_poly, held=())
-    theta_dir = _rebase(P_new, t, rng, opts.perturbation)
-    return new_g, P_new, theta_dir, ev_kind, ev_data
+    P_new = realize_from_angles(new_g, dihedral_angles(seed_poly), seed_poly, held=())
+    theta_dir = _rebase(P_new, t, rng)
+    return new_g, P_new, theta_dir, ev_data
 
 
 def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
@@ -436,18 +436,18 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         raise ImproperInput("remove ideal vertices before flowing (nudge)")
 
     g = P0.skeleton
-    max_events = opts.max_events if opts.max_events is not None else 10 * len(g.edges)
+    max_events = 10 * len(g.edges)
     held: list = [(w, report.witnesses[w]) for w, s in enumerate(report.statuses)
                   if s == VertexStatus.ALMOST_PROPER]
     t = 1.0
-    theta_dir = _rebase(P0, t, rng, opts.perturbation)
+    theta_dir = _rebase(P0, t, rng)
     P = realize_from_angles(g, _scaled(theta_dir, t), P0, held=held)
 
     samples = []
     events = []
 
-    def record(P_, t_, event=""):
-        vol = _path_volume(P_, opts)
+    def record(P_, t_, event=None):
+        vol = _path_volume(P_)
         samples.append(FlowSample(t_, dihedral_angles(P_), P_, vol, event))
         return vol
 
@@ -457,8 +457,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     def handle_event(kind, data, P_state, t_now):
         """Dispatch one localized degeneration; returns the continued state."""
         nonlocal g, held, theta_dir, events
-        vol_ev = record(P_state, t_now, event=_EVENT_NAMES[kind])
-        if kind == "vertex_ideal":
+        vol_ev = record(P_state, t_now, event=kind)
+        if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
             P_new = escape_deformation(P_state, v, almost_pole=pole)
@@ -468,38 +468,35 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                     trace=partial_trace())
             if pole is not None:
                 held = [(w, u) for (w, u) in held if w != v]
-            events.append(FlowEvent(FlowEventKind.VERTEX_BECAME_IDEAL, t_now,
-                                    vol_ev.value, {"vertex": v}))
-            theta_dir = _rebase(P_new, t_now, rng, opts.perturbation)
+            events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
+            theta_dir = _rebase(P_new, t_now, rng)
             return P_new
-        if kind == "almost_proper":
+        if kind == FlowEventKind.ALMOST_PROPER_ONSET:
             w, u = data
             if _norm_edge(w, u) not in P_state.skeleton.edge_index:
                 raise StallDetected(
                     "non-adjacent almost-proper contact is out of scope",
                     trace=partial_trace())
             held.append((w, u))
-            events.append(FlowEvent(FlowEventKind.ALMOST_PROPER_ONSET, t_now,
-                                    vol_ev.value, {"vertex": w, "pole": u}))
+            events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": w, "pole": u}))
             return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
-        # edge or face collapse
         try:
-            g_new, P_new, theta_new, ev_kind, ev_data = _collapse_rewrite(
-                kind, data, g, P_state, rng, opts, t_now)
-        except ValueError as exc:
-            raise StallDetected(str(exc), trace=partial_trace())
+            g_new, P_new, theta_new, ev_data = _collapse_rewrite(
+                kind, data, g, P_state, rng, t_now)
+        except CollapseMakesDegenerate as exc:
+            raise StallDetected(exc.detail, trace=partial_trace()) from exc
         g = g_new
         theta_dir = theta_new
         held = []
-        events.append(FlowEvent(ev_kind, t_now, vol_ev.value, ev_data))
+        events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
         return P_new
 
     record(P, t)
-    dt = opts.dt_init
+    dt = DT_INIT
     accepted = 0
     hyperideal_only = all(k == PointKind.HYPERIDEAL for k in classify_vertices(P).kinds)
 
-    for _ in range(opts.max_steps):
+    for _ in range(MAX_STEPS):
         if len(events) > max_events:
             raise MaxEventsExceeded(f"more than {max_events} events",
                                     trace=partial_trace())
@@ -507,41 +504,37 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             lens = edge_lengths(P)
             bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
             vol_here = samples[-1].volume.value if samples else 0.0
-            if bound < opts.endgame_rel * max(vol_here, 1e-9) or t <= opts.t_floor:
-                final_vol = _path_volume(P, opts, final=True)
+            if bound < ENDGAME_REL * max(vol_here, 1e-9) or t <= opts.t_floor:
+                final_vol = _path_volume(P, final=True)
                 sup = final_vol.value + 0.5 * bound
                 err = 0.5 * bound + final_vol.error_estimate
-                samples.append(FlowSample(t, dihedral_angles(P), P, final_vol, ""))
+                samples.append(FlowSample(t, dihedral_angles(P), P, final_vol))
                 return FlowTrace(samples, events, g, sup, err, opts.seed)
 
         t_next = max(t - dt, 0.2 * t)
         prev_kinds = classify_vertices(P).kinds
         try:
             P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held)
-            signals = [] if hyperideal_only else _scan_signals(P_next, prev_kinds, held, opts)
+            signals = [] if hyperideal_only else _scan_signals(P_next, prev_kinds, held)
         except (NewtonDiverged, SkeletonChanged):
-            if dt > opts.dt_min:
+            if dt > DT_MIN:
                 dt *= 0.5
                 continue
             # Stalled against the realizability boundary: look for a
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically).
-            relaxed = FlowOptions(**{**opts.__dict__,
-                                     "edge_collapse_tol": 1e3 * opts.edge_collapse_tol,
-                                     "face_collapse_tol": 1e3 * opts.face_collapse_tol,
-                                     "ideal_band": 1e2 * opts.ideal_band})
-            stale = [s for s in _scan_signals(P, prev_kinds, held, relaxed)
-                     if s[0] in ("edge_collapse", "face_collapse", "vertex_ideal")]
+            stale = [s for s in _scan_signals(P, prev_kinds, held, relaxed=True)
+                     if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not stale:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
             kind, data, _ = stale[0]
             P = handle_event(kind, data, P, t)
-            dt = opts.dt_init
+            dt = DT_INIT
             hyperideal_only = all(k == PointKind.HYPERIDEAL
                                   for k in classify_vertices(P).kinds)
             continue
 
-        if signals and dt > opts.dt_min:
+        if signals and dt > DT_MIN:
             dt *= 0.5
             continue
         if signals:
@@ -553,23 +546,23 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 hyperideal_only = True
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
                                         samples[-1].volume.value, {}))
-            dt = opts.dt_init
+            dt = DT_INIT
             continue
 
         # Plain accepted step.
         P = P_next
         t = t_next
         accepted += 1
-        if accepted % opts.sample_every == 0:
+        if accepted % SAMPLE_EVERY == 0:
             record(P, t)
-        dt = min(dt * 1.7, opts.dt_init)
+        dt = min(dt * 1.7, DT_INIT)
         if not hyperideal_only:
             rep = classify_vertices(P)
             if all(k == PointKind.HYPERIDEAL for k in rep.kinds):
                 hyperideal_only = True
-                vol_ev = record(P, t, event=_EVENT_NAMES["hyperideal_only"])
-                events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
-                                        vol_ev.value, {}))
+                kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
+                vol_ev = record(P, t, event=kind)
+                events.append(FlowEvent(kind, t, vol_ev.value, {}))
     raise StallDetected("step limit reached", trace=partial_trace())
 
 
@@ -587,7 +580,8 @@ def trace_to_csv(trace: FlowTrace) -> str:
     """CSV rendering: t, volume, vol_error, event, skeleton_hash."""
     lines = ["t,volume,vol_error,event,skeleton_hash"]
     for s in trace.samples:
+        event = "" if s.event is None else s.event
         lines.append(
             f"{s.t:.12g},{s.volume.value:.12g},{s.volume.error_estimate:.12g},"
-            f"{s.event},{s.polyhedron.skeleton.canonical_hash()}")
+            f"{event},{s.polyhedron.skeleton.canonical_hash()}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from .core import (
     TAU_IDEAL,
     OrientedPlane,
     PointKind,
-    ProjectivePoint,
     classify_point,
     lift,
     mdot,
@@ -41,6 +40,7 @@ from .errors import (
     NonConvex,
     SkeletonMismatch,
     TooFewAngles,
+    TruncationDegenerate,
 )
 from .graphs import PlanarGraph, parse_graph, format_graph, _norm_edge
 
@@ -95,14 +95,6 @@ class Polyhedron:
     def vertex_charts(self) -> np.ndarray:
         return self.vertex_lifts[:, 1:]
 
-    def vertex_point(self, v: int) -> ProjectivePoint:
-        return ProjectivePoint(lift=self.vertex_lifts[v].copy())
-
-    @property
-    def incidence(self):
-        """Face id -> face cycle of the skeleton."""
-        return {i: cyc for i, cyc in enumerate(self.skeleton.faces)}
-
     @cached_property
     def normal_matrix(self) -> np.ndarray:
         return np.array([p.normal for p in self.planes])
@@ -110,10 +102,6 @@ class Polyhedron:
     def face_polygon(self, f: int) -> np.ndarray:
         """Chart coordinates of face f's vertex cycle, as rows."""
         return self.vertex_charts[list(self.skeleton.faces[f])]
-
-    def interior_point(self) -> np.ndarray:
-        """A chart point in the polyhedron's interior (vertex centroid)."""
-        return self.vertex_charts.mean(axis=0)
 
 
 def _vertex_from_planes(normals: np.ndarray):
@@ -498,7 +486,7 @@ def truncate(P: Polyhedron, tol: float = TAU_IDEAL) -> TruncatedPolyhedron:
             faces.append(tuple(dedup))
             sources.append(("face", i))
         else:
-            raise ImproperInput(f"face {i} degenerates under truncation")
+            raise TruncationDegenerate(f"face {i} degenerates under truncation")
     for v in hyper:
         ring = [cut_node(e, v) for e in g.vertex_edges[v]]
         dedup = []
@@ -508,7 +496,7 @@ def truncate(P: Polyhedron, tol: float = TAU_IDEAL) -> TruncatedPolyhedron:
         if len(dedup) > 1 and dedup[0] == dedup[-1]:
             dedup.pop()
         if len(dedup) < 3:
-            raise ImproperInput(f"truncation face at vertex {v} degenerates")
+            raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
         sources.append(("vertex", v))
 

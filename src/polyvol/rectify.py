@@ -37,7 +37,8 @@ from .volume import VolumeResult, polyhedron_volume
 
 #: Residual required of the tangency solve.
 SOLVE_TOL = 1e-12
-MAX_ITERATIONS = 10_000
+#: Gauss-Newton iterations allowed per tangency solve.
+NEWTON_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,6 @@ class MidspherePacking:
     vertex_lifts: np.ndarray      # (V, 4), chart-normalized poles
     tangency_points: np.ndarray   # (E, 3), unit vectors, ordered as graph.edges
     residuals: dict
-
-    def face_plane(self, f: int) -> OrientedPlane:
-        return OrientedPlane(normal=self.face_normals[f].copy())
-
-    def vertex_circle_plane(self, v: int) -> OrientedPlane:
-        return OrientedPlane(normal=lift(self.vertex_lifts[v, 1:]))
 
 
 def _initial_guess(g: PlanarGraph):
@@ -141,8 +136,7 @@ def _center_tangencies(points, tol=1e-13, max_iter=100):
     return x
 
 
-def solve_midsphere(g: PlanarGraph, *, tol: float = SOLVE_TOL,
-                    max_iter: int = MAX_ITERATIONS) -> MidspherePacking:
+def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     """Compute the midsphere packing realizing the rectification of g.
 
     Newton iterations drive every edge's Gram value to -1 (tangency);
@@ -154,11 +148,10 @@ def solve_midsphere(g: PlanarGraph, *, tol: float = SOLVE_TOL,
     if not g.is_polyhedral():
         raise NotPolyhedral("rectification needs a 3-connected polyhedral graph")
     normals0, verts0 = _initial_guess(g)
-    newton_iters = max(80, min(max_iter, 500))
 
     targets = {e: -1.0 for e in g.edges}
     normals, verts, report = solve_plane_system(
-        g, targets, normals0, verts0, tol=tol, max_iter=newton_iters)
+        g, targets, normals0, verts0, tol=SOLVE_TOL, max_iter=NEWTON_ITERATIONS)
     if not report.ok:
         # Continuation: equal-angle hyperideal polyhedra with eps -> 0.
         normals, verts = normals0, verts0
@@ -166,7 +159,7 @@ def solve_midsphere(g: PlanarGraph, *, tol: float = SOLVE_TOL,
         for eps in (0.6, 0.4, 0.25, 0.15, 0.08, 0.04, 0.02, 0.01, 0.0):
             targets = {e: -math.cos(eps) for e in g.edges}
             normals, verts, report = solve_plane_system(
-                g, targets, normals, verts, tol=tol, max_iter=newton_iters)
+                g, targets, normals, verts, tol=SOLVE_TOL, max_iter=NEWTON_ITERATIONS)
             if not report.ok and eps > 0:
                 continue
             ok = report.ok

@@ -349,7 +349,7 @@ def run_all(seed: int = 0, criteria=None):
         fn = CRITERIA[n]
         try:
             results.append(fn(seed=seed))
-        except Exception as exc:  # pragma: no cover - diagnostic path
+        except (PolyvolError, ValueError) as exc:  # pragma: no cover - diagnostic path
             results.append(CriterionResult(n, fn.__doc__.splitlines()[0], False,
                                            f"{type(exc).__name__}: {exc}", 0.0))
     return results

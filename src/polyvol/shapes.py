@@ -59,8 +59,7 @@ def jittered_compact(g: PlanarGraph, rng, scale_range=(0.35, 0.75)) -> Polyhedro
     return build_polyhedron(planes, g)
 
 
-def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron,
-                         min_step: float = 1e-3) -> Polyhedron:
+def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron) -> Polyhedron:
     """Realize ``target`` angles by adaptive continuation from P's angles."""
     from .flow import realize_from_angles
     from .polyhedron import dihedral_angles
@@ -75,7 +74,7 @@ def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron,
             P = realize_from_angles(g, th, P)
         except (NewtonDiverged, SkeletonChanged):
             dlam *= 0.5
-            if dlam < min_step:
+            if dlam < 1e-3:
                 raise
             continue
         lam = lam2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TAU_IDEAL
-from .errors import ImproperInput, NotIdeal, PathDiscontinuous
+from .errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from .polyhedron import (
     PointKind,
     Polyhedron,
@@ -29,6 +29,10 @@ from .polyhedron import (
     edge_lengths,
     truncate,
 )
+
+#: A truncation whose vertices all lie within this chart distance of the
+#: sphere is treated as ideal and decomposed into exact ideal tetrahedra.
+IDEAL_BAND = 1e-7
 
 # --- Lobachevsky function ----------------------------------------------------
 
@@ -205,7 +209,7 @@ class VolumeResult:
 
 
 def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, mode="adaptive",
-                         depth=3, rule=3):
+                         depth=3):
     """Integrate the Klein volume element over a union of tetrahedra.
 
     ``mode="fixed"`` uses uniform structural subdivision to ``depth`` (a
@@ -221,8 +225,8 @@ def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, mode="adaptive",
         work = tets
         for _ in range(depth):
             work = _split8(work)
-        coarse, e1 = _integrate_batch(work, max(2, rule - 1))
-        fine, e2 = _integrate_batch(work, rule)
+        coarse, e1 = _integrate_batch(work, 2)
+        fine, e2 = _integrate_batch(work, 3)
         evals = e1 + e2
         return float(np.sum(fine)), float(np.sum(np.abs(fine - coarse))), False, evals
 
@@ -294,10 +298,8 @@ def _region_tets(T: TruncatedPolyhedron):
 def _truncation_or_none(P: Polyhedron, tol):
     try:
         return truncate(P, tol)
-    except ImproperInput as exc:
-        if "degenerates" in str(exc):
-            return None
-        raise
+    except TruncationDegenerate:
+        return None
 
 
 def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
@@ -371,8 +373,7 @@ def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
 
 
 def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_000,
-                      mode: str = "adaptive", depth: int = 3,
-                      ideal_band: float = 1e-7) -> VolumeResult:
+                      mode: str = "adaptive", depth: int = 3) -> VolumeResult:
     """Hyperbolic volume of P, defined as the volume of its truncation.
 
     If every truncation vertex is ideal the volume is assembled exactly
@@ -392,8 +393,8 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
             tets, tol=tol, budget=budget, mode=mode, depth=depth)
         return VolumeResult(value, VolumeMethod.KLEIN_QUADRATURE, err, exceeded, evals)
     radii = np.linalg.norm(T.vertex_charts, axis=1)
-    if np.all(np.abs(radii - 1.0) <= ideal_band):
-        value, count = _ideal_decomposition(T, tol=max(TAU_IDEAL, ideal_band))
+    if np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
+        value, count = _ideal_decomposition(T, tol=IDEAL_BAND)
         return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
                             1e-12 * max(1, count), False, 0)
     if np.any(radii >= 1.0 + TAU_IDEAL):
@@ -407,7 +408,7 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
 # --- Schlafli residual ---------------------------------------------------------
 
 
-def schlafli_residual(path, t0: float, h: float = 1e-4, *, depth: int = 3) -> float:
+def schlafli_residual(path, t0: float, h: float = 1e-4) -> float:
     """Central-difference residual of the Schlafli identity at t0.
 
     For a smooth family with constant skeleton and constant almost-proper
@@ -433,7 +434,7 @@ def schlafli_residual(path, t0: float, h: float = 1e-4, *, depth: int = 3) -> fl
     def fixed_volume(Q):
         T = truncate(Q)
         tets = _region_tets(T)
-        value, _, _, _ = integrate_klein_tets(tets, mode="fixed", depth=depth)
+        value, _, _, _ = integrate_klein_tets(tets, mode="fixed", depth=3)
         return value
 
     vol_rate = (fixed_volume(Pp) - fixed_volume(Pm)) / (2 * h)

@@ -54,6 +54,20 @@ def test_volume_line(tetra_file, capsys):
     assert 0.05 < float(parts[1]) < 0.2
 
 
+def test_volume_budget_overrun_warns_on_stderr(tetra_file, capsys):
+    code = main(["--quad-budget", "10000", "volume", tetra_file])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("VOL ")
+    assert captured.err.startswith("WARN BudgetExceeded evaluations=")
+    assert " error=" in captured.err
+    code = main(["volume", tetra_file])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("VOL ")
+    assert captured.err == ""
+
+
 def test_rectify_emits_planes_and_volume(k4_file, capsys):
     code, out = run_cli(["rectify", k4_file], capsys)
     assert code == 0

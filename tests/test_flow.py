@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from polyvol.errors import (
+    CollapseMakesDegenerate,
     ImproperInput,
     NewtonDiverged,
     NoIdealVertices,
     SkeletonChanged,
+    StallDetected,
 )
 from polyvol.flow import (
     FlowEventKind,
@@ -263,6 +265,18 @@ def test_flow_endgame_stays_admissible(hyperideal_tetra):
     for s in trace.samples[-3:]:
         rep = check_hyperideal_angles(g, s.angles)
         assert rep.admissible
+
+
+def test_flow_degenerate_collapse_stalls_with_trace(compact_tetra, monkeypatch):
+    # collapsing an edge of K4 leaves no polyhedral skeleton
+    import polyvol.flow as flow
+
+    monkeypatch.setattr(flow, "_scan_signals", lambda *args, **kwargs: [
+        (FlowEventKind.EDGE_COLLAPSED, (0, 1), 0.0)])
+    with pytest.raises(StallDetected) as info:
+        run_flow(compact_tetra, FlowOptions(seed=20))
+    assert info.value.trace.samples
+    assert isinstance(info.value.__cause__, CollapseMakesDegenerate)
 
 
 def test_flow_rejects_bad_seeds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from polyvol.core import MINKOWSKI_SIGNS, OrientedPlane, apply_lorentz, lift, random_isometry
-from polyvol.errors import ImproperInput, NotIdeal, PathDiscontinuous
+from polyvol.errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from polyvol.graphs import PlanarGraph, tetrahedron_graph
 from polyvol.polyhedron import build_polyhedron, dihedral_angles, truncate
 from polyvol.shapes import planes_from_vertices, regular_tetrahedron
@@ -202,6 +202,20 @@ def test_improper_volume_rejected():
     P = build_polyhedron(planes_from_vertices(np.array([v, w, u, x]), g), g)
     with pytest.raises(ImproperInput):
         polyhedron_volume(P)
+
+
+def test_degenerate_truncation_falls_back_to_halfspaces():
+    # three real vertices on the polar plane of vertex 0: the face they
+    # span collapses under truncation, and the half-space region is flat
+    g = tetrahedron_graph()
+    pts = np.array([[2.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+                    [0.5, -0.4, 0.4], [0.5, -0.1, -0.5]])
+    P = build_polyhedron(planes_from_vertices(pts, g), g)
+    with pytest.raises(TruncationDegenerate):
+        truncate(P)
+    res = polyhedron_volume(P)
+    assert res.value == 0.0
+    assert res.method == VolumeMethod.KLEIN_QUADRATURE
 
 
 def test_budget_flag():
