@@ -43,7 +43,7 @@ def _warn_budget(res):
 def _cmd_classify(args) -> int:
     from .polyhedron import parse_polyhedron, classify_vertices
 
-    P = parse_polyhedron(_read(args.input), verify="full")
+    P = parse_polyhedron(_read(args.input))
     report = classify_vertices(P, tol=args.tol_ideal)
     lines = []
     for kind, status in zip(report.kinds, report.statuses):
@@ -79,8 +79,7 @@ def _cmd_volume(args) -> int:
     from .polyhedron import parse_polyhedron
     from .volume import polyhedron_volume
 
-    P = parse_polyhedron(_read(args.input), rectified=args.rectified,
-                         verify="full")
+    P = parse_polyhedron(_read(args.input), rectified=args.rectified)
     res = polyhedron_volume(P, tol=args.quad_tol, budget=args.quad_budget)
     _warn_budget(res)
     _emit(f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n", args.out)
@@ -106,7 +105,7 @@ def _cmd_flow(args) -> int:
     from .flow import FlowOptions, run_flow, trace_to_csv, nudge_ideal_vertices
     from .polyhedron import parse_polyhedron, classify_vertices, PointKind
 
-    P = parse_polyhedron(_read(args.input), verify="full")
+    P = parse_polyhedron(_read(args.input))
     if any(k == PointKind.IDEAL for k in classify_vertices(P).kinds):
         P = nudge_ideal_vertices(P)
     opts = FlowOptions(seed=args.seed, t_floor=args.t_floor)

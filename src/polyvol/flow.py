@@ -70,8 +70,7 @@ ALMOST_PROPER_BAND = 1e-6
 #: Chart length of a collapsing edge; relative width of a collapsing face.
 EDGE_COLLAPSE_TOL = 1e-6
 FACE_COLLAPSE_TOL = 1e-6
-#: Quadrature tolerances along the path and at the final state.
-VOL_TOL_PATH = 1e-3
+#: Quadrature tolerance of the final state's volume.
 VOL_TOL_FINAL = 1e-5
 #: Stop once the Schlafli bound on the remaining gain is this share of the volume.
 ENDGAME_REL = 0.002
@@ -113,7 +112,7 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
     try:
-        return build_polyhedron(planes, g, verify="fast")
+        return build_polyhedron(planes, g)
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
         raise SkeletonChanged(str(exc), witness=exc)
 
@@ -147,7 +146,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
         H = AffineDeformation.homothety(center, 1.0 + d)
         planes = tuple(H.apply_plane(pl) for pl in P.planes)
         try:
-            Q = build_polyhedron(planes, P.skeleton, verify="fast")
+            Q = build_polyhedron(planes, P.skeleton)
         except (PolyvolError, ValueError):
             d /= 2
             continue
@@ -208,7 +207,7 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
         T = AffineDeformation.translation(shift)
         try:
             planes = tuple(T.apply_plane(pl) for pl in P.planes)
-            Q = build_polyhedron(planes, P.skeleton, verify="fast")
+            Q = build_polyhedron(planes, P.skeleton)
         except (PolyvolError, ValueError):
             return None
         rep = classify_vertices(Q)
@@ -301,11 +300,12 @@ class FlowOptions:
     t_floor: float = 1e-3
 
 
-def _scan_signals(P: Polyhedron, prev_kinds, held, relaxed: bool = False):
+def _scan_signals(P: Polyhedron, kinds, prev_kinds, held, relaxed: bool = False):
     """Degeneration signals ``(kind, data, size)`` of a step landing at P, worst first.
 
-    ``prev_kinds`` are the vertex kinds before the step; a previously
-    real vertex entering the ideal band (or jumping past it) signals.
+    ``kinds`` are P's vertex kinds and ``prev_kinds`` those before the
+    step; a previously real vertex entering the ideal band (or jumping
+    past it) signals.
     ``relaxed`` widens the ideal band and the collapse thresholds, for a
     state stalled against the realizability boundary.
     """
@@ -313,18 +313,17 @@ def _scan_signals(P: Polyhedron, prev_kinds, held, relaxed: bool = False):
     edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     out = []
-    rep = classify_vertices(P)
     charts = P.vertex_charts
     radii = np.linalg.norm(charts, axis=1)
     for v, k in enumerate(prev_kinds):
         if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
             out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
-    hyper = [v for v, k in enumerate(rep.kinds) if k == PointKind.HYPERIDEAL]
+    hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
     held_set = set(held)
     for v in hyper:
         if prev_kinds[v] != PointKind.HYPERIDEAL:
             continue  # a fresh crossing signals as VERTEX_BECAME_IDEAL
-        for w, k in enumerate(rep.kinds):
+        for w, k in enumerate(kinds):
             if w == v or k != PointKind.REAL or (w, v) in held_set:
                 continue
             m = 1.0 - float(charts[v] @ charts[w])
@@ -357,8 +356,7 @@ def _path_volume(P, final=False):
     # smooth in the polyhedron; the final state gets a deeper grid.
     if final:
         return polyhedron_volume(P, tol=VOL_TOL_FINAL, budget=2_000_000)
-    return polyhedron_volume(P, tol=VOL_TOL_PATH, budget=1_000_000,
-                             mode="fixed", depth=2)
+    return polyhedron_volume(P, depth=2)
 
 
 def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
@@ -494,7 +492,10 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     record(P, t)
     dt = DT_INIT
     accepted = 0
-    hyperideal_only = all(k == PointKind.HYPERIDEAL for k in classify_vertices(P).kinds)
+    # Vertex kinds of the current state P; None while the all-hyperideal
+    # endgame has not needed them.
+    kinds = classify_vertices(P).kinds
+    hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
 
     for _ in range(MAX_STEPS):
         if len(events) > max_events:
@@ -512,10 +513,13 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 return FlowTrace(samples, events, g, sup, err, opts.seed)
 
         t_next = max(t - dt, 0.2 * t)
-        prev_kinds = classify_vertices(P).kinds
         try:
             P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held)
-            signals = [] if hyperideal_only else _scan_signals(P_next, prev_kinds, held)
+            if hyperideal_only:
+                next_kinds, signals = None, []
+            else:
+                next_kinds = classify_vertices(P_next).kinds
+                signals = _scan_signals(P_next, next_kinds, kinds, held)
         except (NewtonDiverged, SkeletonChanged):
             if dt > DT_MIN:
                 dt *= 0.5
@@ -523,15 +527,17 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             # Stalled against the realizability boundary: look for a
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically).
-            stale = [s for s in _scan_signals(P, prev_kinds, held, relaxed=True)
+            if kinds is None:
+                kinds = classify_vertices(P).kinds
+            stale = [s for s in _scan_signals(P, kinds, kinds, held, relaxed=True)
                      if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not stale:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
             kind, data, _ = stale[0]
             P = handle_event(kind, data, P, t)
             dt = DT_INIT
-            hyperideal_only = all(k == PointKind.HYPERIDEAL
-                                  for k in classify_vertices(P).kinds)
+            kinds = classify_vertices(P).kinds
+            hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
             continue
 
         if signals and dt > DT_MIN:
@@ -541,8 +547,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             kind, data, _ = signals[0]
             t = t_next
             P = handle_event(kind, data, P_next, t)
-            rep = classify_vertices(P)
-            if all(k == PointKind.HYPERIDEAL for k in rep.kinds):
+            kinds = classify_vertices(P).kinds
+            if all(k == PointKind.HYPERIDEAL for k in kinds):
                 hyperideal_only = True
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
                                         samples[-1].volume.value, {}))
@@ -551,18 +557,17 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
         # Plain accepted step.
         P = P_next
+        kinds = next_kinds
         t = t_next
         accepted += 1
         if accepted % SAMPLE_EVERY == 0:
             record(P, t)
         dt = min(dt * 1.7, DT_INIT)
-        if not hyperideal_only:
-            rep = classify_vertices(P)
-            if all(k == PointKind.HYPERIDEAL for k in rep.kinds):
-                hyperideal_only = True
-                kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
-                vol_ev = record(P, t, event=kind)
-                events.append(FlowEvent(kind, t, vol_ev.value, {}))
+        if not hyperideal_only and all(k == PointKind.HYPERIDEAL for k in kinds):
+            hyperideal_only = True
+            kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
+            vol_ev = record(P, t, event=kind)
+            events.append(FlowEvent(kind, t, vol_ev.value, {}))
     raise StallDetected("step limit reached", trace=partial_trace())
 
 

@@ -48,8 +48,6 @@ from .graphs import PlanarGraph, parse_graph, format_graph, _norm_edge
 VERTEX_RESIDUAL_TOL = 1e-8
 #: Convexity slack (scaled by vertex lift size).
 CONVEXITY_SLACK = 1e-9
-#: Geometric tolerance when matching computed polygons against the skeleton.
-MATCH_TOL = 1e-6
 #: Coincident truncation nodes closer than this merge into one vertex.
 MERGE_TOL = 1e-7
 
@@ -107,83 +105,26 @@ class Polyhedron:
 def _vertex_from_planes(normals: np.ndarray):
     """Nullspace solve for the common point of >= 3 planes.
 
-    Returns (lift, relative residual); rows are Euclid-normalized first.
+    Returns (lift, singular values); rows are Euclid-normalized first.
+    The planes meet in exactly one point when the third singular value
+    is clear of zero and the fourth, if any, vanishes.
     """
     A = normals * MINKOWSKI_SIGNS
     A = A / np.linalg.norm(A, axis=1, keepdims=True)
     _, s, vt = np.linalg.svd(A)
-    w = vt[-1]
-    resid = s[-1] if len(s) == 4 else 0.0
-    return w, float(resid)
+    return vt[-1], s
 
 
-def _clip_polygon(poly, a, b, c, tol=1e-12):
-    """Clip 2D polygon by half-plane a*s + b*t <= c (Sutherland-Hodgman)."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        p = poly[i]
-        q = poly[(i + 1) % m]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if fp <= tol:
-            out.append(p)
-            if fq > tol and fp < -tol:
-                lam = fp / (fp - fq)
-                out.append((p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1])))
-        elif fq <= tol:
-            lam = fp / (fp - fq)
-            out.append((p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1])))
-    return out
-
-
-def _face_polygon_2d(planes, f: int, extra_limit: float = 1e3):
-    """Polygon of face f cut out by all other half-spaces, in-plane coords.
-
-    Returns (points_2d, frame) where frame maps (s, t) -> chart point.
-    """
-    base = planes[f]
-    x0 = base.closest_chart_point()
-    e1, e2 = base.basis()
-    R = extra_limit
-    poly = [(-R, -R), (R, -R), (R, R), (-R, R)]
-    for j, pl in enumerate(planes):
-        if j == f:
-            continue
-        d, c = pl.chart_equation()
-        a = float(d @ e1)
-        b = float(d @ e2)
-        rhs = c - float(d @ x0)
-        if math.hypot(a, b) < 1e-13:
-            if rhs < -1e-12:
-                return [], (x0, e1, e2)
-            continue
-        poly = _clip_polygon(poly, a, b, rhs)
-        if not poly:
-            return [], (x0, e1, e2)
-    return poly, (x0, e1, e2)
-
-
-def _dedupe_cycle(points, tol):
-    """Drop consecutive near-duplicates from a closed 2D point cycle."""
-    out = []
-    for p in points:
-        if not out or math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > tol:
-            out.append(p)
-    while len(out) > 1 and math.hypot(out[0][0] - out[-1][0], out[0][1] - out[-1][1]) <= tol:
-        out.pop()
-    return out
-
-
-def build_polyhedron(planes, expected_skeleton: PlanarGraph, *, rectified: bool = False,
-                     verify: str = "full", tol: float = TAU_IDEAL) -> Polyhedron:
+def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
+                     rectified: bool = False) -> Polyhedron:
     """Realize a polyhedron from its face planes and expected combinatorics.
 
-    Computes every prescribed multi-plane concurrence, checks convexity,
-    verifies each face's induced polygon matches its skeleton cycle (in
-    ``verify="full"`` mode), and checks the generalized-hyperbolic
-    condition that every skeleton edge meets the closed ball (open ball
-    unless ``rectified``).
+    Every vertex lies on at least three faces whose planes meet in one
+    point, weakly inside every selected half-space and strictly inside
+    every half-space of a face it is not on; every skeleton edge meets
+    the closed ball (open ball unless ``rectified``).  Strict incidence
+    makes each face's cycle walk the whole boundary of the face polygon,
+    so the planes realize exactly the expected skeleton.
     """
     planes = tuple(planes)
     g = expected_skeleton
@@ -192,52 +133,42 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *, rectified: bool 
 
     lifts = np.empty((g.n_vertices, 4))
     normals = np.array([p.normal for p in planes])
+    incident = np.zeros((g.n_vertices, len(planes)), dtype=bool)
     for v in range(g.n_vertices):
-        inc = g.vertex_faces[v]
-        w, resid = _vertex_from_planes(normals[list(inc)])
+        inc = list(g.vertex_faces[v])
+        if len(inc) < 3:
+            raise SkeletonMismatch(f"vertex {v} lies on {len(inc)} faces {inc}, needs 3")
+        incident[v, inc] = True
+        w, s = _vertex_from_planes(normals[inc])
+        resid = float(s[3]) if len(s) == 4 else 0.0
         if resid > VERTEX_RESIDUAL_TOL:
             raise SkeletonMismatch(f"planes at vertex {v} do not concur (residual {resid:.3g})")
+        if s[2] <= VERTEX_RESIDUAL_TOL:
+            raise SkeletonMismatch(
+                f"planes of faces {inc} at vertex {v} do not meet in a single point "
+                f"(third singular value {s[2]:.3g})")
         if abs(w[0]) < 1e-9 * np.linalg.norm(w):
             raise SkeletonMismatch(f"vertex {v} escapes the affine chart")
         lifts[v] = w / w[0]
 
-    # Convexity: every vertex weakly inside every selected half-space.
+    # Convexity: every vertex weakly inside every selected half-space,
+    # strictly inside those of the faces it is not on.
     margins = lifts @ (normals * MINKOWSKI_SIGNS).T
     scale = np.maximum(1.0, np.linalg.norm(lifts, axis=1))[:, None]
-    worst = float(np.max(margins / scale))
+    scaled = margins / scale
+    worst = float(np.max(scaled))
     if worst > CONVEXITY_SLACK * 10:
-        bad = np.unravel_index(np.argmax(margins / scale), margins.shape)
+        bad = np.unravel_index(np.argmax(scaled), margins.shape)
         raise NonConvex(f"vertex {bad[0]} violates face {bad[1]} by {worst:.3g}")
-
-    if verify == "full":
-        for f in range(len(planes)):
-            poly, (x0, e1, e2) = _face_polygon_2d(planes, f)
-            poly = _dedupe_cycle(poly, MATCH_TOL)
-            cyc = g.faces[f]
-            if len(poly) != len(cyc):
-                raise SkeletonMismatch(
-                    f"face {f}: polygon has {len(poly)} corners, skeleton expects {len(cyc)}")
-            if any(math.hypot(*p) > 0.5e3 for p in poly):
-                raise SkeletonMismatch(f"face {f} is unbounded in the chart")
-            expected = [(float((lifts[v, 1:] - x0) @ e1), float((lifts[v, 1:] - x0) @ e2))
-                        for v in cyc]
-            # Cyclic match, either direction.
-            k0 = min(range(len(poly)),
-                     key=lambda k: math.hypot(poly[k][0] - expected[0][0],
-                                              poly[k][1] - expected[0][1]))
-            for direction in (1, -1):
-                ok = all(
-                    math.hypot(poly[(k0 + direction * i) % len(poly)][0] - expected[i][0],
-                               poly[(k0 + direction * i) % len(poly)][1] - expected[i][1])
-                    < MATCH_TOL * max(1.0, math.hypot(*expected[i]))
-                    for i in range(len(cyc)))
-                if ok:
-                    break
-            if not ok:
-                raise SkeletonMismatch(f"face {f} polygon does not realize its cycle")
+    off = np.where(incident, -np.inf, scaled)
+    v, f = np.unravel_index(np.argmax(off), off.shape)
+    if off[v, f] >= -10 * CONVEXITY_SLACK:
+        raise SkeletonMismatch(
+            f"vertex {v} lies on face {f}, which the skeleton does not put it on "
+            f"(margin {off[v, f]:.3g})")
 
     charts = lifts[:, 1:]
-    edge_tol = 2 * tol if rectified else 0.0
+    edge_tol = 2 * TAU_IDEAL if rectified else 0.0
     for (u, v) in g.edges:
         _, m2 = segment_min_norm2(charts[u], charts[v])
         if m2 >= 1.0 + edge_tol:
@@ -314,7 +245,7 @@ def dihedral_angles(P: Polyhedron) -> dict:
     return out
 
 
-def _truncated_interval(P: Polyhedron, e, hyper, tol=TAU_IDEAL):
+def _truncated_interval(P: Polyhedron, e, hyper):
     """Parameter interval of edge e surviving all polar half-spaces."""
     u, v = e
     a = P.vertex_charts[u]
@@ -326,7 +257,7 @@ def _truncated_interval(P: Polyhedron, e, hyper, tol=TAU_IDEAL):
         c1 = float(hv @ (b - a))
         # constraint c0 + t*c1 <= 0
         if abs(c1) < 1e-14:
-            if c0 > tol:
+            if c0 > TAU_IDEAL:
                 return None
             continue
         t = -c0 / c1
@@ -339,19 +270,19 @@ def _truncated_interval(P: Polyhedron, e, hyper, tol=TAU_IDEAL):
     return lo, hi
 
 
-def edge_lengths(P: Polyhedron, tol: float = TAU_IDEAL) -> dict:
+def edge_lengths(P: Polyhedron) -> dict:
     """Hyperbolic length of each edge's subsegment inside the truncation.
 
     Zero is possible (almost proper contact); edges ending at ideal
     vertices of the truncation get length ``inf``.
     """
-    report = classify_vertices(P, tol)
+    report = classify_vertices(P)
     if report.is_improper():
         raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
     out = {}
     for e in P.skeleton.edges:
-        interval = _truncated_interval(P, e, hyper, tol)
+        interval = _truncated_interval(P, e, hyper)
         if interval is None:
             out[e] = 0.0
             continue
@@ -362,7 +293,7 @@ def edge_lengths(P: Polyhedron, tol: float = TAU_IDEAL) -> dict:
         y = a + hi * d
         sx = 1.0 - float(x @ x)
         sy = 1.0 - float(y @ y)
-        if sx <= tol * 2 or sy <= tol * 2:
+        if sx <= TAU_IDEAL * 2 or sy <= TAU_IDEAL * 2:
             if math.hypot(*(x - y)) <= MERGE_TOL:
                 out[e] = 0.0
             else:
@@ -423,14 +354,14 @@ class _NodePool:
         return len(self.coords) - 1
 
 
-def truncate(P: Polyhedron, tol: float = TAU_IDEAL) -> TruncatedPolyhedron:
+def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     """Intersect P with the polar half-space of every hyperideal vertex.
 
     For proper input, removing the truncation faces recovers P exactly;
     edges arising from the truncation meet the adjacent faces at right
     angles, and distinct truncation faces are disjoint.
     """
-    report = classify_vertices(P, tol)
+    report = classify_vertices(P)
     if report.is_improper():
         raise ImproperInput("cannot truncate an improper polyhedron")
     g = P.skeleton
@@ -446,7 +377,7 @@ def truncate(P: Polyhedron, tol: float = TAU_IDEAL) -> TruncatedPolyhedron:
         )
     hyper_set = set(hyper)
     charts = P.vertex_charts
-    polars = {v: polar_plane(charts[v], tol) for v in hyper}
+    polars = {v: polar_plane(charts[v], TAU_IDEAL) for v in hyper}
 
     pool = _NodePool(MERGE_TOL)
 
@@ -512,11 +443,11 @@ def truncate(P: Polyhedron, tol: float = TAU_IDEAL) -> TruncatedPolyhedron:
         vertex_lifts=lifts,
         original=P,
     )
-    _assert_truncation_invariants(T, tol)
+    _assert_truncation_invariants(T)
     return T
 
 
-def _assert_truncation_invariants(T: TruncatedPolyhedron, tol):
+def _assert_truncation_invariants(T: TruncatedPolyhedron):
     """Right angles at truncation edges; distinct truncation planes disjoint.
 
     Tangency of truncation planes is the boundary case reached by
@@ -539,14 +470,14 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron, tol):
                     f"truncation faces {flagged[a]}, {flagged[b]} overlap")
 
 
-def almost_proper_edges(P: Polyhedron, tol: float = TAU_IDEAL):
+def almost_proper_edges(P: Polyhedron):
     """Edges lying entirely inside some truncation plane.
 
     Both endpoints of such an edge sit on the polar plane of the same
     hyperideal vertex; the configuration is detected and reported but no
     downstream operation consumes it.
     """
-    report = classify_vertices(P, tol)
+    report = classify_vertices(P)
     out = []
     for e in P.skeleton.edges:
         u, v = e
@@ -557,22 +488,21 @@ def almost_proper_edges(P: Polyhedron, tol: float = TAU_IDEAL):
                 if k != PointKind.HYPERIDEAL:
                     continue
                 hv = P.vertex_charts[h]
-                if (abs(1.0 - float(hv @ P.vertex_charts[u])) <= tol
-                        and abs(1.0 - float(hv @ P.vertex_charts[v])) <= tol):
+                if (abs(1.0 - float(hv @ P.vertex_charts[u])) <= TAU_IDEAL
+                        and abs(1.0 - float(hv @ P.vertex_charts[v])) <= TAU_IDEAL):
                     poles.add(h)
             if poles:
                 out.append((e, tuple(sorted(poles))))
     return out
 
 
-def strip_truncation(T: TruncatedPolyhedron, verify: str = "fast") -> Polyhedron:
+def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
     """Drop truncation faces and rebuild the original polyhedron.
 
     The returned plane tuple is the original one, object for object.
     """
     planes = tuple(p for p, flag in zip(T.planes, T.truncation_flags) if not flag)
-    return build_polyhedron(planes, T.original.skeleton, rectified=T.original.rectified,
-                            verify=verify)
+    return build_polyhedron(planes, T.original.skeleton, rectified=T.original.rectified)
 
 
 # --- text format -------------------------------------------------------------
@@ -585,7 +515,7 @@ def format_polyhedron(P: Polyhedron) -> str:
     return "\n".join(lines) + "\n" + format_graph(P.skeleton)
 
 
-def parse_polyhedron(text: str, *, rectified: bool = False, verify: str = "full") -> Polyhedron:
+def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
     lines = text.splitlines()
     planes = []
     count = None
@@ -605,4 +535,4 @@ def parse_polyhedron(text: str, *, rectified: bool = False, verify: str = "full"
     if count is None or len(planes) != count:
         raise BadFormat("polyhedron header does not match plane count")
     skeleton = parse_graph("\n".join(lines[rest_start:]))
-    return build_polyhedron(tuple(planes), skeleton, rectified=rectified, verify=verify)
+    return build_polyhedron(tuple(planes), skeleton, rectified=rectified)

@@ -95,6 +95,23 @@ def _edge_tangency_points(g: PlanarGraph, verts):
     return pts
 
 
+def _reject_collapsed_edges(g: PlanarGraph, verts, residual):
+    """A solution with a zero-length edge has no tangency point on it.
+
+    An edge shorter than the solve's residual tolerance (relative to its
+    endpoints) is numerically zero.
+    """
+    u, v = np.array(g.edges).T
+    lengths = np.linalg.norm(verts[v] - verts[u], axis=1)
+    size = np.maximum(1.0, np.maximum(np.linalg.norm(verts[u], axis=1),
+                                      np.linalg.norm(verts[v], axis=1)))
+    i = int(np.argmin(lengths / size))
+    if lengths[i] <= SOLVE_TOL * size[i]:
+        raise SolverDiverged(
+            f"midsphere solve collapsed edge {g.edges[i]} (length {lengths[i]:.3g})",
+            residual=residual)
+
+
 def _center_tangencies(points, tol=1e-13, max_iter=100):
     """Hyperbolic center of mass of ideal points: Newton on the ball.
 
@@ -167,6 +184,7 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
             raise SolverDiverged(
                 f"midsphere solve stalled (residual {report.residual:.3g})",
                 residual=report.residual)
+    _reject_collapsed_edges(g, verts, report.residual)
 
     # Gauge: Mobius centering, then rotations.
     tang = _edge_tangency_points(g, verts)
@@ -223,7 +241,7 @@ def rectification(g: PlanarGraph) -> Polyhedron:
     packing = solve_midsphere(g)
     planes = tuple(OrientedPlane(normal=packing.face_normals[f])
                    for f in range(len(g.faces)))
-    return build_polyhedron(planes, g, rectified=True, verify="full")
+    return build_polyhedron(planes, g, rectified=True)
 
 
 def rectification_volume(g: PlanarGraph) -> VolumeResult:

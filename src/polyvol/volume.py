@@ -208,20 +208,20 @@ class VolumeResult:
     evaluations: int = 0
 
 
-def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, mode="adaptive",
-                         depth=3):
+def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, depth: int | None = None):
     """Integrate the Klein volume element over a union of tetrahedra.
 
-    ``mode="fixed"`` uses uniform structural subdivision to ``depth`` (a
-    smooth function of the vertex coordinates); ``mode="adaptive"``
-    refines the worst cells until the error estimate drops below ``tol``
-    or the evaluation budget runs out.
+    With ``depth`` set, uniform structural subdivision to that depth (a
+    smooth function of the vertex coordinates; ``tol`` and ``budget``
+    are not read); with ``depth=None``, adaptive refinement of the worst
+    cells until the error estimate drops below ``tol`` or the evaluation
+    budget runs out.
     """
     tets = np.asarray(tets, dtype=float)
     if len(tets) == 0:
         return 0.0, 0.0, False, 0
     evals = 0
-    if mode == "fixed":
+    if depth is not None:
         work = tets
         for _ in range(depth):
             work = _split8(work)
@@ -295,9 +295,9 @@ def _region_tets(T: TruncatedPolyhedron):
     return _fan_tets(apex, _truncation_polygons(T))
 
 
-def _truncation_or_none(P: Polyhedron, tol):
+def _truncation_or_none(P: Polyhedron):
     try:
-        return truncate(P, tol)
+        return truncate(P)
     except TruncationDegenerate:
         return None
 
@@ -373,24 +373,25 @@ def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
 
 
 def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_000,
-                      mode: str = "adaptive", depth: int = 3) -> VolumeResult:
+                      depth: int | None = None) -> VolumeResult:
     """Hyperbolic volume of P, defined as the volume of its truncation.
 
     If every truncation vertex is ideal the volume is assembled exactly
     from ideal tetrahedra; otherwise the Klein volume element is
-    integrated over the truncated region.  An empty truncation has
-    volume 0.
+    integrated over the truncated region, adaptively to ``tol`` within
+    ``budget`` evaluations, or on a fixed grid of subdivision ``depth``
+    when that is set.  An empty truncation has volume 0.
     """
     report = classify_vertices(P)
     if report.is_improper():
         raise ImproperInput("volume needs a proper or almost proper polyhedron")
-    T = _truncation_or_none(P, TAU_IDEAL)
+    T = _truncation_or_none(P)
     if T is None:
         tets = _halfspace_region_tets(P)
         if len(tets) == 0:
             return VolumeResult(0.0, VolumeMethod.KLEIN_QUADRATURE, 0.0)
         value, err, exceeded, evals = integrate_klein_tets(
-            tets, tol=tol, budget=budget, mode=mode, depth=depth)
+            tets, tol=tol, budget=budget, depth=depth)
         return VolumeResult(value, VolumeMethod.KLEIN_QUADRATURE, err, exceeded, evals)
     radii = np.linalg.norm(T.vertex_charts, axis=1)
     if np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
@@ -401,7 +402,7 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
         raise ImproperInput("truncation has vertices outside the closed ball")
     tets = _region_tets(T)
     value, err, exceeded, evals = integrate_klein_tets(
-        tets, tol=tol, budget=budget, mode=mode, depth=depth)
+        tets, tol=tol, budget=budget, depth=depth)
     return VolumeResult(value, VolumeMethod.KLEIN_QUADRATURE, err, exceeded, evals)
 
 
@@ -434,7 +435,7 @@ def schlafli_residual(path, t0: float, h: float = 1e-4) -> float:
     def fixed_volume(Q):
         T = truncate(Q)
         tets = _region_tets(T)
-        value, _, _, _ = integrate_klein_tets(tets, mode="fixed", depth=3)
+        value, _, _, _ = integrate_klein_tets(tets, depth=3)
         return value
 
     vol_rate = (fixed_volume(Pp) - fixed_volume(Pm)) / (2 * h)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from polyvol.cli import main
-from polyvol.graphs import format_graph, tetrahedron_graph
+from polyvol.graphs import format_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import format_polyhedron
 from polyvol.shapes import regular_tetrahedron
 
@@ -75,6 +75,14 @@ def test_rectify_emits_planes_and_volume(k4_file, capsys):
     vol_line = [l for l in out.splitlines() if l.startswith("VOL")][0]
     value = float(vol_line.split()[1])
     assert abs(value - 3.663862376709) < 1e-6
+
+
+def test_rectify_solver_failure_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "pyr13.graph"
+    path.write_text(format_graph(pyramid_graph(13)))
+    code, out = run_cli(["rectify", str(path)], capsys)
+    assert code == 1
+    assert out.startswith("ERR SolverDiverged ")
 
 
 def test_angles_check_admissible_and_witness(k4_file, capsys):

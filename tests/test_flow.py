@@ -181,6 +181,28 @@ def test_flow_compact_tetrahedron_events_and_value(compact_tetra):
     assert trace.volumes_nondecreasing()
 
 
+def test_flow_classifies_each_state_once(compact_tetra, monkeypatch):
+    # Each realization is classified at most once; the all-hyperideal
+    # endgame classifies none.
+    import polyvol.flow as flow
+
+    counts = {"classify": 0, "realize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flow, "classify_vertices",
+                        counted("classify", flow.classify_vertices))
+    monkeypatch.setattr(flow, "realize_from_angles",
+                        counted("realize", flow.realize_from_angles))
+    trace = run_flow(compact_tetra, FlowOptions(seed=12))
+    assert FlowEventKind.BECAME_HYPERIDEAL_ONLY in [e.kind for e in trace.events]
+    assert counts["classify"] <= counts["realize"]
+
+
 def test_flow_event_localization_matches_angle_sum():
     # at a VertexBecameIdeal event the angle sum at the vertex crosses
     # (k-2) pi together with the geometric classification

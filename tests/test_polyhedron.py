@@ -19,7 +19,7 @@ from polyvol.errors import (
     SkeletonMismatch,
     TooFewAngles,
 )
-from polyvol.graphs import tetrahedron_graph, pyramid_graph
+from polyvol.graphs import prism_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import (
     VertexStatus,
     build_polyhedron,
@@ -80,6 +80,34 @@ def test_build_detects_extra_intersections():
     planes = P.planes + (OrientedPlane.from_chart([0, 0, 1], 0.05),)
     with pytest.raises(SkeletonMismatch):
         build_polyhedron(planes, g5)
+
+
+def test_build_rejects_face_collapsed_to_a_point():
+    # A triangular prism whose lateral planes and top plane all pass
+    # through the apex (0, 0, 0.3): the top face is a single point, so each
+    # top vertex also lies on the lateral face it is not incident to.
+    g = prism_graph(3)
+    ang = 2 * math.pi * np.arange(3) / 3
+    bottom = np.stack([0.4 * np.cos(ang), 0.4 * np.sin(ang), np.full(3, -0.3)], axis=1)
+    apex = np.array([0.0, 0.0, 0.3])
+    frustum = np.vstack([bottom, 0.5 * (bottom + apex)])
+    planes = list(planes_from_vertices(frustum, g))
+    build_polyhedron(tuple(planes), g)
+    top = g.faces.index((5, 4, 3))
+    planes[top] = OrientedPlane.from_chart([0, 0, 1], 0.3)
+    with pytest.raises(SkeletonMismatch, match="does not put it on"):
+        build_polyhedron(tuple(planes), g)
+
+
+def test_build_rejects_vertex_planes_meeting_in_a_line():
+    # The three faces at vertex 0 all contain the z-axis.
+    g = tetrahedron_graph()
+    planes = [OrientedPlane.from_chart([0, 0, -1], 0.2)] * 4
+    for k, f in enumerate(g.vertex_faces[0]):
+        phi = 2 * math.pi * k / 3
+        planes[f] = OrientedPlane.from_chart([math.cos(phi), math.sin(phi), 0.0], 0.0)
+    with pytest.raises(SkeletonMismatch, match="vertex 0 do not meet in a single point"):
+        build_polyhedron(tuple(planes), g)
 
 
 # --- classification ------------------------------------------------------------

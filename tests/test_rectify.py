@@ -6,7 +6,7 @@ import pytest
 
 from conftest import to_networkx
 from polyvol.core import dihedral_angle
-from polyvol.errors import NotPolyhedral
+from polyvol.errors import NotPolyhedral, SolverDiverged
 from polyvol.graphs import (
     PlanarGraph,
     cube_graph,
@@ -161,6 +161,13 @@ def test_collapse_monotonicity_examples():
         v_big = rectification_volume(g).value
         v_small = rectification_volume(res.graph).value
         assert v_small <= v_big + 1e-8
+
+
+def test_collapsed_edge_solution_rejected():
+    # The tangency solve on the 13-gonal pyramid converges to a spurious
+    # solution in which some edges have zero length.
+    with pytest.raises(SolverDiverged, match=r"collapsed edge \(12, 13\)"):
+        rectification_volume(pyramid_graph(13))
 
 
 def test_determinism():
