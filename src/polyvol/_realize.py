@@ -1,10 +1,10 @@
-"""Shared Gauss-Newton engine for plane-tuple realizations.
+"""Gauss-Newton engine for plane-tuple realizations with prescribed angles.
 
 Unknowns are the Minkowski face normals (4 per face) and the chart
 coordinates of the vertices (3 per vertex).  Equations: unit spacelike
 normals, vertex-on-plane incidences, prescribed values of <n_f, n_g>
-per edge (cosine targets; -1 realizes tangency), and optional held
-incidences pinning a vertex onto the polar plane of another.
+per edge (cosine targets), and optional held incidences pinning a
+vertex onto the polar plane of another.
 
 The isometry group of H^3 leaves the system invariant, so the Jacobian
 has a 6-dimensional kernel at solutions; least-squares steps pick the
@@ -20,6 +20,11 @@ import numpy as np
 
 from .core import MINKOWSKI_SIGNS
 from .graphs import PlanarGraph
+
+#: Residual required of each realization.
+REALIZE_TOL = 1e-11
+#: Gauss-Newton iterations allowed per realization.
+MAX_ITERATIONS = 80
 
 
 @dataclass
@@ -69,7 +74,7 @@ def _residual_and_jacobian(g: PlanarGraph, normals, verts, gram_targets, held):
 
 
 def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
-                       held=(), tol: float = 1e-12, max_iter: int = 80):
+                       held=()):
     """Solve for normals and vertices matching the prescribed Gram values.
 
     ``gram_targets`` maps each edge to the desired <n_f, n_g> (use
@@ -84,8 +89,8 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
     r, J = _residual_and_jacobian(g, normals, verts, gram_targets, held)
     best = float(np.max(np.abs(r)))
     lm = 0.0
-    for it in range(max_iter):
-        if best < tol:
+    for it in range(MAX_ITERATIONS):
+        if best < REALIZE_TOL:
             return normals, verts, SolveReport(True, best, it)
         stepped = False
         for _ in range(8):
@@ -103,7 +108,7 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
                 r_try, J_try = _residual_and_jacobian(g, n_try, v_try, gram_targets, held)
                 norm_try = float(np.linalg.norm(r_try)) if np.all(np.isfinite(r_try)) \
                     else math.inf
-                if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < tol:
+                if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
                     normals, verts, r, J = n_try, v_try, r_try, J_try
                     stepped = True
                     break
@@ -118,6 +123,6 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
         best = float(np.max(np.abs(r)))
         if not np.isfinite(best) or np.max(np.abs(verts)) > 1e8:
             return normals, verts, SolveReport(False, best, it, "iterate blew up")
-    ok = best < tol
-    return normals, verts, SolveReport(ok, best, max_iter,
+    ok = best < REALIZE_TOL
+    return normals, verts, SolveReport(ok, best, MAX_ITERATIONS,
                                        "" if ok else "max iterations reached")

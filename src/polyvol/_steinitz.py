@@ -4,7 +4,8 @@ Tutte's spring embedding with a triangular outer face carries an
 equilibrium stress, whose Maxwell-Cremona lift is a convex polyhedron
 with the prescribed skeleton.  Graphs without a triangular face are
 realized through the polar dual (one of the two always has a triangle,
-by Euler counting).  Used only to seed Newton solves.
+by Euler counting).  Used only for the compact seeds of
+``shapes.compact_realization``; rectifications need no seed.
 """
 
 from __future__ import annotations
@@ -158,20 +159,3 @@ def convex_realization(g: PlanarGraph) -> np.ndarray:
         pts[v] = n / c
     return pts
 
-
-def midscribe_normalize(pts: np.ndarray, edges, iterations: int = 8) -> np.ndarray:
-    """Translate and scale so edge lines graze the unit sphere on average."""
-    out = np.array(pts, dtype=float)
-    for _ in range(iterations):
-        feet = []
-        for (u, v) in edges:
-            a, d = out[u], out[v] - out[u]
-            t = float(np.clip(-(a @ d) / max(1e-300, d @ d), 0.0, 1.0))
-            feet.append(a + t * d)
-        feet = np.array(feet)
-        center = feet.mean(axis=0)
-        out -= center
-        feet -= center
-        scale = np.mean(np.linalg.norm(feet, axis=1))
-        out /= scale
-    return out

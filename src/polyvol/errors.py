@@ -51,10 +51,6 @@ class NotPolyhedral(PolyvolError):
 class CollapseMakesDegenerate(PolyvolError):
     code = "CollapseMakesDegenerate"
 
-    def __init__(self, detail: str = "", partial=None):
-        super().__init__(detail)
-        self.partial = partial
-
 
 class AngleOutOfRange(PolyvolError):
     code = "AngleOutOfRange"

@@ -58,8 +58,6 @@ from .polyhedron import (
 )
 from .volume import VolumeResult, polyhedron_volume
 
-#: Residual required of each prescribed-angle realization.
-REALIZE_TOL = 1e-11
 #: Initial and smallest step in t; the step halves on rejection.
 DT_INIT = 1e-2
 DT_MIN = 1e-7
@@ -107,7 +105,7 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
             raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
         targets[e] = -math.cos(th)
     normals, verts, report = solve_plane_system(
-        g, targets, seed.normal_matrix, seed.vertex_charts, held=tuple(held), tol=REALIZE_TOL)
+        g, targets, seed.normal_matrix, seed.vertex_charts, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
@@ -453,14 +451,15 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         return FlowTrace(samples, events, g, math.nan, math.nan, opts.seed)
 
     def handle_event(kind, data, P_state, t_now):
-        """Dispatch one localized degeneration; returns the continued state."""
+        """Dispatch one localized degeneration; returns the continued state and its kinds."""
         nonlocal g, held, theta_dir, events
         vol_ev = record(P_state, t_now, event=kind)
         if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
             P_new = escape_deformation(P_state, v, almost_pole=pole)
-            if classify_vertices(P_new).kinds[v] != PointKind.HYPERIDEAL:
+            new_kinds = classify_vertices(P_new).kinds
+            if new_kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(
                     f"escape left vertex {v} inside the ball (tangent edge regime)",
                     trace=partial_trace())
@@ -468,7 +467,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 held = [(w, u) for (w, u) in held if w != v]
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
             theta_dir = _rebase(P_new, t_now, rng)
-            return P_new
+            return P_new, new_kinds
         if kind == FlowEventKind.ALMOST_PROPER_ONSET:
             w, u = data
             if _norm_edge(w, u) not in P_state.skeleton.edge_index:
@@ -477,7 +476,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                     trace=partial_trace())
             held.append((w, u))
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": w, "pole": u}))
-            return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
+            P_new = realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
+            return P_new, classify_vertices(P_new).kinds
         try:
             g_new, P_new, theta_new, ev_data = _collapse_rewrite(
                 kind, data, g, P_state, rng, t_now)
@@ -487,7 +487,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         theta_dir = theta_new
         held = []
         events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
-        return P_new
+        return P_new, classify_vertices(P_new).kinds
 
     record(P, t)
     dt = DT_INIT
@@ -534,9 +534,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             if not stale:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
             kind, data, _ = stale[0]
-            P = handle_event(kind, data, P, t)
+            P, kinds = handle_event(kind, data, P, t)
             dt = DT_INIT
-            kinds = classify_vertices(P).kinds
             hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
             continue
 
@@ -546,8 +545,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         if signals:
             kind, data, _ = signals[0]
             t = t_next
-            P = handle_event(kind, data, P_next, t)
-            kinds = classify_vertices(P).kinds
+            P, kinds = handle_event(kind, data, P_next, t)
             if all(k == PointKind.HYPERIDEAL for k in kinds):
                 hyperideal_only = True
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,

@@ -246,8 +246,8 @@ def dual_graph(g: PlanarGraph) -> PlanarGraph:
 def medial_graph(g: PlanarGraph) -> PlanarGraph:
     """Medial map: one vertex per edge of g, joined when edges share an angle.
 
-    Medial vertex i corresponds to ``g.edges[i]``; the faces of the output
-    are the vertex rings and the face rings of g.
+    Medial vertex i corresponds to ``g.edges[i]``; medial face f is the ring
+    of face f of g, and medial face ``len(g.faces) + v`` the ring of vertex v.
     """
     if not g.is_polyhedral():
         raise NotPolyhedral("medial requires a 3-connected polyhedral graph")
@@ -328,12 +328,11 @@ def _cleanup(n_vertices, labelled_faces):
     out_faces = [tuple(vmap[v] for v in cyc) for _, cyc in faces]
     fmap = {lab: i for i, (lab, _) in enumerate(faces)}
     if len(used) < 4 or any(len(c) < 3 for c in out_faces):
-        raise CollapseMakesDegenerate(
-            f"result degenerates to {len(used)} vertices", partial=(len(used), out_faces))
+        raise CollapseMakesDegenerate(f"result degenerates to {len(used)} vertices")
     try:
         g = PlanarGraph(n_vertices=len(used), faces=tuple(out_faces))
     except BadFormat as exc:
-        raise CollapseMakesDegenerate(str(exc), partial=(len(used), out_faces))
+        raise CollapseMakesDegenerate(str(exc))
     return g, vmap, fmap
 
 

@@ -1,17 +1,20 @@
 """Rectifications: the edge-tangent realization of a 3-connected planar graph.
 
-For any such graph there is a projective polyhedron with that skeleton
+For any such graph g there is a projective polyhedron with skeleton g
 whose edges are all tangent to the unit sphere, unique up to
-sphere-preserving projective maps (the midsphere / Koebe realization; a
-primal-dual circle packing on the sphere, face circles packing with
-tangency graph the dual).  It is found here by a Gauss-Newton solve on
-the face planes and vertices with Gram targets <n_f, n_g> = -1 at every
-edge, seeded from a Maxwell-Cremona convex realization, then gauge fixed
-by a Mobius centering (tangency points summing to zero) and a rotation.
+sphere-preserving projective maps (the midsphere / Koebe realization).
+Its truncation is the ideal right-angled polyhedron Q with skeleton
+``medial_graph(g)``, whose ideal vertices are the tangency points.
 
-Truncating the rectification yields an ideal right-angled polyhedron
-whose skeleton is the medial graph; its volume is assembled exactly from
-ideal tetrahedra.
+Q comes from Rivin's volume maximization (Annals 139 (1994); Annals 143
+(1996)): cone Q from one ideal vertex and fan-triangulate the faces
+without it.  The sum of Lobachevsky functions of the tetrahedron angles
+is strictly concave over the angle structures, and its unique maximizer
+is the geometric one, so one convex solve with no seed finds Q.  With
+the cone vertex at infinity the tetrahedra are plane triangles; laying
+them out gives the tangency points, then the face planes and the
+vertices.  The gauge is fixed by a Mobius centering and a rotation.
+The volume is assembled exactly from ideal tetrahedra of the truncation.
 """
 
 from __future__ import annotations
@@ -21,24 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._realize import solve_plane_system
-from ._steinitz import convex_realization, midscribe_normalize
 from .core import (
     OrientedPlane,
     boost_to_origin,
     lift,
+    mdot,
     rotation_about_z,
     rotation_to_z,
 )
 from .errors import NotPolyhedral, SolverDiverged
-from .graphs import PlanarGraph
+from .graphs import PlanarGraph, _norm_edge, medial_graph
 from .polyhedron import Polyhedron, build_polyhedron
 from .volume import VolumeResult, polyhedron_volume
 
-#: Residual required of the tangency solve.
+#: Residual required of the angle-structure Newton solve.
 SOLVE_TOL = 1e-12
-#: Gauss-Newton iterations allowed per tangency solve.
-NEWTON_ITERATIONS = 500
+#: Newton iterations allowed per angle-structure solve.
+NEWTON_ITERATIONS = 100
+#: Newton steps allowed for the Mobius centering.
+CENTERING_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -58,177 +62,189 @@ class MidspherePacking:
     residuals: dict
 
 
-def _initial_guess(g: PlanarGraph):
-    pts = convex_realization(g)
-    pts = midscribe_normalize(pts, g.edges)
-    center = pts.mean(axis=0)
-    normals = np.zeros((len(g.faces), 4))
-    for f, cyc in enumerate(g.faces):
-        P = pts[list(cyc)]
-        centroid = P.mean(axis=0)
-        U, S, Vt = np.linalg.svd(P - centroid)
-        n = Vt[-1]
-        if float(n @ (centroid - center)) < 0:
-            n = -n
-        c = float(n @ centroid)
-        normals[f] = np.concatenate([[c], n])
-        sq = -c * c + 1.0
-        if sq <= 0:
-            # plane misses the ball in the seed; nudge the offset inward
-            normals[f, 0] = math.copysign(0.9, c)
-    # normalize to unit spacelike where possible
-    for f in range(len(normals)):
-        n = normals[f]
-        sq = -n[0] ** 2 + float(n[1:] @ n[1:])
-        if sq > 1e-12:
-            normals[f] = n / math.sqrt(sq)
-    return normals, pts
+def _cone_equations(m: PlanarGraph):
+    """The angle structures of the right-angled ideal polyhedron with skeleton m.
 
-
-def _edge_tangency_points(g: PlanarGraph, verts):
-    pts = np.zeros((len(g.edges), 3))
-    for i, (u, v) in enumerate(g.edges):
-        a = verts[u]
-        d = verts[v] - verts[u]
-        s = -float(a @ d) / float(d @ d)
-        pts[i] = a + s * d
-    return pts
-
-
-def _reject_collapsed_edges(g: PlanarGraph, verts, residual):
-    """A solution with a zero-length edge has no tangency point on it.
-
-    An edge shorter than the solve's residual tolerance (relative to its
-    endpoints) is numerically zero.
+    Returns ``(tris, A, b)``.  ``tris`` are the fan triangles (a, b, c) of
+    the faces without vertex 0, in face order; the angle in column
+    ``3 t + i`` sits at vertex ``tris[t][i]`` and at the opposite side.
+    ``A x = b`` holds the segment sums (pi/2 on an edge of m, pi on a
+    segment inside a face, 2 pi otherwise), then the tetrahedron sums (pi).
     """
-    u, v = np.array(g.edges).T
-    lengths = np.linalg.norm(verts[v] - verts[u], axis=1)
-    size = np.maximum(1.0, np.maximum(np.linalg.norm(verts[u], axis=1),
-                                      np.linalg.norm(verts[v], axis=1)))
-    i = int(np.argmin(lengths / size))
-    if lengths[i] <= SOLVE_TOL * size[i]:
-        raise SolverDiverged(
-            f"midsphere solve collapsed edge {g.edges[i]} (length {lengths[i]:.3g})",
-            residual=residual)
+    tris = [(cyc[0], cyc[i], cyc[i + 1]) for cyc in m.faces if 0 not in cyc
+            for i in range(1, len(cyc) - 1)]
+    on_face = {w for cyc in m.faces if 0 in cyc for w in cyc}
+    rows = {}   # segment -> (target, columns); a vertex w stands for the segment 0-w
+    for t, tri in enumerate(tris):
+        for i, w in enumerate(tri):
+            side = _norm_edge(tri[(i + 1) % 3], tri[(i + 2) % 3])
+            rows.setdefault(side, (0.5 * math.pi if side in m.edge_index else math.pi, []))
+            rows.setdefault(w, (0.5 * math.pi if w in m.adjacency[0]
+                                else math.pi if w in on_face else 2.0 * math.pi, []))
+            rows[side][1].append(3 * t + i)
+            rows[w][1].append(3 * t + i)
+    A = np.zeros((len(rows) + len(tris), 3 * len(tris)))
+    for r, (_, cols) in enumerate(rows.values()):
+        A[r, cols] = 1.0
+    A[len(rows):] = np.kron(np.eye(len(tris)), np.ones(3))
+    b = [target for target, _ in rows.values()] + [math.pi] * len(tris)
+    return tris, A, np.array(b)
 
 
-def _center_tangencies(points, tol=1e-13, max_iter=100):
-    """Hyperbolic center of mass of ideal points: Newton on the ball.
+def _max_volume_angles(m: PlanarGraph):
+    """Rivin's maximizer of the sum of Lobachevsky functions over angle structures.
 
-    Minimizes ``sum_e log((1 - x . t_e) / sqrt(1 - |x|^2))``; at the
-    minimum the boosted points sum to zero.
+    Infeasible-start Newton on the KKT system (Boyd & Vandenberghe,
+    *Convex Optimization*, 10.3) from all angles pi/3, with the redundant
+    equations dropped by one SVD.  Returns ``(tris, angles (T, 3), residual)``.
     """
-    t = points / np.linalg.norm(points, axis=1, keepdims=True)
-    E = len(t)
-    x = np.zeros(3)
+    tris, A, b = _cone_equations(m)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(S > 1e-9 * S[0]))
+    C, d = Vt[:rank], (U[:, :rank].T @ b) / S[:rank]
 
-    def fgh(x):
-        s = 1.0 - t @ x
-        q = 1.0 - float(x @ x)
-        f = float(np.sum(np.log(s))) - 0.5 * E * math.log(q)
-        grad = -np.sum(t / s[:, None], axis=0) + E * x / q
-        H = np.einsum("ei,ej,e->ij", t, t, 1.0 / (s * s))
-        H += E * (np.eye(3) / q + 2.0 * np.outer(x, x) / (q * q))
-        return f, grad, H
+    def residual(x, nu):
+        return np.concatenate([np.log(2.0 * np.sin(x)) + C.T @ nu, C @ x - d])
 
-    f, grad, H = fgh(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(grad) < tol:
+    n = A.shape[1]
+    x = np.full(n, math.pi / 3.0)
+    nu = -C @ np.log(2.0 * np.sin(x))
+    r = residual(x, nu)
+    K = np.zeros((n + rank, n + rank))
+    K[:n, n:], K[n:, :n] = C.T, C
+    for _ in range(NEWTON_ITERATIONS):
+        norm = float(np.linalg.norm(r))
+        if norm < SOLVE_TOL:
             break
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        alpha = 1.0
-        while alpha > 1e-8:
-            x_try = x + alpha * step
-            if float(x_try @ x_try) < 0.999999:
-                f_try, g_try, H_try = fgh(x_try)
-                if f_try < f:
-                    x, f, grad, H = x_try, f_try, g_try, H_try
+        K[range(n), range(n)] = 1.0 / np.tan(x)
+        step = np.linalg.solve(K, -r)
+        s = 1.0
+        while s > 1e-10:  # stay inside (0, pi) and decrease the residual
+            x_try, nu_try = x + s * step[:n], nu + s * step[n:]
+            if np.all((x_try > 0.0) & (x_try < math.pi)):
+                r_try = residual(x_try, nu_try)
+                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
                     break
-            alpha *= 0.5
+            s *= 0.5
         else:
             break
-    return x
+        x, nu, r = x_try, nu_try, r_try
+    norm = float(np.linalg.norm(r))
+    gap = float(np.max(np.abs(A @ x - b)))
+    if norm >= SOLVE_TOL or gap > 1e-10:
+        raise SolverDiverged(
+            f"angle structure solve stalled (residual {norm:.3g}, equations {gap:.3g})",
+            residual=norm)
+    return tris, x.reshape(-1, 3), norm
+
+
+def _develop(m: PlanarGraph, tris, angles):
+    """Ideal vertices of the cone decomposition on S^2, vertex 0 at the north pole.
+
+    With vertex 0 at infinity each tetrahedron is a plane triangle with
+    its angles.  The triangles are laid out breadth first across shared
+    sides (which neighbours traverse in opposite directions), then mapped
+    back by inverse stereographic projection.
+    """
+    owner = {(tri[i], tri[(i + 1) % 3]): (t, i) for t, tri in enumerate(tris) for i in range(3)}
+    z = np.zeros(m.n_vertices, dtype=complex)
+    z[tris[0][1]] = 1.0
+
+    def place(t, i):  # the third vertex, from the placed side (tri[i], tri[i + 1])
+        (p, q, w), ang = np.roll(tris[t], -i), np.roll(angles[t], -i)
+        z[w] = z[p] + (z[q] - z[p]) * math.sin(ang[1]) / math.sin(ang[2]) * np.exp(-1j * ang[0])
+
+    place(0, 0)
+    queue, seen = [0], {0}
+    while queue:
+        tri = tris[queue.pop(0)]
+        for i in range(3):
+            t, j = owner.get((tri[(i + 1) % 3], tri[i]), (None, None))
+            if t is not None and t not in seen:
+                seen.add(t)
+                place(t, j)
+                queue.append(t)
+    z = z[1:] - z[1:].mean()
+    z /= math.sqrt(float(np.mean(np.abs(z) ** 2)))
+    r2 = np.abs(z) ** 2
+    sphere = np.column_stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (r2 + 1.0)[:, None]
+    return np.vstack([[0.0, 0.0, 1.0], sphere])
+
+
+def _center_tangencies(points):
+    """Mobius-center ideal points: boost them until their unit vectors sum to zero.
+
+    Newton on ``f(x) = sum_e log(1 - x . t_e) - E/2 log(1 - |x|^2)``,
+    minimal at the hyperbolic center of mass, taken at the origin after
+    each boost, where the Hessian is ``E I - sum_e t_e t_e^T``.  Steps are
+    cut to chart length 0.5, so every boost center lies inside the ball.
+    """
+    t = points / np.linalg.norm(points, axis=1, keepdims=True)
+    total = float(np.linalg.norm(t.sum(axis=0)))
+    for _ in range(CENTERING_ITERATIONS):
+        x = np.linalg.solve(len(t) * np.eye(3) - t.T @ t, t.sum(axis=0))
+        size = float(np.linalg.norm(x))
+        if size > 0.5:
+            x *= 0.5 / size
+        boosted = lift(t) @ boost_to_origin(x).T
+        t_new = boosted[:, 1:] / np.linalg.norm(boosted[:, 1:], axis=1, keepdims=True)
+        new_total = float(np.linalg.norm(t_new.sum(axis=0)))
+        if new_total >= total:
+            break
+        t, total = t_new, new_total
+    return t
+
+
+def _circle_normal(points):
+    """Unit Minkowski normal of the plane through points of a circle on S^2."""
+    n = np.linalg.svd(np.column_stack([-np.ones(len(points)), points]))[2][-1]
+    return n / math.sqrt(float(mdot(n, n)))
 
 
 def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     """Compute the midsphere packing realizing the rectification of g.
 
-    Newton iterations drive every edge's Gram value to -1 (tangency);
-    on failure a continuation ladder through equal-angle hyperideal
-    polyhedra (all angles eps, eps -> 0) is attempted.  The output is
-    gauge normalized: tangency barycenter at the sphere center, first
-    face normal along +z, first tangency point in the xz-plane.
+    The tangency points are the ideal vertices of Rivin's maximal angle
+    structure on ``medial_graph(g)``, developed onto the sphere and
+    Mobius-centered.  Each face plane passes through the tangency points
+    of its edges; each vertex is the pole of the circle through the
+    tangency points of its edges.  The output is gauge normalized:
+    tangency barycenter at the sphere center, first face normal along
+    +z, first tangency point in the xz-plane.  Chirality is fixed too:
+    every face cycle of g is counterclockwise seen from outside.
     """
     if not g.is_polyhedral():
         raise NotPolyhedral("rectification needs a 3-connected polyhedral graph")
-    normals0, verts0 = _initial_guess(g)
+    m = medial_graph(g)   # medial vertex i is g.edges[i]
+    tris, angles, solve_residual = _max_volume_angles(m)
+    tang = _center_tangencies(_develop(m, tris, angles))
+    normals = np.array([_circle_normal(tang[list(cyc)]) for cyc in m.faces[:len(g.faces)]])
+    # Outward: the tangency points off a face lie inside its half-space.
+    normals *= -np.sign(mdot(normals[:, None], lift(tang)).sum(axis=1))[:, None]
+    lifts = np.array([_circle_normal(tang[list(cyc)]) for cyc in m.faces[len(g.faces):]])
 
-    targets = {e: -1.0 for e in g.edges}
-    normals, verts, report = solve_plane_system(
-        g, targets, normals0, verts0, tol=SOLVE_TOL, max_iter=NEWTON_ITERATIONS)
-    if not report.ok:
-        # Continuation: equal-angle hyperideal polyhedra with eps -> 0.
-        normals, verts = normals0, verts0
-        ok = False
-        for eps in (0.6, 0.4, 0.25, 0.15, 0.08, 0.04, 0.02, 0.01, 0.0):
-            targets = {e: -math.cos(eps) for e in g.edges}
-            normals, verts, report = solve_plane_system(
-                g, targets, normals, verts, tol=SOLVE_TOL, max_iter=NEWTON_ITERATIONS)
-            if not report.ok and eps > 0:
-                continue
-            ok = report.ok
-        if not ok:
-            raise SolverDiverged(
-                f"midsphere solve stalled (residual {report.residual:.3g})",
-                residual=report.residual)
-    _reject_collapsed_edges(g, verts, report.residual)
-
-    # Gauge: Mobius centering, then rotations.
-    tang = _edge_tangency_points(g, verts)
-    center = _center_tangencies(tang)
-    B = boost_to_origin(center)
-    normals = normals @ B.T
-    lifts = lift(verts) @ B.T
+    # Gauge: first face normal to +z, then first tangency point into the xz-plane.
+    R = rotation_to_z(normals[0, 1:])
+    t0 = R[1:, 1:] @ tang[0]
+    R = rotation_about_z(-math.atan2(t0[1], t0[0])) @ R
+    normals, lifts, tang = normals @ R.T, lifts @ R.T, tang @ R[1:, 1:].T
     lifts = lifts / lifts[:, :1]
-    norm0 = normals[0, 1:]
-    R1 = rotation_to_z(norm0)
-    normals = normals @ R1.T
-    lifts = lifts @ R1.T
-    tang = _edge_tangency_points(g, lifts[:, 1:])
-    t0 = tang[0]
-    R2 = rotation_about_z(-math.atan2(t0[1], t0[0]))
-    normals = normals @ R2.T
-    lifts = lifts @ R2.T
-    tang = _edge_tangency_points(g, lifts[:, 1:])
 
-    # Re-normalize spacelike normals after the gauge maps.
-    for f in range(len(normals)):
-        sq = -normals[f, 0] ** 2 + float(normals[f, 1:] @ normals[f, 1:])
-        normals[f] /= math.sqrt(sq)
-
-    tang_resid = float(np.max(np.abs(np.linalg.norm(tang, axis=1) - 1.0)))
-    gram = np.array([
-        -normals[f1, 0] * normals[f2, 0] + normals[f1, 1:] @ normals[f2, 1:]
-        for (f1, f2) in (g.edge_faces[e] for e in g.edges)])
+    u, v = np.array(g.edges).T
+    a, d = lifts[u, 1:], lifts[v, 1:] - lifts[u, 1:]
+    feet = a - (np.sum(a * d, axis=1) / np.sum(d * d, axis=1))[:, None] * d
+    f1, f2 = np.array([g.edge_faces[e] for e in g.edges]).T
     residuals = {
-        "solve": report.residual,
-        "tangency": tang_resid,
-        "gram": float(np.max(np.abs(gram + 1.0))),
-        "centering": float(np.linalg.norm(np.sum(
-            tang / np.linalg.norm(tang, axis=1, keepdims=True), axis=0))),
+        "solve": solve_residual,
+        "tangency": float(np.max(np.abs(np.linalg.norm(feet, axis=1) - 1.0))),
+        "gram": float(np.max(np.abs(mdot(normals[f1], normals[f2]) + 1.0))),
+        "centering": float(np.linalg.norm(tang.sum(axis=0))),
     }
     if residuals["tangency"] > 1e-8:
-        raise SolverDiverged(f"tangency residual {tang_resid:.3g}", residual=tang_resid)
-    return MidspherePacking(
-        graph=g,
-        face_normals=normals,
-        vertex_lifts=lifts,
-        tangency_points=tang / np.linalg.norm(tang, axis=1, keepdims=True),
-        residuals=residuals,
-    )
+        raise SolverDiverged(f"tangency residual {residuals['tangency']:.3g}",
+                             residual=residuals["tangency"])
+    return MidspherePacking(graph=g, face_normals=normals, vertex_lifts=lifts,
+                            tangency_points=tang, residuals=residuals)
 
 
 def rectification(g: PlanarGraph) -> Polyhedron:

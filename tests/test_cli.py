@@ -77,12 +77,17 @@ def test_rectify_emits_planes_and_volume(k4_file, capsys):
     assert abs(value - 3.663862376709) < 1e-6
 
 
-def test_rectify_solver_failure_is_a_domain_error(tmp_path, capsys):
+def test_rectify_pyramid13_prints_antiprism_volume(tmp_path, capsys):
+    from polyvol.volume import lobachevsky
+
     path = tmp_path / "pyr13.graph"
     path.write_text(format_graph(pyramid_graph(13)))
     code, out = run_cli(["rectify", str(path)], capsys)
-    assert code == 1
-    assert out.startswith("ERR SolverDiverged ")
+    assert code == 0
+    vol_line = [l for l in out.splitlines() if l.startswith("VOL")][0]
+    antiprism = 26 * (lobachevsky(math.pi / 4 + math.pi / 26)
+                      + lobachevsky(math.pi / 4 - math.pi / 26))
+    assert abs(float(vol_line.split()[1]) - antiprism) < 1e-9
 
 
 def test_angles_check_admissible_and_witness(k4_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import to_networkx
 from polyvol.core import dihedral_angle
-from polyvol.errors import NotPolyhedral, SolverDiverged
+from polyvol.errors import NotPolyhedral
 from polyvol.graphs import (
     PlanarGraph,
     cube_graph,
@@ -20,6 +20,7 @@ from polyvol.graphs import (
 )
 from polyvol.polyhedron import classify_vertices, dihedral_angles, truncate, PointKind
 from polyvol.rectify import (
+    _max_volume_angles,
     rectification,
     rectification_volume,
     solve_midsphere,
@@ -27,6 +28,13 @@ from polyvol.rectify import (
 from polyvol.volume import lobachevsky
 
 V8 = 8 * lobachevsky(math.pi / 4)
+
+ICOSAHEDRON = PlanarGraph(12, (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 6, 2), (2, 7, 3), (3, 8, 4), (4, 9, 5), (5, 10, 1),
+    (6, 7, 2), (7, 8, 3), (8, 9, 4), (9, 10, 5), (10, 6, 1),
+    (11, 7, 6), (11, 8, 7), (11, 9, 8), (11, 10, 9), (11, 6, 10),
+))
 
 
 def antiprism_volume(n):
@@ -40,7 +48,7 @@ def test_tetrahedron_packing_residuals_and_symmetry():
     packing = solve_midsphere(tetrahedron_graph())
     assert packing.residuals["tangency"] < 1e-8
     assert packing.residuals["gram"] < 1e-8
-    assert packing.residuals["centering"] < 1e-6
+    assert packing.residuals["centering"] < 1e-12
     # Tangency points form the octahedral configuration: distances sqrt(2)
     # (12 adjacent pairs) and 2 (3 antipodal pairs), invariant under the
     # 12-element rotation group of the configuration.
@@ -98,6 +106,23 @@ def test_cube_matches_analytic_midsphere_cube():
         assert abs(np.linalg.norm(pl.closest_chart_point()) - a) < 1e-7
 
 
+def test_packing_centered(corpus_graphs):
+    for g in corpus_graphs.values():
+        packing = solve_midsphere(g)
+        assert packing.residuals["centering"] < 1e-12
+        assert np.linalg.norm(packing.tangency_points.sum(axis=0)) < 1e-12
+
+
+def test_face_cycles_counterclockwise_from_outside(corpus_graphs):
+    for g in corpus_graphs.values():
+        P = rectification(g)
+        for plane, cyc in zip(P.planes, g.faces):
+            n = plane.normal[1:]
+            for k in range(len(cyc)):
+                a, b, c = (P.vertex_charts[cyc[(k + j) % len(cyc)]] for j in range(3))
+                assert float(n @ np.cross(b - a, c - a)) > 0
+
+
 def test_not_polyhedral_rejected():
     sq = PlanarGraph(4, ((0, 1, 2, 3), (3, 2, 1, 0)))
     with pytest.raises(NotPolyhedral):
@@ -145,9 +170,9 @@ def test_rectification_volume_antiprism_family():
 
 
 def test_rectification_volume_duality(corpus_graphs):
-    for name in ("K4", "cube", "octahedron", "pyr3", "pyr4", "pyr5", "pyr6",
-                 "prism3"):
-        g = corpus_graphs[name]
+    graphs = [corpus_graphs[name] for name in ("K4", "cube", "octahedron", "pyr3",
+                                               "pyr4", "pyr5", "pyr6", "prism3")]
+    for g in graphs + [prism_graph(7), prism_graph(8), ICOSAHEDRON]:
         v1 = rectification_volume(g).value
         v2 = rectification_volume(dual_graph(g)).value
         assert abs(v1 - v2) < 1e-8
@@ -163,11 +188,25 @@ def test_collapse_monotonicity_examples():
         assert v_small <= v_big + 1e-8
 
 
-def test_collapsed_edge_solution_rejected():
-    # The tangency solve on the 13-gonal pyramid converges to a spurious
-    # solution in which some edges have zero length.
-    with pytest.raises(SolverDiverged, match=r"collapsed edge \(12, 13\)"):
-        rectification_volume(pyramid_graph(13))
+def test_pyramid13_rectification_matches_antiprism():
+    # A seeded tangency solve once converged here to a solution with
+    # zero-length edges.
+    res = rectification_volume(pyramid_graph(13))
+    assert abs(res.value - antiprism_volume(13)) < 1e-10
+
+
+@pytest.mark.parametrize("g", [
+    prism_graph(7), prism_graph(8), *(pyramid_graph(n) for n in range(13, 17)),
+    ICOSAHEDRON, dual_graph(ICOSAHEDRON)],
+    ids=["prism7", "prism8", "pyr13", "pyr14", "pyr15", "pyr16", "icosahedron",
+         "dodecahedron"])
+def test_rivin_maximum_is_the_rectification_volume(g):
+    # The maximal sum of Lobachevsky functions is the volume of the ideal
+    # right-angled truncation; the decomposition of the realized
+    # polyhedron computes it independently.
+    _, angles, _ = _max_volume_angles(medial_graph(g))
+    rivin = float(np.sum(lobachevsky(angles)))
+    assert abs(rivin - rectification_volume(g).value) < 1e-10
 
 
 def test_determinism():
