@@ -169,14 +169,19 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     translation gains a component along that polar plane's inward
     normal, freeing the almost-proper incidence.
     """
+    return _escape(P, classify_vertices(P).kinds, v, almost_pole, delta)[0]
+
+
+def _escape(P: Polyhedron, kinds, v: int, almost_pole: int | None = None,
+            delta: float = 1e-5):
+    """:func:`escape_deformation` of P with vertex kinds ``kinds``; returns (Q, Q's kinds)."""
     charts = P.vertex_charts
     x = charts[v]
     r = float(np.linalg.norm(x))
     if r > 1.0 + 10 * TAU_IDEAL:
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
-    report = classify_vertices(P)
-    hyper = [w for w, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL and w != v]
+    hyper = [w for w, k in enumerate(kinds) if k == PointKind.HYPERIDEAL and w != v]
 
     probe = (1.0 + max(delta, 2.0 * (1.0 - r) + delta)) * u
     for w in range(len(charts)):
@@ -217,7 +222,7 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
             m = 1.0 - float(Q.vertex_charts[almost_pole] @ Q.vertex_charts[v])
             if m <= TAU_IDEAL:
                 return None
-        return Q, rep.kinds[v], float(np.linalg.norm(Q.vertex_charts[v]))
+        return Q, rep.kinds, float(np.linalg.norm(Q.vertex_charts[v]))
 
     # Prefer the translation landing v just hyperideal; where the edge
     # geometry forbids leaving the ball (a nearly tangent almost proper
@@ -227,16 +232,16 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     for _ in range(30):
         got = attempt(d)
         if got is not None:
-            Q, kind, radius = got
-            if kind == PointKind.HYPERIDEAL:
-                return Q
-            if best is None or radius > best[1]:
-                best = (Q, radius)
+            Q, Q_kinds, radius = got
+            if Q_kinds[v] == PointKind.HYPERIDEAL:
+                return Q, Q_kinds
+            if best is None or radius > best[2]:
+                best = got
         d *= 1.6
         if d > 1e4 * lam0:
             break
     if best is not None:
-        return best[0]
+        return best[:2]
     raise NoSeparatingPlane(f"no admissible escape translation for vertex {v}")
 
 
@@ -450,15 +455,14 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     def partial_trace():
         return FlowTrace(samples, events, g, math.nan, math.nan, opts.seed)
 
-    def handle_event(kind, data, P_state, t_now):
-        """Dispatch one localized degeneration; returns the continued state and its kinds."""
+    def handle_event(kind, data, P_state, state_kinds, t_now):
+        """Dispatch one degeneration of P_state; returns the continued state and its kinds."""
         nonlocal g, held, theta_dir, events
         vol_ev = record(P_state, t_now, event=kind)
         if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
-            P_new = escape_deformation(P_state, v, almost_pole=pole)
-            new_kinds = classify_vertices(P_new).kinds
+            P_new, new_kinds = _escape(P_state, state_kinds, v, almost_pole=pole)
             if new_kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(
                     f"escape left vertex {v} inside the ball (tangent edge regime)",
@@ -534,7 +538,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             if not stale:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
             kind, data, _ = stale[0]
-            P, kinds = handle_event(kind, data, P, t)
+            P, kinds = handle_event(kind, data, P, kinds, t)
             dt = DT_INIT
             hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
             continue
@@ -545,7 +549,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         if signals:
             kind, data, _ = signals[0]
             t = t_next
-            P, kinds = handle_event(kind, data, P_next, t)
+            P, kinds = handle_event(kind, data, P_next, next_kinds, t)
             if all(k == PointKind.HYPERIDEAL for k in kinds):
                 hyperideal_only = True
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,

@@ -183,10 +183,12 @@ def test_flow_compact_tetrahedron_events_and_value(compact_tetra):
 
 def test_flow_classifies_each_state_once(compact_tetra, monkeypatch):
     # Each realization is classified at most once; the all-hyperideal
-    # endgame classifies none.
+    # endgame classifies none.  No state is classified twice, also not
+    # the states an escape deformation starts from and lands on.
     import polyvol.flow as flow
 
     counts = {"classify": 0, "realize": 0}
+    classified = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -194,12 +196,18 @@ def test_flow_classifies_each_state_once(compact_tetra, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(flow, "classify_vertices",
-                        counted("classify", flow.classify_vertices))
+    def classify_once(P):
+        assert not any(Q is P for Q in classified)
+        classified.append(P)
+        return classify_vertices(P)
+
+    monkeypatch.setattr(flow, "classify_vertices", counted("classify", classify_once))
     monkeypatch.setattr(flow, "realize_from_angles",
                         counted("realize", flow.realize_from_angles))
     trace = run_flow(compact_tetra, FlowOptions(seed=12))
-    assert FlowEventKind.BECAME_HYPERIDEAL_ONLY in [e.kind for e in trace.events]
+    kinds = [e.kind for e in trace.events]
+    assert FlowEventKind.BECAME_HYPERIDEAL_ONLY in kinds
+    assert kinds.count(FlowEventKind.VERTEX_BECAME_IDEAL) == 4
     assert counts["classify"] <= counts["realize"]
 
 

@@ -13,6 +13,10 @@ from polyvol.shapes import planes_from_vertices, regular_tetrahedron
 from polyvol.volume import (
     VolumeMethod,
     _ideal_decomposition,
+    _klein_integrand,
+    _region_tets,
+    _split8,
+    _tet_rule,
     ideal_tetrahedron_angles,
     ideal_tetrahedron_volume,
     integrate_klein_tets,
@@ -223,6 +227,75 @@ def test_budget_flag():
     res = polyhedron_volume(P, tol=1e-12, budget=5000)
     assert res.budget_exceeded
     assert res.value > 0
+    # the budget is checked before each round, so it overruns by at most
+    # one round: 64 cells split into 8 children, 8 + 27 nodes each
+    assert res.evaluations <= 5000 + 64 * 8 * 35
+
+
+# --- adaptive refinement against a re-sorting reference ----------------------------
+
+def _rule_reference(tets, n):
+    """Rule-n integrals of the Klein element over a batch of tets, one rule at a time."""
+    pts, wts = _tet_rule(n)
+    a = tets[:, 0, :]
+    edges = tets[:, 1:, :] - a[:, None, :]
+    nodes = a[:, None, :] + np.einsum("mk,nkj->nmj", pts, edges)
+    return np.abs(np.linalg.det(edges)) * (_klein_integrand(nodes) @ wts), len(pts) * len(tets)
+
+
+def _compaction_reference(tets, tol, budget):
+    """Adaptive refinement that sorts and copies every live cell each round."""
+    lo, e1 = _rule_reference(tets, 2)
+    hi, e2 = _rule_reference(tets, 3)
+    evals = e1 + e2
+    vals, errs, cells = hi, np.abs(hi - lo), tets
+    exceeded = False
+    while float(np.sum(errs)) > tol:
+        if evals >= budget:
+            exceeded = True
+            break
+        order = np.argsort(errs)[::-1]
+        n_split = max(1, min(len(order), 64, int(np.sum(errs > tol / max(1, len(errs)))) or 1))
+        split_idx = order[:n_split]
+        keep_idx = order[n_split:]
+        children = _split8(cells[split_idx])
+        clo, e1 = _rule_reference(children, 2)
+        chi, e2 = _rule_reference(children, 3)
+        evals += e1 + e2
+        cells = np.concatenate([cells[keep_idx], children], axis=0)
+        vals = np.concatenate([vals[keep_idx], chi])
+        errs = np.concatenate([errs[keep_idx], np.abs(chi - clo)])
+    return float(np.sum(vals)), float(np.sum(errs)), exceeded, evals
+
+
+@pytest.mark.parametrize("radius,tol,budget", [
+    (0.5, 1e-5, 10_000_000),
+    (0.6, 1e-5, 10_000_000),
+    (1.3, 1e-5, 300_000),  # the hyperideal_tetra fixture, out of budget
+    (1.3, 1e-12, 5000),
+])
+def test_adaptive_refinement_matches_compaction_reference(radius, tol, budget):
+    tets = _region_tets(truncate(regular_tetrahedron(radius)))
+    value, err, exceeded, evals = integrate_klein_tets(tets, tol=tol, budget=budget)
+    ref_value, ref_err, ref_exceeded, ref_evals = _compaction_reference(tets, tol, budget)
+    # same cells split in the same rounds; only summation order differs
+    assert evals == ref_evals
+    assert exceeded == ref_exceeded
+    assert abs(value - ref_value) <= 1e-13 * ref_value
+    assert abs(err - ref_err) <= 1e-13 * ref_err
+
+
+@pytest.mark.parametrize("radius", [0.55, 1.3])
+def test_fixed_depth_matches_two_rule_reference(radius):
+    tets = _region_tets(truncate(regular_tetrahedron(radius)))
+    value, err, exceeded, evals = integrate_klein_tets(tets, depth=2)
+    work = _split8(_split8(tets))
+    coarse, e1 = _rule_reference(work, 2)
+    fine, e2 = _rule_reference(work, 3)
+    assert evals == e1 + e2
+    assert not exceeded
+    assert abs(value - np.sum(fine)) <= 1e-15 * value
+    assert abs(err - np.sum(np.abs(fine - coarse))) <= 1e-15 * err
 
 
 # --- Schlafli residual ----------------------------------------------------------------
