@@ -8,17 +8,15 @@ from .core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    ProjectivePoint,
     Separation,
-    apply_deformation,
     classify_point,
     dihedral_angle,
-    hyperbolic_distance,
     polar_plane,
-    pole_of,
     poles_separated,
 )
 from .graphs import (
+    AdmissibilityStatus,
+    CurveKind,
     PlanarGraph,
     check_hyperideal_angles,
     cube_graph,
@@ -37,7 +35,6 @@ from .graphs import (
 from .polyhedron import (
     Polyhedron,
     PropernessReport,
-    almost_proper_edges,
     TruncatedPolyhedron,
     build_polyhedron,
     classify_vertex_by_angles,

@@ -63,15 +63,12 @@ def _cmd_angles_check(args) -> int:
         return 1
     angles = {e: values[i] for i, e in enumerate(g.edges)}
     rep = check_hyperideal_angles(g, angles)
-    if rep.admissible:
-        out = "Admissible\n"
-    else:
-        w = rep.witness
-        kind = "ViolatedClosedCurve" if rep.status == "violated_closed_curve" else "ViolatedArc"
+    out = str(rep.status)
+    w = rep.witness
+    if w is not None:
         edges = " ".join(f"{u}-{v}" for (u, v) in w.crossed_edges)
-        out = (f"{kind} edges {edges} sum {_fmt(w.angle_sum)} "
-               f"bound {_fmt(w.bound)}\n")
-    _emit(out, args.out)
+        out += f" edges {edges} sum {_fmt(w.angle_sum)} bound {_fmt(w.bound)}"
+    _emit(out + "\n", args.out)
     return 0
 
 

@@ -35,9 +35,6 @@ from .errors import (
 #: Half-width of the band around the unit sphere treated as "ideal".
 TAU_IDEAL = 1e-9
 
-#: Points whose lift has time component below this (relative) size are at infinity.
-INFINITY_TOL = 1e-12
-
 MINKOWSKI_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
@@ -82,53 +79,12 @@ class Separation(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of RP^3 via a Minkowski lift, usually in the chart (lift[0] != 0)."""
-
-    lift: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.lift, dtype=float)
-        if arr.shape != (4,):
-            raise ValueError("lift must be a 4-vector")
-        norm = np.linalg.norm(arr)
-        if norm == 0 or not np.all(np.isfinite(arr)):
-            raise ValueError("degenerate lift")
-        if abs(arr[0]) > INFINITY_TOL * norm:
-            arr = arr / arr[0]
-        object.__setattr__(self, "lift", _frozen(arr))
-
-    @classmethod
-    def from_chart(cls, coords) -> "ProjectivePoint":
-        coords = np.asarray(coords, dtype=float)
-        return cls(lift=np.concatenate([[1.0], coords]))
-
-    @property
-    def at_infinity(self) -> bool:
-        return abs(self.lift[0]) <= INFINITY_TOL * np.linalg.norm(self.lift)
-
-    @property
-    def chart(self) -> np.ndarray:
-        if self.at_infinity:
-            raise OutsideModel("point at infinity has no chart coordinates")
-        return self.lift[1:]
-
-    def __repr__(self):
-        if self.at_infinity:
-            return f"ProjectivePoint(infinity, dir={self.lift[1:]!r})"
-        return f"ProjectivePoint({self.lift[1:]!r})"
-
-
 def classify_point(p, tol: float = TAU_IDEAL) -> PointKind:
     """Real / Ideal / Hyperideal classification of a chart point.
 
     The ideal band is ``| |p| - 1 | <= tol``.
     """
-    if isinstance(p, ProjectivePoint):
-        r = float(np.linalg.norm(p.chart))
-    else:
-        r = float(np.linalg.norm(np.asarray(p, dtype=float)))
+    r = float(np.linalg.norm(np.asarray(p, dtype=float)))
     if r < 1.0 - tol:
         return PointKind.REAL
     if r > 1.0 + tol:
@@ -167,8 +123,6 @@ class OrientedPlane:
 
     def side_of(self, point) -> float:
         """Signed value of ``<normal, lift(point)>``; <= 0 inside the half-space."""
-        if isinstance(point, ProjectivePoint):
-            return float(mdot(self.normal, point.lift))
         return float(mdot(self.normal, lift(point)))
 
     def contains(self, point, slack: float = 0.0) -> bool:
@@ -204,22 +158,10 @@ def polar_plane(p, tol: float = TAU_IDEAL) -> OrientedPlane:
     ``{p . x <= 1}``; every line through ``p`` meeting H^3 crosses it
     orthogonally.
     """
-    if isinstance(p, ProjectivePoint):
-        if p.at_infinity:
-            # Pole at infinity: polar plane passes through the origin.
-            n = p.lift.copy()
-            return OrientedPlane(normal=n)
-        coords = p.chart
-    else:
-        coords = np.asarray(p, dtype=float)
+    coords = np.asarray(p, dtype=float)
     if np.linalg.norm(coords) <= 1.0 + tol:
         raise PoleNotHyperideal(f"|p| = {np.linalg.norm(coords):.12g} <= 1 + tol")
     return OrientedPlane(normal=lift(coords))
-
-
-def pole_of(plane: OrientedPlane) -> ProjectivePoint:
-    """The hyperideal (possibly at-infinity) pole of a plane meeting H^3."""
-    return ProjectivePoint(lift=plane.normal.copy())
 
 
 def segment_min_norm2(a, b):
@@ -257,8 +199,8 @@ def poles_separated(p, q, tol: float = TAU_IDEAL) -> Separation:
     lie in each other's half-spaces).  HalfLineThrough: only the half-line
     from p through q meets H^3 (then H_p is contained in H_q).
     """
-    pc = p.chart if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=float)
-    qc = q.chart if isinstance(q, ProjectivePoint) else np.asarray(q, dtype=float)
+    pc = np.asarray(p, dtype=float)
+    qc = np.asarray(q, dtype=float)
     for c in (pc, qc):
         if np.linalg.norm(c) <= 1.0 + tol:
             raise PoleNotHyperideal("both points must be hyperideal")
@@ -290,51 +232,6 @@ def dihedral_angle(a: OrientedPlane, b: OrientedPlane, tol: float = 1e-9) -> flo
     return float(math.acos(np.clip(-g, -1.0, 1.0)))
 
 
-def _time_normalized(point) -> np.ndarray:
-    if isinstance(point, ProjectivePoint):
-        chart = point.chart
-    else:
-        chart = np.asarray(point, dtype=float)
-    sq = 1.0 - float(chart @ chart)
-    if sq <= 0.0:
-        raise OutsideModel(f"|p| = {np.linalg.norm(chart):.12g} >= 1")
-    return lift(chart) / math.sqrt(sq)
-
-
-def distance_point_point(p, q) -> float:
-    """Hyperbolic distance between two real points."""
-    u = _time_normalized(p)
-    v = _time_normalized(q)
-    return float(math.acosh(max(1.0, -mdot(u, v))))
-
-
-def distance_point_plane(p, plane: OrientedPlane) -> float:
-    """Hyperbolic distance from a real point to a plane."""
-    u = _time_normalized(p)
-    return float(math.asinh(abs(mdot(u, plane.normal))))
-
-
-def distance_plane_plane(a: OrientedPlane, b: OrientedPlane) -> float:
-    """Hyperbolic distance between two planes; 0 iff they meet in the closed ball."""
-    g = abs(float(mdot(a.normal, b.normal)))
-    if g <= 1.0:
-        return 0.0
-    return float(math.acosh(g))
-
-
-def hyperbolic_distance(x, y) -> float:
-    """Distance dispatcher over point/plane argument combinations."""
-    x_plane = isinstance(x, OrientedPlane)
-    y_plane = isinstance(y, OrientedPlane)
-    if x_plane and y_plane:
-        return distance_plane_plane(x, y)
-    if x_plane:
-        return distance_point_plane(y, x)
-    if y_plane:
-        return distance_point_plane(x, y)
-    return distance_point_point(x, y)
-
-
 # --- deformations and isometries -------------------------------------------
 
 
@@ -346,49 +243,33 @@ def _apply_matrix_plane(T: np.ndarray, plane: OrientedPlane) -> OrientedPlane:
     return OrientedPlane(normal=m)
 
 
-def _apply_matrix_point(T: np.ndarray, point: ProjectivePoint) -> ProjectivePoint:
-    return ProjectivePoint(lift=T @ point.lift)
-
-
 @dataclass(frozen=True)
 class AffineDeformation:
     """Homothety or translation of the chart, stored as a 4x4 projective matrix."""
 
     matrix: np.ndarray
-    kind: str = "affine"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
 
     @classmethod
-    def identity(cls) -> "AffineDeformation":
-        return cls(matrix=np.eye(4), kind="identity")
-
-    @classmethod
     def homothety(cls, center, factor: float) -> "AffineDeformation":
         if factor <= 0:
             raise DegenerateDeformation(f"factor {factor} <= 0")
-        c = center.chart if isinstance(center, ProjectivePoint) else np.asarray(center, dtype=float)
+        c = np.asarray(center, dtype=float)
         T = np.eye(4)
         T[1:, 1:] *= factor
         T[1:, 0] = (1.0 - factor) * c
-        return cls(matrix=T, kind="homothety")
+        return cls(matrix=T)
 
     @classmethod
     def translation(cls, vector) -> "AffineDeformation":
         v = np.asarray(vector, dtype=float)
         T = np.eye(4)
         T[1:, 0] = v
-        return cls(matrix=T, kind="translation")
-
-    def compose(self, other: "AffineDeformation") -> "AffineDeformation":
-        """self after other."""
-        kind = self.kind if self.kind == other.kind else "affine"
-        return AffineDeformation(matrix=self.matrix @ other.matrix, kind=kind)
+        return cls(matrix=T)
 
     def apply_point(self, point):
-        if isinstance(point, ProjectivePoint):
-            return _apply_matrix_point(self.matrix, point)
         out = self.matrix @ lift(point)
         return out[1:] / out[0]
 
@@ -396,40 +277,12 @@ class AffineDeformation:
         return _apply_matrix_plane(self.matrix, plane)
 
 
-def apply_deformation(deformation: AffineDeformation, obj):
-    """Apply a deformation to a point, plane, or sequence thereof."""
-    if isinstance(obj, (ProjectivePoint, OrientedPlane)):
-        return (deformation.apply_plane(obj) if isinstance(obj, OrientedPlane)
-                else deformation.apply_point(obj))
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        return deformation.apply_point(obj)
-    return tuple(apply_deformation(deformation, item) for item in obj)
-
-
-def in_tangent_cone(v, x, tol: float = 0.0) -> bool:
-    """Whether chart point x lies in the tangent cone of hyperideal v to the sphere.
-
-    The cone is the solid cone from apex v containing the closed unit ball.
-    """
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(v)
-    if r <= 1.0:
-        raise PoleNotHyperideal("apex must be hyperideal")
-    d = x - v
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        return True
-    cos_half = math.sqrt(1.0 - 1.0 / (r * r))
-    return float(d @ (-v)) / (nd * r) >= cos_half - tol
-
-
 # --- Lorentz transformations ------------------------------------------------
 
 
 def boost_to_origin(point) -> np.ndarray:
     """Lorentz boost sending a real chart point to the origin."""
-    beta = point.chart if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=float)
+    beta = np.asarray(point, dtype=float)
     b2 = float(beta @ beta)
     if b2 >= 1.0:
         raise OutsideModel("boost center must be inside the ball")
@@ -477,11 +330,9 @@ def rotation_about_z(angle: float) -> np.ndarray:
 
 
 def apply_lorentz(L: np.ndarray, obj):
-    """Apply a Lorentz matrix to points, planes, or sequences."""
+    """Apply a Lorentz matrix to a plane, an array of Minkowski lifts, or a sequence of them."""
     if isinstance(obj, OrientedPlane):
         return OrientedPlane(normal=L @ obj.normal)
-    if isinstance(obj, ProjectivePoint):
-        return ProjectivePoint(lift=L @ obj.lift)
     if isinstance(obj, np.ndarray):
         return obj @ L.T
     return tuple(apply_lorentz(L, item) for item in obj)

@@ -47,7 +47,7 @@ from .errors import (
     EdgeMissesBall,
     StallDetected,
 )
-from .graphs import PlanarGraph, edge_collapse, face_collapse, _norm_edge
+from .graphs import PlanarGraph, edge_collapse, face_collapse, _norm_edge, _split_pairs
 from .polyhedron import (
     Polyhedron,
     VertexStatus,
@@ -363,25 +363,12 @@ def _path_volume(P, final=False):
 
 
 def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
-    """Infer the collapse anchors of a geometrically flattening face."""
+    """Infer the :func:`face_collapse` half-position of a geometrically flattening face."""
     cyc = g.faces[f]
-    m = len(cyc)
-    for ha in range(2 * m):
-        ok = True
-        for s in range(1, m):
-            pa = (ha + s) % (2 * m)
-            pb = (ha - s) % (2 * m)
-            if pa % 2 == 0:
-                a, b = cyc[pa // 2], cyc[pb // 2]
-                if a != b and np.linalg.norm(charts[a] - charts[b]) > tol:
-                    ok = False
-                    break
-        if ok:
-            kind = "edge" if ha % 2 else "vertex"
-            pos = ha // 2
-            hb = (ha + m) % (2 * m)
-            kind_b = "edge" if hb % 2 else "vertex"
-            return ((kind, pos), (kind_b, hb // 2))
+    for split in range(2 * len(cyc)):
+        if all(np.linalg.norm(charts[a] - charts[b]) <= tol
+               for a, b in _split_pairs(cyc, split)):
+            return split
     return None
 
 
@@ -530,18 +517,15 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 continue
             # Stalled against the realizability boundary: look for a
             # degeneration of the current state with relaxed thresholds
-            # (the limit is approached but never reached numerically).
+            # (the limit is approached but never reached numerically) and
+            # handle it as this step's signal, below, with dt <= DT_MIN.
             if kinds is None:
                 kinds = classify_vertices(P).kinds
-            stale = [s for s in _scan_signals(P, kinds, kinds, held, relaxed=True)
-                     if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
-            if not stale:
+            signals = [s for s in _scan_signals(P, kinds, kinds, held, relaxed=True)
+                       if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
+            if not signals:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
-            kind, data, _ = stale[0]
-            P, kinds = handle_event(kind, data, P, kinds, t)
-            dt = DT_INIT
-            hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
-            continue
+            P_next, next_kinds, t_next = P, kinds, t
 
         if signals and dt > DT_MIN:
             dt *= 0.5
@@ -550,10 +534,11 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             kind, data, _ = signals[0]
             t = t_next
             P, kinds = handle_event(kind, data, P_next, next_kinds, t)
-            if all(k == PointKind.HYPERIDEAL for k in kinds):
-                hyperideal_only = True
+            now_hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
+            if now_hyperideal_only and not hyperideal_only:
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
                                         samples[-1].volume.value, {}))
+            hyperideal_only = now_hyperideal_only
             dt = DT_INIT
             continue
 

@@ -13,6 +13,7 @@ vertex indices in cyclic order; edges are inferred; ``#`` starts a comment.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -354,31 +355,32 @@ def edge_collapse(g: PlanarGraph, e: Edge) -> CollapseResult:
     return CollapseResult(out, full_map, face_map, is_3_connected(out))
 
 
-def face_collapse(g: PlanarGraph, face: int, split: tuple) -> CollapseResult:
-    """Collapse face ``face`` to an edge.
-
-    ``split`` names two anchors on the face cycle, each ``("vertex", k)``
-    or ``("edge", k)`` with k a position in the cycle (edge k joins cycle
-    positions k and k+1).  The anchors must bisect the cycle; vertices at
-    equal steps from the anchors on the two arcs are identified pairwise,
-    flattening the face onto an edge between the anchors.
-    """
-    cyc = g.faces[face]
+def _split_pairs(cyc, split: int):
+    """Distinct vertex pairs that :func:`face_collapse` identifies for ``split``."""
     m = len(cyc)
-    (kind_a, pos_a), (kind_b, pos_b) = split
-    # Half-integer positions around the cycle: vertex k at 2k, edge k at 2k+1.
-    ha = 2 * pos_a + (1 if kind_a == "edge" else 0)
-    hb = 2 * pos_b + (1 if kind_b == "edge" else 0)
-    if (hb - ha) % (2 * m) != m:
-        raise CollapseMakesDegenerate("anchors do not bisect the face cycle")
-    pairs = []
     for s in range(1, m):
-        pa = (ha + s) % (2 * m)
-        pb = (ha - s) % (2 * m)
+        pa = (split + s) % (2 * m)
+        pb = (split - s) % (2 * m)
         if pa % 2 == 0:
             a, b = cyc[pa // 2], cyc[pb // 2]
             if a != b:
-                pairs.append((a, b))
+                yield a, b
+
+
+def face_collapse(g: PlanarGraph, face: int, split: int) -> CollapseResult:
+    """Collapse face ``face`` to an edge.
+
+    ``split`` is a half-position on the face cycle of m vertices, in
+    ``range(2 * m)``: cycle vertex k sits at 2k and the cycle edge from
+    position k to k+1 at 2k+1.  It and the opposite half-position
+    ``(split + m) % (2 * m)`` are the two anchors; vertices at equal
+    steps from them on the two arcs are identified pairwise, flattening
+    the face onto an edge between the anchors.
+    """
+    cyc = g.faces[face]
+    m = len(cyc)
+    if not 0 <= split < 2 * m:
+        raise ValueError(f"split {split} outside range({2 * m}) for face {face}")
     rep = list(range(g.n_vertices))
 
     def find(x):
@@ -387,7 +389,7 @@ def face_collapse(g: PlanarGraph, face: int, split: tuple) -> CollapseResult:
             x = rep[x]
         return x
 
-    for a, b in pairs:
+    for a, b in _split_pairs(cyc, split):
         ra, rb = find(a), find(b)
         if ra != rb:
             rep[max(ra, rb)] = min(ra, rb)
@@ -401,11 +403,32 @@ def face_collapse(g: PlanarGraph, face: int, split: tuple) -> CollapseResult:
 # --- angle admissibility ----------------------------------------------------
 
 
+class CurveKind(str, enum.Enum):
+    """Shape of a transverse curve in the Bao-Bonahon conditions."""
+
+    CLOSED_CURVE = "ClosedCurve"
+    ARC = "Arc"
+
+    def __str__(self):
+        return self.value
+
+
+class AdmissibilityStatus(str, enum.Enum):
+    """Verdict of :func:`check_hyperideal_angles`; the value is its CLI word."""
+
+    ADMISSIBLE = "Admissible"
+    VIOLATED_CLOSED_CURVE = "ViolatedClosedCurve"
+    VIOLATED_ARC = "ViolatedArc"
+
+    def __str__(self):
+        return self.value
+
+
 @dataclass(frozen=True)
 class Witness:
     """An offending (or boundary) transverse curve, as its crossed edges."""
 
-    kind: str  # "closed_curve" or "arc"
+    kind: CurveKind
     crossed_edges: tuple[Edge, ...]
     angle_sum: float
     bound: float
@@ -414,13 +437,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    status: str  # "admissible" | "violated_closed_curve" | "violated_arc"
+    status: AdmissibilityStatus
     witness: Witness | None = None
     equality_cases: tuple[Witness, ...] = ()
 
     @property
     def admissible(self) -> bool:
-        return self.status == "admissible"
+        return self.status == AdmissibilityStatus.ADMISSIBLE
 
 
 def _edges_share_vertex(edges) -> bool:
@@ -513,11 +536,11 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> 
 
     def consider(kind, crossed, total, bound):
         shares = _edges_share_vertex(crossed)
-        w = Witness(kind, tuple(crossed), total, bound, shares)
-        if kind == "arc" and shares:
+        if shares and kind == CurveKind.ARC:
             return None  # condition waived when the crossed edges share a vertex
+        w = Witness(kind, tuple(crossed), total, bound, shares)
         if abs(total - bound) <= tol:
-            if kind == "closed_curve" and shares:
+            if shares:  # a closed curve: equality allowed
                 equalities.append(w)
                 return None
             return w
@@ -529,9 +552,10 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> 
         if len(set(crossed)) != h:
             continue
         total = sum(angles[e] for e in crossed)
-        bad = consider("closed_curve", crossed, total, (h - 2) * math.pi)
+        bad = consider(CurveKind.CLOSED_CURVE, crossed, total, (h - 2) * math.pi)
         if bad is not None:
-            return AdmissibilityReport("violated_closed_curve", bad, tuple(equalities))
+            return AdmissibilityReport(AdmissibilityStatus.VIOLATED_CLOSED_CURVE, bad,
+                                       tuple(equalities))
 
     # Arcs: endpoints in two different faces sharing a vertex.
     share_pairs = set()
@@ -547,11 +571,12 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> 
             if len(set(crossed)) != h:
                 continue
             total = sum(angles[e] for e in crossed)
-            bad = consider("arc", crossed, total, (h - 1) * math.pi)
+            bad = consider(CurveKind.ARC, crossed, total, (h - 1) * math.pi)
             if bad is not None:
-                return AdmissibilityReport("violated_arc", bad, tuple(equalities))
+                return AdmissibilityReport(AdmissibilityStatus.VIOLATED_ARC, bad,
+                                           tuple(equalities))
 
-    return AdmissibilityReport("admissible", None, tuple(equalities))
+    return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE, None, tuple(equalities))
 
 
 # --- text format ------------------------------------------------------------

@@ -309,11 +309,15 @@ def edge_lengths(P: Polyhedron) -> dict:
 
 @dataclass(frozen=True)
 class TruncatedPolyhedron:
-    """Result of cutting off every hyperideal vertex by its polar half-space."""
+    """Result of cutting off every hyperideal vertex by its polar half-space.
+
+    Face f of ``skeleton`` lies on ``planes[f]``; ``truncation_flags[f]``
+    marks the polar planes of the hyperideal vertices, which follow the
+    original faces in order.
+    """
 
     planes: tuple[OrientedPlane, ...]
     truncation_flags: tuple[bool, ...]
-    face_sources: tuple  # ("face", i) or ("vertex", v) per plane
     skeleton: PlanarGraph
     vertex_lifts: np.ndarray
     original: Polyhedron
@@ -329,9 +333,6 @@ class TruncatedPolyhedron:
 
     def face_polygon(self, f: int) -> np.ndarray:
         return self.vertex_charts[list(self.skeleton.faces[f])]
-
-    def truncation_faces(self):
-        return tuple(i for i, t in enumerate(self.truncation_flags) if t)
 
 
 class _NodePool:
@@ -370,7 +371,6 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         return TruncatedPolyhedron(
             planes=P.planes,
             truncation_flags=tuple(False for _ in P.planes),
-            face_sources=tuple(("face", i) for i in range(len(P.planes))),
             skeleton=g,
             vertex_lifts=P.vertex_lifts.copy(),
             original=P,
@@ -395,7 +395,6 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         return pool.add(("v", v), charts[v])
 
     faces = []
-    sources = []
     for i, cyc in enumerate(g.faces):
         m = len(cyc)
         nodes = []
@@ -413,11 +412,9 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
                 dedup.append(nd)
         if len(dedup) > 1 and dedup[0] == dedup[-1]:
             dedup.pop()
-        if len(dedup) >= 3 and len(set(dedup)) == len(dedup):
-            faces.append(tuple(dedup))
-            sources.append(("face", i))
-        else:
+        if len(dedup) < 3 or len(set(dedup)) != len(dedup):
             raise TruncationDegenerate(f"face {i} degenerates under truncation")
+        faces.append(tuple(dedup))
     for v in hyper:
         ring = [cut_node(e, v) for e in g.vertex_edges[v]]
         dedup = []
@@ -429,7 +426,6 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         if len(dedup) < 3:
             raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
-        sources.append(("vertex", v))
 
     skeleton = PlanarGraph(n_vertices=len(pool.coords), faces=tuple(faces))
     lifts = lift(np.array(pool.coords))
@@ -438,7 +434,6 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     T = TruncatedPolyhedron(
         planes=planes,
         truncation_flags=flags,
-        face_sources=tuple(sources),
         skeleton=skeleton,
         vertex_lifts=lifts,
         original=P,
@@ -468,32 +463,6 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron):
             if abs(gram) < 1.0 - 1e-7:
                 raise ImproperInput(
                     f"truncation faces {flagged[a]}, {flagged[b]} overlap")
-
-
-def almost_proper_edges(P: Polyhedron):
-    """Edges lying entirely inside some truncation plane.
-
-    Both endpoints of such an edge sit on the polar plane of the same
-    hyperideal vertex; the configuration is detected and reported but no
-    downstream operation consumes it.
-    """
-    report = classify_vertices(P)
-    out = []
-    for e in P.skeleton.edges:
-        u, v = e
-        if (report.statuses[u] == VertexStatus.ALMOST_PROPER
-                and report.statuses[v] == VertexStatus.ALMOST_PROPER):
-            poles = set()
-            for h, k in enumerate(report.kinds):
-                if k != PointKind.HYPERIDEAL:
-                    continue
-                hv = P.vertex_charts[h]
-                if (abs(1.0 - float(hv @ P.vertex_charts[u])) <= TAU_IDEAL
-                        and abs(1.0 - float(hv @ P.vertex_charts[v])) <= TAU_IDEAL):
-                    poles.add(h)
-            if poles:
-                out.append((e, tuple(sorted(poles))))
-    return out
 
 
 def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:

@@ -446,13 +446,8 @@ def schlafli_residual(path, t0: float, h: float = 1e-4) -> float:
     if not (aps[0] == aps[1] == aps[2]):
         raise PathDiscontinuous("almost-proper set changes inside the window")
 
-    def fixed_volume(Q):
-        T = truncate(Q)
-        tets = _region_tets(T)
-        value, _, _, _ = integrate_klein_tets(tets, depth=3)
-        return value
-
-    vol_rate = (fixed_volume(Pp) - fixed_volume(Pm)) / (2 * h)
+    vol_rate = (polyhedron_volume(Pp, depth=3).value
+                - polyhedron_volume(Pm, depth=3).value) / (2 * h)
     th_p = dihedral_angles(Pp)
     th_m = dihedral_angles(Pm)
     lens = edge_lengths(P0)

@@ -106,6 +106,16 @@ def test_angles_check_admissible_and_witness(k4_file, capsys):
     assert s > bound
 
 
+def test_angles_check_arc_witness_line(tmp_path, capsys):
+    path = tmp_path / "pyr4.graph"
+    path.write_text(format_graph(pyramid_graph(4)))
+    # sorted edges: 0-1 0-2 0-3 0-4 1-2 1-4 2-3 3-4
+    angles = "0.3,0.3,0.3,0.3,1.65,0.3,0.3,1.65"
+    code, out = run_cli(["angles-check", str(path), "--angles", angles], capsys)
+    assert code == 0
+    assert out == "ViolatedArc edges 1-2 3-4 sum 3.3 bound 3.14159265359\n"
+
+
 def test_flow_csv(hyper_file, capsys):
     code, out = run_cli(["--seed", "5", "flow", hyper_file], capsys)
     assert code == 0

@@ -8,28 +8,19 @@ from polyvol.core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    ProjectivePoint,
     Separation,
-    apply_deformation,
     apply_lorentz,
     boost_to_origin,
     classify_point,
     dihedral_angle,
-    distance_plane_plane,
-    distance_point_plane,
-    distance_point_point,
-    hyperbolic_distance,
-    in_tangent_cone,
     lift,
     mdot,
     polar_plane,
-    pole_of,
     poles_separated,
     random_isometry,
 )
 from polyvol.errors import (
     DegenerateDeformation,
-    OutsideModel,
     PlanesDisjointInBall,
     PlanesEqual,
     PoleNotHyperideal,
@@ -67,13 +58,6 @@ def test_classify_matches_minkowski_sign(coords):
         assert kind == PointKind.REAL
     else:
         assert kind == PointKind.HYPERIDEAL
-
-
-def test_point_at_infinity_rejected():
-    p = ProjectivePoint(lift=np.array([0.0, 1.0, 0.0, 0.0]))
-    assert p.at_infinity
-    with pytest.raises(OutsideModel):
-        _ = p.chart
 
 
 # --- polar planes --------------------------------------------------------------
@@ -146,9 +130,8 @@ def test_polar_involution(coords):
     p = np.array(coords)
     if np.linalg.norm(p) <= 1.2:
         return
-    pl = polar_plane(p)
-    back = pole_of(pl)
-    np.testing.assert_allclose(back.chart, p, atol=1e-10)
+    n = polar_plane(p).normal
+    np.testing.assert_allclose(n / n[0], lift(p), atol=1e-10)
 
 
 def test_plane_complement_involution():
@@ -295,55 +278,10 @@ def test_dihedral_angle_symmetric_and_isometry_invariant(rng):
         assert abs(dihedral_angle(a2, b2) - dihedral_angle(a, b)) < 1e-10
 
 
-# --- distances --------------------------------------------------------------------
-
-def _klein_length_oracle(x, y, samples=20001):
-    """Arc length of the chart segment under the Klein metric, by quadrature."""
-    ts = np.linspace(0.0, 1.0, samples)
-    pts = x[None, :] + ts[:, None] * (y - x)[None, :]
-    d = (y - x)
-    r2 = np.sum(pts * pts, axis=1)
-    xd = pts @ d
-    integrand = np.sqrt(np.maximum(
-        (d @ d) / (1 - r2) + xd * xd / (1 - r2) ** 2, 0.0))
-    return float(np.trapezoid(integrand, ts))
-
-
-def test_distance_examples():
-    assert distance_point_point([0, 0, 0], [0, 0, 0]) == 0.0
-    p = np.array([math.tanh(1.0), 0, 0])
-    assert abs(distance_point_point(p, [0, 0, 0]) - 1.0) < 1e-12
-    assert abs(_klein_length_oracle(np.zeros(3), p) - 1.0) < 1e-6
-    plane = OrientedPlane.from_chart([1, 0, 0], 0.0)
-    assert abs(distance_point_plane(p, plane) - 1.0) < 1e-12
-    assert abs(hyperbolic_distance(plane, p) - 1.0) < 1e-12
-
-
-def test_distance_point_point_matches_metric_integral(rng):
-    for _ in range(5):
-        x = rng.uniform(-0.5, 0.5, size=3)
-        y = rng.uniform(-0.5, 0.5, size=3)
-        d = distance_point_point(x, y)
-        assert abs(d - _klein_length_oracle(x, y)) < 1e-6
-
-
-def test_plane_plane_distance():
-    a = OrientedPlane.from_chart([1, 0, 0], 0.3)
-    b = OrientedPlane.from_chart([1, 0, 0], 0.7)
-    assert distance_plane_plane(a, b) > 0
-    c = OrientedPlane.from_chart([0, 1, 0], 0.0)
-    assert distance_plane_plane(a, c) == 0.0
-
-
-def test_distance_rejects_outside_points():
-    with pytest.raises(OutsideModel):
-        distance_point_point([2, 0, 0], [0, 0, 0])
-
-
 # --- deformations -----------------------------------------------------------------
 
 def test_deformation_identity_and_homothety():
-    ident = AffineDeformation.identity()
+    ident = AffineDeformation.homothety([0.2, -0.1, 0.4], 1.0)
     p = np.array([0.3, 0.0, 0.0])
     np.testing.assert_allclose(ident.apply_point(p), p)
     h = AffineDeformation.homothety([0, 0, 0], 2.0)
@@ -353,17 +291,6 @@ def test_deformation_identity_and_homothety():
 def test_deformation_rejects_bad_factor():
     with pytest.raises(DegenerateDeformation):
         AffineDeformation.homothety([0, 0, 0], 0.0)
-
-
-def test_deformation_composition_same_kind():
-    h1 = AffineDeformation.homothety([0, 0, 0], 2.0)
-    h2 = AffineDeformation.homothety([0, 0, 0], 3.0)
-    assert h1.compose(h2).kind == "homothety"
-    t1 = AffineDeformation.translation([1, 0, 0])
-    t2 = AffineDeformation.translation([0, 1, 0])
-    comp = t1.compose(t2)
-    assert comp.kind == "translation"
-    np.testing.assert_allclose(comp.apply_point([0, 0, 0]), [1, 1, 0])
 
 
 def test_deformation_plane_through_images_of_points(rng):
@@ -389,7 +316,6 @@ def test_unproper_lemma_instance():
     assert polar_plane(v).contains(w)
     t = AffineDeformation.translation([-0.05, 0, 0])
     v2 = t.apply_point(v)
-    assert in_tangent_cone(v, v2)
     w2 = t.apply_point(w)
     pl2 = polar_plane(v2)
     assert pl2.side_of(w2) < -1e-12
@@ -408,7 +334,7 @@ def test_unproper_lemma_property(seed):
     lam = rng.uniform(0.7, 0.999)
     d = AffineDeformation.homothety([0, 0, 0], lam)  # contraction: stays in cone
     v2 = d.apply_point(v)
-    if np.linalg.norm(v2) <= 1.0 + 1e-9 or not in_tangent_cone(v, v2, tol=1e-12):
+    if np.linalg.norm(v2) <= 1.0 + 1e-9:
         return
     w2 = d.apply_point(w)
     if np.linalg.norm(w2) < 1.0:
@@ -429,15 +355,7 @@ def test_deformation_commutes_with_skeleton(hyperideal_tetra):
 def test_isometry_invariance_of_measurements(rng):
     a = OrientedPlane.from_chart([1, 0.1, -0.2], 0.1)
     b = OrientedPlane.from_chart([-0.3, 1, 0.2], -0.2)
-    x = np.array([0.2, -0.1, 0.3])
-    y = np.array([-0.4, 0.2, 0.1])
     for _ in range(10):
         L = random_isometry(rng)
         a2, b2 = apply_lorentz(L, a), apply_lorentz(L, b)
-        x2 = apply_lorentz(L, lift(x))
-        y2 = apply_lorentz(L, lift(y))
-        x2 = x2[1:] / x2[0]
-        y2 = y2[1:] / y2[0]
         assert abs(dihedral_angle(a, b) - dihedral_angle(a2, b2)) < 1e-9
-        assert abs(distance_point_point(x, y) - distance_point_point(x2, y2)) < 1e-9
-        assert abs(distance_point_plane(x, a) - distance_point_plane(x2, a2)) < 1e-9

@@ -309,6 +309,36 @@ def test_flow_degenerate_collapse_stalls_with_trace(compact_tetra, monkeypatch):
     assert isinstance(info.value.__cause__, CollapseMakesDegenerate)
 
 
+def test_flow_stall_escape_into_hyperideal_stratum_is_an_event(monkeypatch):
+    # One real vertex inside the relaxed ideal band, three hyperideal ones.
+    # Every step after the first realization fails, so the flow stalls, the
+    # relaxed scan finds the near-ideal vertex, and its escape leaves every
+    # vertex hyperideal: that transition must be an event as on a signal.
+    import polyvol.flow as flow
+
+    g = tetrahedron_graph()
+    verts = regular_tetrahedron(1.3).vertex_charts.copy()
+    verts[0] *= 0.9995 / 1.3
+    P = build_polyhedron(planes_from_vertices(verts, g), g)
+    realize = flow.realize_from_angles
+    calls = []
+
+    def first_realization_only(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NewtonDiverged("forced")
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "realize_from_angles", first_realization_only)
+    with pytest.raises(StallDetected) as info:
+        run_flow(P, FlowOptions(seed=3))
+    events = info.value.trace.events
+    assert [e.kind for e in events] == [FlowEventKind.VERTEX_BECAME_IDEAL,
+                                        FlowEventKind.BECAME_HYPERIDEAL_ONLY]
+    assert events[0].data == {"vertex": 0}
+    assert events[1].t_value == events[0].t_value
+
+
 def test_flow_rejects_bad_seeds():
     with pytest.raises(ImproperInput):
         run_flow(regular_tetrahedron(1.0), FlowOptions())  # ideal vertices

@@ -13,6 +13,8 @@ from polyvol.errors import (
     NotPolyhedral,
 )
 from polyvol.graphs import (
+    AdmissibilityStatus,
+    CurveKind,
     PlanarGraph,
     check_hyperideal_angles,
     cube_graph,
@@ -153,13 +155,16 @@ def test_edge_collapse_counts(corpus_graphs):
 def test_face_collapse_prism_triangle_gives_k4():
     g = prism_graph(3)
     tri = next(i for i, cyc in enumerate(g.faces) if len(cyc) == 3)
-    res = face_collapse(g, tri, (("vertex", 0), ("edge", 1)))
+    res = face_collapse(g, tri, 0)
     assert iso(res.graph, tetrahedron_graph())
+    for split in (-1, 6):
+        with pytest.raises(ValueError):
+            face_collapse(g, tri, split)
 
 
 def test_face_collapse_cube_square_counts():
     g = cube_graph()
-    res = face_collapse(g, 0, (("edge", 0), ("edge", 2)))
+    res = face_collapse(g, 0, 1)
     g2 = res.graph
     assert g2.n_vertices - len(g2.edges) + len(g2.faces) == 2
     assert g2.n_vertices == 6 and len(g2.faces) == 5
@@ -168,7 +173,7 @@ def test_face_collapse_cube_square_counts():
 
 def test_face_collapse_reduces_face_count(corpus_graphs):
     g = corpus_graphs["cube"]
-    res = face_collapse(g, 1, (("edge", 1), ("edge", 3)))
+    res = face_collapse(g, 1, 3)
     assert len(res.graph.faces) <= len(g.faces) - 1
 
 
@@ -192,7 +197,7 @@ def test_admissible_small_angles(corpus_graphs):
 def test_k4_right_angles_violated():
     g = tetrahedron_graph()
     rep = check_hyperideal_angles(g, {e: math.pi / 2 for e in g.edges})
-    assert rep.status == "violated_closed_curve"
+    assert rep.status == AdmissibilityStatus.VIOLATED_CLOSED_CURVE
     w = rep.witness
     assert len(w.crossed_edges) == 3
     assert w.shares_vertex  # vertex-linking curve
@@ -200,10 +205,28 @@ def test_k4_right_angles_violated():
     assert abs(w.bound - math.pi) < 1e-12
 
 
+def test_pyramid_arc_violated():
+    # Base edges 1-2 and 3-4 are opposite sides of the square base.  The arc
+    # from side face 0-1-2 across the base to side face 0-3-4 joins two faces
+    # sharing the apex, crosses two edges with no common vertex, and so
+    # needs a sum below (2 - 1) pi; it carries 3.3.
+    g = pyramid_graph(4)
+    angles = {e: 0.3 for e in g.edges}
+    angles[(1, 2)] = angles[(3, 4)] = 1.65
+    rep = check_hyperideal_angles(g, angles)
+    assert rep.status == AdmissibilityStatus.VIOLATED_ARC
+    w = rep.witness
+    assert w.kind == CurveKind.ARC
+    assert w.crossed_edges == ((1, 2), (3, 4))
+    assert not w.shares_vertex
+    assert abs(w.angle_sum - 3.3) < 1e-12
+    assert abs(w.bound - math.pi) < 1e-12
+
+
 def test_cube_two_thirds_pi_violated():
     g = cube_graph()
     rep = check_hyperideal_angles(g, {e: 2 * math.pi / 3 for e in g.edges})
-    assert rep.status == "violated_closed_curve"
+    assert rep.status == AdmissibilityStatus.VIOLATED_CLOSED_CURVE
     w = rep.witness
     # independently re-sum the witness
     assert sum(2 * math.pi / 3 for _ in w.crossed_edges) > w.bound

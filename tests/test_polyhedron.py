@@ -8,7 +8,7 @@ from polyvol.core import (
     PointKind,
     apply_lorentz,
     dihedral_angle,
-    distance_plane_plane,
+    mdot,
     polar_plane,
     random_isometry,
 )
@@ -191,9 +191,10 @@ def test_edge_lengths_hyperideal_match_polar_distance(hyperideal_tetra):
     P = hyperideal_tetra
     lens = edge_lengths(P)
     for (u, v), length in lens.items():
-        d = distance_plane_plane(polar_plane(P.vertex_charts[u]),
-                                 polar_plane(P.vertex_charts[v]))
-        assert abs(length - d) < 1e-9
+        # Disjoint planes sit at distance acosh |<n_u, n_v>|.
+        g = mdot(polar_plane(P.vertex_charts[u]).normal,
+                 polar_plane(P.vertex_charts[v]).normal)
+        assert abs(length - math.acosh(abs(g))) < 1e-9
 
 
 def test_almost_proper_edge_has_zero_length():
@@ -219,15 +220,15 @@ def test_truncate_hyperideal_tetrahedron(hyperideal_tetra):
         == (12, 18, 8)
     for e in T.skeleton.edges:
         f1, f2 = T.skeleton.edge_faces[e]
-        if T.face_sources[f1][0] != T.face_sources[f2][0]:
+        if T.truncation_flags[f1] != T.truncation_flags[f2]:
             a = dihedral_angle(T.planes[f1], T.planes[f2])
             assert abs(a - math.pi / 2) < 1e-9
-    # distinct truncation faces are disjoint (their planes are)
+    # distinct truncation faces are disjoint (their planes are: |<n_i, n_j>| > 1)
     flags = [i for i, t in enumerate(T.truncation_flags) if t]
     for i in flags:
         for j in flags:
             if i < j:
-                assert distance_plane_plane(T.planes[i], T.planes[j]) > 0
+                assert abs(mdot(T.planes[i].normal, T.planes[j].normal)) > 1
 
 
 def test_truncation_idempotent_on_compact(compact_tetra):
@@ -267,20 +268,3 @@ def test_polyhedron_format_roundtrip(hyperideal_tetra):
     Q = parse_polyhedron(text)
     np.testing.assert_allclose(Q.vertex_lifts, hyperideal_tetra.vertex_lifts,
                                atol=1e-9)
-
-
-def test_almost_proper_edge_in_truncation_plane():
-    from polyvol.polyhedron import almost_proper_edges
-
-    # three real vertices on the polar plane of the hyperideal one: every
-    # edge among them lies inside the truncation plane
-    g = tetrahedron_graph()
-    pts = np.array([[2.0, 0.0, 0.0], [0.5, 0.5, 0.0],
-                    [0.5, -0.4, 0.4], [0.5, -0.1, -0.5]])
-    P = build_polyhedron(planes_from_vertices(pts, g), g)
-    flagged = almost_proper_edges(P)
-    edges = {e for e, _ in flagged}
-    assert edges == {(1, 2), (1, 3), (2, 3)}
-    assert all(poles == (0,) for _, poles in flagged)
-    # a generic almost-proper polyhedron has no such edge
-    assert almost_proper_edges(almost_proper_tetrahedron()) == []
