@@ -2,10 +2,12 @@
 
 Subcommands: classify, angles-check, volume, rectify, flow, selftest.
 Exit codes: 0 success, 1 domain error (with a machine-readable
-``ERR <code> <detail>`` line), 2 usage error.  A reported volume that
-ran out of its quadrature budget adds a ``WARN BudgetExceeded`` line on
-stderr.  All numeric output uses 12 significant digits; the environment
-variable ``POLYVOL_SEED`` overrides ``--seed``.
+``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact unless
+``volume`` is given ``--quad-tol`` or ``--quad-budget``, which switch it
+to Klein quadrature; a quadrature volume that ran out of its budget adds
+a ``WARN BudgetExceeded`` line on stderr.  All numeric output uses 12
+significant digits; the environment variable ``POLYVOL_SEED`` overrides
+``--seed``.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _warn_budget(res):
-    if res.budget_exceeded:
-        sys.stderr.write(f"WARN BudgetExceeded evaluations={res.evaluations} "
-                         f"error={_fmt(res.error_estimate)}\n")
 
 
 def _cmd_classify(args) -> int:
@@ -74,11 +70,15 @@ def _cmd_angles_check(args) -> int:
 
 def _cmd_volume(args) -> int:
     from .polyhedron import parse_polyhedron
-    from .volume import polyhedron_volume
+    from .volume import VolumeMethod, polyhedron_volume
 
     P = parse_polyhedron(_read(args.input), rectified=args.rectified)
-    res = polyhedron_volume(P, tol=args.quad_tol, budget=args.quad_budget)
-    _warn_budget(res)
+    quad = {key: value for key, value in (("tol", args.quad_tol), ("budget", args.quad_budget))
+            if value is not None}
+    res = polyhedron_volume(P, method=VolumeMethod.KLEIN_QUADRATURE if quad else None, **quad)
+    if res.budget_exceeded:
+        sys.stderr.write(f"WARN BudgetExceeded evaluations={res.evaluations} "
+                         f"error={_fmt(res.error_estimate)}\n")
     _emit(f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n", args.out)
     return 0
 
@@ -92,7 +92,6 @@ def _cmd_rectify(args) -> int:
     g = parse_graph(_read(args.input))
     P = rectification(g)
     res = polyhedron_volume(P)
-    _warn_budget(res)
     text = format_polyhedron(P) + f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n"
     _emit(text, args.out)
     return 0
@@ -107,7 +106,6 @@ def _cmd_flow(args) -> int:
         P = nudge_ideal_vertices(P)
     opts = FlowOptions(seed=args.seed, t_floor=args.t_floor)
     trace = run_flow(P, opts)
-    _warn_budget(trace.samples[-1].volume)
     _emit(trace_to_csv(trace), args.out)
     return 0
 
@@ -135,10 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed (env POLYVOL_SEED overrides)")
     p.add_argument("--tol-ideal", type=float, default=1e-9,
                    help="ideal-band tolerance on |p| - 1")
-    p.add_argument("--quad-tol", type=float, default=1e-5,
-                   help="absolute quadrature tolerance")
-    p.add_argument("--quad-budget", type=int, default=10_000_000,
-                   help="quadrature evaluation budget")
+    p.add_argument("--quad-tol", type=float, default=None,
+                   help="volume by Klein quadrature to this absolute tolerance "
+                        "(default 1e-5 once quadrature is chosen)")
+    p.add_argument("--quad-budget", type=int, default=None,
+                   help="volume by Klein quadrature within this many evaluations "
+                        "(default 10000000 once quadrature is chosen)")
     p.add_argument("--out", default=None, help="write output to a file")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -68,8 +68,6 @@ ALMOST_PROPER_BAND = 1e-6
 #: Chart length of a collapsing edge; relative width of a collapsing face.
 EDGE_COLLAPSE_TOL = 1e-6
 FACE_COLLAPSE_TOL = 1e-6
-#: Quadrature tolerance of the final state's volume.
-VOL_TOL_FINAL = 1e-5
 #: Stop once the Schlafli bound on the remaining gain is this share of the volume.
 ENDGAME_REL = 0.002
 #: Half-width of the uniform jitter added to the angle direction on rebasing.
@@ -354,14 +352,6 @@ def _rebase(P, t, rng):
     return {e: (a + rng.uniform(-PERTURBATION, PERTURBATION)) / t for e, a in th.items()}
 
 
-def _path_volume(P, final=False):
-    # Fixed-depth quadrature along the path: cheap, deterministic, and
-    # smooth in the polyhedron; the final state gets a deeper grid.
-    if final:
-        return polyhedron_volume(P, tol=VOL_TOL_FINAL, budget=2_000_000)
-    return polyhedron_volume(P, depth=2)
-
-
 def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
     """Infer the :func:`face_collapse` half-position of a geometrically flattening face."""
     cyc = g.faces[f]
@@ -435,7 +425,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     events = []
 
     def record(P_, t_, event=None):
-        vol = _path_volume(P_)
+        vol = polyhedron_volume(P_)
         samples.append(FlowSample(t_, dihedral_angles(P_), P_, vol, event))
         return vol
 
@@ -497,7 +487,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
             vol_here = samples[-1].volume.value if samples else 0.0
             if bound < ENDGAME_REL * max(vol_here, 1e-9) or t <= opts.t_floor:
-                final_vol = _path_volume(P, final=True)
+                final_vol = polyhedron_volume(P)
                 sup = final_vol.value + 0.5 * bound
                 err = 0.5 * bound + final_vol.error_estimate
                 samples.append(FlowSample(t, dihedral_angles(P), P, final_vol))

@@ -156,12 +156,10 @@ def criterion_3(seed=0) -> CriterionResult:
     return CriterionResult(3, "duality", worst < 1e-8, f"worst gap={worst:.2e}", elapsed)
 
 
-def criterion_4(seed=0) -> CriterionResult:
-    """Schlafli residual on random tetrahedron families."""
-    t0 = time.time()
+def schlafli_families(seed=0):
+    """Criterion 4's paths: angle segments between two jitters of a regular tetrahedron."""
     rng = np.random.default_rng(seed + 4)
     g = tetrahedron_graph()
-    worst = 0.0
     for base_radius, count in ((0.5, 20), (1.3, 10)):
         base = regular_tetrahedron(base_radius)
         th0 = dihedral_angles(base)
@@ -175,7 +173,13 @@ def criterion_4(seed=0) -> CriterionResult:
                 th = {e: (1 - t) * _ja[e] + t * _jb[e] for e in g.edges}
                 return realize_from_angles(g, th, _mid)
 
-            worst = max(worst, schlafli_residual(path, 0.5, 1e-4))
+            yield path
+
+
+def criterion_4(seed=0) -> CriterionResult:
+    """Schlafli residual on random tetrahedron families."""
+    t0 = time.time()
+    worst = max(schlafli_residual(path, 0.5, 1e-4) for path in schlafli_families(seed))
     elapsed = time.time() - t0
     return CriterionResult(4, "Schlafli residual", worst < 1e-3 and elapsed < 120.0,
                            f"worst residual={worst:.2e}", elapsed)

@@ -2,15 +2,18 @@
 
 The Lobachevsky function is evaluated by its standard rapidly convergent
 series after pi-periodic reduction; ideal tetrahedra get exact volumes
-from the cross-ratio of their boundary points.  General truncations are
-integrated in the Klein model, where the volume element is
-``dx / (1 - |x|^2)^2``, over a cone-of-tetrahedra decomposition with a
-collapsed Gauss product rule per tetrahedron (adaptive subdivision, or a
-fixed subdivision depth when a smooth dependence on parameters matters,
-as in Schlafli residuals).  Adaptive refinement is global: each round
-splits at most 64 of the worst cells, picked by one partial selection,
-and appends their children, so it costs at most 64 * 8 * 35 evaluations
-plus a few vectorized passes over the error array.
+from the cross-ratio of their boundary points.  Every other truncation
+is measured exactly too: an interior point is boosted to the chart
+origin and the region is split into signed orthoschemes, one per (face,
+edge, vertex) flag, each summed by Kellerhals' closed form in the
+Lobachevsky function (Kellerhals, Math. Ann. 285 (1989); Vinberg,
+Russian Math. Surveys 48 (1993)).  Adaptive Klein quadrature of the
+volume element ``dx / (1 - |x|^2)^2`` stays as an oracle that a caller
+asks for explicitly: a collapsed Gauss product rule per tetrahedron of a
+cone decomposition, refined globally, each round splitting at most 64 of
+the worst cells picked by one partial selection and appending their
+children, so it costs at most 64 * 8 * 35 evaluations plus a few
+vectorized passes over the error array.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU_IDEAL
+from .core import TAU_IDEAL, boost_to_origin, lift
 from .errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from .polyhedron import (
     PointKind,
@@ -198,6 +201,7 @@ def _split8(tets):
 
 class VolumeMethod(enum.Enum):
     IDEAL_DECOMPOSITION = "IdealDecomposition"
+    ORTHOSCHEME = "Orthoscheme"
     KLEIN_QUADRATURE = "KleinQuadrature"
 
     def __str__(self):
@@ -220,28 +224,19 @@ def _grown(a, used: int, capacity: int):
     return out
 
 
-def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, depth: int | None = None):
+def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000):
     """Integrate the Klein volume element over a union of tetrahedra.
 
-    With ``depth`` set, uniform structural subdivision to that depth (a
-    smooth function of the vertex coordinates; ``tol`` and ``budget``
-    are not read).  With ``depth=None``, while the summed error estimate
-    |rule3 - rule2| exceeds ``tol`` and the budget lasts, each round
-    splits into 8 the live cells with error above ``tol / live`` (the
-    worst 64 at most, the worst one at least).  Children are appended to
-    arrays that grow by doubling, and a split cell keeps its slot with
-    value and error 0, so no round sorts or copies the live cells.
+    While the summed error estimate |rule3 - rule2| exceeds ``tol`` and
+    the budget lasts, each round splits into 8 the live cells with error
+    above ``tol / live`` (the worst 64 at most, the worst one at least).
+    Children are appended to arrays that grow by doubling, and a split
+    cell keeps its slot with value and error 0, so no round sorts or
+    copies the live cells.
     """
     tets = np.asarray(tets, dtype=float)
     if len(tets) == 0:
         return 0.0, 0.0, False, 0
-    if depth is not None:
-        work = tets
-        for _ in range(depth):
-            work = _split8(work)
-        coarse, fine, evals = _integrate_pair(work)
-        return float(np.sum(fine)), float(np.sum(np.abs(fine - coarse))), False, evals
-
     lo, hi, evals = _integrate_pair(tets)
     size = live = len(tets)
     cells, vals, errs = tets, hi, np.abs(hi - lo)  # cells grows before its first write
@@ -269,6 +264,89 @@ def integrate_klein_tets(tets, *, tol=1e-5, budget=10_000_000, depth: int | None
     return float(np.sum(vals[:size])), float(np.sum(errs[:size])), exceeded, evals
 
 
+# --- orthoschemes ---------------------------------------------------------------
+
+#: Flags whose right triangle (v, P_e, P_F) is narrower than this (the
+#: product of its two legs, in chart units) bound no volume and are dropped.
+FLAG_WIDTH_TOL = 1e-14
+
+
+def _orthoscheme_volume(a1, a2, a3):
+    """Kellerhals' volume of the orthoschemes with essential angle arrays a1, a2, a3.
+
+    In the chain P0 P1 P2 P3 with face F_i opposite P_i, F_i and F_j are
+    perpendicular for |i - j| >= 2 and a1 = (F0, F1), a2 = (F1, F2),
+    a3 = (F2, F3).  Holds with P0 ideal.
+    """
+    disc = np.cos(a2) ** 2 - (np.sin(a1) * np.sin(a3)) ** 2
+    delta = np.arctan2(np.sqrt(np.maximum(disc, 0.0)), np.cos(a1) * np.cos(a3))
+    half = 0.5 * math.pi
+    lob = lobachevsky(np.stack([a1 + delta, a1 - delta, a3 + delta, a3 - delta,
+                                half - a2 + delta, half - a2 - delta, half - delta]))
+    return 0.25 * (lob[0] - lob[1] + lob[2] - lob[3] - lob[4] + lob[5] + 2.0 * lob[6])
+
+
+def _norm(x):
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _chain_angles(v, foot_e, foot_f):
+    """Essential angles of the orthoschemes (v, P_e, P_F, O), O the chart origin.
+
+    Along O P_F and O v the dihedral angles are Euclidean, since the
+    chart is conformal at O: alpha1 is the angle at P_F between P_e and
+    v, and alpha2 the angle between P_F and P_e around the line O v.
+    Along e, alpha3 is the angle at P_e of the hyperbolic right triangle
+    (O, P_F, P_e): tan alpha3 = tanh|O P_F| / sinh|P_F P_e|.
+    """
+    leg_v, leg_f = _norm(v - foot_e), _norm(foot_e - foot_f)
+    r_e = _norm(foot_e)
+    u = v / _norm(v)[:, None]
+    p = foot_f - np.sum(foot_f * u, axis=1)[:, None] * u
+    q = foot_e - np.sum(foot_e * u, axis=1)[:, None] * u
+    return (np.arctan2(leg_v, leg_f),
+            np.arctan2(_norm(np.cross(p, q)), np.sum(p * q, axis=1)),
+            np.arctan2(_norm(foot_f) * np.sqrt(1.0 - r_e * r_e), leg_f))
+
+
+def _orthoscheme_decomposition(center, polygons):
+    """Exact volume of a convex region from its face polygons and an interior point.
+
+    ``center`` is boosted to the chart origin O.  There the feet of the
+    perpendiculars from O are Euclidean: P_F is the foot on the plane of
+    face F and P_e the foot on the line of edge e, and P_F P_e is
+    perpendicular to e.  Each flag (F, e, v) spans the orthoscheme
+    (v, P_e, P_F, O), counted with the sign of two choices: whether P_F
+    lies on the inner side of e within F, and whether P_e lies beyond v
+    along e.  The signed sum over all flags is the region.  Returns the
+    volume and the number of orthoschemes.
+    """
+    sizes = np.array([len(poly) for poly in polygons])
+    lifted = lift(np.concatenate(polygons)) @ boost_to_origin(center).T
+    a = lifted[:, 1:] / lifted[:, :1]
+    starts = np.cumsum(sizes) - sizes
+    nxt = np.arange(len(a)) + 1
+    nxt[starts + sizes - 1] = starts
+    b = a[nxt]
+    normal = np.add.reduceat(np.cross(a, b), starts)  # Newell normals
+    centroid = np.add.reduceat(a, starts) / sizes[:, None]
+    foot_f = normal * (np.sum(normal * centroid, axis=1)
+                       / np.sum(normal * normal, axis=1))[:, None]
+    normal, centroid, foot_f = (np.repeat(x, sizes, axis=0)
+                                for x in (normal, centroid, foot_f))
+    d = b - a
+    foot_e = a - d * (np.sum(a * d, axis=1) / np.sum(d * d, axis=1))[:, None]
+    inner = (np.sign(np.sum(np.cross(d, foot_f - a) * normal, axis=1))
+             * np.sign(np.sum(np.cross(d, centroid - a) * normal, axis=1)))
+    # Two flags per edge: v = a with w = b, then v = b with w = a.
+    v, w = np.concatenate([a, b]), np.concatenate([b, a])
+    foot_e, foot_f, inner = (np.concatenate([x, x]) for x in (foot_e, foot_f, inner))
+    sign = inner * np.sign(np.sum((foot_e - v) * (w - v), axis=1))
+    keep = (sign != 0) & (_norm(v - foot_e) * _norm(foot_e - foot_f) > FLAG_WIDTH_TOL)
+    angles = _chain_angles(v[keep], foot_e[keep], foot_f[keep])
+    return float(sign[keep] @ _orthoscheme_volume(*angles)), int(np.count_nonzero(keep))
+
+
 # --- truncation decompositions -------------------------------------------------
 
 
@@ -281,8 +359,9 @@ def _fan_tets(apex, polygons):
     return np.array(tets) if tets else np.zeros((0, 4, 3))
 
 
-def _truncation_polygons(T: TruncatedPolyhedron):
-    return [T.face_polygon(f) for f in range(len(T.skeleton.faces))]
+def _truncation_region(T: TruncatedPolyhedron):
+    """An interior point and the face polygons of a truncation."""
+    return T.vertex_charts.mean(axis=0), [T.face_polygon(f) for f in range(len(T.skeleton.faces))]
 
 
 def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
@@ -303,12 +382,6 @@ def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
     return total, count
 
 
-def _region_tets(T: TruncatedPolyhedron):
-    charts = T.vertex_charts
-    apex = charts.mean(axis=0)
-    return _fan_tets(apex, _truncation_polygons(T))
-
-
 def _truncation_or_none(P: Polyhedron):
     try:
         return truncate(P)
@@ -316,13 +389,13 @@ def _truncation_or_none(P: Polyhedron):
         return None
 
 
-def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
+def _halfspace_region(P: Polyhedron):
     """Fallback: vertex-enumerate P cut by all polar half-spaces.
 
     Used when some face is swallowed whole by a polar plane, where the
-    combinatorial truncation walk does not apply.  Returns the cone
-    decomposition of the region, or an empty array if the region has no
-    volume.
+    combinatorial truncation walk does not apply.  Returns an interior
+    point and the face polygons of the region, in the form
+    :func:`truncate` gives, or None if the region has no volume.
     """
     report = classify_vertices(P)
     charts = P.vertex_charts
@@ -349,7 +422,7 @@ def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
         if np.all(D @ x <= c + 1e-9 * np.maximum(1.0, np.abs(c))):
             pts.append(x)
     if not pts:
-        return np.zeros((0, 4, 3))
+        return None
     pts = np.array(pts)
     keep = []
     for p in pts:
@@ -357,10 +430,10 @@ def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
             keep.append(p)
     pts = np.array(keep)
     if len(pts) < 4:
-        return np.zeros((0, 4, 3))
+        return None
     center = pts.mean(axis=0)
     if np.linalg.norm(pts - center, axis=1).max() < 1e-8:
-        return np.zeros((0, 4, 3))
+        return None
     polygons = []
     for idx in range(m):
         on = [p for p in pts if abs(D[idx] @ p - c[idx]) < 1e-7 * max(1.0, abs(c[idx]))]
@@ -379,45 +452,49 @@ def _halfspace_region_tets(P: Polyhedron, tol=1e-9):
         polygons.append(on[np.argsort(ang)])
     tets = _fan_tets(center, polygons)
     if len(tets) == 0:
-        return tets
-    vol = np.abs(np.linalg.det(tets[:, 1:, :] - tets[:, :1, :])).sum() / 6.0
-    if vol < 1e-18:
-        return np.zeros((0, 4, 3))
-    return tets
+        return None
+    if np.abs(np.linalg.det(tets[:, 1:, :] - tets[:, :1, :])).sum() / 6.0 < 1e-18:
+        return None
+    return center, polygons
 
 
 def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_000,
-                      depth: int | None = None) -> VolumeResult:
+                      method: VolumeMethod | None = None) -> VolumeResult:
     """Hyperbolic volume of P, defined as the volume of its truncation.
 
-    If every truncation vertex is ideal the volume is assembled exactly
-    from ideal tetrahedra; otherwise the Klein volume element is
-    integrated over the truncated region, adaptively to ``tol`` within
-    ``budget`` evaluations, or on a fixed grid of subdivision ``depth``
-    when that is set.  An empty truncation has volume 0.
+    By default the volume is exact: assembled from ideal tetrahedra when
+    every truncation vertex is ideal, and from signed orthoschemes
+    otherwise.  ``method`` forces ``VolumeMethod.ORTHOSCHEME``, or
+    ``VolumeMethod.KLEIN_QUADRATURE``, which integrates the Klein volume
+    element adaptively to ``tol`` within ``budget`` evaluations (the only
+    method that reads them).  An empty truncation has volume 0.
     """
+    if method not in (None, VolumeMethod.ORTHOSCHEME, VolumeMethod.KLEIN_QUADRATURE):
+        raise ValueError(f"method {method} cannot be forced")
     report = classify_vertices(P)
     if report.is_improper():
         raise ImproperInput("volume needs a proper or almost proper polyhedron")
     T = _truncation_or_none(P)
     if T is None:
-        tets = _halfspace_region_tets(P)
-        if len(tets) == 0:
-            return VolumeResult(0.0, VolumeMethod.KLEIN_QUADRATURE, 0.0)
+        region = _halfspace_region(P)
+    else:
+        radii = np.linalg.norm(T.vertex_charts, axis=1)
+        if method is None and np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
+            value, count = _ideal_decomposition(T, tol=IDEAL_BAND)
+            return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
+                                1e-12 * max(1, count), False, 0)
+        if np.any(radii >= 1.0 + TAU_IDEAL):
+            raise ImproperInput("truncation has vertices outside the closed ball")
+        region = _truncation_region(T)
+    method = method or VolumeMethod.ORTHOSCHEME
+    if region is None:
+        return VolumeResult(0.0, method, 0.0)
+    if method == VolumeMethod.KLEIN_QUADRATURE:
         value, err, exceeded, evals = integrate_klein_tets(
-            tets, tol=tol, budget=budget, depth=depth)
-        return VolumeResult(value, VolumeMethod.KLEIN_QUADRATURE, err, exceeded, evals)
-    radii = np.linalg.norm(T.vertex_charts, axis=1)
-    if np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
-        value, count = _ideal_decomposition(T, tol=IDEAL_BAND)
-        return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
-                            1e-12 * max(1, count), False, 0)
-    if np.any(radii >= 1.0 + TAU_IDEAL):
-        raise ImproperInput("truncation has vertices outside the closed ball")
-    tets = _region_tets(T)
-    value, err, exceeded, evals = integrate_klein_tets(
-        tets, tol=tol, budget=budget, depth=depth)
-    return VolumeResult(value, VolumeMethod.KLEIN_QUADRATURE, err, exceeded, evals)
+            _fan_tets(*region), tol=tol, budget=budget)
+        return VolumeResult(value, method, err, exceeded, evals)
+    value, count = _orthoscheme_decomposition(*region)
+    return VolumeResult(value, method, 1e-12 * count, False, 0)
 
 
 # --- Schlafli residual ---------------------------------------------------------
@@ -446,8 +523,7 @@ def schlafli_residual(path, t0: float, h: float = 1e-4) -> float:
     if not (aps[0] == aps[1] == aps[2]):
         raise PathDiscontinuous("almost-proper set changes inside the window")
 
-    vol_rate = (polyhedron_volume(Pp, depth=3).value
-                - polyhedron_volume(Pm, depth=3).value) / (2 * h)
+    vol_rate = (polyhedron_volume(Pp).value - polyhedron_volume(Pm).value) / (2 * h)
     th_p = dihedral_angles(Pp)
     th_m = dihedral_angles(Pm)
     lens = edge_lengths(P0)

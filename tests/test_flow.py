@@ -65,8 +65,8 @@ def test_realize_prescribed_angles_and_monotonicity(hyperideal_tetra):
     for P, val in ((P1, 0.6), (P2, 0.4)):
         th = dihedral_angles(P)
         assert max(abs(a - val) for a in th.values()) < 1e-8
-    v1 = polyhedron_volume(P1, tol=1e-4).value
-    v2 = polyhedron_volume(P2, tol=1e-4).value
+    v1 = polyhedron_volume(P1).value
+    v2 = polyhedron_volume(P2).value
     assert v2 > v1  # smaller angles, larger volume
 
 
@@ -99,7 +99,7 @@ def test_nudge_ideal_tetrahedron():
     Q = nudge_ideal_vertices(P, delta=1e-4)
     kinds = classify_vertices(Q).kinds
     assert all(k == PointKind.HYPERIDEAL for k in kinds)
-    v1 = polyhedron_volume(Q, tol=1e-4).value
+    v1 = polyhedron_volume(Q).value
     assert abs(v1 - v0) < 1e-2
 
 

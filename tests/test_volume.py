@@ -7,16 +7,19 @@ from scipy.integrate import quad
 
 from polyvol.core import MINKOWSKI_SIGNS, OrientedPlane, apply_lorentz, lift, random_isometry
 from polyvol.errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
-from polyvol.graphs import PlanarGraph, tetrahedron_graph
+from polyvol.graphs import PlanarGraph, prism_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import build_polyhedron, dihedral_angles, truncate
-from polyvol.shapes import planes_from_vertices, regular_tetrahedron
+from polyvol.shapes import compact_realization, planes_from_vertices, regular_tetrahedron
 from polyvol.volume import (
     VolumeMethod,
+    _chain_angles,
+    _fan_tets,
     _ideal_decomposition,
     _klein_integrand,
-    _region_tets,
+    _orthoscheme_decomposition,
     _split8,
     _tet_rule,
+    _truncation_region,
     ideal_tetrahedron_angles,
     ideal_tetrahedron_volume,
     integrate_klein_tets,
@@ -134,7 +137,7 @@ def test_decomposition_independent_of_cone_vertex():
 
 
 def test_compact_volume_against_monte_carlo(rng, compact_tetra):
-    res = polyhedron_volume(compact_tetra, tol=1e-5)
+    res = polyhedron_volume(compact_tetra)
     pts = rng.uniform(-0.6, 0.6, size=(1_500_000, 3))
     normals = np.array([p.normal for p in compact_tetra.planes])
     margins = lift(pts) @ (normals * MINKOWSKI_SIGNS).T
@@ -147,9 +150,12 @@ def test_compact_volume_against_monte_carlo(rng, compact_tetra):
 
 
 def test_hyperideal_volume_positive(hyperideal_tetra):
-    res = polyhedron_volume(hyperideal_tetra, tol=1e-4)
-    assert res.method == VolumeMethod.KLEIN_QUADRATURE
+    res = polyhedron_volume(hyperideal_tetra)
+    assert res.method == VolumeMethod.ORTHOSCHEME
     assert 0 < res.value < V8
+    quad = polyhedron_volume(hyperideal_tetra, tol=1e-4,
+                             method=VolumeMethod.KLEIN_QUADRATURE)
+    assert abs(res.value - quad.value) <= quad.error_estimate
 
 
 def test_volume_zero_truncation(rng):
@@ -181,20 +187,21 @@ def test_volume_monotone_under_inclusion(compact_tetra):
     slicer = OrientedPlane.from_chart(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3),
                                       0.45)
     Q = build_polyhedron(compact_tetra.planes + (slicer,), g5)
-    v_p = polyhedron_volume(compact_tetra, tol=1e-5)
-    v_q = polyhedron_volume(Q, tol=1e-5)
+    v_p = polyhedron_volume(compact_tetra)
+    v_q = polyhedron_volume(Q)
     assert v_q.value <= v_p.value + v_p.error_estimate + v_q.error_estimate
     assert v_q.value < v_p.value
 
 
 def test_volume_isometry_invariant(rng, hyperideal_tetra):
-    res = polyhedron_volume(hyperideal_tetra, tol=1e-5)
+    res = polyhedron_volume(hyperideal_tetra)
     for _ in range(3):
         L = random_isometry(rng)
         planes2 = tuple(apply_lorentz(L, pl) for pl in hyperideal_tetra.planes)
         Q = build_polyhedron(planes2, hyperideal_tetra.skeleton)
-        res2 = polyhedron_volume(Q, tol=1e-5)
-        assert abs(res.value - res2.value) < 1e-4
+        res2 = polyhedron_volume(Q)
+        assert res2.method == VolumeMethod.ORTHOSCHEME
+        assert abs(res.value - res2.value) < 1e-12
 
 
 def test_improper_volume_rejected():
@@ -219,17 +226,123 @@ def test_degenerate_truncation_falls_back_to_halfspaces():
         truncate(P)
     res = polyhedron_volume(P)
     assert res.value == 0.0
-    assert res.method == VolumeMethod.KLEIN_QUADRATURE
+    assert res.method == VolumeMethod.ORTHOSCHEME
 
 
 def test_budget_flag():
     P = regular_tetrahedron(1.3)
-    res = polyhedron_volume(P, tol=1e-12, budget=5000)
+    res = polyhedron_volume(P, tol=1e-12, budget=5000, method=VolumeMethod.KLEIN_QUADRATURE)
     assert res.budget_exceeded
     assert res.value > 0
     # the budget is checked before each round, so it overruns by at most
     # one round: 64 cells split into 8 children, 8 + 27 nodes each
     assert res.evaluations <= 5000 + 64 * 8 * 35
+
+
+# --- orthoscheme decomposition -------------------------------------------------------
+
+def _regular_schlafli_volume(radius):
+    """Regular tetrahedron volume by the Schlafli integral from the ideal one.
+
+    With dihedral angle b all six edges have length l(b), cosh l =
+    |cos b / (1 - 2 cos b)| (the distance between polar planes once b is
+    below pi/3 and the vertices are hyperideal), so dV/db = -3 l(b) and
+    V(pi/3) = 3 L(pi/3).  The substitution b = pi/3 +- s^2 removes the
+    logarithmic singularity of l at the ideal end.
+    """
+    c2 = (radius / 3.0) ** 2
+    beta = math.acos((c2 + 1.0 / 3.0) / (1.0 - c2))
+    side = math.copysign(1.0, beta - math.pi / 3)
+
+    def integrand(s):
+        c = math.cos(math.pi / 3 + side * s * s)
+        return 2.0 * s * math.acosh(abs(c / (1.0 - 2.0 * c)))
+
+    integral, _ = quad(integrand, 0.0, math.sqrt(abs(beta - math.pi / 3)),
+                       epsabs=1e-14, epsrel=1e-14, limit=200)
+    return 3 * lob_quadrature_oracle(math.pi / 3) - 3 * side * integral
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.5, 0.7, 1.3])
+def test_regular_tetrahedron_matches_schlafli_integral(radius):
+    res = polyhedron_volume(regular_tetrahedron(radius))
+    assert res.method == VolumeMethod.ORTHOSCHEME
+    assert res.evaluations == 0 and not res.budget_exceeded
+    assert abs(res.value - _regular_schlafli_volume(radius)) < 1e-10
+
+
+def test_orthoscheme_ideal_regular_tetrahedron():
+    P = regular_tetrahedron(1.0)
+    res = polyhedron_volume(P, method=VolumeMethod.ORTHOSCHEME)
+    assert res.method == VolumeMethod.ORTHOSCHEME
+    assert abs(res.value - 3 * lobachevsky(math.pi / 3)) < 1e-12
+    assert polyhedron_volume(P).method == VolumeMethod.IDEAL_DECOMPOSITION
+    with pytest.raises(ValueError):
+        polyhedron_volume(P, method=VolumeMethod.IDEAL_DECOMPOSITION)
+
+
+def test_one_ideal_vertex_against_quadrature():
+    g = tetrahedron_graph()
+    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.1, -0.2],
+                    [-0.3, 0.5, -0.3], [-0.2, -0.5, -0.1]])
+    P = build_polyhedron(planes_from_vertices(pts, g), g)
+    res = polyhedron_volume(P)
+    oracle = polyhedron_volume(P, tol=1e-4, budget=2_000_000,
+                               method=VolumeMethod.KLEIN_QUADRATURE)
+    assert res.method == VolumeMethod.ORTHOSCHEME
+    assert abs(res.value - oracle.value) <= oracle.error_estimate
+
+
+@pytest.mark.parametrize("graph", [pyramid_graph(5), prism_graph(4)])
+def test_compact_pyramid_and_prism_against_quadrature(graph):
+    # Obtuse dihedral angles put some feet outside their edges and faces,
+    # so both orthoscheme signs take the value -1 here.
+    P = compact_realization(graph, scale=0.6)
+    res = polyhedron_volume(P)
+    oracle = polyhedron_volume(P, tol=1e-5, method=VolumeMethod.KLEIN_QUADRATURE)
+    assert res.method == VolumeMethod.ORTHOSCHEME
+    assert not oracle.budget_exceeded
+    assert abs(res.value - oracle.value) <= oracle.error_estimate
+
+
+@pytest.mark.parametrize("P", [compact_realization(pyramid_graph(5), scale=0.6),
+                               compact_realization(prism_graph(4), scale=0.6),
+                               regular_tetrahedron(1.3)])
+def test_orthoscheme_independent_of_interior_point(rng, P):
+    T = truncate(P)
+    center, polygons = _truncation_region(T)
+    value, _ = _orthoscheme_decomposition(center, polygons)
+    for _ in range(20):
+        weights = rng.dirichlet(np.full(T.skeleton.n_vertices, 0.3))
+        moved, _ = _orthoscheme_decomposition(weights @ T.vertex_charts, polygons)
+        assert abs(moved - value) < 1e-12
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_chain_angles_match_minkowski_normals(rng, ideal):
+    # Chains (v, P_e, P_F, O) built from their perpendicularities, O the origin.
+    n = 200
+    normal = rng.normal(size=(n, 3))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    across = np.cross(normal, rng.normal(size=(n, 3)))
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    along = np.cross(normal, across)
+    foot_f = rng.uniform(0.05, 0.6, size=(n, 1)) * normal
+    foot_e = foot_f + rng.uniform(0.05, 0.4, size=(n, 1)) * across
+    reach = np.sqrt(1.0 - np.sum(foot_e * foot_e, axis=1, keepdims=True))
+    v = foot_e + (reach if ideal else rng.uniform(0.05, 0.9, size=(n, 1)) * reach) * along
+    chains = np.stack([v, foot_e, foot_f, np.zeros_like(v)], axis=1)
+    # Inward face normals: the dual basis of the lifted chain, <n_i, P_j> = delta_ij.
+    normals = np.swapaxes(np.linalg.inv(lift(chains) * MINKOWSKI_SIGNS), 1, 2)
+    gram = np.einsum("nik,njk->nij", normals * MINKOWSKI_SIGNS, normals)
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    cosines = -gram / (scale[:, :, None] * scale[:, None, :])
+    for i, j in ((0, 2), (0, 3), (1, 3)):
+        assert np.max(np.abs(cosines[:, i, j])) < 1e-10
+    expected = [np.arccos(cosines[:, i, i + 1]) for i in range(3)]
+    for got, want in zip(_chain_angles(v, foot_e, foot_f), expected):
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.all((got > 0) & (got < math.pi / 2))
 
 
 # --- adaptive refinement against a re-sorting reference ----------------------------
@@ -275,7 +388,7 @@ def _compaction_reference(tets, tol, budget):
     (1.3, 1e-12, 5000),
 ])
 def test_adaptive_refinement_matches_compaction_reference(radius, tol, budget):
-    tets = _region_tets(truncate(regular_tetrahedron(radius)))
+    tets = _fan_tets(*_truncation_region(truncate(regular_tetrahedron(radius))))
     value, err, exceeded, evals = integrate_klein_tets(tets, tol=tol, budget=budget)
     ref_value, ref_err, ref_exceeded, ref_evals = _compaction_reference(tets, tol, budget)
     # same cells split in the same rounds; only summation order differs
@@ -283,19 +396,6 @@ def test_adaptive_refinement_matches_compaction_reference(radius, tol, budget):
     assert exceeded == ref_exceeded
     assert abs(value - ref_value) <= 1e-13 * ref_value
     assert abs(err - ref_err) <= 1e-13 * ref_err
-
-
-@pytest.mark.parametrize("radius", [0.55, 1.3])
-def test_fixed_depth_matches_two_rule_reference(radius):
-    tets = _region_tets(truncate(regular_tetrahedron(radius)))
-    value, err, exceeded, evals = integrate_klein_tets(tets, depth=2)
-    work = _split8(_split8(tets))
-    coarse, e1 = _rule_reference(work, 2)
-    fine, e2 = _rule_reference(work, 3)
-    assert evals == e1 + e2
-    assert not exceeded
-    assert abs(value - np.sum(fine)) <= 1e-15 * value
-    assert abs(err - np.sum(np.abs(fine - coarse))) <= 1e-15 * err
 
 
 # --- Schlafli residual ----------------------------------------------------------------
@@ -320,6 +420,13 @@ def _angle_family(base, factor_a, factor_b):
         return realize_from_angles(g, th, mid)
 
     return path
+
+
+def test_schlafli_residual_exact():
+    from polyvol.selftest import schlafli_families
+
+    worst = max(schlafli_residual(path, 0.5, 1e-4) for path in schlafli_families(0))
+    assert worst <= 1e-8
 
 
 def test_schlafli_compact_family(compact_tetra):
