@@ -464,12 +464,12 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
 
     By default the volume is exact: assembled from ideal tetrahedra when
     every truncation vertex is ideal, and from signed orthoschemes
-    otherwise.  ``method`` forces ``VolumeMethod.ORTHOSCHEME``, or
-    ``VolumeMethod.KLEIN_QUADRATURE``, which integrates the Klein volume
-    element adaptively to ``tol`` within ``budget`` evaluations (the only
-    method that reads them).  An empty truncation has volume 0.
+    otherwise.  ``method=VolumeMethod.KLEIN_QUADRATURE`` instead integrates
+    the Klein volume element adaptively to ``tol`` within ``budget``
+    evaluations (the only method that reads them).  An empty truncation
+    has volume 0.
     """
-    if method not in (None, VolumeMethod.ORTHOSCHEME, VolumeMethod.KLEIN_QUADRATURE):
+    if method not in (None, VolumeMethod.KLEIN_QUADRATURE):
         raise ValueError(f"method {method} cannot be forced")
     report = classify_vertices(P)
     if report.is_improper():

@@ -14,6 +14,7 @@ from polyvol.volume import (
     VolumeMethod,
     _chain_angles,
     _fan_tets,
+    _halfspace_region,
     _ideal_decomposition,
     _klein_integrand,
     _orthoscheme_decomposition,
@@ -273,12 +274,19 @@ def test_regular_tetrahedron_matches_schlafli_integral(radius):
 
 def test_orthoscheme_ideal_regular_tetrahedron():
     P = regular_tetrahedron(1.0)
-    res = polyhedron_volume(P, method=VolumeMethod.ORTHOSCHEME)
-    assert res.method == VolumeMethod.ORTHOSCHEME
-    assert abs(res.value - 3 * lobachevsky(math.pi / 3)) < 1e-12
+    value, _ = _orthoscheme_decomposition(*_truncation_region(truncate(P)))
+    assert abs(value - 3 * lobachevsky(math.pi / 3)) < 1e-12
     assert polyhedron_volume(P).method == VolumeMethod.IDEAL_DECOMPOSITION
-    with pytest.raises(ValueError):
-        polyhedron_volume(P, method=VolumeMethod.IDEAL_DECOMPOSITION)
+    for method in (VolumeMethod.IDEAL_DECOMPOSITION, VolumeMethod.ORTHOSCHEME):
+        with pytest.raises(ValueError):
+            polyhedron_volume(P, method=method)
+
+
+def test_orthoscheme_on_halfspace_region(hyperideal_tetra):
+    # On a proper polyhedron the half-space fallback region is the
+    # truncation, built as angle-sorted vertex-enumeration polygons.
+    value, _ = _orthoscheme_decomposition(*_halfspace_region(hyperideal_tetra))
+    assert abs(value - polyhedron_volume(hyperideal_tetra).value) < 1e-12
 
 
 def test_one_ideal_vertex_against_quadrature():
