@@ -99,10 +99,10 @@ def _cmd_rectify(args) -> int:
 
 def _cmd_flow(args) -> int:
     from .flow import FlowOptions, run_flow, trace_to_csv, nudge_ideal_vertices
-    from .polyhedron import parse_polyhedron, classify_vertices, PointKind
+    from .polyhedron import parse_polyhedron, PointKind
 
     P = parse_polyhedron(_read(args.input))
-    if any(k == PointKind.IDEAL for k in classify_vertices(P).kinds):
+    if any(k == PointKind.IDEAL for k in P.report.kinds):
         P = nudge_ideal_vertices(P)
     opts = FlowOptions(seed=args.seed, t_floor=args.t_floor)
     trace = run_flow(P, opts)

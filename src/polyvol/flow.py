@@ -52,7 +52,6 @@ from .polyhedron import (
     Polyhedron,
     VertexStatus,
     build_polyhedron,
-    classify_vertices,
     dihedral_angles,
     edge_lengths,
 )
@@ -130,7 +129,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     A homothety with factor 1 + delta about an interior point; delta is
     halved adaptively until properness and the skeleton survive.
     """
-    report = classify_vertices(P)
+    report = P.report
     ideal = [v for v, k in enumerate(report.kinds) if k == PointKind.IDEAL]
     if not ideal:
         raise NoIdealVertices("no ideal vertices to remove")
@@ -146,7 +145,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
         except (PolyvolError, ValueError):
             d /= 2
             continue
-        rep = classify_vertices(Q)
+        rep = Q.report
         ok = (not rep.is_improper()
               and all(rep.kinds[v] == PointKind.HYPERIDEAL for v in ideal)
               and not any(k == PointKind.IDEAL for k in rep.kinds))
@@ -167,19 +166,13 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     translation gains a component along that polar plane's inward
     normal, freeing the almost-proper incidence.
     """
-    return _escape(P, classify_vertices(P).kinds, v, almost_pole, delta)[0]
-
-
-def _escape(P: Polyhedron, kinds, v: int, almost_pole: int | None = None,
-            delta: float = 1e-5):
-    """:func:`escape_deformation` of P with vertex kinds ``kinds``; returns (Q, Q's kinds)."""
     charts = P.vertex_charts
     x = charts[v]
     r = float(np.linalg.norm(x))
     if r > 1.0 + 10 * TAU_IDEAL:
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
-    hyper = [w for w, k in enumerate(kinds) if k == PointKind.HYPERIDEAL and w != v]
+    hyper = [w for w, k in enumerate(P.report.kinds) if k == PointKind.HYPERIDEAL and w != v]
 
     probe = (1.0 + max(delta, 2.0 * (1.0 - r) + delta)) * u
     for w in range(len(charts)):
@@ -211,7 +204,7 @@ def _escape(P: Polyhedron, kinds, v: int, almost_pole: int | None = None,
             Q = build_polyhedron(planes, P.skeleton)
         except (PolyvolError, ValueError):
             return None
-        rep = classify_vertices(Q)
+        rep = Q.report
         if rep.is_improper():
             return None
         if any(k == PointKind.IDEAL for w_, k in enumerate(rep.kinds) if w_ != v):
@@ -220,7 +213,7 @@ def _escape(P: Polyhedron, kinds, v: int, almost_pole: int | None = None,
             m = 1.0 - float(Q.vertex_charts[almost_pole] @ Q.vertex_charts[v])
             if m <= TAU_IDEAL:
                 return None
-        return Q, rep.kinds, float(np.linalg.norm(Q.vertex_charts[v]))
+        return Q, float(np.linalg.norm(Q.vertex_charts[v]))
 
     # Prefer the translation landing v just hyperideal; where the edge
     # geometry forbids leaving the ball (a nearly tangent almost proper
@@ -230,16 +223,16 @@ def _escape(P: Polyhedron, kinds, v: int, almost_pole: int | None = None,
     for _ in range(30):
         got = attempt(d)
         if got is not None:
-            Q, Q_kinds, radius = got
-            if Q_kinds[v] == PointKind.HYPERIDEAL:
-                return Q, Q_kinds
-            if best is None or radius > best[2]:
+            Q, radius = got
+            if Q.report.kinds[v] == PointKind.HYPERIDEAL:
+                return Q
+            if best is None or radius > best[1]:
                 best = got
         d *= 1.6
         if d > 1e4 * lam0:
             break
     if best is not None:
-        return best[:2]
+        return best[0]
     raise NoSeparatingPlane(f"no admissible escape translation for vertex {v}")
 
 
@@ -301,18 +294,18 @@ class FlowOptions:
     t_floor: float = 1e-3
 
 
-def _scan_signals(P: Polyhedron, kinds, prev_kinds, held, relaxed: bool = False):
-    """Degeneration signals ``(kind, data, size)`` of a step landing at P, worst first.
+def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
+    """Degeneration signals ``(kind, data, size)`` of a step from ``prev`` to P, worst first.
 
-    ``kinds`` are P's vertex kinds and ``prev_kinds`` those before the
-    step; a previously real vertex entering the ideal band (or jumping
-    past it) signals.
+    A vertex real in ``prev`` entering the ideal band (or jumping past
+    it) signals.
     ``relaxed`` widens the ideal band and the collapse thresholds, for a
     state stalled against the realizability boundary.
     """
     ideal_band = 1e2 * IDEAL_BAND if relaxed else IDEAL_BAND
     edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
+    kinds, prev_kinds = P.report.kinds, prev.report.kinds
     out = []
     charts = P.vertex_charts
     radii = np.linalg.norm(charts, axis=1)
@@ -341,6 +334,10 @@ def _scan_signals(P: Polyhedron, kinds, prev_kinds, held, relaxed: bool = False)
             out.append((FlowEventKind.FACE_COLLAPSED, f, s[1]))
     out.sort(key=lambda item: item[2])
     return out
+
+
+def _hyperideal_only(P: Polyhedron) -> bool:
+    return all(k == PointKind.HYPERIDEAL for k in P.report.kinds)
 
 
 def _scaled(angles_dir, t):
@@ -379,7 +376,7 @@ def _collapse_rewrite(kind, data, g, P_state, rng, t):
                 f"face {data} degenerates without a collapse pattern")
         res = face_collapse(g, data, split)
         ev_data = {"face": data, "split": split}
-    if not res.three_connected:
+    if not res.graph.is_polyhedral():
         raise CollapseMakesDegenerate("collapse leaves a non-3-connected skeleton")
     new_g = res.graph
     order = sorted((new_idx, old) for old, new_idx in res.face_map.items()
@@ -407,7 +404,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     """
     opts = opts or FlowOptions()
     rng = np.random.default_rng(opts.seed)
-    report = classify_vertices(P0)
+    report = P0.report
     if report.is_improper():
         raise ImproperInput("flow needs a proper starting polyhedron")
     if any(k == PointKind.IDEAL for k in report.kinds):
@@ -432,15 +429,15 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     def partial_trace():
         return FlowTrace(samples, events, g, math.nan, math.nan, opts.seed)
 
-    def handle_event(kind, data, P_state, state_kinds, t_now):
-        """Dispatch one degeneration of P_state; returns the continued state and its kinds."""
+    def handle_event(kind, data, P_state, t_now):
+        """Dispatch one degeneration of P_state; returns the continued state."""
         nonlocal g, held, theta_dir, events
         vol_ev = record(P_state, t_now, event=kind)
         if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
-            P_new, new_kinds = _escape(P_state, state_kinds, v, almost_pole=pole)
-            if new_kinds[v] != PointKind.HYPERIDEAL:
+            P_new = escape_deformation(P_state, v, almost_pole=pole)
+            if P_new.report.kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(
                     f"escape left vertex {v} inside the ball (tangent edge regime)",
                     trace=partial_trace())
@@ -448,7 +445,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 held = [(w, u) for (w, u) in held if w != v]
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
             theta_dir = _rebase(P_new, t_now, rng)
-            return P_new, new_kinds
+            return P_new
         if kind == FlowEventKind.ALMOST_PROPER_ONSET:
             w, u = data
             if _norm_edge(w, u) not in P_state.skeleton.edge_index:
@@ -457,8 +454,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                     trace=partial_trace())
             held.append((w, u))
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": w, "pole": u}))
-            P_new = realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
-            return P_new, classify_vertices(P_new).kinds
+            return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
         try:
             g_new, P_new, theta_new, ev_data = _collapse_rewrite(
                 kind, data, g, P_state, rng, t_now)
@@ -468,15 +464,12 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         theta_dir = theta_new
         held = []
         events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
-        return P_new, classify_vertices(P_new).kinds
+        return P_new
 
     record(P, t)
     dt = DT_INIT
     accepted = 0
-    # Vertex kinds of the current state P; None while the all-hyperideal
-    # endgame has not needed them.
-    kinds = classify_vertices(P).kinds
-    hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
+    hyperideal_only = _hyperideal_only(P)
 
     for _ in range(MAX_STEPS):
         if len(events) > max_events:
@@ -496,11 +489,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         t_next = max(t - dt, 0.2 * t)
         try:
             P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held)
-            if hyperideal_only:
-                next_kinds, signals = None, []
-            else:
-                next_kinds = classify_vertices(P_next).kinds
-                signals = _scan_signals(P_next, next_kinds, kinds, held)
+            # The all-hyperideal endgame scans for no degenerations.
+            signals = [] if hyperideal_only else _scan_signals(P_next, P, held)
         except (NewtonDiverged, SkeletonChanged):
             if dt > DT_MIN:
                 dt *= 0.5
@@ -509,13 +499,11 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically) and
             # handle it as this step's signal, below, with dt <= DT_MIN.
-            if kinds is None:
-                kinds = classify_vertices(P).kinds
-            signals = [s for s in _scan_signals(P, kinds, kinds, held, relaxed=True)
+            signals = [s for s in _scan_signals(P, P, held, relaxed=True)
                        if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not signals:
                 raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
-            P_next, next_kinds, t_next = P, kinds, t
+            P_next, t_next = P, t
 
         if signals and dt > DT_MIN:
             dt *= 0.5
@@ -523,8 +511,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         if signals:
             kind, data, _ = signals[0]
             t = t_next
-            P, kinds = handle_event(kind, data, P_next, next_kinds, t)
-            now_hyperideal_only = all(k == PointKind.HYPERIDEAL for k in kinds)
+            P = handle_event(kind, data, P_next, t)
+            now_hyperideal_only = _hyperideal_only(P)
             if now_hyperideal_only and not hyperideal_only:
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
                                         samples[-1].volume.value, {}))
@@ -534,13 +522,12 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
         # Plain accepted step.
         P = P_next
-        kinds = next_kinds
         t = t_next
         accepted += 1
         if accepted % SAMPLE_EVERY == 0:
             record(P, t)
         dt = min(dt * 1.7, DT_INIT)
-        if not hyperideal_only and all(k == PointKind.HYPERIDEAL for k in kinds):
+        if not hyperideal_only and _hyperideal_only(P):
             hyperideal_only = True
             kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
             vol_ev = record(P, t, event=kind)
@@ -550,9 +537,10 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
 def sup_volume(g: PlanarGraph, seed: Polyhedron, opts: FlowOptions | None = None) -> float:
     """Flow estimate of sup Vol over proper polyhedra with skeleton g."""
-    report = classify_vertices(seed)
+    if seed.skeleton.faces != g.faces:
+        raise SkeletonMismatch("seed skeleton differs from g")
     P = seed
-    if any(k == PointKind.IDEAL for k in report.kinds):
+    if any(k == PointKind.IDEAL for k in P.report.kinds):
         P = nudge_ideal_vertices(P)
     trace = run_flow(P, opts)
     return trace.sup_estimate

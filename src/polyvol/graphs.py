@@ -187,12 +187,13 @@ class PlanarGraph:
         return tuple(frozenset(s) for s in adj)
 
     def is_polyhedral(self) -> bool:
-        """Every face >= 3, every degree >= 3, simple, and 3-connected."""
-        if any(len(cyc) < 3 for cyc in self.faces):
-            return False
-        if any(self.degree(v) < 3 for v in range(self.n_vertices)):
-            return False
-        return is_3_connected(self)
+        """Every face >= 3, every degree >= 3, simple, and 3-connected (cached)."""
+        return self._polyhedral
+
+    @cached_property
+    def _polyhedral(self) -> bool:
+        # A degree-2 vertex already fails the 3-connectivity criterion.
+        return all(len(cyc) >= 3 for cyc in self.faces) and is_3_connected(self)
 
     def canonical_hash(self) -> str:
         """Stable hex digest of the labelled face structure."""
@@ -204,34 +205,27 @@ class PlanarGraph:
         return hashlib.sha1(";".join(parts).encode()).hexdigest()[:12]
 
 
-def _connected_after_removal(adj, removed: set, n: int) -> bool:
-    alive = [v for v in range(n) if v not in removed]
-    if not alive:
-        return True
-    seen = {alive[0]}
-    stack = [alive[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(alive)
-
-
 def is_3_connected(g: PlanarGraph) -> bool:
-    """Brute-force 3-connectivity test (desk scale)."""
-    n = g.n_vertices
-    if n < 4:
+    """3-connectivity of a sphere map by the polyhedral-map criterion.
+
+    A map on the sphere whose faces are simple cycles, with at least 4
+    vertices, is 3-connected iff any two faces that share a vertex meet
+    only in that vertex or in one common edge (Mohar & Thomassen,
+    *Graphs on Surfaces*, section 5.5); a degree-2 vertex fails it, as
+    its two faces share both its edges.  Scans the face pairs at each
+    vertex.  Raises BadFormat when a vertex link is not one cycle, so
+    that the faces do not form a sphere map.
+    """
+    if g.n_vertices < 4:
         return False
-    adj = g.adjacency
-    if not _connected_after_removal(adj, set(), n):
-        return False
-    for pair in combinations(range(n), 2):
-        if not _connected_after_removal(adj, set(pair), n):
-            return False
-    for v in range(n):
-        if not _connected_after_removal(adj, {v}, n):
+    face_sets = [frozenset(cyc) for cyc in g.faces]
+    for ring in g.vertex_faces:
+        for f, h in combinations(ring, 2):
+            common = face_sets[f] & face_sets[h]
+            if len(common) == 1:
+                continue
+            if len(common) == 2 and set(g.edge_faces.get(_norm_edge(*common), ())) == {f, h}:
+                continue
             return False
     return True
 
@@ -272,14 +266,13 @@ class CollapseResult:
 
     ``vertex_map`` sends old vertex ids to new ones (None if smoothed
     away); ``face_map`` does the same for faces (None if the face
-    disappeared); ``three_connected`` reports, without repairing,
-    whether the result is still polyhedral.
+    disappeared).  ``graph.is_polyhedral()`` reports, without repairing,
+    whether the result is still 3-connected.
     """
 
     graph: PlanarGraph
     vertex_map: dict
     face_map: dict
-    three_connected: bool
 
 
 def _cleanup(n_vertices, labelled_faces):
@@ -343,7 +336,7 @@ def edge_collapse(g: PlanarGraph, e: Edge) -> CollapseResult:
     Parallel edges created by the identification are merged; degree-2
     vertices are smoothed away when possible.  Raises
     CollapseMakesDegenerate when no polyhedral map at all remains; loss
-    of 3-connectivity is reported, not repaired.
+    of 3-connectivity is left to ``graph.is_polyhedral()``, not repaired.
     """
     u, v = _norm_edge(*e)
     if (u, v) not in g.edge_index:
@@ -352,7 +345,7 @@ def edge_collapse(g: PlanarGraph, e: Edge) -> CollapseResult:
     out, vmap, fmap = _cleanup(g.n_vertices, faces)
     full_map = {w: vmap.get(u if w == v else w) for w in range(g.n_vertices)}
     face_map = {i: fmap.get(i) for i in range(len(g.faces))}
-    return CollapseResult(out, full_map, face_map, is_3_connected(out))
+    return CollapseResult(out, full_map, face_map)
 
 
 def _split_pairs(cyc, split: int):
@@ -397,7 +390,7 @@ def face_collapse(g: PlanarGraph, face: int, split: int) -> CollapseResult:
     out, vmap, fmap = _cleanup(g.n_vertices, faces)
     full_map = {w: vmap.get(find(w)) for w in range(g.n_vertices)}
     face_map = {i: fmap.get(i) for i in range(len(g.faces))}
-    return CollapseResult(out, full_map, face_map, is_3_connected(out))
+    return CollapseResult(out, full_map, face_map)
 
 
 # --- angle admissibility ----------------------------------------------------

@@ -94,6 +94,11 @@ class Polyhedron:
         return self.vertex_lifts[:, 1:]
 
     @cached_property
+    def report(self) -> PropernessReport:
+        """Vertex kinds and properness at the default ideal band, computed once."""
+        return classify_vertices(self)
+
+    @cached_property
     def normal_matrix(self) -> np.ndarray:
         return np.array([p.normal for p in self.planes])
 
@@ -276,7 +281,7 @@ def edge_lengths(P: Polyhedron) -> dict:
     Zero is possible (almost proper contact); edges ending at ideal
     vertices of the truncation get length ``inf``.
     """
-    report = classify_vertices(P)
+    report = P.report
     if report.is_improper():
         raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
@@ -362,7 +367,7 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     edges arising from the truncation meet the adjacent faces at right
     angles, and distinct truncation faces are disjoint.
     """
-    report = classify_vertices(P)
+    report = P.report
     if report.is_improper():
         raise ImproperInput("cannot truncate an improper polyhedron")
     g = P.skeleton

@@ -101,7 +101,7 @@ def _random_proper_corpus(rng, count, require_hyperideal=False):
                     P = realize_from_angles(g, th, base)
         except (PolyvolError, ValueError):
             continue
-        rep = classify_vertices(P)
+        rep = P.report
         if rep.is_improper():
             continue
         if require_hyperideal and not any(k == PointKind.HYPERIDEAL for k in rep.kinds):
@@ -219,41 +219,35 @@ def criterion_6(seed=0) -> CriterionResult:
     t0 = time.time()
     corpus = [pyramid_graph(n) for n in (4, 5, 6, 7, 8)] + \
              [prism_graph(3), prism_graph(4), cube_graph(), octahedron_graph()]
-    instances = []
-    for g in corpus:
-        for e in g.edges:
-            try:
-                res = edge_collapse(g, e)
-            except PolyvolError:
-                continue
-            if res.three_connected:
-                instances.append((g, res.graph))
-                break
-        if len(instances) >= 10:
-            break
-    # pad with further edges of the last graphs if needed
-    for g in corpus:
-        if len(instances) >= 10:
-            break
-        for e in g.edges[1:]:
-            try:
-                res = edge_collapse(g, e)
-            except PolyvolError:
-                continue
-            if res.three_connected:
-                instances.append((g, res.graph))
-            if len(instances) >= 10:
-                break
+    # One collapse per graph first, then further edges of the same graphs.
+    # A (graph, edge) pair counts once: prism_graph(4) is the cube.
+    instances = {}
+    for per_graph in (1, None):
+        for g in corpus:
+            added = 0
+            for e in g.edges:
+                if len(instances) >= 10 or added == per_graph:
+                    break
+                key = (g.canonical_hash(), e)
+                if key in instances:
+                    continue
+                try:
+                    res = edge_collapse(g, e)
+                except PolyvolError:
+                    continue
+                if res.graph.is_polyhedral():
+                    instances[key] = (g, res.graph)
+                    added += 1
     ok = len(instances) >= 10
     worst = -math.inf
-    for g, g2 in instances[:10]:
+    for g, g2 in instances.values():
         v1 = rectification_volume(g).value
         v2 = rectification_volume(g2).value
         worst = max(worst, v2 - v1)
         ok = ok and (v2 <= v1 + 1e-8)
     elapsed = time.time() - t0
     return CriterionResult(6, "collapse monotonicity", ok,
-                           f"instances={len(instances[:10])} worst gap={worst:.2e}",
+                           f"instances={len(instances)} worst gap={worst:.2e}",
                            elapsed)
 
 

@@ -30,7 +30,6 @@ from .polyhedron import (
     PointKind,
     Polyhedron,
     TruncatedPolyhedron,
-    classify_vertices,
     dihedral_angles,
     edge_lengths,
     truncate,
@@ -365,21 +364,24 @@ def _truncation_region(T: TruncatedPolyhedron):
 
 
 def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
-    """Cone from one ideal vertex into ideal tetrahedra; exact volumes."""
+    """Cone from one ideal vertex into ideal tetrahedra; exact volumes.
+
+    The angles of every tetrahedron go through one Lobachevsky call.
+    """
     charts = T.vertex_charts
     apex = charts[apex_id] / np.linalg.norm(charts[apex_id])
-    total = 0.0
-    count = 0
-    for f, cyc in enumerate(T.skeleton.faces):
+    angles = []
+    for cyc in T.skeleton.faces:
         if apex_id in cyc:
             continue
         poly = charts[list(cyc)]
         poly = poly / np.linalg.norm(poly, axis=1, keepdims=True)
         for k in range(1, len(poly) - 1):
-            total += ideal_tetrahedron_volume(
-                np.array([apex, poly[0], poly[k], poly[k + 1]]), tol=tol)
-            count += 1
-    return total, count
+            angles.append(ideal_tetrahedron_angles(
+                np.array([apex, poly[0], poly[k], poly[k + 1]]), tol=tol))
+    lob = lobachevsky(np.reshape(angles, (-1, 3)))
+    # Tetrahedron by tetrahedron, in the order the scalar sums took.
+    return float(sum((lob[:, 0] + lob[:, 1] + lob[:, 2]).tolist())), len(angles)
 
 
 def _truncation_or_none(P: Polyhedron):
@@ -397,7 +399,7 @@ def _halfspace_region(P: Polyhedron):
     point and the face polygons of the region, in the form
     :func:`truncate` gives, or None if the region has no volume.
     """
-    report = classify_vertices(P)
+    report = P.report
     charts = P.vertex_charts
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
     dirs = []
@@ -471,7 +473,7 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
     """
     if method not in (None, VolumeMethod.KLEIN_QUADRATURE):
         raise ValueError(f"method {method} cannot be forced")
-    report = classify_vertices(P)
+    report = P.report
     if report.is_improper():
         raise ImproperInput("volume needs a proper or almost proper polyhedron")
     T = _truncation_or_none(P)
@@ -511,7 +513,7 @@ def schlafli_residual(path, t0: float, h: float = 1e-4) -> float:
     Pm = path(t0 - h)
     P0 = path(t0)
     Pp = path(t0 + h)
-    reps = [classify_vertices(Q) for Q in (Pm, P0, Pp)]
+    reps = [Q.report for Q in (Pm, P0, Pp)]
     for Q, rep in zip((Pm, P0, Pp), reps):
         if Q.skeleton.faces != P0.skeleton.faces:
             raise PathDiscontinuous("skeleton changes inside the difference window")

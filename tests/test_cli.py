@@ -9,6 +9,7 @@ from polyvol.cli import main
 from polyvol.graphs import format_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import format_polyhedron
 from polyvol.shapes import regular_tetrahedron
+from polyvol.volume import lobachevsky
 
 
 @pytest.fixture
@@ -78,8 +79,6 @@ def test_rectify_emits_planes_and_volume(k4_file, capsys):
 
 
 def test_rectify_pyramid13_prints_antiprism_volume(tmp_path, capsys):
-    from polyvol.volume import lobachevsky
-
     path = tmp_path / "pyr13.graph"
     path.write_text(format_graph(pyramid_graph(13)))
     code, out = run_cli(["rectify", str(path)], capsys)
@@ -128,6 +127,20 @@ def test_flow_deterministic_bytes(hyper_file, capsys):
     _, out1 = run_cli(["--seed", "5", "flow", hyper_file], capsys)
     _, out2 = run_cli(["--seed", "5", "flow", hyper_file], capsys)
     assert out1 == out2
+
+
+def test_flow_nudges_an_ideal_seed(tmp_path, capsys):
+    # Every vertex of the radius-1 regular tetrahedron is ideal, so the
+    # flow first nudges them hyperideal; it then climbs toward 8 L(pi/4).
+    path = tmp_path / "ideal.poly"
+    path.write_text(format_polyhedron(regular_tetrahedron(1.0)))
+    code, out = run_cli(["--seed", "3", "flow", str(path)], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,volume,vol_error,event,skeleton_hash"
+    first, last = (float(line.split(",")[1]) for line in (lines[1], lines[-1]))
+    assert abs(first - 3 * lobachevsky(math.pi / 3)) < 0.02
+    assert abs(last - 8 * lobachevsky(math.pi / 4)) < 0.01
 
 
 def test_env_seed_override(hyper_file, capsys, monkeypatch):

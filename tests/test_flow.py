@@ -9,6 +9,7 @@ from polyvol.errors import (
     NewtonDiverged,
     NoIdealVertices,
     SkeletonChanged,
+    SkeletonMismatch,
     StallDetected,
 )
 from polyvol.flow import (
@@ -23,6 +24,7 @@ from polyvol.flow import (
 )
 from polyvol.graphs import (
     check_hyperideal_angles,
+    cube_graph,
     edge_collapse,
     face_collapse,
     prism_graph,
@@ -182,33 +184,41 @@ def test_flow_compact_tetrahedron_events_and_value(compact_tetra):
 
 
 def test_flow_classifies_each_state_once(compact_tetra, monkeypatch):
-    # Each realization is classified at most once; the all-hyperideal
-    # endgame classifies none.  No state is classified twice, also not
-    # the states an escape deformation starts from and lands on.
+    # No Polyhedron is classified twice, in any module: the kinds live on
+    # the state (Polyhedron.report).  Once the flow is all-hyperideal it
+    # scans no steps, so it classifies a state only to sample its volume
+    # or to evaluate the stopping bound (edge_lengths) there.
     import polyvol.flow as flow
+    import polyvol.polyhedron as polyhedron
 
-    counts = {"classify": 0, "realize": 0}
-    classified = []
+    classified = []  # (polyhedron, in the endgame, inside a sample or bound)
+    state = {"endgame": False, "depth": 0}
+    classify = polyhedron.classify_vertices
 
-    def counted(name, fn):
+    def classify_once(P, *args, **kwargs):
+        assert not any(Q is P for Q, _, _ in classified)
+        classified.append((P, state["endgame"], state["depth"] > 0))
+        return classify(P, *args, **kwargs)
+
+    def evaluation(fn, starts_endgame=False):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+            state["endgame"] |= starts_endgame
+            state["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                state["depth"] -= 1
         return wrapper
 
-    def classify_once(P):
-        assert not any(Q is P for Q in classified)
-        classified.append(P)
-        return classify_vertices(P)
-
-    monkeypatch.setattr(flow, "classify_vertices", counted("classify", classify_once))
-    monkeypatch.setattr(flow, "realize_from_angles",
-                        counted("realize", flow.realize_from_angles))
+    monkeypatch.setattr(polyhedron, "classify_vertices", classify_once)
+    monkeypatch.setattr(flow, "edge_lengths", evaluation(flow.edge_lengths, True))
+    monkeypatch.setattr(flow, "polyhedron_volume", evaluation(flow.polyhedron_volume))
     trace = run_flow(compact_tetra, FlowOptions(seed=12))
     kinds = [e.kind for e in trace.events]
     assert FlowEventKind.BECAME_HYPERIDEAL_ONLY in kinds
     assert kinds.count(FlowEventKind.VERTEX_BECAME_IDEAL) == 4
-    assert counts["classify"] <= counts["realize"]
+    endgame = [inside for _, in_endgame, inside in classified if in_endgame]
+    assert endgame and all(endgame)
 
 
 def test_flow_event_localization_matches_angle_sum():
@@ -348,6 +358,11 @@ def test_sup_volume_nudges_ideal_seed():
     val = sup_volume(tetrahedron_graph(), regular_tetrahedron(1.0),
                      FlowOptions(seed=17))
     assert abs(val - V8) / V8 < 0.01
+
+
+def test_sup_volume_checks_seed_skeleton():
+    with pytest.raises(SkeletonMismatch):
+        sup_volume(cube_graph(), regular_tetrahedron(0.55), FlowOptions(seed=17))
 
 
 def test_trace_csv_shape(hyperideal_tetra):

@@ -61,17 +61,72 @@ def test_is_3_connected(corpus_graphs):
         assert nx.node_connectivity(to_networkx(g)) >= 3
 
 
-def test_path_graph_not_3_connected():
-    # K4 minus an edge embeds with a 2-cut; build as two triangles glued.
-    g = PlanarGraph(4, ((0, 1, 2), (1, 3, 2), (0, 2, 3), (0, 3, 1)))
-    # this is K4 again; instead test via networkx on a genuine 2-cut graph
-    G = nx.path_graph(4)
-    assert nx.node_connectivity(G) == 1
+def test_two_edge_collapses_of_cube_leave_a_2_cut():
+    # Collapsing two opposite edges of the cube leaves a vertex pair as a 2-cut.
+    g = edge_collapse(edge_collapse(cube_graph(), (0, 1)).graph, (5, 6)).graph
+    assert nx.node_connectivity(to_networkx(g)) == 2
+    assert not is_3_connected(g)
+    assert not g.is_polyhedral()
+    with pytest.raises(NotPolyhedral):
+        dual_graph(g)
 
 
-def test_cube_3_connected_brute_force_matches_networkx(corpus_graphs):
-    g = corpus_graphs["cube"]
-    assert is_3_connected(g) == (nx.node_connectivity(to_networkx(g)) >= 3)
+def test_cubes_glued_at_two_vertices_are_no_sphere_map():
+    # Face cycles that pass the format checks but pinch the surface at the
+    # two shared vertices (a 2-cut): the criterion needs a sphere map.
+    faces = cube_graph().faces
+    relabel = {0: 0, 6: 6, 1: 8, 2: 9, 3: 10, 4: 11, 5: 12, 7: 13}
+    g = PlanarGraph(14, faces + tuple(tuple(relabel[v] for v in f) for f in faces))
+    assert nx.node_connectivity(to_networkx(g)) == 2
+    with pytest.raises(BadFormat):
+        is_3_connected(g)
+    with pytest.raises(BadFormat):
+        g.is_polyhedral()
+
+
+def _collapses(g):
+    for e in g.edges:
+        try:
+            yield edge_collapse(g, e).graph
+        except CollapseMakesDegenerate:
+            pass
+    for f, cyc in enumerate(g.faces):
+        for split in range(2 * len(cyc)):
+            try:
+                yield face_collapse(g, f, split).graph
+            except CollapseMakesDegenerate:
+                pass
+
+
+def test_is_3_connected_matches_networkx_on_collapses(corpus_graphs):
+    # The polyhedral-map criterion against networkx on the corpus graphs
+    # and the hexagonal prism, their edge and face collapses, and the
+    # collapses of those: 440 graphs, 58 of them not 3-connected.
+    graphs = {}
+    for g in [*corpus_graphs.values(), prism_graph(6)]:
+        graphs[g.canonical_hash()] = g
+        for h in _collapses(g):
+            graphs[h.canonical_hash()] = h
+            for k in _collapses(h):
+                graphs.setdefault(k.canonical_hash(), k)
+    verdicts = [(is_3_connected(g), nx.node_connectivity(to_networkx(g)) >= 3)
+                for g in graphs.values()]
+    assert len(verdicts) == 440
+    assert sum(not expected for _, expected in verdicts) == 58
+    assert all(got == expected for got, expected in verdicts)
+
+
+def test_is_polyhedral_tests_each_graph_once(monkeypatch):
+    import polyvol.graphs as graphs
+
+    calls = []
+    monkeypatch.setattr(graphs, "is_3_connected",
+                        lambda g: calls.append(g) or is_3_connected(g))
+    g = cube_graph()
+    assert g.is_polyhedral() and g.is_polyhedral()
+    dual_graph(g)
+    medial_graph(g)
+    assert calls == [g]
 
 
 # --- dual and medial -------------------------------------------------------------
@@ -134,7 +189,7 @@ def test_edge_collapse_k4_degenerates():
 
 def test_edge_collapse_square_pyramid_base_gives_k4():
     res = edge_collapse(pyramid_graph(4), (1, 2))
-    assert res.three_connected
+    assert res.graph.is_polyhedral()
     assert iso(res.graph, tetrahedron_graph())
     # spec calls this the "apex edge" example; the lateral (apex-incident)
     # collapse degenerates instead, so the base edge is the K4 instance
