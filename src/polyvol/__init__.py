@@ -8,11 +8,9 @@ from .core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    Separation,
     classify_point,
     dihedral_angle,
     polar_plane,
-    poles_separated,
 )
 from .graphs import (
     AdmissibilityStatus,

@@ -69,7 +69,7 @@ def _boundary_stresses(g: PlanarGraph, outer: int, pos):
     sol, res, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ sol - b))
     if resid > 1e-8:
-        raise SolverDiverged(f"stress extension residual {resid:.3g}", residual=resid)
+        raise SolverDiverged(f"stress extension residual {resid:.3g}")
     return {e: sol[i] for e, i in be_index.items()}
 
 

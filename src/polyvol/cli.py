@@ -2,12 +2,9 @@
 
 Subcommands: classify, angles-check, volume, rectify, flow, selftest.
 Exit codes: 0 success, 1 domain error (with a machine-readable
-``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact unless
-``volume`` is given ``--quad-tol`` or ``--quad-budget``, which switch it
-to Klein quadrature; a quadrature volume that ran out of its budget adds
-a ``WARN BudgetExceeded`` line on stderr.  All numeric output uses 12
-significant digits; the environment variable ``POLYVOL_SEED`` overrides
-``--seed``.
+``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact.  All
+numeric output uses 12 significant digits; the environment variable
+``POLYVOL_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -70,15 +67,10 @@ def _cmd_angles_check(args) -> int:
 
 def _cmd_volume(args) -> int:
     from .polyhedron import parse_polyhedron
-    from .volume import VolumeMethod, polyhedron_volume
+    from .volume import polyhedron_volume
 
     P = parse_polyhedron(_read(args.input), rectified=args.rectified)
-    quad = {key: value for key, value in (("tol", args.quad_tol), ("budget", args.quad_budget))
-            if value is not None}
-    res = polyhedron_volume(P, method=VolumeMethod.KLEIN_QUADRATURE if quad else None, **quad)
-    if res.budget_exceeded:
-        sys.stderr.write(f"WARN BudgetExceeded evaluations={res.evaluations} "
-                         f"error={_fmt(res.error_estimate)}\n")
+    res = polyhedron_volume(P)
     _emit(f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n", args.out)
     return 0
 
@@ -104,8 +96,7 @@ def _cmd_flow(args) -> int:
     P = parse_polyhedron(_read(args.input))
     if any(k == PointKind.IDEAL for k in P.report.kinds):
         P = nudge_ideal_vertices(P)
-    opts = FlowOptions(seed=args.seed, t_floor=args.t_floor)
-    trace = run_flow(P, opts)
+    trace = run_flow(P, FlowOptions(seed=args.seed))
     _emit(trace_to_csv(trace), args.out)
     return 0
 
@@ -133,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed (env POLYVOL_SEED overrides)")
     p.add_argument("--tol-ideal", type=float, default=1e-9,
                    help="ideal-band tolerance on |p| - 1")
-    p.add_argument("--quad-tol", type=float, default=None,
-                   help="volume by Klein quadrature to this absolute tolerance "
-                        "(default 1e-5 once quadrature is chosen)")
-    p.add_argument("--quad-budget", type=int, default=None,
-                   help="volume by Klein quadrature within this many evaluations "
-                        "(default 10000000 once quadrature is chosen)")
     p.add_argument("--out", default=None, help="write output to a file")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -164,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("flow", help="volume-increasing angle flow (CSV trace)")
     c.add_argument("input", help="polyhedron text file (the flow seed)")
-    c.add_argument("--t-floor", type=float, default=1e-3)
     c.set_defaults(func=_cmd_flow)
 
     c = sub.add_parser("selftest", help="run the acceptance corpus")

@@ -34,6 +34,8 @@ from .errors import (
 
 #: Half-width of the band around the unit sphere treated as "ideal".
 TAU_IDEAL = 1e-9
+#: Slack on |<n1, n2>| <= 1 and on coinciding normals in :func:`dihedral_angle`.
+PLANE_TOL = 1e-9
 
 MINKOWSKI_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -65,15 +67,6 @@ class PointKind(enum.Enum):
     REAL = "Real"
     IDEAL = "Ideal"
     HYPERIDEAL = "Hyperideal"
-
-    def __str__(self):
-        return self.value
-
-
-class Separation(enum.Enum):
-    SEGMENT_THROUGH = "SegmentThrough"
-    HALF_LINE_THROUGH = "HalfLineThrough"
-    NEITHER = "Neither"
 
     def __str__(self):
         return self.value
@@ -151,7 +144,7 @@ class OrientedPlane:
         return f"OrientedPlane({self.normal!r})"
 
 
-def polar_plane(p, tol: float = TAU_IDEAL) -> OrientedPlane:
+def polar_plane(p) -> OrientedPlane:
     """Polar plane of a hyperideal point, oriented so the half-space holds the origin.
 
     In the chart the plane is ``{p . x = 1}`` and the half-space is
@@ -159,7 +152,7 @@ def polar_plane(p, tol: float = TAU_IDEAL) -> OrientedPlane:
     orthogonally.
     """
     coords = np.asarray(p, dtype=float)
-    if np.linalg.norm(coords) <= 1.0 + tol:
+    if np.linalg.norm(coords) <= 1.0 + TAU_IDEAL:
         raise PoleNotHyperideal(f"|p| = {np.linalg.norm(coords):.12g} <= 1 + tol")
     return OrientedPlane(normal=lift(coords))
 
@@ -180,54 +173,18 @@ def segment_min_norm2(a, b):
     return t, float(q @ q)
 
 
-def ray_min_norm2(a, d):
-    """Minimum of |a + t d|^2 over t >= 0."""
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(d, dtype=float)
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(a @ a)
-    t = max(0.0, -(a @ d) / dd)
-    q = a + t * d
-    return float(q @ q)
-
-
-def poles_separated(p, q, tol: float = TAU_IDEAL) -> Separation:
-    """How the polar half-spaces of two hyperideal points relate.
-
-    SegmentThrough: the chart segment pq meets H^3 (then the polar planes
-    lie in each other's half-spaces).  HalfLineThrough: only the half-line
-    from p through q meets H^3 (then H_p is contained in H_q).
-    """
-    pc = np.asarray(p, dtype=float)
-    qc = np.asarray(q, dtype=float)
-    for c in (pc, qc):
-        if np.linalg.norm(c) <= 1.0 + tol:
-            raise PoleNotHyperideal("both points must be hyperideal")
-    _, seg = segment_min_norm2(pc, qc)
-    if seg < 1.0:
-        return Separation.SEGMENT_THROUGH
-    if ray_min_norm2(pc, qc - pc) < 1.0:
-        return Separation.HALF_LINE_THROUGH
-    return Separation.NEITHER
-
-
-def dihedral_angle(a: OrientedPlane, b: OrientedPlane, tol: float = 1e-9) -> float:
+def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
     """Interior dihedral angle between two selected half-spaces, in [0, pi].
 
     0 exactly when the intersection line is tangent to the sphere at
     infinity (within tolerance).  Raises if the planes coincide or their
     intersection misses the closed ball.
     """
-    g = float(mdot(a.normal, b.normal))
-    if abs(g) > 1.0 + tol:
-        d = np.linalg.norm(a.normal - b.normal)
-        s = np.linalg.norm(a.normal + b.normal)
-        if min(d, s) < tol:
-            raise PlanesEqual("planes coincide")
-        raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g):.12g} > 1")
-    if min(np.linalg.norm(a.normal - b.normal), np.linalg.norm(a.normal + b.normal)) < tol:
+    if min(np.linalg.norm(a.normal - b.normal), np.linalg.norm(a.normal + b.normal)) < PLANE_TOL:
         raise PlanesEqual("planes coincide")
+    g = float(mdot(a.normal, b.normal))
+    if abs(g) > 1.0 + PLANE_TOL:
+        raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g):.12g} > 1")
     # Clamp guards the tangency limit where |g| grazes 1.
     return float(math.acos(np.clip(-g, -1.0, 1.0)))
 

@@ -101,10 +101,6 @@ class PathDiscontinuous(PolyvolError):
 class SolverDiverged(PolyvolError):
     code = "SolverDiverged"
 
-    def __init__(self, detail: str = "", residual: float = float("nan")):
-        super().__init__(detail)
-        self.residual = residual
-
 
 # --- flow -----------------------------------------------------------------
 
@@ -114,10 +110,6 @@ class NewtonDiverged(PolyvolError):
 
 class SkeletonChanged(PolyvolError):
     code = "SkeletonChanged"
-
-    def __init__(self, detail: str = "", witness=None):
-        super().__init__(detail)
-        self.witness = witness
 
 
 class NoIdealVertices(PolyvolError):

@@ -27,10 +27,8 @@ from .core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    Separation,
     TAU_IDEAL,
     lift,
-    poles_separated,
 )
 from .errors import (
     CollapseMakesDegenerate,
@@ -74,6 +72,10 @@ PERTURBATION = 1e-6
 #: Accepted steps between recorded samples.
 SAMPLE_EVERY = 10
 MAX_STEPS = 20000
+#: The all-hyperideal endgame stops at this t at the latest.
+T_FLOOR = 1e-3
+#: Volume drop allowed between consecutive samples, beyond their error estimates.
+EVENT_SLACK = 2e-3
 
 
 # --- realization with prescribed angles --------------------------------------
@@ -109,7 +111,7 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
     try:
         return build_polyhedron(planes, g)
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
-        raise SkeletonChanged(str(exc), witness=exc)
+        raise SkeletonChanged(str(exc)) from exc
 
 
 # --- deformations handling degenerations --------------------------------------
@@ -159,12 +161,12 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
                        delta: float = 1e-5) -> Polyhedron:
     """Translate P so the near-ideal vertex v becomes just hyperideal.
 
-    A hyperideal probe point near v supplies a separating polar plane;
-    the translation along its normal keeps every hyperideal vertex
-    inside its tangent cone, so properness survives.  With
+    The translation runs along v's chart direction, growing from the
+    distance that takes v just past the sphere.  Each candidate must keep
+    the skeleton and properness and make no other vertex ideal.  With
     ``almost_pole`` set (the vertex whose polar plane contains v) the
     translation gains a component along that polar plane's inward
-    normal, freeing the almost-proper incidence.
+    normal, and the candidate must free the almost-proper incidence.
     """
     charts = P.vertex_charts
     x = charts[v]
@@ -172,20 +174,6 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     if r > 1.0 + 10 * TAU_IDEAL:
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
-    hyper = [w for w, k in enumerate(P.report.kinds) if k == PointKind.HYPERIDEAL and w != v]
-
-    probe = (1.0 + max(delta, 2.0 * (1.0 - r) + delta)) * u
-    for w in range(len(charts)):
-        if w == v or w == almost_pole:
-            continue
-        if 1.0 - float(probe @ charts[w]) <= 10 * TAU_IDEAL:
-            raise NoSeparatingPlane(f"vertex {w} is not separated from {v}")
-    for h in hyper:
-        if h == almost_pole:
-            continue
-        if poles_separated(probe, charts[h], TAU_IDEAL) != Separation.SEGMENT_THROUGH:
-            raise NoSeparatingPlane(f"polar plane of vertex {h} is not separated")
-
     lam0 = (1.0 + delta) - r
     if lam0 <= 0:
         lam0 = delta
@@ -278,20 +266,19 @@ class FlowTrace:
     sup_error: float
     seed: int
 
-    def volumes_nondecreasing(self, event_slack: float = 2e-3) -> bool:
+    def volumes_nondecreasing(self) -> bool:
         vals = [(s.volume.value, s.volume.error_estimate) for s in self.samples]
         for (v1, e1), (v2, e2) in zip(vals, vals[1:]):
-            if v2 < v1 - (e1 + e2 + event_slack):
+            if v2 < v1 - (e1 + e2 + EVENT_SLACK):
                 return False
         return True
 
 
 @dataclass
 class FlowOptions:
-    """Seed of the angle jitter; ``t`` at which the all-hyperideal endgame stops."""
+    """Seed of the angle jitter."""
 
     seed: int = 0
-    t_floor: float = 1e-3
 
 
 def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
@@ -479,7 +466,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             lens = edge_lengths(P)
             bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
             vol_here = samples[-1].volume.value if samples else 0.0
-            if bound < ENDGAME_REL * max(vol_here, 1e-9) or t <= opts.t_floor:
+            if bound < ENDGAME_REL * max(vol_here, 1e-9) or t <= T_FLOOR:
                 final_vol = polyhedron_volume(P)
                 sup = final_vol.value + 0.5 * bound
                 err = 0.5 * bound + final_vol.error_estimate

@@ -28,6 +28,9 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+#: An angle sum within this of its Bao-Bonahon bound is an equality case.
+EQUALITY_TOL = 1e-9
+
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -495,7 +498,7 @@ def _simple_paths(adj, src, dst):
     return paths
 
 
-def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> AdmissibilityReport:
+def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport:
     """Check the linear conditions characterizing hyperideal dihedral angles.
 
     These are the Bao-Bonahon inequalities over transverse curves: for a
@@ -505,7 +508,7 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> 
     sum must be strictly below (h-1)pi unless the crossed edges share a
     vertex.  Curves are enumerated exhaustively through the dual graph.
 
-    Equality cases sitting on a bound (within tol) are reported in
+    Equality cases sitting on a bound (within EQUALITY_TOL) are reported in
     ``equality_cases``; those not exempted by a shared vertex make the
     vector inadmissible.
     """
@@ -532,7 +535,7 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict, tol: float = 1e-9) -> 
         if shares and kind == CurveKind.ARC:
             return None  # condition waived when the crossed edges share a vertex
         w = Witness(kind, tuple(crossed), total, bound, shares)
-        if abs(total - bound) <= tol:
+        if abs(total - bound) <= EQUALITY_TOL:
             if shares:  # a closed curve: equality allowed
                 equalities.append(w)
                 return None

@@ -68,9 +68,6 @@ class PropernessReport:
     witnesses: tuple  # per vertex: offending pole vertex id or None
     overall: VertexStatus
 
-    def is_proper(self) -> bool:
-        return self.overall == VertexStatus.PROPER
-
     def is_improper(self) -> bool:
         return self.overall == VertexStatus.IMPROPER
 
@@ -101,10 +98,6 @@ class Polyhedron:
     @cached_property
     def normal_matrix(self) -> np.ndarray:
         return np.array([p.normal for p in self.planes])
-
-    def face_polygon(self, f: int) -> np.ndarray:
-        """Chart coordinates of face f's vertex cycle, as rows."""
-        return self.vertex_charts[list(self.skeleton.faces[f])]
 
 
 def _vertex_from_planes(normals: np.ndarray):
@@ -382,7 +375,7 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         )
     hyper_set = set(hyper)
     charts = P.vertex_charts
-    polars = {v: polar_plane(charts[v], TAU_IDEAL) for v in hyper}
+    polars = {v: polar_plane(charts[v]) for v in hyper}
 
     pool = _NodePool(MERGE_TOL)
 

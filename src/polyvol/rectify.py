@@ -133,8 +133,7 @@ def _max_volume_angles(m: PlanarGraph):
     gap = float(np.max(np.abs(A @ x - b)))
     if norm >= SOLVE_TOL or gap > 1e-10:
         raise SolverDiverged(
-            f"angle structure solve stalled (residual {norm:.3g}, equations {gap:.3g})",
-            residual=norm)
+            f"angle structure solve stalled (residual {norm:.3g}, equations {gap:.3g})")
     return tris, x.reshape(-1, 3), norm
 
 
@@ -241,8 +240,7 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
         "centering": float(np.linalg.norm(tang.sum(axis=0))),
     }
     if residuals["tangency"] > 1e-8:
-        raise SolverDiverged(f"tangency residual {residuals['tangency']:.3g}",
-                             residual=residuals["tangency"])
+        raise SolverDiverged(f"tangency residual {residuals['tangency']:.3g}")
     return MidspherePacking(graph=g, face_normals=normals, vertex_lifts=lifts,
                             tangency_points=tang, residuals=residuals)
 

@@ -13,6 +13,11 @@ from .polyhedron import Polyhedron, build_polyhedron
 
 _TETRA_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        dtype=float) / math.sqrt(3)
+#: Range of the chart radius of a jittered compact seed.
+JITTER_SCALES = (0.35, 0.75)
+#: Range of the sampled angles of a random hyperideal seed, and the draws allowed.
+HYPERIDEAL_ANGLES = (0.1, 0.75)
+HYPERIDEAL_TRIES = 200
 
 
 def regular_tetrahedron(radius: float, rectified: bool = False) -> Polyhedron:
@@ -50,9 +55,9 @@ def compact_realization(g: PlanarGraph, scale: float = 0.6) -> Polyhedron:
     return build_polyhedron(planes_from_vertices(pts, g), g)
 
 
-def jittered_compact(g: PlanarGraph, rng, scale_range=(0.35, 0.75)) -> Polyhedron:
+def jittered_compact(g: PlanarGraph, rng) -> Polyhedron:
     """Random proper seed: a compact realization, randomly scaled and moved."""
-    scale = float(rng.uniform(*scale_range))
+    scale = float(rng.uniform(*JITTER_SCALES))
     P = compact_realization(g, scale=scale)
     L = random_isometry(rng)
     planes = tuple(apply_lorentz(L, pl) for pl in P.planes)
@@ -94,8 +99,7 @@ def equiangular_hyperideal(g: PlanarGraph, angle: float) -> Polyhedron:
     return realize_continuation(g, {e: angle for e in g.edges}, seed)
 
 
-def random_hyperideal(g: PlanarGraph, rng, lo: float = 0.1, hi: float = 0.75,
-                      tries: int = 200) -> Polyhedron:
+def random_hyperideal(g: PlanarGraph, rng) -> Polyhedron:
     """Random proper seed with all vertices hyperideal.
 
     Samples angle vectors until one passes the admissibility check, then
@@ -107,8 +111,8 @@ def random_hyperideal(g: PlanarGraph, rng, lo: float = 0.1, hi: float = 0.75,
     kmax = max(g.degree(v) for v in range(g.n_vertices))
     eps = min(0.3, 0.8 * math.pi / kmax)
     base = equiangular_hyperideal(g, eps)
-    for _ in range(tries):
-        th = {e: float(rng.uniform(lo, hi)) for e in g.edges}
+    for _ in range(HYPERIDEAL_TRIES):
+        th = {e: float(rng.uniform(*HYPERIDEAL_ANGLES)) for e in g.edges}
         if check_hyperideal_angles(g, th).admissible:
             return realize_continuation(g, th, base)
-    raise ValueError(f"no admissible angle vector found in {tries} draws")
+    raise ValueError(f"no admissible angle vector found in {HYPERIDEAL_TRIES} draws")

@@ -8,7 +8,6 @@ from polyvol.core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    Separation,
     apply_lorentz,
     boost_to_origin,
     classify_point,
@@ -16,7 +15,6 @@ from polyvol.core import (
     lift,
     mdot,
     polar_plane,
-    poles_separated,
     random_isometry,
 )
 from polyvol.errors import (
@@ -141,14 +139,11 @@ def test_plane_complement_involution():
     assert not pl.complement().contains([0, 0, 0])
 
 
-# --- pole separation ------------------------------------------------------------
+# --- polar half-spaces of two poles ----------------------------------------------
 
-def test_poles_separated_examples(rng):
-    assert poles_separated([-2, 0, 0], [2, 0, 0]) == Separation.SEGMENT_THROUGH
-    assert poles_separated([4, 0, 0], [2, 0, 0]) == Separation.HALF_LINE_THROUGH
-    assert poles_separated([2, 0, 0], [0, 2.5, 0]) == Separation.NEITHER
-
-    # SegmentThrough forces mutual polar containment, sampled.
+def test_polar_half_spaces_contain_each_other(rng):
+    # The segment pq meets H^3: each polar plane lies in the other's
+    # half-space, sampled.
     p, q = np.array([-2.0, 0, 0]), np.array([2.0, 0, 0])
     Pp, Pq = polar_plane(p), polar_plane(q)
     for plane, other in ((Pp, Pq), (Pq, Pp)):
@@ -160,23 +155,14 @@ def test_poles_separated_examples(rng):
             if np.linalg.norm(pt) < 1.0:
                 assert other.contains(pt, slack=1e-12)
 
-    # HalfLineThrough forces H_p inside H_q ({x <= 1/4} inside {x <= 1/2}).
+    # Only the half-line from p through q meets H^3: H_p lies inside H_q
+    # ({x <= 1/4} inside {x <= 1/2}).
     p, q = np.array([4.0, 0, 0]), np.array([2.0, 0, 0])
     Hq = polar_plane(q)
     for _ in range(1000):
         pt = rng.uniform(-1, 1, size=3)
         if np.linalg.norm(pt) < 1.0 and polar_plane(p).contains(pt):
             assert Hq.contains(pt, slack=1e-12)
-
-
-def test_poles_separated_symmetry(rng):
-    for _ in range(50):
-        p = rng.uniform(-3, 3, size=3)
-        q = rng.uniform(-3, 3, size=3)
-        if min(np.linalg.norm(p), np.linalg.norm(q)) < 1.2:
-            continue
-        if poles_separated(p, q) == Separation.SEGMENT_THROUGH:
-            assert poles_separated(q, p) == Separation.SEGMENT_THROUGH
 
 
 # --- dihedral angles -------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polyvol.core import AffineDeformation
 from polyvol.errors import (
     CollapseMakesDegenerate,
     ImproperInput,
@@ -23,6 +24,7 @@ from polyvol.flow import (
     trace_to_csv,
 )
 from polyvol.graphs import (
+    PlanarGraph,
     check_hyperideal_angles,
     cube_graph,
     edge_collapse,
@@ -49,6 +51,25 @@ from polyvol.shapes import (
 from polyvol.volume import lobachevsky, polyhedron_volume
 
 V8 = 8 * lobachevsky(math.pi / 4)
+
+
+def replay(g, events):
+    """The skeleton left after applying the trace's collapse events to g."""
+    for e in events:
+        if e.kind == FlowEventKind.EDGE_COLLAPSED:
+            g = edge_collapse(g, e.data["edge"]).graph
+        elif e.kind == FlowEventKind.FACE_COLLAPSED:
+            g = face_collapse(g, e.data["face"], e.data["split"]).graph
+    return g
+
+
+@pytest.fixture(scope="module")
+def prism_collapse_trace():
+    # the spring-embedded compact prism; one flow shared by the tests below
+    g = prism_graph(3)
+    rng = np.random.default_rng(5)
+    P0 = jittered_compact(g, rng)
+    return g, run_flow(P0, FlowOptions(seed=1000))
 
 
 # --- realize_from_angles ---------------------------------------------------------
@@ -238,20 +259,13 @@ def test_flow_event_localization_matches_angle_sum():
 def test_flow_pyramid_with_hyperideal_apex():
     g = pyramid_graph(4)
     P = compact_realization(g, scale=0.55)
-    # push the apex out: homothety centered below the base
-    from polyvol.core import _apply_matrix_plane
-    import numpy as np
-    apex = P.vertex_charts[0]
-    T = np.eye(4)
-    factor = 1.35 / np.linalg.norm(apex)
-    center = P.vertex_charts[1:].mean(axis=0)
-    T[1:, 1:] *= factor
-    T[1:, 0] = (1 - factor) * center
-    planes = tuple(_apply_matrix_plane(T, pl) for pl in P.planes)
-    P2 = build_polyhedron(planes, g)
+    # push the apex out: homothety centered at the base's vertex centroid
+    factor = 1.35 / np.linalg.norm(P.vertex_charts[0])
+    H = AffineDeformation.homothety(P.vertex_charts[1:].mean(axis=0), factor)
+    P2 = build_polyhedron(tuple(H.apply_plane(pl) for pl in P.planes), g)
     rep = classify_vertices(P2)
-    if rep.kinds[0] != PointKind.HYPERIDEAL or rep.is_improper():
-        pytest.skip("construction did not produce the hyperideal-apex seed")
+    assert rep.kinds[0] == PointKind.HYPERIDEAL
+    assert rep.overall == VertexStatus.PROPER
     trace = run_flow(P2, FlowOptions(seed=14))
     target = rectification_volume(g).value
     assert abs(trace.sup_estimate - target) / target < 0.01
@@ -259,14 +273,11 @@ def test_flow_pyramid_with_hyperideal_apex():
     assert all(k == PointKind.HYPERIDEAL for k in rep_final.kinds)
 
 
-def test_flow_prism_collapse_path():
+def test_flow_prism_collapse_path(prism_collapse_trace):
     # the spring-embedded compact prism degenerates along the scaled-angle
     # path: the top triangle shrinks to a vertex, the skeleton rewrites to
     # the tetrahedron, and the flow continues to the collapsed target
-    g = prism_graph(3)
-    rng = np.random.default_rng(5)
-    P0 = jittered_compact(g, rng)
-    trace = run_flow(P0, FlowOptions(seed=1000))
+    _, trace = prism_collapse_trace
     kinds = [e.kind for e in trace.events]
     assert (FlowEventKind.FACE_COLLAPSED in kinds
             or FlowEventKind.EDGE_COLLAPSED in kinds)
@@ -285,18 +296,28 @@ def test_flow_prism_hyperideal_reaches_prism_rectification():
     assert trace.final_skeleton.faces == g.faces
 
 
-def test_flow_skeleton_rewrites_replay():
-    g = prism_graph(3)
-    rng = np.random.default_rng(5)
-    P0 = jittered_compact(g, rng)
-    trace = run_flow(P0, FlowOptions(seed=1000))
-    current = g
-    for e in trace.events:
-        if e.kind == FlowEventKind.EDGE_COLLAPSED:
-            current = edge_collapse(current, e.data["edge"]).graph
-        elif e.kind == FlowEventKind.FACE_COLLAPSED:
-            current = face_collapse(current, e.data["face"], e.data["split"]).graph
+def test_flow_skeleton_rewrites_replay(prism_collapse_trace):
+    g, trace = prism_collapse_trace
+    current = replay(g, trace.events)
     assert current.faces == trace.final_skeleton.faces
+
+
+def test_flow_stacked_triangulation_reaches_collapsed_rectification():
+    # A stacked triangulation with 10 vertices: from this compact seed a
+    # face collapses, and the flow reaches the rectification volume of the
+    # skeleton left after the collapse, below the bound rect(G).
+    g = PlanarGraph(10, ((0, 2, 3), (1, 3, 4), (0, 1, 5), (1, 2, 5), (2, 0, 5), (0, 3, 6),
+                         (3, 1, 6), (1, 0, 6), (3, 2, 7), (2, 4, 7), (4, 3, 7), (1, 4, 8),
+                         (4, 2, 8), (2, 1, 9), (1, 8, 9), (8, 2, 9)))
+    trace = run_flow(jittered_compact(g, np.random.default_rng(17)), FlowOptions(seed=17))
+    assert any(e.kind in (FlowEventKind.EDGE_COLLAPSED, FlowEventKind.FACE_COLLAPSED)
+               for e in trace.events)
+    assert trace.volumes_nondecreasing()
+    final = rectification_volume(trace.final_skeleton).value
+    assert abs(trace.sup_estimate - final) / final < 0.01
+    assert final <= rectification_volume(g).value
+    assert (replay(g, trace.events).canonical_hash()
+            == trace.final_skeleton.canonical_hash())
 
 
 def test_flow_endgame_stays_admissible(hyperideal_tetra):
@@ -347,6 +368,22 @@ def test_flow_stall_escape_into_hyperideal_stratum_is_an_event(monkeypatch):
                                         FlowEventKind.BECAME_HYPERIDEAL_ONLY]
     assert events[0].data == {"vertex": 0}
     assert events[1].t_value == events[0].t_value
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flow_almost_proper_seed_stalls_known_failure(seed):
+    # Known failure: vertex 0 starts on the polar plane of vertex 1, so the
+    # flow holds that incidence.  Once vertices 3 and 2 have escaped, vertex 0
+    # reaches the sphere and no escape translation takes it out of the ball.
+    # A fix makes this flow run through; then this test must expect success.
+    g = tetrahedron_graph()
+    verts = np.array([[1 / 1.5, 0.0, 0.3], [1.5, 0.0, 0.0],
+                      [-0.5, 0.55, -0.3], [-0.5, -0.55, -0.3]])
+    P = build_polyhedron(planes_from_vertices(verts, g), g)
+    assert P.report.statuses[0] == VertexStatus.ALMOST_PROPER
+    with pytest.raises(StallDetected, match="escape left vertex 0 inside the ball") as info:
+        run_flow(P, FlowOptions(seed=seed))
+    assert info.value.trace.samples and info.value.trace.events
 
 
 def test_flow_rejects_bad_seeds():
