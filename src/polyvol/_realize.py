@@ -6,14 +6,19 @@ normals, vertex-on-plane incidences, prescribed values of <n_f, n_g>
 per edge (cosine targets), and optional held incidences pinning a
 vertex onto the polar plane of another.
 
-The isometry group of H^3 leaves the system invariant, so the Jacobian
-has a 6-dimensional kernel at solutions; least-squares steps pick the
-minimal-norm correction, which keeps the iterate close to its seed.
+The flat indices of the Jacobian's nonzeros depend on the graph alone
+(``PlanarGraph.jacobian_layout``, computed once per graph); each
+evaluation scatters one concatenated value array into them.  The
+isometry group of H^3 leaves the system invariant, so J has a
+6-dimensional kernel at solutions.  Each step is the minimal-norm,
+Marquardt-damped correction d = -J^T (J J^T + lambda I)^{-1} r, the
+least-squares solution of J over sqrt(lambda) I, by one solve in the
+row space; it keeps the iterate close to its seed.  A singular J J^T
+at lambda = 0 fails the attempt, which raises lambda.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,42 +40,50 @@ class SolveReport:
     message: str = ""
 
 
-def _residual_and_jacobian(g: PlanarGraph, normals, verts, gram_targets, held):
-    Filt = [(e, t) for e, t in gram_targets.items() if t is not None]
-    nF = len(normals)
-    nV = len(verts)
-    n_rows = nF + sum(len(cyc) for cyc in g.faces) + len(Filt) + len(held)
-    n_cols = 4 * nF + 3 * nV
-    r = np.zeros(n_rows)
-    J = np.zeros((n_rows, n_cols))
-    eta = MINKOWSKI_SIGNS
-    row = 0
-    for f in range(nF):
-        n = normals[f]
-        r[row] = 0.5 * (float(np.sum(n * n * eta)) - 1.0)
-        J[row, 4 * f:4 * f + 4] = eta * n
-        row += 1
-    for f, cyc in enumerate(g.faces):
-        n = normals[f]
-        for v in cyc:
-            r[row] = -n[0] + float(n[1:] @ verts[v])
-            J[row, 4 * f] = -1.0
-            J[row, 4 * f + 1:4 * f + 4] = verts[v]
-            J[row, 4 * nF + 3 * v:4 * nF + 3 * v + 3] = n[1:]
-            row += 1
-    for e, target in Filt:
-        f1, f2 = g.edge_faces[e]
-        n1, n2 = normals[f1], normals[f2]
-        r[row] = float(np.sum(n1 * n2 * eta)) - target
-        J[row, 4 * f1:4 * f1 + 4] = eta * n2
-        J[row, 4 * f2:4 * f2 + 4] = eta * n1
-        row += 1
-    for (w, u) in held:
-        r[row] = float(verts[u] @ verts[w]) - 1.0
-        J[row, 4 * nF + 3 * w:4 * nF + 3 * w + 3] = verts[u]
-        J[row, 4 * nF + 3 * u:4 * nF + 3 * u + 3] = verts[w]
-        row += 1
-    return r, J
+class _PlaneSystem:
+    """Residual and Jacobian for fixed targets and held incidences."""
+
+    def __init__(self, g: PlanarGraph, gram_targets: dict, held):
+        inc, flat, gram_cols = g.jacobian_layout
+        nF, n_cols = len(g.faces), 4 * len(g.faces) + 3 * g.n_vertices
+        active = [(g.edge_index[e], t) for e, t in gram_targets.items() if t is not None]
+        edges = np.array([i for i, _ in active], dtype=int)
+        self.targets = np.array([t for _, t in active])
+        self.inc_f, self.inc_v = inc.T
+        self.minus_ones = np.full(len(inc), -1.0)
+        self.f1, self.f2 = gram_cols[edges, 0] // 4, gram_cols[edges, 4] // 4
+        self.held_w, self.held_u = np.array(held, dtype=int).reshape(-1, 2).T
+        gram_rows = n_cols * (nF + len(inc) + np.arange(len(edges)))[:, None]
+        held_rows = n_cols * (nF + len(inc) + len(edges) + np.arange(len(held)))[:, None]
+        self.shape = (nF + len(inc) + len(edges) + len(held), n_cols)
+        self.flat = np.concatenate([
+            flat, gram_rows + gram_cols[edges, :4], gram_rows + gram_cols[edges, 4:],
+            held_rows + 4 * nF + 3 * self.held_w[:, None] + np.arange(3),
+            held_rows + 4 * nF + 3 * self.held_u[:, None] + np.arange(3)], axis=None)
+
+    def __call__(self, normals, verts):
+        eta_n = normals * MINKOWSKI_SIGNS
+        n_inc, v_inc = normals[self.inc_f], verts[self.inc_v]
+        v_w, v_u = verts[self.held_w], verts[self.held_u]
+        r = np.concatenate([0.5 * ((normals * eta_n).sum(axis=1) - 1.0),
+                            (n_inc[:, 1:] * v_inc).sum(axis=1) - n_inc[:, 0],
+                            (eta_n[self.f1] * normals[self.f2]).sum(axis=1) - self.targets,
+                            (v_u * v_w).sum(axis=1) - 1.0])
+        J = np.zeros(self.shape)
+        J.ravel()[self.flat] = np.concatenate(
+            [eta_n, self.minus_ones, v_inc, n_inc[:, 1:], eta_n[self.f2], eta_n[self.f1],
+             v_u, v_w], axis=None)
+        return r, J
+
+
+def _step(J, r, lm):
+    """Minimal-norm step -J^T (J J^T + lm I)^{-1} r; None when singular."""
+    JJt = J @ J.T
+    JJt.flat[::len(r) + 1] += lm
+    try:
+        return -(J.T @ np.linalg.solve(JJt, r))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
@@ -85,8 +98,8 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
     normals = np.array(normals0, dtype=float)
     verts = np.array(verts0, dtype=float)
     nF = len(normals)
-    n_cols = 4 * nF + 3 * len(verts)
-    r, J = _residual_and_jacobian(g, normals, verts, gram_targets, held)
+    system = _PlaneSystem(g, gram_targets, held)
+    r, J = system(normals, verts)
     best = float(np.max(np.abs(r)))
     lm = 0.0
     for it in range(MAX_ITERATIONS):
@@ -94,20 +107,14 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
             return normals, verts, SolveReport(True, best, it)
         stepped = False
         for _ in range(8):
-            if lm > 0.0:
-                J_aug = np.vstack([J, math.sqrt(lm) * np.eye(n_cols)])
-                r_aug = np.concatenate([r, np.zeros(n_cols)])
-            else:
-                J_aug, r_aug = J, r
-            d, *_ = np.linalg.lstsq(J_aug, -r_aug, rcond=None)
+            d = _step(J, r, lm)
             alpha = 1.0
             norm0 = float(np.linalg.norm(r))
-            while alpha > 1e-4:
+            while d is not None and alpha > 1e-4:
                 n_try = normals + alpha * d[:4 * nF].reshape(nF, 4)
                 v_try = verts + alpha * d[4 * nF:].reshape(-1, 3)
-                r_try, J_try = _residual_and_jacobian(g, n_try, v_try, gram_targets, held)
-                norm_try = float(np.linalg.norm(r_try)) if np.all(np.isfinite(r_try)) \
-                    else math.inf
+                r_try, J_try = system(n_try, v_try)
+                norm_try = float(np.linalg.norm(r_try))  # nan fails both tests
                 if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
                     normals, verts, r, J = n_try, v_try, r_try, J_try
                     stepped = True

@@ -157,22 +157,6 @@ def polar_plane(p) -> OrientedPlane:
     return OrientedPlane(normal=lift(coords))
 
 
-def segment_min_norm2(a, b):
-    """Minimum of |a + t (b - a)|^2 over the segment t in [0, 1].
-
-    Returns ``(t_min, value)``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return 0.0, float(a @ a)
-    t = float(np.clip(-(a @ d) / dd, 0.0, 1.0))
-    q = a + t * d
-    return t, float(q @ q)
-
-
 def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
     """Interior dihedral angle between two selected half-spaces, in [0, pi].
 

@@ -93,18 +93,15 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
     """
     if seed.skeleton.faces != g.faces:
         raise SkeletonChanged("seed skeleton differs from target")
+    held_edges = {_norm_edge(w, u) for (w, u) in held}
     targets = {}
-    held_edges = {_norm_edge(w, u) for (w, u) in held if _norm_edge(w, u) in g.edge_index}
     for e in g.edges:
-        if e in held_edges:
-            targets[e] = None
-            continue
-        th = angles[e]
-        if not (0.0 < th < math.pi):
+        th = None if e in held_edges else angles[e]
+        if th is not None and not (0.0 < th < math.pi):
             raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
-        targets[e] = -math.cos(th)
+        targets[e] = None if th is None else -math.cos(th)
     normals, verts, report = solve_plane_system(
-        g, targets, seed.normal_matrix, seed.vertex_charts, held=tuple(held))
+        g, targets, [p.normal for p in seed.planes], seed.vertex_charts, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
@@ -299,26 +296,27 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     for v, k in enumerate(prev_kinds):
         if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
             out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
-    hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
-    held_set = set(held)
-    for v in hyper:
-        if prev_kinds[v] != PointKind.HYPERIDEAL:
-            continue  # a fresh crossing signals as VERTEX_BECAME_IDEAL
-        for w, k in enumerate(kinds):
-            if w == v or k != PointKind.REAL or (w, v) in held_set:
-                continue
-            m = 1.0 - float(charts[v] @ charts[w])
-            if m < ALMOST_PROPER_BAND:
-                out.append((FlowEventKind.ALMOST_PROPER_ONSET, (w, v), m))
-    for (a, b) in P.skeleton.edges:
-        d = float(np.linalg.norm(charts[a] - charts[b]))
-        if d < edge_tol:
-            out.append((FlowEventKind.EDGE_COLLAPSED, (a, b), d))
-    for f, cyc in enumerate(P.skeleton.faces):
-        pts = charts[list(cyc)]
-        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-        if s[1] < face_tol * max(1.0, s[0]):
-            out.append((FlowEventKind.FACE_COLLAPSED, f, s[1]))
+    # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
+    poles = [v for v, (k, k0) in enumerate(zip(kinds, prev_kinds))
+             if k == k0 == PointKind.HYPERIDEAL]
+    real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
+    margins = 1.0 - charts[poles] @ charts[real].T
+    for i, j in zip(*np.nonzero(margins < ALMOST_PROPER_BAND)):
+        if (real[j], poles[i]) not in held:
+            out.append((FlowEventKind.ALMOST_PROPER_ONSET, (real[j], poles[i]),
+                        float(margins[i, j])))
+    g = P.skeleton
+    lengths = np.linalg.norm(np.subtract(*charts[g.edge_array.T]), axis=1)
+    for i in np.flatnonzero(lengths < edge_tol):
+        out.append((FlowEventKind.EDGE_COLLAPSED, g.edges[i], float(lengths[i])))
+    # The two largest singular values of each centred face polygon.
+    widths = np.empty((len(g.faces), 2))
+    for fs, cycles in g.faces_by_size:
+        pts = charts[cycles]
+        widths[fs] = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True),
+                                   compute_uv=False)[:, :2]
+    for f in np.flatnonzero(widths[:, 1] < face_tol * np.maximum(1.0, widths[:, 0])):
+        out.append((FlowEventKind.FACE_COLLAPSED, int(f), widths[f, 1]))
     out.sort(key=lambda item: item[2])
     return out
 

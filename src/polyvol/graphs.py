@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (
     AngleOutOfRange,
     BadFormat,
@@ -34,6 +36,12 @@ EQUALITY_TOL = 1e-9
 
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _by_length(cycles) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Indices of the cycles grouped by length, with their (n, k) member arrays."""
+    groups = [[i for i, c in enumerate(cycles) if len(c) == k] for k in {len(c) for c in cycles}]
+    return tuple((np.array(ids), np.array([cycles[i] for i in ids])) for ids in groups)
 
 
 def _orient_faces(n_vertices, faces):
@@ -177,6 +185,42 @@ class PlanarGraph:
                 ring.append(_norm_edge(v, cyc[(k - 1) % len(cyc)]))
             out.append(tuple(ring))
         return tuple(out)
+
+    @cached_property
+    def faces_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(face ids, (n, k) vertex cycles)`` per face size k."""
+        return _by_length(self.faces)
+
+    @cached_property
+    def vertex_faces_by_degree(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(vertex ids, (n, k) faces in rotation order)`` per vertex degree k."""
+        return _by_length(self.vertex_faces)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        return np.array(self.edges, dtype=int).reshape(-1, 2)
+
+    @cached_property
+    def jacobian_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparsity of the plane-system Jacobian of ``polyvol._realize``.
+
+        Columns: 4 normal coordinates per face, then 3 chart coordinates per
+        vertex.  Rows: a normalization per face, an incidence per (face,
+        vertex) in cycle order, then Gram rows.  Returns each incidence's
+        (face, vertex); the flat indices of the nonzeros of those rows, in
+        blocks: 4 per face, then per incidence the face's first normal
+        coordinate, its other three and the vertex's three; and each edge's
+        8 Gram columns, for its two faces in ``edge_faces`` order.
+        """
+        nF, quad = len(self.faces), np.arange(4)
+        n_cols = 4 * nF + 3 * self.n_vertices
+        inc = np.array([(f, v) for f, cyc in enumerate(self.faces) for v in cyc])
+        rows = n_cols * (nF + np.arange(len(inc)))[:, None]
+        flat = np.concatenate([(n_cols + 4) * np.arange(nF)[:, None] + quad,
+                               rows + 4 * inc[:, :1], rows + 4 * inc[:, :1] + quad[1:],
+                               rows + 4 * nF + 3 * inc[:, 1:] + quad[:3]], axis=None)
+        ef = np.array([self.edge_faces[e] for e in self.edges])
+        return inc, flat, np.hstack([4 * ef[:, :1] + quad, 4 * ef[:, 1:] + quad])
 
     def degree(self, v: int) -> int:
         return len(self.vertex_faces[v])

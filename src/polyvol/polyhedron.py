@@ -31,7 +31,6 @@ from .core import (
     lift,
     mdot,
     polar_plane,
-    segment_min_norm2,
 )
 from .errors import (
     BadFormat,
@@ -95,23 +94,6 @@ class Polyhedron:
         """Vertex kinds and properness at the default ideal band, computed once."""
         return classify_vertices(self)
 
-    @cached_property
-    def normal_matrix(self) -> np.ndarray:
-        return np.array([p.normal for p in self.planes])
-
-
-def _vertex_from_planes(normals: np.ndarray):
-    """Nullspace solve for the common point of >= 3 planes.
-
-    Returns (lift, singular values); rows are Euclid-normalized first.
-    The planes meet in exactly one point when the third singular value
-    is clear of zero and the fourth, if any, vanishes.
-    """
-    A = normals * MINKOWSKI_SIGNS
-    A = A / np.linalg.norm(A, axis=1, keepdims=True)
-    _, s, vt = np.linalg.svd(A)
-    return vt[-1], s
-
 
 def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
                      rectified: bool = False) -> Polyhedron:
@@ -129,25 +111,35 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
     if len(planes) != len(g.faces):
         raise SkeletonMismatch(f"{len(planes)} planes for {len(g.faces)} faces")
 
-    lifts = np.empty((g.n_vertices, 4))
     normals = np.array([p.normal for p in planes])
-    incident = np.zeros((g.n_vertices, len(planes)), dtype=bool)
-    for v in range(g.n_vertices):
+    # Vertex v is the null vector of its faces' Euclid-normalized rows: one point when
+    # the third singular value is clear of zero and the fourth, if any, vanishes.
+    rows = normals * MINKOWSKI_SIGNS
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    n = g.n_vertices
+    lifts, s2, s3, degree = np.zeros((n, 4)), np.full(n, np.inf), np.zeros(n), np.zeros(n, int)
+    incident = np.zeros((n, len(planes)), dtype=bool)
+    for vs, inc in g.vertex_faces_by_degree:
+        degree[vs] = k = inc.shape[1]
+        incident[vs[:, None], inc] = True
+        if k >= 3:
+            _, s, vt = np.linalg.svd(rows[inc])
+            lifts[vs], s2[vs], s3[vs] = vt[:, -1], s[:, 2], s[:, 3] if k > 3 else 0.0
+    escapes = np.abs(lifts[:, 0]) < 1e-9 * np.linalg.norm(lifts, axis=1)
+    bad = (degree < 3) | (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL) | escapes
+    if bad.any():
+        v = int(np.argmax(bad))
         inc = list(g.vertex_faces[v])
-        if len(inc) < 3:
+        if degree[v] < 3:
             raise SkeletonMismatch(f"vertex {v} lies on {len(inc)} faces {inc}, needs 3")
-        incident[v, inc] = True
-        w, s = _vertex_from_planes(normals[inc])
-        resid = float(s[3]) if len(s) == 4 else 0.0
-        if resid > VERTEX_RESIDUAL_TOL:
-            raise SkeletonMismatch(f"planes at vertex {v} do not concur (residual {resid:.3g})")
-        if s[2] <= VERTEX_RESIDUAL_TOL:
+        if s3[v] > VERTEX_RESIDUAL_TOL:
+            raise SkeletonMismatch(f"planes at vertex {v} do not concur (residual {s3[v]:.3g})")
+        if s2[v] <= VERTEX_RESIDUAL_TOL:
             raise SkeletonMismatch(
                 f"planes of faces {inc} at vertex {v} do not meet in a single point "
-                f"(third singular value {s[2]:.3g})")
-        if abs(w[0]) < 1e-9 * np.linalg.norm(w):
-            raise SkeletonMismatch(f"vertex {v} escapes the affine chart")
-        lifts[v] = w / w[0]
+                f"(third singular value {s2[v]:.3g})")
+        raise SkeletonMismatch(f"vertex {v} escapes the affine chart")
+    lifts /= lifts[:, :1]
 
     # Convexity: every vertex weakly inside every selected half-space,
     # strictly inside those of the faces it is not on.
@@ -165,14 +157,18 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
             f"vertex {v} lies on face {f}, which the skeleton does not put it on "
             f"(margin {off[v, f]:.3g})")
 
-    charts = lifts[:, 1:]
-    edge_tol = 2 * TAU_IDEAL if rectified else 0.0
-    for (u, v) in g.edges:
-        _, m2 = segment_min_norm2(charts[u], charts[v])
-        if m2 >= 1.0 + edge_tol:
-            if not rectified:
-                raise EdgeMissesBall(f"edge {(u, v)} misses the ball (min |x|^2 = {m2:.6g})")
-            raise EdgeMissesBall(f"edge {(u, v)} not tangent (min |x|^2 = {m2:.6g})")
+    # Closest point of each edge segment a + t (b - a), t in [0, 1], to the origin.
+    a, b = lifts[g.edge_array.T, 1:]
+    d = b - a
+    dd = np.sum(d * d, axis=1)
+    t = np.clip(-np.sum(a * d, axis=1) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    q = a + t[:, None] * d
+    m2 = np.sum(q * q, axis=1)
+    misses = m2 >= 1.0 + (2 * TAU_IDEAL if rectified else 0.0)
+    if misses.any():
+        i = int(np.argmax(misses))
+        what = "not tangent" if rectified else "misses the ball"
+        raise EdgeMissesBall(f"edge {g.edges[i]} {what} (min |x|^2 = {m2[i]:.6g})")
 
     return Polyhedron(planes=planes, skeleton=g, vertex_lifts=lifts, rectified=rectified)
 
@@ -243,31 +239,6 @@ def dihedral_angles(P: Polyhedron) -> dict:
     return out
 
 
-def _truncated_interval(P: Polyhedron, e, hyper):
-    """Parameter interval of edge e surviving all polar half-spaces."""
-    u, v = e
-    a = P.vertex_charts[u]
-    b = P.vertex_charts[v]
-    lo, hi = 0.0, 1.0
-    for h in hyper:
-        hv = P.vertex_charts[h]
-        c0 = float(hv @ a) - 1.0
-        c1 = float(hv @ (b - a))
-        # constraint c0 + t*c1 <= 0
-        if abs(c1) < 1e-14:
-            if c0 > TAU_IDEAL:
-                return None
-            continue
-        t = -c0 / c1
-        if c1 > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-    if hi < lo:
-        return None
-    return lo, hi
-
-
 def edge_lengths(P: Polyhedron) -> dict:
     """Hyperbolic length of each edge's subsegment inside the truncation.
 
@@ -277,28 +248,27 @@ def edge_lengths(P: Polyhedron) -> dict:
     report = P.report
     if report.is_improper():
         raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
-    hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
+    charts = P.vertex_charts
+    poles = charts[[v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]]
+    a, b = charts[P.skeleton.edge_array.T]
+    d = b - a
+    # a + t d lies in the polar half-space of pole h where c0 + t c1 <= 0.
+    c0, c1 = a @ poles.T - 1.0, d @ poles.T
+    level = np.abs(c1) < 1e-14
+    t = -c0 / np.where(level, 1.0, c1)
+    lo = np.max(np.where(~level & (c1 < 0), t, 0.0), axis=1, initial=0.0)
+    hi = np.min(np.where(~level & (c1 > 0), t, 1.0), axis=1, initial=1.0)
+    empty = (hi < lo) | np.any(level & (c0 > TAU_IDEAL), axis=1)
+    x, y = a + lo[:, None] * d, a + hi[:, None] * d
+    sx, sy = 1.0 - np.sum(x * x, axis=1), 1.0 - np.sum(y * y, axis=1)
     out = {}
-    for e in P.skeleton.edges:
-        interval = _truncated_interval(P, e, hyper)
-        if interval is None:
+    for i, e in enumerate(P.skeleton.edges):
+        if empty[i]:
             out[e] = 0.0
-            continue
-        lo, hi = interval
-        a = P.vertex_charts[e[0]]
-        d = P.vertex_charts[e[1]] - a
-        x = a + lo * d
-        y = a + hi * d
-        sx = 1.0 - float(x @ x)
-        sy = 1.0 - float(y @ y)
-        if sx <= TAU_IDEAL * 2 or sy <= TAU_IDEAL * 2:
-            if math.hypot(*(x - y)) <= MERGE_TOL:
-                out[e] = 0.0
-            else:
-                out[e] = math.inf
-            continue
-        num = 1.0 - float(x @ y)
-        out[e] = math.acosh(max(1.0, num / math.sqrt(sx * sy)))
+        elif sx[i] <= TAU_IDEAL * 2 or sy[i] <= TAU_IDEAL * 2:
+            out[e] = 0.0 if math.hypot(*(x[i] - y[i])) <= MERGE_TOL else math.inf
+        else:
+            out[e] = math.acosh(max(1.0, (1.0 - float(x[i] @ y[i])) / math.sqrt(sx[i] * sy[i])))
     return out
 
 

@@ -8,8 +8,9 @@ import numpy as np
 
 from ._steinitz import convex_realization
 from .core import OrientedPlane, apply_lorentz, random_isometry
-from .graphs import PlanarGraph, tetrahedron_graph
-from .polyhedron import Polyhedron, build_polyhedron
+from .errors import NewtonDiverged, SkeletonChanged
+from .graphs import PlanarGraph, check_hyperideal_angles, tetrahedron_graph
+from .polyhedron import Polyhedron, build_polyhedron, dihedral_angles
 
 _TETRA_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        dtype=float) / math.sqrt(3)
@@ -67,8 +68,6 @@ def jittered_compact(g: PlanarGraph, rng) -> Polyhedron:
 def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron) -> Polyhedron:
     """Realize ``target`` angles by adaptive continuation from P's angles."""
     from .flow import realize_from_angles
-    from .polyhedron import dihedral_angles
-    from .errors import NewtonDiverged, SkeletonChanged
 
     start = dihedral_angles(P)
     lam, dlam = 0.0, 0.5
@@ -106,8 +105,6 @@ def random_hyperideal(g: PlanarGraph, rng) -> Polyhedron:
     realizes it by continuation through the (convex) admissible region
     from a small-equal-angle polyhedron.
     """
-    from .graphs import check_hyperideal_angles
-
     kmax = max(g.degree(v) for v in range(g.n_vertices))
     eps = min(0.3, 0.8 * math.pi / kmax)
     base = equiangular_hyperideal(g, eps)

@@ -9,7 +9,6 @@ from polyvol.core import (
     OrientedPlane,
     PointKind,
     apply_lorentz,
-    boost_to_origin,
     classify_point,
     dihedral_angle,
     lift,

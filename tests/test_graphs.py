@@ -1,9 +1,7 @@
 import math
 
 import networkx as nx
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import to_networkx
 from polyvol.errors import (
@@ -24,7 +22,6 @@ from polyvol.graphs import (
     format_graph,
     is_3_connected,
     medial_graph,
-    octahedron_graph,
     parse_graph,
     prism_graph,
     pyramid_graph,

@@ -1,0 +1,492 @@
+"""Vectorized realization paths against the per-element loops they replaced.
+
+The loop references below are the earlier implementations, kept as
+oracles: the row-by-row Jacobian with its ``lstsq`` Gauss-Newton solve,
+the per-vertex plane intersections and per-edge ball test of
+``build_polyhedron``, the per-face scan of ``flow._scan_signals`` and the
+per-edge truncated lengths of ``edge_lengths``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import polyvol.flow
+from polyvol._realize import (
+    MAX_ITERATIONS,
+    REALIZE_TOL,
+    SolveReport,
+    _PlaneSystem,
+    _step,
+    solve_plane_system,
+)
+from polyvol.core import MINKOWSKI_SIGNS, TAU_IDEAL, OrientedPlane, PointKind, lift
+from polyvol.errors import EdgeMissesBall, NonConvex, PolyvolError, SkeletonMismatch
+from polyvol.flow import (
+    ALMOST_PROPER_BAND,
+    EDGE_COLLAPSE_TOL,
+    FACE_COLLAPSE_TOL,
+    IDEAL_BAND,
+    FlowEventKind,
+    FlowOptions,
+    _scan_signals,
+    run_flow,
+)
+from polyvol.graphs import (
+    PlanarGraph,
+    cube_graph,
+    prism_graph,
+    pyramid_graph,
+    tetrahedron_graph,
+)
+from polyvol.polyhedron import (
+    CONVEXITY_SLACK,
+    MERGE_TOL,
+    VERTEX_RESIDUAL_TOL,
+    Polyhedron,
+    build_polyhedron,
+    dihedral_angles,
+    edge_lengths,
+)
+from polyvol.shapes import jittered_compact, planes_from_vertices
+
+# --- loop references ------------------------------------------------------------
+
+
+def loop_residual_and_jacobian(g, normals, verts, gram_targets, held):
+    Filt = [(e, t) for e, t in gram_targets.items() if t is not None]
+    nF = len(normals)
+    nV = len(verts)
+    n_rows = nF + sum(len(cyc) for cyc in g.faces) + len(Filt) + len(held)
+    n_cols = 4 * nF + 3 * nV
+    r = np.zeros(n_rows)
+    J = np.zeros((n_rows, n_cols))
+    eta = MINKOWSKI_SIGNS
+    row = 0
+    for f in range(nF):
+        n = normals[f]
+        r[row] = 0.5 * (float(np.sum(n * n * eta)) - 1.0)
+        J[row, 4 * f:4 * f + 4] = eta * n
+        row += 1
+    for f, cyc in enumerate(g.faces):
+        n = normals[f]
+        for v in cyc:
+            r[row] = -n[0] + float(n[1:] @ verts[v])
+            J[row, 4 * f] = -1.0
+            J[row, 4 * f + 1:4 * f + 4] = verts[v]
+            J[row, 4 * nF + 3 * v:4 * nF + 3 * v + 3] = n[1:]
+            row += 1
+    for e, target in Filt:
+        f1, f2 = g.edge_faces[e]
+        n1, n2 = normals[f1], normals[f2]
+        r[row] = float(np.sum(n1 * n2 * eta)) - target
+        J[row, 4 * f1:4 * f1 + 4] = eta * n2
+        J[row, 4 * f2:4 * f2 + 4] = eta * n1
+        row += 1
+    for (w, u) in held:
+        r[row] = float(verts[u] @ verts[w]) - 1.0
+        J[row, 4 * nF + 3 * w:4 * nF + 3 * w + 3] = verts[u]
+        J[row, 4 * nF + 3 * u:4 * nF + 3 * u + 3] = verts[w]
+        row += 1
+    return r, J
+
+
+def lstsq_step(J, r, lm):
+    """Least squares on J stacked over sqrt(lm) I."""
+    n_cols = J.shape[1]
+    if lm > 0.0:
+        J = np.vstack([J, math.sqrt(lm) * np.eye(n_cols)])
+        r = np.concatenate([r, np.zeros(n_cols)])
+    d, *_ = np.linalg.lstsq(J, -r, rcond=None)
+    return d
+
+
+def loop_solve_plane_system(g, gram_targets, normals0, verts0, *, held=()):
+    normals = np.array(normals0, dtype=float)
+    verts = np.array(verts0, dtype=float)
+    nF = len(normals)
+    r, J = loop_residual_and_jacobian(g, normals, verts, gram_targets, held)
+    best = float(np.max(np.abs(r)))
+    lm = 0.0
+    for it in range(MAX_ITERATIONS):
+        if best < REALIZE_TOL:
+            return normals, verts, SolveReport(True, best, it)
+        stepped = False
+        for _ in range(8):
+            d = lstsq_step(J, r, lm)
+            alpha = 1.0
+            norm0 = float(np.linalg.norm(r))
+            while alpha > 1e-4:
+                n_try = normals + alpha * d[:4 * nF].reshape(nF, 4)
+                v_try = verts + alpha * d[4 * nF:].reshape(-1, 3)
+                r_try, J_try = loop_residual_and_jacobian(g, n_try, v_try, gram_targets, held)
+                norm_try = float(np.linalg.norm(r_try)) if np.all(np.isfinite(r_try)) \
+                    else math.inf
+                if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
+                    normals, verts, r, J = n_try, v_try, r_try, J_try
+                    stepped = True
+                    break
+                alpha *= 0.5
+            if stepped:
+                lm = 0.0 if lm < 1e-13 else lm * 0.1
+                break
+            lm = max(lm * 100.0, 1e-10)
+        if not stepped:
+            return normals, verts, SolveReport(False, best, it, "line search stalled")
+        best = float(np.max(np.abs(r)))
+        if not np.isfinite(best) or np.max(np.abs(verts)) > 1e8:
+            return normals, verts, SolveReport(False, best, it, "iterate blew up")
+    ok = best < REALIZE_TOL
+    return normals, verts, SolveReport(ok, best, MAX_ITERATIONS,
+                                       "" if ok else "max iterations reached")
+
+
+def loop_build_polyhedron(planes, g, *, rectified=False):
+    """Per-vertex SVDs and per-edge segment minima, raising on the first failure."""
+    planes = tuple(planes)
+    lifts = np.empty((g.n_vertices, 4))
+    normals = np.array([p.normal for p in planes])
+    incident = np.zeros((g.n_vertices, len(planes)), dtype=bool)
+    for v in range(g.n_vertices):
+        inc = list(g.vertex_faces[v])
+        if len(inc) < 3:
+            raise SkeletonMismatch(f"vertex {v} lies on {len(inc)} faces {inc}, needs 3")
+        incident[v, inc] = True
+        A = normals[inc] * MINKOWSKI_SIGNS
+        A = A / np.linalg.norm(A, axis=1, keepdims=True)
+        _, s, vt = np.linalg.svd(A)
+        w = vt[-1]
+        resid = float(s[3]) if len(s) == 4 else 0.0
+        if resid > VERTEX_RESIDUAL_TOL:
+            raise SkeletonMismatch(f"planes at vertex {v} do not concur (residual {resid:.3g})")
+        if s[2] <= VERTEX_RESIDUAL_TOL:
+            raise SkeletonMismatch(
+                f"planes of faces {inc} at vertex {v} do not meet in a single point "
+                f"(third singular value {s[2]:.3g})")
+        if abs(w[0]) < 1e-9 * np.linalg.norm(w):
+            raise SkeletonMismatch(f"vertex {v} escapes the affine chart")
+        lifts[v] = w / w[0]
+    margins = lifts @ (normals * MINKOWSKI_SIGNS).T
+    scaled = margins / np.maximum(1.0, np.linalg.norm(lifts, axis=1))[:, None]
+    worst = float(np.max(scaled))
+    if worst > CONVEXITY_SLACK * 10:
+        bad = np.unravel_index(np.argmax(scaled), margins.shape)
+        raise NonConvex(f"vertex {bad[0]} violates face {bad[1]} by {worst:.3g}")
+    charts = lifts[:, 1:]
+    edge_tol = 2 * TAU_IDEAL if rectified else 0.0
+    for (u, v) in g.edges:
+        a, b = charts[u], charts[v]
+        d = b - a
+        dd = float(d @ d)
+        t = 0.0 if dd == 0.0 else float(np.clip(-(a @ d) / dd, 0.0, 1.0))
+        q = a + t * d
+        m2 = float(q @ q)
+        if m2 >= 1.0 + edge_tol:
+            if not rectified:
+                raise EdgeMissesBall(f"edge {(u, v)} misses the ball (min |x|^2 = {m2:.6g})")
+            raise EdgeMissesBall(f"edge {(u, v)} not tangent (min |x|^2 = {m2:.6g})")
+    return lifts
+
+
+def loop_scan_signals(P, prev, held, relaxed=False):
+    ideal_band = 1e2 * IDEAL_BAND if relaxed else IDEAL_BAND
+    edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
+    face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
+    kinds, prev_kinds = P.report.kinds, prev.report.kinds
+    out = []
+    charts = P.vertex_charts
+    radii = np.linalg.norm(charts, axis=1)
+    for v, k in enumerate(prev_kinds):
+        if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
+            out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
+    hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
+    for v in hyper:
+        if prev_kinds[v] != PointKind.HYPERIDEAL:
+            continue
+        for w, k in enumerate(kinds):
+            if w == v or k != PointKind.REAL or (w, v) in set(held):
+                continue
+            m = 1.0 - float(charts[v] @ charts[w])
+            if m < ALMOST_PROPER_BAND:
+                out.append((FlowEventKind.ALMOST_PROPER_ONSET, (w, v), m))
+    for (a, b) in P.skeleton.edges:
+        d = float(np.linalg.norm(charts[a] - charts[b]))
+        if d < edge_tol:
+            out.append((FlowEventKind.EDGE_COLLAPSED, (a, b), d))
+    for f, cyc in enumerate(P.skeleton.faces):
+        pts = charts[list(cyc)]
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        if s[1] < face_tol * max(1.0, s[0]):
+            out.append((FlowEventKind.FACE_COLLAPSED, f, s[1]))
+    out.sort(key=lambda item: item[2])
+    return out
+
+
+def loop_edge_lengths(P):
+    charts = P.vertex_charts
+    hyper = [v for v, k in enumerate(P.report.kinds) if k == PointKind.HYPERIDEAL]
+    out = {}
+    for e in P.skeleton.edges:
+        a, b = charts[e[0]], charts[e[1]]
+        lo, hi, empty = 0.0, 1.0, False
+        for h in hyper:
+            c0 = float(charts[h] @ a) - 1.0
+            c1 = float(charts[h] @ (b - a))
+            if abs(c1) < 1e-14:
+                empty |= c0 > TAU_IDEAL
+            elif c1 > 0:
+                hi = min(hi, -c0 / c1)
+            else:
+                lo = max(lo, -c0 / c1)
+        if empty or hi < lo:
+            out[e] = 0.0
+            continue
+        x, y = a + lo * (b - a), a + hi * (b - a)
+        sx, sy = 1.0 - float(x @ x), 1.0 - float(y @ y)
+        if sx <= TAU_IDEAL * 2 or sy <= TAU_IDEAL * 2:
+            out[e] = 0.0 if math.hypot(*(x - y)) <= MERGE_TOL else math.inf
+            continue
+        out[e] = math.acosh(max(1.0, (1.0 - float(x @ y)) / math.sqrt(sx * sy)))
+    return out
+
+
+# --- plane system -----------------------------------------------------------------
+
+GRAPHS = {"cube": cube_graph(), "pyramid5": pyramid_graph(5), "prism5": prism_graph(5)}
+MODES = ("all", "dropped", "held")
+
+
+def system_state(name, mode, seed=7):
+    """A jittered compact state, targets 10% below its angles, per mode.
+
+    ``dropped`` leaves the first edge without a target; ``held`` drops it
+    and holds its endpoints' incidence instead.
+    """
+    g = GRAPHS[name]
+    P = jittered_compact(g, np.random.default_rng(seed))
+    targets = {e: -math.cos(0.9 * a) for e, a in dihedral_angles(P).items()}
+    held = ()
+    if mode != "all":
+        targets[g.edges[0]] = None
+    if mode == "held":
+        held = (g.edges[0],)
+    normals = np.array([p.normal for p in P.planes])
+    return g, targets, held, normals, P.vertex_charts.copy()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_jacobian_matches_loop_reference(name, mode):
+    g, targets, held, normals, verts = system_state(name, mode)
+    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    r_ref, J_ref = loop_residual_and_jacobian(g, normals, verts, targets, held)
+    assert np.array_equal(J, J_ref)
+    assert np.max(np.abs(r - r_ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_jacobian_matches_central_differences(name, mode):
+    g, targets, held, normals, verts = system_state(name, mode)
+    system = _PlaneSystem(g, targets, held)
+    nF = len(normals)
+    x = np.concatenate([normals.ravel(), verts.ravel()])
+
+    def residual(y):
+        return system(y[:4 * nF].reshape(nF, 4), y[4 * nF:].reshape(-1, 3))[0]
+
+    h = 1e-6
+    J_fd = np.column_stack([(residual(x + h * e) - residual(x - h * e)) / (2 * h)
+                            for e in np.eye(len(x))])
+    _, J = system(normals, verts)
+    np.testing.assert_allclose(J, J_fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("lm", [0.0, 1e-6])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_step_matches_stacked_lstsq(name, mode, lm):
+    g, targets, held, normals, verts = system_state(name, mode)
+    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    d = _step(J, r, lm)
+    d_ref = lstsq_step(J, r, lm)
+    assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+
+
+def test_singular_step_fails_until_damped():
+    g, targets, held, normals, verts = system_state("cube", "all")
+    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    J[3] = 0.0
+    assert _step(J, r, 0.0) is None
+    d = _step(J, r, 1e-10)
+    assert d is not None and np.all(np.isfinite(d))
+
+
+def test_solve_matches_loop_reference():
+    g, targets, held, normals, verts = system_state("prism5", "held")
+    n1, v1, rep1 = solve_plane_system(g, targets, normals, verts, held=held)
+    n2, v2, rep2 = loop_solve_plane_system(g, targets, normals, verts, held=held)
+    assert rep1.ok and rep2.ok
+    assert abs(rep1.iterations - rep2.iterations) <= 1
+    np.testing.assert_allclose(n1, n2, atol=1e-8)
+    np.testing.assert_allclose(v1, v2, atol=1e-8)
+
+
+# --- flow agreement ----------------------------------------------------------------
+
+
+def _near_ideal(samples):
+    """Samples at a ``VertexBecameIdeal`` event or between two of them.
+
+    Near an ideal vertex the angles fix the volume only to about 1e-4
+    relative, so a state there depends on the solver's path; the states
+    between two escapes of one cluster inherit that.
+    """
+    ideal = [s.event == FlowEventKind.VERTEX_BECAME_IDEAL for s in samples]
+    return [flag or (0 < i < len(ideal) - 1 and ideal[i - 1] and ideal[i + 1])
+            for i, flag in enumerate(ideal)]
+
+
+@pytest.mark.parametrize("g, seed", [(tetrahedron_graph(), 3), (pyramid_graph(4), 4)],
+                         ids=["tetrahedron", "pyramid4"])
+def test_flow_agrees_with_loop_engine(monkeypatch, g, seed):
+    P0 = jittered_compact(g, np.random.default_rng(seed))
+    new = run_flow(P0, FlowOptions(seed=seed))
+    monkeypatch.setattr(polyvol.flow, "solve_plane_system", loop_solve_plane_system)
+    ref = run_flow(P0, FlowOptions(seed=seed))
+    assert [e.kind for e in new.events] == [e.kind for e in ref.events]
+    assert [(s.t, s.event) for s in new.samples] == [(s.t, s.event) for s in ref.samples]
+    assert abs(new.sup_estimate - ref.sup_estimate) <= 1e-9 * ref.sup_estimate
+    for a, b, near in zip(ref.samples, new.samples, _near_ideal(ref.samples)):
+        tol = 1e-3 if near else 1e-9
+        assert abs(a.volume.value - b.volume.value) <= tol * a.volume.value, (a.t, a.event)
+
+
+# --- batched build_polyhedron --------------------------------------------------------
+
+
+def _raised(build, planes, g, **kw):
+    with pytest.raises(PolyvolError) as info:
+        build(planes, g, **kw)
+    return type(info.value), str(info.value)
+
+
+def _tetra_points(radius):
+    return radius * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+
+
+def _pyramid5_planes():
+    ring = [(0.5 * math.cos(a), 0.5 * math.sin(a), -0.3)
+            for a in 2 * math.pi * np.arange(5) / 5]
+    return planes_from_vertices(np.array([(0.0, 0.0, 0.5)] + ring), pyramid_graph(5))
+
+
+def test_build_names_lowest_vertex_on_too_few_faces():
+    # K4 with vertices 4 and 5 inserted on edges 0-1 and 2-3: both lie on two faces.
+    g = PlanarGraph(6, ((0, 4, 1, 2), (0, 3, 1, 4), (0, 2, 5, 3), (1, 3, 5, 2)))
+    pts = _tetra_points(0.55)
+    pts = np.vstack([pts, (pts[0] + pts[1]) / 2, (pts[2] + pts[3]) / 2])
+    planes = planes_from_vertices(pts, g)
+    got = _raised(build_polyhedron, planes, g)
+    assert got == _raised(loop_build_polyhedron, planes, g)
+    assert got[0] is SkeletonMismatch and "vertex 4 lies on 2 faces" in got[1]
+
+
+def test_build_names_non_concurrent_apex():
+    g = pyramid_graph(5)
+    planes = list(_pyramid5_planes())
+    planes[2] = OrientedPlane(normal=planes[2].normal + np.array([1e-3, 0, 0, 0]))
+    got = _raised(build_polyhedron, planes, g)
+    assert got == _raised(loop_build_polyhedron, planes, g)
+    assert "planes at vertex 0 do not concur" in got[1]
+
+
+def test_build_names_planes_meeting_in_a_line():
+    g = tetrahedron_graph()
+    planes = list(planes_from_vertices(_tetra_points(0.55), g))
+    planes[1] = planes[0]
+    got = _raised(build_polyhedron, planes, g)
+    assert got == _raised(loop_build_polyhedron, planes, g)
+    assert "do not meet in a single point" in got[1]
+
+
+@pytest.mark.parametrize("rectified", [False, True])
+def test_build_names_lowest_edge_missing_the_ball(rectified):
+    g = tetrahedron_graph()
+    planes = planes_from_vertices(_tetra_points(1.9), g)
+    got = _raised(build_polyhedron, planes, g, rectified=rectified)
+    assert got == _raised(loop_build_polyhedron, planes, g, rectified=rectified)
+    assert got[0] is EdgeMissesBall and f"edge {g.edges[0]} " in got[1]
+
+
+# --- recorded flow states ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Arguments of ``_scan_signals`` and ``edge_lengths`` during two flows."""
+    scans, lengths = [], []
+    scan, measure = polyvol.flow._scan_signals, polyvol.flow.edge_lengths
+    mp = pytest.MonkeyPatch()
+    mp.setattr(polyvol.flow, "_scan_signals",
+               lambda *args, **kw: scans.append((args, kw)) or scan(*args, **kw))
+    mp.setattr(polyvol.flow, "edge_lengths", lambda P: lengths.append(P) or measure(P))
+    try:
+        for g, seed in [(pyramid_graph(4), 11), (prism_graph(3), 12)]:
+            run_flow(jittered_compact(g, np.random.default_rng(seed)), FlowOptions(seed=seed))
+    finally:
+        mp.undo()
+    return scans, lengths
+
+
+def test_scan_signals_matches_face_loop_on_flattened_base():
+    # Apex over a square base squashed onto the x axis: one quadrilateral
+    # face collapses, the four triangles stay wide.
+    charts = np.array([(0.0, 0.0, 0.6), (0.5, 0.0, -0.2), (0.0, 1e-8, -0.2),
+                       (-0.5, 0.0, -0.2), (0.0, -1e-8, -0.2)])
+    g = pyramid_graph(4)
+    P = Polyhedron(planes=(), skeleton=g, vertex_lifts=lift(charts))
+    got = _scan_signals(P, P, [])
+    assert got == loop_scan_signals(P, P, [])
+    assert [(kind, data) for kind, data, _ in got] == [(FlowEventKind.FACE_COLLAPSED, 4)]
+    assert got == _scan_signals(P, P, [], relaxed=True)
+
+
+def test_scan_signals_matches_loop_with_held_incidence():
+    # A hyperideal apex with the base square just inside its polar plane
+    # z = 1 / 1.5: every base vertex signals an almost-proper onset except
+    # the held one.
+    z = 1 / 1.5 - 1e-8
+    charts = np.array([(0.0, 0.0, 1.5), (0.5, 0.0, z), (0.0, 0.5, z), (-0.5, 0.0, z), (0.0, -0.5, z)])
+    P = Polyhedron(planes=(), skeleton=pyramid_graph(4), vertex_lifts=lift(charts))
+    got = _scan_signals(P, P, [(1, 0)])
+    assert got == loop_scan_signals(P, P, [(1, 0)])
+    assert sorted(data for kind, data, _ in got if kind == FlowEventKind.ALMOST_PROPER_ONSET) \
+        == [(2, 0), (3, 0), (4, 0)]
+
+
+def test_scan_signals_matches_loop_on_recorded_flow_states(recorded):
+    scans, _ = recorded
+    assert len(scans) >= 50
+    for args, kw in scans[:50]:
+        assert _scan_signals(*args, **kw) == loop_scan_signals(*args, **kw)
+
+
+def test_build_matches_loop_on_recorded_flow_states(recorded):
+    scans, _ = recorded
+    for (P, *_), _kw in scans[:50]:
+        lifts = build_polyhedron(P.planes, P.skeleton).vertex_lifts
+        np.testing.assert_array_equal(lifts, loop_build_polyhedron(P.planes, P.skeleton))
+
+
+def test_edge_lengths_match_loop_on_recorded_flow_states(recorded):
+    # Short edges lose digits to cancellation in acosh near 1 on either path:
+    # both stay within 2e-10 of an exact rational evaluation on these states.
+    _, lengths = recorded
+    assert lengths
+    for P in lengths:
+        got, ref = edge_lengths(P), loop_edge_lengths(P)
+        assert got.keys() == ref.keys()
+        for e in ref:
+            assert got[e] == pytest.approx(ref[e], rel=1e-9, abs=1e-12)
