@@ -78,12 +78,9 @@ def _cmd_volume(args) -> int:
 def _cmd_rectify(args) -> int:
     from .graphs import parse_graph
     from .polyhedron import format_polyhedron
-    from .rectify import rectification
-    from .volume import polyhedron_volume
+    from .rectify import rectification_and_volume
 
-    g = parse_graph(_read(args.input))
-    P = rectification(g)
-    res = polyhedron_volume(P)
+    P, res = rectification_and_volume(parse_graph(_read(args.input)))
     text = format_polyhedron(P) + f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n"
     _emit(text, args.out)
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -252,6 +253,33 @@ class PlanarGraph:
         return hashlib.sha1(";".join(parts).encode()).hexdigest()[:12]
 
 
+def isomorphism_code(g: PlanarGraph) -> tuple[int, ...]:
+    """A code that two 3-connected planar graphs share iff they are isomorphic.
+
+    Weinberg's code (IEEE Trans. Circuit Theory 13 (1966)), breadth first:
+    from a dart (u, v), number the vertices as reached, reading each one's
+    neighbours in rotation order from the one it was reached from (v for u).
+    The least code over all darts and both senses names the map up to
+    reflection; by Whitney's theorem that is the 3-connected graph.
+    """
+    best = None
+    for sense in (1, -1):
+        rings = [[a + b - v for a, b in ring[::sense]] for v, ring in enumerate(g.vertex_edges)]
+        for u in range(g.n_vertices):
+            for v in rings[u]:
+                order, number, entry, code = [u], {u: 0}, {u: v}, []
+                for x in order:  # grows while it is walked: breadth first
+                    k = rings[x].index(entry[x])
+                    for w in rings[x][k:] + rings[x][:k]:
+                        if w not in number:
+                            number[w], entry[w] = len(number), x
+                            order.append(w)
+                        code.append(number[w])
+                    code.append(-1)
+                best = code if best is None else min(best, code)
+    return tuple(best)
+
+
 def is_3_connected(g: PlanarGraph) -> bool:
     """3-connectivity of a sphere map by the polyhedral-map criterion.
 
@@ -349,15 +377,9 @@ def _cleanup(n_vertices, labelled_faces):
             changed = True
             continue
         # Smooth degree-2 vertices.
-        vdeg = {}
-        deg = {}
-        for _, cyc in faces:
-            for k in range(len(cyc)):
-                e = _norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
-                deg[e] = deg.get(e, 0) + 1
-        for (u, v) in deg:
-            vdeg[u] = vdeg.get(u, 0) + 1
-            vdeg[v] = vdeg.get(v, 0) + 1
+        edges = dict.fromkeys(_norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
+                              for _, cyc in faces for k in range(len(cyc)))
+        vdeg = Counter(v for e in edges for v in e)
         sm = next((v for v, d in vdeg.items() if d == 2), None)
         if sm is not None:
             for _, cyc in faces:
@@ -513,14 +535,11 @@ def _simple_cycles(adj, n):
     for s in range(n):
         dfs(s, s, {s}, [s])
     # Each cycle found twice (two directions); dedupe by frozenset of edges.
-    seen = set()
-    out = []
+    out = {}
     for cyc in cycles:
-        key = frozenset(_norm_edge(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc)))
-        if key not in seen:
-            seen.add(key)
-            out.append(cyc)
-    return out
+        out.setdefault(frozenset(_norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
+                                 for k in range(len(cyc))), cyc)
+    return list(out.values())
 
 
 def _simple_paths(adj, src, dst):
@@ -568,9 +587,7 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport
     dual = dual_graph(g)
     # Primal edge crossed when the dual path steps between the two faces of it.
     dual_adj = [set(s) for s in dual.adjacency]
-    cross = {}
-    for e, (f1, f2) in g.edge_faces.items():
-        cross[_norm_edge(f1, f2)] = e
+    cross = {_norm_edge(f1, f2): e for e, (f1, f2) in g.edge_faces.items()}
 
     equalities = []
 
@@ -598,10 +615,7 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport
                                        tuple(equalities))
 
     # Arcs: endpoints in two different faces sharing a vertex.
-    share_pairs = set()
-    for ring in g.vertex_faces:
-        for a, b in combinations(ring, 2):
-            share_pairs.add(_norm_edge(a, b))
+    share_pairs = {_norm_edge(a, b) for ring in g.vertex_faces for a, b in combinations(ring, 2)}
     for f1, f2 in sorted(share_pairs):
         for path in _simple_paths(dual_adj, f1, f2):
             h = len(path) - 1
@@ -645,10 +659,7 @@ def parse_graph(text: str) -> PlanarGraph:
 
 
 def format_graph(g: PlanarGraph) -> str:
-    lines = [f"V {g.n_vertices}"]
-    for cyc in g.faces:
-        lines.append("F " + " ".join(map(str, cyc)))
-    return "\n".join(lines) + "\n"
+    return "".join([f"V {g.n_vertices}\n"] + [f"F {' '.join(map(str, cyc))}\n" for cyc in g.faces])
 
 
 # --- named corpus graphs ----------------------------------------------------

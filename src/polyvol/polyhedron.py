@@ -221,12 +221,8 @@ def classify_vertices(P: Polyhedron, tol: float = TAU_IDEAL) -> PropernessReport
             elif margin <= tol and statuses[w] != VertexStatus.IMPROPER:
                 statuses[w] = VertexStatus.ALMOST_PROPER
                 witnesses[w] = v
-    if any(s == VertexStatus.IMPROPER for s in statuses):
-        overall = VertexStatus.IMPROPER
-    elif any(s == VertexStatus.ALMOST_PROPER for s in statuses):
-        overall = VertexStatus.ALMOST_PROPER
-    else:
-        overall = VertexStatus.PROPER
+    overall = next((s for s in (VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER)
+                    if s in statuses), VertexStatus.PROPER)
     return PropernessReport(tuple(kinds), tuple(statuses), tuple(witnesses), overall)
 
 
@@ -336,13 +332,8 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     g = P.skeleton
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
     if not hyper:
-        return TruncatedPolyhedron(
-            planes=P.planes,
-            truncation_flags=tuple(False for _ in P.planes),
-            skeleton=g,
-            vertex_lifts=P.vertex_lifts.copy(),
-            original=P,
-        )
+        return TruncatedPolyhedron(P.planes, tuple(False for _ in P.planes), g,
+                                   P.vertex_lifts.copy(), P)
     hyper_set = set(hyper)
     charts = P.vertex_charts
     polars = {v: polar_plane(charts[v]) for v in hyper}
@@ -351,16 +342,17 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
 
     def cut_node(edge, v):
         """Node where edge is cut by the polar plane of its endpoint v."""
-        u = edge[0] if edge[1] == v else edge[1]
-        a, b = charts[u], charts[v]
-        hv = charts[v]
-        denom = float(hv @ (b - a))
-        t = (1.0 - float(hv @ a)) / denom
-        coord = a + t * (b - a)
-        return pool.add(("c", edge, v), coord)
+        a, b = charts[edge[0] if edge[1] == v else edge[1]], charts[v]
+        t = (1.0 - float(b @ a)) / float(b @ (b - a))
+        return pool.add(("c", edge, v), a + t * (b - a))
 
     def vert_node(v):
         return pool.add(("v", v), charts[v])
+
+    def cycle(nodes):
+        """The node cycle without repeats of consecutive nodes."""
+        out = [nd for k, nd in enumerate(nodes) if k == 0 or nd != nodes[k - 1]]
+        return out[:-1] if len(out) > 1 and out[0] == out[-1] else out
 
     faces = []
     for i, cyc in enumerate(g.faces):
@@ -374,23 +366,12 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
                 nxt = cyc[(k + 1) % m]
                 nodes.append(cut_node(_norm_edge(prev, v), v))
                 nodes.append(cut_node(_norm_edge(v, nxt), v))
-        dedup = []
-        for nd in nodes:
-            if not dedup or nd != dedup[-1]:
-                dedup.append(nd)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
-            dedup.pop()
+        dedup = cycle(nodes)
         if len(dedup) < 3 or len(set(dedup)) != len(dedup):
             raise TruncationDegenerate(f"face {i} degenerates under truncation")
         faces.append(tuple(dedup))
     for v in hyper:
-        ring = [cut_node(e, v) for e in g.vertex_edges[v]]
-        dedup = []
-        for nd in ring:
-            if not dedup or nd != dedup[-1]:
-                dedup.append(nd)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
-            dedup.pop()
+        dedup = cycle([cut_node(e, v) for e in g.vertex_edges[v]])
         if len(dedup) < 3:
             raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
@@ -399,13 +380,7 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     lifts = lift(np.array(pool.coords))
     planes = tuple(P.planes) + tuple(polars[v] for v in hyper)
     flags = tuple([False] * len(P.planes) + [True] * len(hyper))
-    T = TruncatedPolyhedron(
-        planes=planes,
-        truncation_flags=flags,
-        skeleton=skeleton,
-        vertex_lifts=lifts,
-        original=P,
-    )
+    T = TruncatedPolyhedron(planes, flags, skeleton, lifts, P)
     _assert_truncation_invariants(T)
     return T
 
@@ -446,10 +421,8 @@ def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
 
 
 def format_polyhedron(P: Polyhedron) -> str:
-    lines = [f"P {len(P.planes)}"]
-    for pl in P.planes:
-        lines.append("N " + " ".join(f"{x:.12g}" for x in pl.normal))
-    return "\n".join(lines) + "\n" + format_graph(P.skeleton)
+    normals = "".join("N " + " ".join(f"{x:.12g}" for x in pl.normal) + "\n" for pl in P.planes)
+    return f"P {len(P.planes)}\n" + normals + format_graph(P.skeleton)
 
 
 def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:

@@ -10,11 +10,11 @@ Q comes from Rivin's volume maximization (Annals 139 (1994); Annals 143
 (1996)): cone Q from one ideal vertex and fan-triangulate the faces
 without it.  The sum of Lobachevsky functions of the tetrahedron angles
 is strictly concave over the angle structures, and its unique maximizer
-is the geometric one, so one convex solve with no seed finds Q.  With
+is the geometric one, so one convex solve with no seed finds Q.  Its
+maximum is the volume of Q, and so the rectification volume.  With
 the cone vertex at infinity the tetrahedra are plane triangles; laying
 them out gives the tangency points, then the face planes and the
 vertices.  The gauge is fixed by a Mobius centering and a rotation.
-The volume is assembled exactly from ideal tetrahedra of the truncation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
 from .errors import NotPolyhedral, SolverDiverged
 from .graphs import PlanarGraph, _norm_edge, medial_graph
 from .polyhedron import Polyhedron, build_polyhedron
-from .volume import VolumeResult, polyhedron_volume
+from .volume import VolumeMethod, VolumeResult, ideal_tetrahedra_volume
 
 #: Residual required of the angle-structure Newton solve.
 SOLVE_TOL = 1e-12
@@ -60,81 +60,101 @@ class MidspherePacking:
     vertex_lifts: np.ndarray      # (V, 4), chart-normalized poles
     tangency_points: np.ndarray   # (E, 3), unit vectors, ordered as graph.edges
     residuals: dict
+    volume: VolumeResult          # of the truncation, by Rivin's maximum
 
 
 def _cone_equations(m: PlanarGraph):
     """The angle structures of the right-angled ideal polyhedron with skeleton m.
 
-    Returns ``(tris, A, b)``.  ``tris`` are the fan triangles (a, b, c) of
-    the faces without vertex 0, in face order; the angle in column
-    ``3 t + i`` sits at vertex ``tris[t][i]`` and at the opposite side.
-    ``A x = b`` holds the segment sums (pi/2 on an edge of m, pi on a
-    segment inside a face, 2 pi otherwise), then the tetrahedron sums (pi).
+    Returns ``(tris, side, side_target, vertex_target)``.  ``tris`` are the fan
+    triangles of the faces without vertex 0; angle (t, i) sits at segment
+    0-``tris[t][i]`` and at the opposite side ``side[t, i]``.  A tetrahedron's
+    angles sum to pi; those at a side or at 0-w (``vertex_target[w]``) to pi/2
+    on an edge of m, pi inside a face, 2 pi otherwise.
     """
     tris = [(cyc[0], cyc[i], cyc[i + 1]) for cyc in m.faces if 0 not in cyc
             for i in range(1, len(cyc) - 1)]
+    sides = {}
+    side = np.array([[sides.setdefault(_norm_edge(tri[(i + 1) % 3], tri[(i + 2) % 3]), len(sides))
+                      for i in range(3)] for tri in tris])
     on_face = {w for cyc in m.faces if 0 in cyc for w in cyc}
-    rows = {}   # segment -> (target, columns); a vertex w stands for the segment 0-w
-    for t, tri in enumerate(tris):
-        for i, w in enumerate(tri):
-            side = _norm_edge(tri[(i + 1) % 3], tri[(i + 2) % 3])
-            rows.setdefault(side, (0.5 * math.pi if side in m.edge_index else math.pi, []))
-            rows.setdefault(w, (0.5 * math.pi if w in m.adjacency[0]
-                                else math.pi if w in on_face else 2.0 * math.pi, []))
-            rows[side][1].append(3 * t + i)
-            rows[w][1].append(3 * t + i)
-    A = np.zeros((len(rows) + len(tris), 3 * len(tris)))
-    for r, (_, cols) in enumerate(rows.values()):
-        A[r, cols] = 1.0
-    A[len(rows):] = np.kron(np.eye(len(tris)), np.ones(3))
-    b = [target for target, _ in rows.values()] + [math.pi] * len(tris)
-    return tris, A, np.array(b)
+    vertex_target = [0.5 * math.pi if w in m.adjacency[0] else math.pi if w in on_face
+                     else 2.0 * math.pi for w in range(m.n_vertices)]
+    side_target = [0.5 * math.pi if s in m.edge_index else math.pi for s in sides]
+    return tris, side, np.array(side_target), np.array(vertex_target)
 
 
 def _max_volume_angles(m: PlanarGraph):
     """Rivin's maximizer of the sum of Lobachevsky functions over angle structures.
 
-    Infeasible-start Newton on the KKT system (Boyd & Vandenberghe,
-    *Convex Optimization*, 10.3) from all angles pi/3, with the redundant
-    equations dropped by one SVD.  Returns ``(tris, angles (T, 3), residual)``.
+    Returns ``(tris, angles (T, 3), residual)``.  Infeasible-start Newton
+    (Boyd & Vandenberghe, *Convex Optimization*, 10.3) from all angles pi/3,
+    in two free angles per tetrahedron.  Each Hessian block has determinant
+    1; its inverse seen from the sides is the triangle's cotangent Laplacian,
+    so a step is one solve with the Schur complement on the side rows.  Left
+    out as implied, and checked at the end with the rest: the rows 0-w (the
+    tetrahedron rows at w sum to it and the side rows at w) and the last
+    side row (all side rows sum to all tetrahedron rows).
     """
-    tris, A, b = _cone_equations(m)
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(S > 1e-9 * S[0]))
-    C, d = Vt[:rank], (U[:, :rank].T @ b) / S[:rank]
+    tris, side, side_target, vertex_target = _cone_equations(m)
+    n = len(side_target)
+    # Sides i and i + 1 of a triangle meet at angle i + 2: the Laplacian's pairs.
+    ends = np.stack([side, np.roll(side, -1, axis=1)], axis=-1)
+    at = (ends[..., [0, 1, 0, 1]] * n + ends[..., [0, 1, 1, 0]]).ravel()
+
+    def side_sums(q):
+        return np.bincount(side.ravel(), weights=q.ravel(), minlength=n)
 
     def residual(x, nu):
-        return np.concatenate([np.log(2.0 * np.sin(x)) + C.T @ nu, C @ x - d])
+        u = np.log(2.0 * np.sin(x)) + nu[side]
+        primal = (side_sums(x) - side_target)[:-1]
+        return u, np.concatenate([(u[:, :2] - u[:, 2:]).ravel(), primal])
 
-    n = A.shape[1]
-    x = np.full(n, math.pi / 3.0)
-    nu = -C @ np.log(2.0 * np.sin(x))
-    r = residual(x, nu)
-    K = np.zeros((n + rank, n + rank))
-    K[:n, n:], K[n:, :n] = C.T, C
+    def laplacian(w, q):  # each tetrahedron's Hessian inverse, on its three angles
+        flux = w * (q - np.roll(q, -1, axis=1))
+        return flux - np.roll(flux, 1, axis=1)
+
+    def line_search(dx, dnu):  # stay inside (0, pi) and decrease the residual
+        s = 1.0
+        while s > 1e-10:
+            x_try = x + s * dx
+            x_try[:, 2] = math.pi - x_try[:, 0] - x_try[:, 1]
+            if np.all((x_try > 0.0) & (x_try < math.pi)):
+                u_try, r_try = residual(x_try, nu + s * dnu)
+                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
+                    return x_try, nu + s * dnu, u_try, r_try
+            s *= 0.5
+        return None
+
+    x, nu = np.full(side.shape, math.pi / 3.0), np.zeros(n)  # nu[-1] stays 0
+    u, r = residual(x, nu)
     for _ in range(NEWTON_ITERATIONS):
         norm = float(np.linalg.norm(r))
         if norm < SOLVE_TOL:
             break
-        K[range(n), range(n)] = 1.0 / np.tan(x)
-        step = np.linalg.solve(K, -r)
-        s = 1.0
-        while s > 1e-10:  # stay inside (0, pi) and decrease the residual
-            x_try, nu_try = x + s * step[:n], nu + s * step[n:]
-            if np.all((x_try > 0.0) & (x_try < math.pi)):
-                r_try = residual(x_try, nu_try)
-                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
-                    break
-            s *= 0.5
-        else:
+        w = np.roll(1.0 / np.tan(x), -2, axis=1)
+        schur = np.bincount(at, weights=np.outer(w, [1.0, 1.0, -1.0, -1.0]).ravel(),
+                            minlength=n * n).reshape(n, n)[:-1, :-1]
+        # S dnu = r_primal - B H^-1 r_dual, dx = -H^-1 (r_dual + B^T dnu); where rounding
+        # stalls that, the step with r_dual = 0: near angles 0 and pi large cotangents carry
+        # the rounding of r_dual into the primal rows, and this step has small values only.
+        primal = r[2 * len(tris):]
+        steps = np.linalg.solve(schur, np.column_stack(
+            [primal - side_sums(laplacian(w, u))[:-1], primal]))
+        tried = (line_search(-laplacian(w, q + dnu[side]), dnu)
+                 for dnu, q in zip(np.vstack([steps, [0.0, 0.0]]).T, (u, 0.0)))
+        state = next((found for found in tried if found is not None), None)
+        if state is None:
             break
-        x, nu, r = x_try, nu_try, r_try
+        x, nu, u, r = state
     norm = float(np.linalg.norm(r))
-    gap = float(np.max(np.abs(A @ x - b)))
+    at_vertex = np.bincount(np.ravel(tris), weights=x.ravel(), minlength=m.n_vertices)
+    gap = float(np.max(np.abs(np.concatenate([side_sums(x) - side_target, x.sum(axis=1) - math.pi,
+                                              (at_vertex - vertex_target)[1:]]))))
     if norm >= SOLVE_TOL or gap > 1e-10:
         raise SolverDiverged(
             f"angle structure solve stalled (residual {norm:.3g}, equations {gap:.3g})")
-    return tris, x.reshape(-1, 3), norm
+    return tris, x, norm
 
 
 def _develop(m: PlanarGraph, tris, angles):
@@ -146,24 +166,21 @@ def _develop(m: PlanarGraph, tris, angles):
     back by inverse stereographic projection.
     """
     owner = {(tri[i], tri[(i + 1) % 3]): (t, i) for t, tri in enumerate(tris) for i in range(3)}
-    z = np.zeros(m.n_vertices, dtype=complex)
+    # Vertex i + 2 of a triangle from its side (i, i + 1): z_i + (z_{i+1} - z_i) * shape[i].
+    shape = (np.sin(np.roll(angles, -1, axis=1)) / np.sin(np.roll(angles, -2, axis=1))
+             * np.exp(-1j * angles)).tolist()
+    z = [0j] * m.n_vertices
     z[tris[0][1]] = 1.0
-
-    def place(t, i):  # the third vertex, from the placed side (tri[i], tri[i + 1])
-        (p, q, w), ang = np.roll(tris[t], -i), np.roll(angles[t], -i)
-        z[w] = z[p] + (z[q] - z[p]) * math.sin(ang[1]) / math.sin(ang[2]) * np.exp(-1j * ang[0])
-
-    place(0, 0)
-    queue, seen = [0], {0}
-    while queue:
-        tri = tris[queue.pop(0)]
-        for i in range(3):
-            t, j = owner.get((tri[(i + 1) % 3], tri[i]), (None, None))
-            if t is not None and t not in seen:
-                seen.add(t)
-                place(t, j)
-                queue.append(t)
-    z = z[1:] - z[1:].mean()
+    order, seen = [(0, 0)], {0}
+    for t, i in order:  # grows while it is walked: breadth first
+        p, q, w = (tris[t][(i + k) % 3] for k in range(3))
+        z[w] = z[p] + (z[q] - z[p]) * shape[t][i]
+        for k in range(3):
+            t2, j = owner.get((tris[t][(k + 1) % 3], tris[t][k]), (None, None))
+            if t2 is not None and t2 not in seen:
+                seen.add(t2)
+                order.append((t2, j))
+    z = np.array(z[1:]) - np.mean(z[1:])
     z /= math.sqrt(float(np.mean(np.abs(z) ** 2)))
     r2 = np.abs(z) ** 2
     sphere = np.column_stack([2.0 * z.real, 2.0 * z.imag, r2 - 1.0]) / (r2 + 1.0)[:, None]
@@ -194,10 +211,14 @@ def _center_tangencies(points):
     return t
 
 
-def _circle_normal(points):
-    """Unit Minkowski normal of the plane through points of a circle on S^2."""
-    n = np.linalg.svd(np.column_stack([-np.ones(len(points)), points]))[2][-1]
-    return n / math.sqrt(float(mdot(n, n)))
+def _circle_normals(m: PlanarGraph, points):
+    """Unit normals of the planes through each face's points (on a circle of S^2)."""
+    normals = np.empty((len(m.faces), 4))
+    for ids, cycles in m.faces_by_size:
+        rows = np.concatenate([-np.ones(cycles.shape + (1,)), points[cycles]], axis=2)
+        n = np.linalg.svd(rows)[2][:, -1]
+        normals[ids] = n / np.sqrt(mdot(n, n))[:, None]
+    return normals
 
 
 def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
@@ -217,10 +238,10 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     m = medial_graph(g)   # medial vertex i is g.edges[i]
     tris, angles, solve_residual = _max_volume_angles(m)
     tang = _center_tangencies(_develop(m, tris, angles))
-    normals = np.array([_circle_normal(tang[list(cyc)]) for cyc in m.faces[:len(g.faces)]])
+    normals = _circle_normals(m, tang)
+    normals, lifts = normals[:len(g.faces)], normals[len(g.faces):]
     # Outward: the tangency points off a face lie inside its half-space.
     normals *= -np.sign(mdot(normals[:, None], lift(tang)).sum(axis=1))[:, None]
-    lifts = np.array([_circle_normal(tang[list(cyc)]) for cyc in m.faces[len(g.faces):]])
 
     # Gauge: first face normal to +z, then first tangency point into the xz-plane.
     R = rotation_to_z(normals[0, 1:])
@@ -241,24 +262,28 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     }
     if residuals["tangency"] > 1e-8:
         raise SolverDiverged(f"tangency residual {residuals['tangency']:.3g}")
+    volume = VolumeResult(ideal_tetrahedra_volume(angles), VolumeMethod.IDEAL_DECOMPOSITION,
+                          1e-12 * max(1, len(tris)))
     return MidspherePacking(graph=g, face_normals=normals, vertex_lifts=lifts,
-                            tangency_points=tang, residuals=residuals)
+                            tangency_points=tang, residuals=residuals, volume=volume)
+
+
+def rectification_and_volume(g: PlanarGraph) -> tuple[Polyhedron, VolumeResult]:
+    """The rectification of g and its volume (Rivin's maximum), from one solve.
+
+    The polyhedron is flagged ``rectified``: no edge meets the open ball,
+    so only truncation and volume consume it downstream.
+    """
+    packing = solve_midsphere(g)
+    planes = tuple(OrientedPlane(normal=normal) for normal in packing.face_normals)
+    return build_polyhedron(planes, g, rectified=True), packing.volume
 
 
 def rectification(g: PlanarGraph) -> Polyhedron:
-    """The projective polyhedron with skeleton g and all edges tangent to S^2.
-
-    Not a generalized hyperbolic polyhedron (no edge meets the open
-    ball); the result is flagged ``rectified`` and only truncation and
-    volume consume it downstream.
-    """
-    packing = solve_midsphere(g)
-    planes = tuple(OrientedPlane(normal=packing.face_normals[f])
-                   for f in range(len(g.faces)))
-    return build_polyhedron(planes, g, rectified=True)
+    """The projective polyhedron with skeleton g and all edges tangent to S^2."""
+    return rectification_and_volume(g)[0]
 
 
 def rectification_volume(g: PlanarGraph) -> VolumeResult:
-    """Volume of the rectification: its truncation is ideal and right-angled."""
-    P = rectification(g)
-    return polyhedron_volume(P)
+    """Volume of the rectification: Rivin's maximum over the angle structures."""
+    return rectification_and_volume(g)[1]

@@ -20,6 +20,7 @@ from .graphs import (
     cube_graph,
     dual_graph,
     edge_collapse,
+    isomorphism_code,
     octahedron_graph,
     prism_graph,
     pyramid_graph,
@@ -218,9 +219,9 @@ def criterion_6(seed=0) -> CriterionResult:
     """Collapse monotonicity of rectification volumes."""
     t0 = time.time()
     corpus = [pyramid_graph(n) for n in (4, 5, 6, 7, 8)] + \
-             [prism_graph(3), prism_graph(4), cube_graph(), octahedron_graph()]
+             [prism_graph(3), prism_graph(5), cube_graph(), octahedron_graph()]
     # One collapse per graph first, then further edges of the same graphs.
-    # A (graph, edge) pair counts once: prism_graph(4) is the cube.
+    # A collapse counts once up to isomorphism of the graph and of its result.
     instances = {}
     for per_graph in (1, None):
         for g in corpus:
@@ -228,14 +229,14 @@ def criterion_6(seed=0) -> CriterionResult:
             for e in g.edges:
                 if len(instances) >= 10 or added == per_graph:
                     break
-                key = (g.canonical_hash(), e)
-                if key in instances:
-                    continue
                 try:
                     res = edge_collapse(g, e)
                 except PolyvolError:
                     continue
-                if res.graph.is_polyhedral():
+                if not res.graph.is_polyhedral():
+                    continue
+                key = (isomorphism_code(g), isomorphism_code(res.graph))
+                if key not in instances:
                     instances[key] = (g, res.graph)
                     added += 1
     ok = len(instances) >= 10

@@ -363,11 +363,14 @@ def _truncation_region(T: TruncatedPolyhedron):
     return T.vertex_charts.mean(axis=0), [T.face_polygon(f) for f in range(len(T.skeleton.faces))]
 
 
-def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
-    """Cone from one ideal vertex into ideal tetrahedra; exact volumes.
+def ideal_tetrahedra_volume(angles) -> float:
+    """Total volume of ideal tetrahedra with (T, 3) angles, summed one by one."""
+    lob = lobachevsky(np.reshape(angles, (-1, 3)))
+    return float(sum((lob[:, 0] + lob[:, 1] + lob[:, 2]).tolist()))
 
-    The angles of every tetrahedron go through one Lobachevsky call.
-    """
+
+def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
+    """Cone from one ideal vertex into ideal tetrahedra; exact volumes."""
     charts = T.vertex_charts
     apex = charts[apex_id] / np.linalg.norm(charts[apex_id])
     angles = []
@@ -379,9 +382,7 @@ def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
         for k in range(1, len(poly) - 1):
             angles.append(ideal_tetrahedron_angles(
                 np.array([apex, poly[0], poly[k], poly[k + 1]]), tol=tol))
-    lob = lobachevsky(np.reshape(angles, (-1, 3)))
-    # Tetrahedron by tetrahedron, in the order the scalar sums took.
-    return float(sum((lob[:, 0] + lob[:, 1] + lob[:, 2]).tolist())), len(angles)
+    return ideal_tetrahedra_volume(angles), len(angles)
 
 
 def _truncation_or_none(P: Polyhedron):
@@ -402,17 +403,9 @@ def _halfspace_region(P: Polyhedron):
     report = P.report
     charts = P.vertex_charts
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
-    dirs = []
-    offs = []
-    for pl in P.planes:
-        d, c = pl.chart_equation()
-        dirs.append(d)
-        offs.append(c)
-    for v in hyper:
-        dirs.append(charts[v])
-        offs.append(1.0)
-    D = np.array(dirs)
-    c = np.array(offs)
+    equations = [pl.chart_equation() for pl in P.planes] + [(charts[v], 1.0) for v in hyper]
+    D = np.array([d for d, _ in equations])
+    c = np.array([offset for _, offset in equations])
     m = len(D)
     pts = []
     from itertools import combinations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyvol.graphs import (
+    PlanarGraph,
     cube_graph,
     octahedron_graph,
     prism_graph,
@@ -50,3 +51,13 @@ def to_networkx(g):
     G.add_nodes_from(range(g.n_vertices))
     G.add_edges_from(g.edges)
     return G
+
+
+def stacked_triangulation(n_vertices, rng):
+    """Random stacked triangulation: from the tetrahedron, split a random
+    face into three around each new vertex (the bench corpus's loop)."""
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    for v in range(4, n_vertices):
+        a, b, c = faces.pop(int(rng.integers(len(faces))))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+    return PlanarGraph(n_vertices, tuple(faces))

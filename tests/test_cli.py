@@ -71,6 +71,14 @@ def test_rectify_emits_planes_and_volume(k4_file, capsys):
     assert abs(value - 3.663862376709) < 1e-6
 
 
+def test_rectify_volume_line_is_stable(k4_file, capsys):
+    # The value and the error estimate (1e-12 per ideal tetrahedron, four
+    # here) at 12 significant digits, identical from run to run.
+    outs = [run_cli(["rectify", k4_file], capsys) for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0][1].endswith("\nVOL 3.66386237671 4e-12\n")
+
+
 def test_rectify_pyramid13_prints_antiprism_volume(tmp_path, capsys):
     path = tmp_path / "pyr13.graph"
     path.write_text(format_graph(pyramid_graph(13)))

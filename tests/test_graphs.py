@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -21,6 +22,7 @@ from polyvol.graphs import (
     face_collapse,
     format_graph,
     is_3_connected,
+    isomorphism_code,
     medial_graph,
     parse_graph,
     prism_graph,
@@ -111,6 +113,38 @@ def test_is_3_connected_matches_networkx_on_collapses(corpus_graphs):
     assert len(verdicts) == 440
     assert sum(not expected for _, expected in verdicts) == 58
     assert all(got == expected for got, expected in verdicts)
+
+
+def test_isomorphism_code_merges_isomorphic_collapses():
+    def code(g, e):
+        return isomorphism_code(edge_collapse(g, e).graph)
+
+    assert code(pyramid_graph(4), (1, 2)) == code(pyramid_graph(4), (1, 4))
+    assert code(cube_graph(), (0, 3)) == code(prism_graph(4), (0, 1))
+    assert code(prism_graph(3), (0, 1)) != code(prism_graph(3), (0, 3))
+
+
+def test_isomorphism_code_ignores_labels_and_orientation(rng):
+    for g in (cube_graph(), pyramid_graph(7), prism_graph(5)):
+        p = rng.permutation(g.n_vertices)
+        for sense in (1, -1):
+            h = PlanarGraph(g.n_vertices, tuple(tuple(int(p[v]) for v in cyc[::sense])
+                                                for cyc in g.faces))
+            assert isomorphism_code(h) == isomorphism_code(g)
+
+
+def test_isomorphism_code_matches_networkx_on_collapses(corpus_graphs):
+    # Every graph is isomorphic to the first of its code, and the firsts
+    # of two codes are not isomorphic.
+    by_code = {}
+    for g in [*corpus_graphs.values(), prism_graph(5)]:
+        for h in _collapses(g):
+            if h.is_polyhedral():
+                by_code.setdefault(isomorphism_code(h), []).append(h)
+    assert len(by_code) > 10
+    assert all(iso(first, h) for first, *rest in by_code.values() for h in rest)
+    firsts = [graphs[0] for graphs in by_code.values()]
+    assert not any(iso(a, b) for a, b in combinations(firsts, 2))
 
 
 def test_is_polyhedral_tests_each_graph_once(monkeypatch):

@@ -1,10 +1,11 @@
 import math
+import time
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import to_networkx
+from conftest import stacked_triangulation, to_networkx
 from polyvol.core import dihedral_angle
 from polyvol.errors import NotPolyhedral
 from polyvol.graphs import (
@@ -20,12 +21,16 @@ from polyvol.graphs import (
 )
 from polyvol.polyhedron import classify_vertices, dihedral_angles, truncate, PointKind
 from polyvol.rectify import (
+    NEWTON_ITERATIONS,
+    SOLVE_TOL,
+    _cone_equations,
     _max_volume_angles,
     rectification,
+    rectification_and_volume,
     rectification_volume,
     solve_midsphere,
 )
-from polyvol.volume import lobachevsky
+from polyvol.volume import VolumeMethod, lobachevsky, polyhedron_volume
 
 V8 = 8 * lobachevsky(math.pi / 4)
 
@@ -195,18 +200,144 @@ def test_pyramid13_rectification_matches_antiprism():
     assert abs(res.value - antiprism_volume(13)) < 1e-10
 
 
-@pytest.mark.parametrize("g", [
-    prism_graph(7), prism_graph(8), *(pyramid_graph(n) for n in range(13, 17)),
-    ICOSAHEDRON, dual_graph(ICOSAHEDRON)],
-    ids=["prism7", "prism8", "pyr13", "pyr14", "pyr15", "pyr16", "icosahedron",
-         "dodecahedron"])
+RIVIN_GRAPHS = [prism_graph(7), prism_graph(8), *(pyramid_graph(n) for n in range(13, 17)),
+                ICOSAHEDRON, dual_graph(ICOSAHEDRON)]
+RIVIN_IDS = ["prism7", "prism8", "pyr13", "pyr14", "pyr15", "pyr16", "icosahedron",
+             "dodecahedron"]
+
+
+def _dense_equations(m):
+    """Every row of the angle structure equations, dense, from the faces of m:
+    the segment rows (sides and segments 0-w) in order of appearance, then
+    the tetrahedron rows."""
+    tris = [(cyc[0], cyc[i], cyc[i + 1]) for cyc in m.faces if 0 not in cyc
+            for i in range(1, len(cyc) - 1)]
+    on_face = {w for cyc in m.faces if 0 in cyc for w in cyc}
+    rows = {}
+    for t, tri in enumerate(tris):
+        for i, w in enumerate(tri):
+            side = tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3])))
+            rows.setdefault(side, (0.5 * math.pi if side in m.edge_index else math.pi, []))
+            rows.setdefault(w, (0.5 * math.pi if w in m.adjacency[0]
+                                else math.pi if w in on_face else 2.0 * math.pi, []))
+            rows[side][1].append(3 * t + i)
+            rows[w][1].append(3 * t + i)
+    A = np.zeros((len(rows) + len(tris), 3 * len(tris)))
+    for r, (_, cols) in enumerate(rows.values()):
+        A[r, cols] = 1.0
+    A[len(rows):] = np.kron(np.eye(len(tris)), np.ones(3))
+    return A, np.array([target for target, _ in rows.values()] + [math.pi] * len(tris))
+
+
+def _kkt_reference_angles(m):
+    """Rivin's maximizer by infeasible-start Newton on the full KKT system,
+    with the redundant rows dropped by an SVD of the dense equations."""
+    A, b = _dense_equations(m)
+    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(S > 1e-9 * S[0]))
+    C, d = Vt[:rank], (U[:, :rank].T @ b) / S[:rank]
+
+    def residual(x, nu):
+        return np.concatenate([np.log(2.0 * np.sin(x)) + C.T @ nu, C @ x - d])
+
+    n = A.shape[1]
+    x = np.full(n, math.pi / 3.0)
+    nu = -C @ np.log(2.0 * np.sin(x))
+    r = residual(x, nu)
+    K = np.zeros((n + rank, n + rank))
+    K[:n, n:], K[n:, :n] = C.T, C
+    for _ in range(NEWTON_ITERATIONS):
+        norm = float(np.linalg.norm(r))
+        if norm < SOLVE_TOL:
+            break
+        K[range(n), range(n)] = 1.0 / np.tan(x)
+        step = np.linalg.solve(K, -r)
+        s = 1.0
+        while s > 1e-10:
+            x_try, nu_try = x + s * step[:n], nu + s * step[n:]
+            if np.all((x_try > 0.0) & (x_try < math.pi)):
+                r_try = residual(x_try, nu_try)
+                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
+                    break
+            s *= 0.5
+        else:
+            break
+        x, nu, r = x_try, nu_try, r_try
+    assert np.linalg.norm(r) < SOLVE_TOL and np.max(np.abs(A @ x - b)) < 1e-10
+    return x.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("g", RIVIN_GRAPHS, ids=RIVIN_IDS)
 def test_rivin_maximum_is_the_rectification_volume(g):
     # The maximal sum of Lobachevsky functions is the volume of the ideal
-    # right-angled truncation; the decomposition of the realized
-    # polyhedron computes it independently.
+    # right-angled truncation; decomposing the realized polyhedron's
+    # truncation into ideal tetrahedra computes it independently.
+    res = rectification_volume(g)
+    geometric = polyhedron_volume(rectification(g))
+    assert res.method == geometric.method == VolumeMethod.IDEAL_DECOMPOSITION
+    assert abs(res.value - geometric.value) < 1e-10 * geometric.value
+
+
+@pytest.mark.parametrize("g", RIVIN_GRAPHS, ids=RIVIN_IDS)
+def test_reduced_solve_matches_full_kkt_solve(g):
+    m = medial_graph(g)
+    _, angles, _ = _max_volume_angles(m)
+    assert np.max(np.abs(angles - _kkt_reference_angles(m))) < 1e-12
+
+
+@pytest.mark.parametrize("g", RIVIN_GRAPHS, ids=RIVIN_IDS)
+def test_reduced_rows_have_full_rank_and_dropped_rows_hold(g):
+    m = medial_graph(g)
+    tris, side, side_target, vertex_target = _cone_equations(m)
+    T, n = len(tris), len(side_target)
+    # The side rows in the free angles (a, b) of each tetrahedron, c = pi - a - b.
+    B = np.zeros((n, 2 * T))
+    for t, (s0, s1, s2) in enumerate(side):
+        B[s0, 2 * t] += 1.0
+        B[s1, 2 * t + 1] += 1.0
+        B[s2, 2 * t:2 * t + 2] -= 1.0
+    assert np.linalg.matrix_rank(B[:-1]) == n - 1
+    # Dropping them loses no equation: the full system is as deficient as
+    # the medial graph has vertices (the rows 0-w and one side row).
+    A, _ = _dense_equations(m)
+    assert np.linalg.matrix_rank(A) == len(A) - m.n_vertices
+    _, angles, _ = _max_volume_angles(m)
+    at_vertex = np.bincount(np.ravel(tris), weights=angles.ravel(), minlength=m.n_vertices)
+    assert np.max(np.abs(at_vertex - vertex_target)[1:]) < 1e-10
+    last = np.bincount(side.ravel(), weights=angles.ravel())[-1]
+    assert abs(last - side_target[-1]) < 1e-10
+
+
+def test_stacked_triangulation_100_vertices():
+    g = stacked_triangulation(100, np.random.default_rng(3))
+    start = time.perf_counter()
+    P, res = rectification_and_volume(g)
+    elapsed = time.perf_counter() - start
+    # Every edge tangent to the sphere: the closest point of its line has norm 1.
+    a, b = P.vertex_charts[g.edge_array.T]
+    d = b - a
+    feet = a - (np.sum(a * d, axis=1) / np.sum(d * d, axis=1))[:, None] * d
+    assert np.max(np.abs(np.linalg.norm(feet, axis=1) - 1.0)) < 1e-10
+    assert abs(res.value - polyhedron_volume(P).value) < 1e-10 * res.value
+    assert abs(rectification_volume(dual_graph(g)).value - res.value) < 1e-8
+    assert elapsed < 5.0, f"100-vertex rectification took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_stacked_triangulations_with_tiny_angles(seed):
+    # Rivin's maximizer here has angles near 3e-4 and near pi - 0.08, and the
+    # full Newton step alone stalls at a residual of 1.3e-12 (the dual of
+    # seed 2) and 2.5e-12 (seed 6), just above SOLVE_TOL.
+    g = stacked_triangulation(100, np.random.default_rng(seed))
     _, angles, _ = _max_volume_angles(medial_graph(g))
-    rivin = float(np.sum(lobachevsky(angles)))
-    assert abs(rivin - rectification_volume(g).value) < 1e-10
+    assert abs(rectification_volume(dual_graph(g)).value
+               - float(np.sum(lobachevsky(angles)))) < 1e-8
+
+
+def test_cli_and_library_share_one_volume():
+    P, res = rectification_and_volume(pyramid_graph(6))
+    assert res == rectification_volume(pyramid_graph(6))
+    assert abs(res.value - polyhedron_volume(P).value) < 1e-12 * res.value
 
 
 def test_determinism():
