@@ -223,6 +223,19 @@ class PlanarGraph:
         ef = np.array([self.edge_faces[e] for e in self.edges])
         return inc, flat, np.hstack([4 * ef[:, :1] + quad, 4 * ef[:, 1:] + quad])
 
+    @cached_property
+    def face_crossings(self) -> tuple[tuple[tuple[int, Edge], ...], ...]:
+        """Per face, its ``(neighbouring face, shared edge)`` pairs sorted by face.
+
+        A curve transverse to the skeleton crosses the shared edge (just
+        one on a polyhedral graph) when it steps to the neighbour.
+        """
+        out = [[] for _ in self.faces]
+        for e, (f, h) in self.edge_faces.items():
+            out[f].append((h, e))
+            out[h].append((f, e))
+        return tuple(tuple(sorted(row)) for row in out)
+
     def degree(self, v: int) -> int:
         return len(self.vertex_faces[v])
 
@@ -517,50 +530,6 @@ def _edges_share_vertex(edges) -> bool:
     return True
 
 
-def _simple_cycles(adj, n):
-    """All simple cycles (length >= 2 edges) of a multigraph-free graph."""
-    cycles = []
-
-    def dfs(start, u, visited, path):
-        for w in sorted(adj[u]):
-            if w == start and len(path) >= 3:
-                cycles.append(tuple(path))
-            elif w > start and w not in visited:
-                visited.add(w)
-                path.append(w)
-                dfs(start, w, visited, path)
-                path.pop()
-                visited.remove(w)
-
-    for s in range(n):
-        dfs(s, s, {s}, [s])
-    # Each cycle found twice (two directions); dedupe by frozenset of edges.
-    out = {}
-    for cyc in cycles:
-        out.setdefault(frozenset(_norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
-                                 for k in range(len(cyc))), cyc)
-    return list(out.values())
-
-
-def _simple_paths(adj, src, dst):
-    paths = []
-
-    def dfs(u, visited, path):
-        if u == dst:
-            paths.append(tuple(path))
-            return
-        for w in sorted(adj[u]):
-            if w not in visited:
-                visited.add(w)
-                path.append(w)
-                dfs(w, visited, path)
-                path.pop()
-                visited.remove(w)
-
-    dfs(src, {src}, [src])
-    return paths
-
-
 def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport:
     """Check the linear conditions characterizing hyperideal dihedral angles.
 
@@ -569,7 +538,15 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport
     at most (h-2)pi, with equality allowed only when the crossed edges
     share a vertex; for an arc joining two faces that share a vertex the
     sum must be strictly below (h-1)pi unless the crossed edges share a
-    vertex.  Curves are enumerated exhaustively through the dual graph.
+    vertex.
+
+    One depth-first search over ``g.face_crossings`` enumerates every
+    curve, carrying the crossed edges and their running sum; a curve
+    costs more than O(1) only if it comes within EQUALITY_TOL of its bound.
+    Closed curves come first, each from its lowest face in the direction
+    whose second face is the smaller of its two neighbours there, in
+    depth-first order; then arcs by sorted face pair, depth-first.  The
+    witness is the first violating curve, its edges in crossing order.
 
     Equality cases sitting on a bound (within EQUALITY_TOL) are reported in
     ``equality_cases``; those not exempted by a shared vertex make the
@@ -584,51 +561,73 @@ def check_hyperideal_angles(g: PlanarGraph, angles: dict) -> AdmissibilityReport
         if not (0.0 < th < math.pi):
             raise AngleOutOfRange(f"angle {th} at edge {e} outside (0, pi)")
 
-    dual = dual_graph(g)
-    # Primal edge crossed when the dual path steps between the two faces of it.
-    dual_adj = [set(s) for s in dual.adjacency]
-    cross = {_norm_edge(f1, f2): e for e, (f1, f2) in g.edge_faces.items()}
+    steps = [[(w, e, angles[e]) for w, e in row] for row in g.face_crossings]
+    visited = [False] * len(g.faces)
+    crossed, equalities = [], []
 
-    equalities = []
-
-    def consider(kind, crossed, total, bound):
+    def consider(total):
+        """The curve ``crossed`` if it violates its bound; records equality cases."""
+        bound = (len(crossed) - excess) * math.pi
+        if total - bound < -EQUALITY_TOL:
+            return None  # strictly inside the bound: nearly every curve
         shares = _edges_share_vertex(crossed)
         if shares and kind == CurveKind.ARC:
             return None  # condition waived when the crossed edges share a vertex
         w = Witness(kind, tuple(crossed), total, bound, shares)
-        if abs(total - bound) <= EQUALITY_TOL:
-            if shares:  # a closed curve: equality allowed
-                equalities.append(w)
-                return None
-            return w
-        return w if total > bound else None
+        if total - bound <= EQUALITY_TOL and shares:  # a closed curve: equality allowed
+            equalities.append(w)
+            return None
+        return w
 
-    for cyc in _simple_cycles(dual_adj, dual.n_vertices):
-        h = len(cyc)
-        crossed = [cross[_norm_edge(cyc[k], cyc[(k + 1) % h])] for k in range(h)]
-        if len(set(crossed)) != h:
-            continue
-        total = sum(angles[e] for e in crossed)
-        bad = consider(CurveKind.CLOSED_CURVE, crossed, total, (h - 2) * math.pi)
-        if bad is not None:
-            return AdmissibilityReport(AdmissibilityStatus.VIOLATED_CLOSED_CURVE, bad,
-                                       tuple(equalities))
+    def search(u, total):
+        """Extend ``crossed`` from face u through unvisited faces above ``floor``.
+
+        A step to ``target`` ends a curve, checked when ``first`` is below
+        u: a closed curve from s = target through ``first``, or an arc.
+        """
+        for w, e, th in steps[u]:
+            if w == target:
+                if first < u:
+                    crossed.append(e)
+                    bad = consider(total + th)
+                    crossed.pop()
+                    if bad is not None:
+                        return bad
+            elif w > floor and not visited[w]:
+                visited[w] = True
+                crossed.append(e)
+                bad = search(w, total + th)
+                crossed.pop()
+                visited[w] = False
+                if bad is not None:
+                    return bad
+        return None
+
+    # Closed curves through faces above s, from s; each is found in both
+    # directions and checked in the one whose second face is the smaller.
+    kind, excess = CurveKind.CLOSED_CURVE, 2
+    for s in range(len(g.faces)):
+        target = floor = s
+        for first, e, th in steps[s]:
+            if first > s:
+                visited[first] = True
+                crossed.append(e)
+                bad = search(first, th)
+                crossed.pop()
+                visited[first] = False
+                if bad is not None:
+                    return AdmissibilityReport(AdmissibilityStatus.VIOLATED_CLOSED_CURVE, bad,
+                                               tuple(equalities))
 
     # Arcs: endpoints in two different faces sharing a vertex.
+    kind, excess, floor, first = CurveKind.ARC, 1, -1, -1  # every arc is checked
     share_pairs = {_norm_edge(a, b) for ring in g.vertex_faces for a, b in combinations(ring, 2)}
-    for f1, f2 in sorted(share_pairs):
-        for path in _simple_paths(dual_adj, f1, f2):
-            h = len(path) - 1
-            if h < 1:
-                continue
-            crossed = [cross[_norm_edge(path[k], path[k + 1])] for k in range(h)]
-            if len(set(crossed)) != h:
-                continue
-            total = sum(angles[e] for e in crossed)
-            bad = consider(CurveKind.ARC, crossed, total, (h - 1) * math.pi)
-            if bad is not None:
-                return AdmissibilityReport(AdmissibilityStatus.VIOLATED_ARC, bad,
-                                           tuple(equalities))
+    for f1, target in sorted(share_pairs):
+        visited[f1] = True
+        bad = search(f1, 0.0)
+        visited[f1] = False
+        if bad is not None:
+            return AdmissibilityReport(AdmissibilityStatus.VIOLATED_ARC, bad, tuple(equalities))
 
     return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE, None, tuple(equalities))
 

@@ -11,6 +11,13 @@ from polyvol.graphs import (
 )
 from polyvol.shapes import regular_tetrahedron
 
+ICOSAHEDRON = PlanarGraph(12, (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 6, 2), (2, 7, 3), (3, 8, 4), (4, 9, 5), (5, 10, 1),
+    (6, 7, 2), (7, 8, 3), (8, 9, 4), (9, 10, 5), (10, 6, 1),
+    (11, 7, 6), (11, 8, 7), (11, 9, 8), (11, 10, 9), (11, 6, 10),
+))
+
 
 @pytest.fixture
 def rng():

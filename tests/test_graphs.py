@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from conftest import to_networkx
+from conftest import ICOSAHEDRON, stacked_triangulation, to_networkx
 from polyvol.errors import (
     AngleOutOfRange,
     BadFormat,
@@ -12,9 +14,13 @@ from polyvol.errors import (
     NotPolyhedral,
 )
 from polyvol.graphs import (
+    EQUALITY_TOL,
+    AdmissibilityReport,
     AdmissibilityStatus,
     CurveKind,
     PlanarGraph,
+    Witness,
+    _edges_share_vertex,
     check_hyperideal_angles,
     cube_graph,
     dual_graph,
@@ -24,6 +30,7 @@ from polyvol.graphs import (
     is_3_connected,
     isomorphism_code,
     medial_graph,
+    octahedron_graph,
     parse_graph,
     prism_graph,
     pyramid_graph,
@@ -341,6 +348,179 @@ def test_equality_case_reported():
     rep = check_hyperideal_angles(g, {e: math.pi / 3 for e in g.edges})
     assert rep.admissible  # equality with a shared vertex is allowed
     assert len(rep.equality_cases) > 0
+
+
+def test_cube_belt_at_equality_without_shared_vertex_violated():
+    # The belt curve crosses the four vertical edges: 4 * pi/2 = (4 - 2) pi,
+    # an equality that no shared vertex exempts.
+    g = cube_graph()
+    angles = {e: 0.3 for e in g.edges}
+    for e in ((0, 4), (1, 5), (2, 6), (3, 7)):
+        angles[e] = math.pi / 2
+    rep = check_hyperideal_angles(g, angles)
+    assert rep.status == AdmissibilityStatus.VIOLATED_CLOSED_CURVE
+    w = rep.witness
+    assert w.crossed_edges == ((1, 5), (2, 6), (3, 7), (0, 4))
+    assert not w.shares_vertex
+    assert abs(w.angle_sum - w.bound) <= EQUALITY_TOL
+
+
+@pytest.mark.parametrize("g", [ICOSAHEDRON, dual_graph(ICOSAHEDRON)], ids=["icosahedron", "dual"])
+def test_admissibility_search_memory_is_bounded(g):
+    # The search keeps one curve at a time, so its peak memory does not
+    # grow with the number of curves it checks.
+    angles = {e: 0.5 for e in g.edges}
+    check_hyperideal_angles(g, {e: 3.0 for e in g.edges})  # fills the graph's caches
+    tracemalloc.start()
+    try:
+        rep = check_hyperideal_angles(g, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.admissible
+    assert peak < 256 * 1024
+
+
+# --- admissibility against the exhaustive reference --------------------------------
+
+def _reference_cycles(adj, n):
+    """All simple cycles (length >= 3) of a simple graph, each once."""
+    cycles = []
+
+    def dfs(start, u, visited, path):
+        for w in sorted(adj[u]):
+            if w == start and len(path) >= 3:
+                cycles.append(tuple(path))
+            elif w > start and w not in visited:
+                visited.add(w)
+                path.append(w)
+                dfs(start, w, visited, path)
+                path.pop()
+                visited.remove(w)
+
+    for s in range(n):
+        dfs(s, s, {s}, [s])
+    out = {}  # each cycle is found in both directions; keep the first
+    for cyc in cycles:
+        out.setdefault(frozenset(frozenset((cyc[k], cyc[(k + 1) % len(cyc)]))
+                                 for k in range(len(cyc))), cyc)
+    return list(out.values())
+
+
+def _reference_paths(adj, src, dst):
+    paths = []
+
+    def dfs(u, visited, path):
+        if u == dst:
+            paths.append(tuple(path))
+            return
+        for w in sorted(adj[u]):
+            if w not in visited:
+                visited.add(w)
+                path.append(w)
+                dfs(w, visited, path)
+                path.pop()
+                visited.remove(w)
+
+    dfs(src, {src}, [src])
+    return paths
+
+
+def _reference_check(g, angles):
+    """Enumerate every dual cycle and arc first, then check each one."""
+    dual = dual_graph(g)
+    cross = {frozenset(fs): e for e, fs in g.edge_faces.items()}
+    equalities = []
+
+    def consider(kind, crossed, total, bound):
+        shares = _edges_share_vertex(crossed)
+        if shares and kind == CurveKind.ARC:
+            return None
+        w = Witness(kind, tuple(crossed), total, bound, shares)
+        if abs(total - bound) <= EQUALITY_TOL:
+            if shares:
+                equalities.append(w)
+                return None
+            return w
+        return w if total > bound else None
+
+    for cyc in _reference_cycles(dual.adjacency, dual.n_vertices):
+        h = len(cyc)
+        crossed = [cross[frozenset((cyc[k], cyc[(k + 1) % h]))] for k in range(h)]
+        if len(set(crossed)) != h:
+            continue
+        bad = consider(CurveKind.CLOSED_CURVE, crossed, sum(angles[e] for e in crossed),
+                       (h - 2) * math.pi)
+        if bad is not None:
+            return AdmissibilityReport(AdmissibilityStatus.VIOLATED_CLOSED_CURVE, bad,
+                                       tuple(equalities))
+    share_pairs = {tuple(sorted(p)) for ring in g.vertex_faces for p in combinations(ring, 2)}
+    for f1, f2 in sorted(share_pairs):
+        for path in _reference_paths(dual.adjacency, f1, f2):
+            h = len(path) - 1
+            crossed = [cross[frozenset(path[k:k + 2])] for k in range(h)]
+            if len(set(crossed)) != h:
+                continue
+            bad = consider(CurveKind.ARC, crossed, sum(angles[e] for e in crossed),
+                           (h - 1) * math.pi)
+            if bad is not None:
+                return AdmissibilityReport(AdmissibilityStatus.VIOLATED_ARC, bad,
+                                           tuple(equalities))
+    return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE, None, tuple(equalities))
+
+
+def _report_key(rep):
+    def key(w):
+        return w.kind, w.crossed_edges, w.angle_sum.hex(), w.bound.hex(), w.shares_vertex
+
+    return rep.status, rep.witness and key(rep.witness), [key(w) for w in rep.equality_cases]
+
+
+_ORACLE_GRAPHS = {
+    "K4": tetrahedron_graph(), "cube": cube_graph(), "octahedron": octahedron_graph(),
+    "prism5": prism_graph(5), "prism6": prism_graph(6), "pyramid6": pyramid_graph(6),
+    "bipyramid5": dual_graph(prism_graph(5)),
+    "stacked8": stacked_triangulation(8, np.random.default_rng(8)),
+}
+
+
+@pytest.mark.parametrize("lo, hi", [(0.08, 0.95), (0.6, 2.9), (1.2, 1.9)])
+@pytest.mark.parametrize("name", list(_ORACLE_GRAPHS))
+def test_admissibility_matches_exhaustive_reference(name, lo, hi):
+    g = _ORACLE_GRAPHS[name]
+    rng = np.random.default_rng([len(g.edges), int(100 * lo)])
+    for _ in range(8):
+        angles = {e: float(rng.uniform(lo, hi)) for e in g.edges}
+        assert _report_key(check_hyperideal_angles(g, angles)) == \
+            _report_key(_reference_check(g, angles))
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GRAPHS))
+def test_admissibility_arcs_match_exhaustive_reference(name):
+    # Small angles but two disjoint edges near pi/2: no vertex link breaks
+    # its bound, so the arcs decide (on the pyramid, arcs across the base fail).
+    g = _ORACLE_GRAPHS[name]
+    disjoint = [(a, b) for a, b in combinations(g.edges, 2) if not set(a) & set(b)]
+    rng = np.random.default_rng([len(g.edges), 1])
+    for _ in range(8):
+        angles = {e: float(rng.uniform(0.08, 0.3)) for e in g.edges}
+        for e in disjoint[rng.integers(len(disjoint))]:
+            angles[e] = float(rng.uniform(1.6, 1.9))
+        assert _report_key(check_hyperideal_angles(g, angles)) == \
+            _report_key(_reference_check(g, angles))
+
+
+@pytest.mark.parametrize("name, angle, equalities", [
+    ("octahedron", math.pi / 2, 6), ("K4", math.pi / 3, 4),
+    # Link sums just above the bound, inside EQUALITY_TOL: still equality cases.
+    ("octahedron", math.pi / 2 + 1e-12, 6), ("K4", math.pi / 3 + 1e-12, 4),
+], ids=["octahedron", "K4", "octahedron-above", "K4-above"])
+def test_admissibility_equality_cases_match_reference(name, angle, equalities):
+    g = _ORACLE_GRAPHS[name]
+    angles = {e: angle for e in g.edges}
+    rep = check_hyperideal_angles(g, angles)
+    assert rep.admissible and len(rep.equality_cases) == equalities
+    assert _report_key(rep) == _report_key(_reference_check(g, angles))
 
 
 # --- text format ------------------------------------------------------------------

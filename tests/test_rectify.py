@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import stacked_triangulation, to_networkx
+from conftest import ICOSAHEDRON, stacked_triangulation, to_networkx
 from polyvol.core import dihedral_angle
 from polyvol.errors import NotPolyhedral
 from polyvol.graphs import (
@@ -33,13 +33,6 @@ from polyvol.rectify import (
 from polyvol.volume import VolumeMethod, lobachevsky, polyhedron_volume
 
 V8 = 8 * lobachevsky(math.pi / 4)
-
-ICOSAHEDRON = PlanarGraph(12, (
-    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-    (1, 6, 2), (2, 7, 3), (3, 8, 4), (4, 9, 5), (5, 10, 1),
-    (6, 7, 2), (7, 8, 3), (8, 9, 4), (9, 10, 5), (10, 6, 1),
-    (11, 7, 6), (11, 8, 7), (11, 9, 8), (11, 10, 9), (11, 6, 10),
-))
 
 
 def antiprism_volume(n):
