@@ -2,8 +2,9 @@
 
 Subcommands: classify, angles-check, volume, rectify, flow, selftest.
 Exit codes: 0 success, 1 domain error (with a machine-readable
-``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact.  All
-numeric output uses 12 significant digits; the environment variable
+``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact.
+Numeric output uses 12 significant digits, except the plane normals of
+``rectify``, which parse back to the same floats; the environment variable
 ``POLYVOL_SEED`` overrides ``--seed``.
 """
 

@@ -235,33 +235,41 @@ def dihedral_angles(P: Polyhedron) -> dict:
     return out
 
 
-def edge_lengths(P: Polyhedron) -> dict:
-    """Hyperbolic length of each edge's subsegment inside the truncation.
+def _edge_segments(P: Polyhedron):
+    """Chart ends ``(x, y)`` of each edge's part inside the polar half-spaces of its ends.
 
-    Zero is possible (almost proper contact); edges ending at ideal
-    vertices of the truncation get length ``inf``.
+    Row i holds the ends at u and v of ``u, v = P.skeleton.edges[i]``.  An
+    end is the vertex itself, or for a hyperideal vertex b, where the edge
+    walked from its other end a meets b's polar plane: ``a + t (b - a)``
+    with ``t = (1 - b.a) / (b.(b - a))``.  Ends coincide only at the two
+    ends of one edge, when its segment is shorter than ``MERGE_TOL``.
     """
-    report = P.report
-    if report.is_improper():
-        raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
+    hyper = np.array([k == PointKind.HYPERIDEAL for k in P.report.kinds])
+    u, v = P.skeleton.edge_array.T
+
+    def end(a, b, cut):  # stacked (1, 3) @ (3, 1) products round as the scalar b @ a
+        a, b, out = a[cut], b[cut], b.copy()
+        t = (1.0 - b[:, None] @ a[:, :, None]) / (b[:, None] @ (b - a)[:, :, None])
+        out[cut] = a + t[:, 0] * (b - a)
+        return out
+
     charts = P.vertex_charts
-    poles = charts[[v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]]
-    a, b = charts[P.skeleton.edge_array.T]
-    d = b - a
-    # a + t d lies in the polar half-space of pole h where c0 + t c1 <= 0.
-    c0, c1 = a @ poles.T - 1.0, d @ poles.T
-    level = np.abs(c1) < 1e-14
-    t = -c0 / np.where(level, 1.0, c1)
-    lo = np.max(np.where(~level & (c1 < 0), t, 0.0), axis=1, initial=0.0)
-    hi = np.min(np.where(~level & (c1 > 0), t, 1.0), axis=1, initial=1.0)
-    empty = (hi < lo) | np.any(level & (c0 > TAU_IDEAL), axis=1)
-    x, y = a + lo[:, None] * d, a + hi[:, None] * d
+    return end(charts[v], charts[u], hyper[u]), end(charts[u], charts[v], hyper[v])
+
+
+def edge_lengths(P: Polyhedron) -> dict:
+    """Hyperbolic length of each edge's segment (:func:`_edge_segments`) inside the truncation.
+
+    Zero is possible (almost proper contact); an edge with an end on the
+    sphere gets ``inf`` unless its two ends merge.
+    """
+    if P.report.is_improper():
+        raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
+    x, y = _edge_segments(P)
     sx, sy = 1.0 - np.sum(x * x, axis=1), 1.0 - np.sum(y * y, axis=1)
     out = {}
     for i, e in enumerate(P.skeleton.edges):
-        if empty[i]:
-            out[e] = 0.0
-        elif sx[i] <= TAU_IDEAL * 2 or sy[i] <= TAU_IDEAL * 2:
+        if sx[i] <= TAU_IDEAL * 2 or sy[i] <= TAU_IDEAL * 2:
             out[e] = 0.0 if math.hypot(*(x[i] - y[i])) <= MERGE_TOL else math.inf
         else:
             out[e] = math.acosh(max(1.0, (1.0 - float(x[i] @ y[i])) / math.sqrt(sx[i] * sy[i])))
@@ -299,32 +307,15 @@ class TruncatedPolyhedron:
         return self.vertex_charts[list(self.skeleton.faces[f])]
 
 
-class _NodePool:
-    """Truncation vertices with geometric merging of coincident nodes."""
-
-    def __init__(self, tol):
-        self.tol = tol
-        self.coords = []
-        self.key_to_id = {}
-
-    def add(self, key, coord):
-        if key in self.key_to_id:
-            return self.key_to_id[key]
-        for i, c in enumerate(self.coords):
-            if np.linalg.norm(c - coord) <= self.tol:
-                self.key_to_id[key] = i
-                return i
-        self.coords.append(np.asarray(coord, dtype=float))
-        self.key_to_id[key] = len(self.coords) - 1
-        return len(self.coords) - 1
-
-
 def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     """Intersect P with the polar half-space of every hyperideal vertex.
 
     For proper input, removing the truncation faces recovers P exactly;
     edges arising from the truncation meet the adjacent faces at right
-    angles, and distinct truncation faces are disjoint.
+    angles, and distinct truncation faces are disjoint.  The nodes are
+    the ends of :func:`_edge_segments`, so they coincide only at the two
+    ends of one edge.  They are numbered in the order the face walk meets
+    them, each at the point of its first-met end.
     """
     report = P.report
     if report.is_improper():
@@ -335,19 +326,34 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         return TruncatedPolyhedron(P.planes, tuple(False for _ in P.planes), g,
                                    P.vertex_lifts.copy(), P)
     hyper_set = set(hyper)
-    charts = P.vertex_charts
-    polars = {v: polar_plane(charts[v]) for v in hyper}
+    n, n_edges = g.n_vertices, len(g.edges)
+    x, y = _edge_segments(P)
+    points = np.concatenate([P.vertex_charts, x, y])
 
-    pool = _NodePool(MERGE_TOL)
+    def end(e, v):
+        """Row of ``points`` at edge e's end at v."""
+        return v if v not in hyper_set else n + g.edge_index[e] + n_edges * (v == e[1])
 
-    def cut_node(edge, v):
-        """Node where edge is cut by the polar plane of its endpoint v."""
-        a, b = charts[edge[0] if edge[1] == v else edge[1]], charts[v]
-        t = (1.0 - float(b @ a)) / float(b @ (b - a))
-        return pool.add(("c", edge, v), a + t * (b - a))
+    merged = {}  # union-find over the rows of short segments' ends
 
-    def vert_node(v):
-        return pool.add(("v", v), charts[v])
+    def root(i):
+        while i in merged:
+            i = merged[i]
+        return i
+
+    for i in np.flatnonzero(np.linalg.norm(x - y, axis=1) <= MERGE_TOL):
+        e = g.edges[i]
+        a, b = root(end(e, e[0])), root(end(e, e[1]))
+        if a != b:
+            merged[a] = b
+    number, first = {}, []  # node number of each root; row of each node's first-met end
+
+    def node(i):
+        r = root(i)
+        if r not in number:
+            number[r] = len(first)
+            first.append(i)
+        return number[r]
 
     def cycle(nodes):
         """The node cycle without repeats of consecutive nodes."""
@@ -356,31 +362,22 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
 
     faces = []
     for i, cyc in enumerate(g.faces):
-        m = len(cyc)
-        nodes = []
-        for k, v in enumerate(cyc):
-            if v not in hyper_set:
-                nodes.append(vert_node(v))
-            else:
-                prev = cyc[(k - 1) % m]
-                nxt = cyc[(k + 1) % m]
-                nodes.append(cut_node(_norm_edge(prev, v), v))
-                nodes.append(cut_node(_norm_edge(v, nxt), v))
+        nodes = [node(end(_norm_edge(w, v), v)) for k, v in enumerate(cyc)
+                 for w in (cyc[k - 1], cyc[(k + 1) % len(cyc)])]
         dedup = cycle(nodes)
         if len(dedup) < 3 or len(set(dedup)) != len(dedup):
             raise TruncationDegenerate(f"face {i} degenerates under truncation")
         faces.append(tuple(dedup))
     for v in hyper:
-        dedup = cycle([cut_node(e, v) for e in g.vertex_edges[v]])
+        dedup = cycle([node(end(e, v)) for e in g.vertex_edges[v]])
         if len(dedup) < 3:
             raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
 
-    skeleton = PlanarGraph(n_vertices=len(pool.coords), faces=tuple(faces))
-    lifts = lift(np.array(pool.coords))
-    planes = tuple(P.planes) + tuple(polars[v] for v in hyper)
+    skeleton = PlanarGraph(n_vertices=len(first), faces=tuple(faces))
+    planes = tuple(P.planes) + tuple(polar_plane(P.vertex_charts[v]) for v in hyper)
     flags = tuple([False] * len(P.planes) + [True] * len(hyper))
-    T = TruncatedPolyhedron(planes, flags, skeleton, lifts, P)
+    T = TruncatedPolyhedron(planes, flags, skeleton, lift(points[first]), P)
     _assert_truncation_invariants(T)
     return T
 
@@ -391,21 +388,24 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron):
     Tangency of truncation planes is the boundary case reached by
     rectifications (adjacent vertex circles touch at the edge point).
     """
-    for e in T.skeleton.edges:
-        f1, f2 = T.skeleton.edge_faces[e]
-        if T.truncation_flags[f1] != T.truncation_flags[f2]:
-            gram = float(mdot(T.planes[f1].normal, T.planes[f2].normal))
-            if abs(gram) > 1e-7:
-                raise ImproperInput(
-                    f"truncation edge {e} is not right-angled (gram {gram:.3g})")
-    flagged = [i for i, t in enumerate(T.truncation_flags) if t]
-    for a in range(len(flagged)):
-        for b in range(a + 1, len(flagged)):
-            gram = float(mdot(T.planes[flagged[a]].normal,
-                              T.planes[flagged[b]].normal))
-            if abs(gram) < 1.0 - 1e-7:
-                raise ImproperInput(
-                    f"truncation faces {flagged[a]}, {flagged[b]} overlap")
+    g = T.skeleton
+    normals = np.array([p.normal for p in T.planes])
+    flags = np.array(T.truncation_flags)
+    f1, f2 = np.array([g.edge_faces[e] for e in g.edges]).T
+    mixed = np.flatnonzero(flags[f1] != flags[f2])
+    gram = mdot(normals[f1[mixed]], normals[f2[mixed]])
+    bad = np.abs(gram) > 1e-7
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ImproperInput(
+            f"truncation edge {g.edges[mixed[i]]} is not right-angled (gram {gram[i]:.3g})")
+    flagged = np.flatnonzero(flags)
+    a, b = flagged[np.array(np.triu_indices(len(flagged), 1))]
+    gram = mdot(normals[a], normals[b])
+    bad = np.abs(gram) < 1.0 - 1e-7
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ImproperInput(f"truncation faces {a[i]}, {b[i]} overlap")
 
 
 def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
@@ -421,7 +421,8 @@ def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
 
 
 def format_polyhedron(P: Polyhedron) -> str:
-    normals = "".join("N " + " ".join(f"{x:.12g}" for x in pl.normal) + "\n" for pl in P.planes)
+    """The text format, each normal coordinate in the shortest form that parses back exactly."""
+    normals = "".join("N " + " ".join(repr(float(x)) for x in pl.normal) + "\n" for pl in P.planes)
     return f"P {len(P.planes)}\n" + normals + format_graph(P.skeleton)
 
 

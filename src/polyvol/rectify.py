@@ -35,7 +35,7 @@ from .core import (
 from .errors import NotPolyhedral, SolverDiverged
 from .graphs import PlanarGraph, _norm_edge, medial_graph
 from .polyhedron import Polyhedron, build_polyhedron
-from .volume import VolumeMethod, VolumeResult, ideal_tetrahedra_volume
+from .volume import VolumeMethod, VolumeResult, cone_triangles, ideal_tetrahedra_volume
 
 #: Residual required of the angle-structure Newton solve.
 SOLVE_TOL = 1e-12
@@ -72,8 +72,7 @@ def _cone_equations(m: PlanarGraph):
     angles sum to pi; those at a side or at 0-w (``vertex_target[w]``) to pi/2
     on an edge of m, pi inside a face, 2 pi otherwise.
     """
-    tris = [(cyc[0], cyc[i], cyc[i + 1]) for cyc in m.faces if 0 not in cyc
-            for i in range(1, len(cyc) - 1)]
+    tris = cone_triangles(m.faces, 0)
     sides = {}
     side = np.array([[sides.setdefault(_norm_edge(tri[(i + 1) % 3], tri[(i + 2) % 3]), len(sides))
                       for i in range(3)] for tri in tris])

@@ -1,11 +1,14 @@
 """Hyperbolic volume computations.
 
 The Lobachevsky function is evaluated by its standard rapidly convergent
-series after pi-periodic reduction; ideal tetrahedra get exact volumes
-from the cross-ratio of their boundary points.  Every other truncation
-is measured exactly too: an interior point is boosted to the chart
-origin and the region is split into signed orthoschemes, one per (face,
-edge, vertex) flag, each summed by Kellerhals' closed form in the
+series after pi-periodic reduction.  An all-ideal truncation is coned
+from one ideal vertex into ideal tetrahedra.  Projected
+stereographically from that apex, each tetrahedron is a plane triangle
+whose angles are its dihedral angles (Milnor, Bull. AMS 6 (1982)), so
+one projection measures them all.  Every other truncation is measured
+exactly too: an interior point is boosted to the chart origin and the
+region is split into signed orthoschemes, one per (face, edge, vertex)
+flag, each summed by Kellerhals' closed form in the
 Lobachevsky function (Kellerhals, Math. Ann. 285 (1989); Vinberg,
 Russian Math. Surveys 48 (1993)).  Adaptive Klein quadrature of the
 volume element ``dx / (1 - |x|^2)^2`` stays as an oracle that a caller
@@ -85,30 +88,42 @@ def lobachevsky(x):
 
 # --- ideal tetrahedra ---------------------------------------------------------
 
-_POLE_CANDIDATES = np.array([
-    [0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0], [1, 0, 0], [-1, 0, 0],
-    [1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1],
-    [-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1],
-], dtype=float)
-_POLE_CANDIDATES /= np.linalg.norm(_POLE_CANDIDATES, axis=1, keepdims=True)
+def cone_triangles(faces, apex: int) -> list:
+    """Fan triangles of the faces without ``apex``: with it, a decomposition into tetrahedra."""
+    return [(cyc[0], cyc[k], cyc[k + 1]) for cyc in faces if apex not in cyc
+            for k in range(1, len(cyc) - 1)]
 
 
-def _stereographic(points, pole):
-    """Conformal coordinates of unit-sphere points, projecting from ``pole``."""
-    s = pole / np.linalg.norm(pole)
+def _cone_angles(points, apex, tris):
+    """Dihedral angles (T, 3) of the ideal tetrahedra coning unit vector ``apex`` over ``tris``.
+
+    Projected stereographically from the apex s, the tetrahedron (s, p, q,
+    r) of unit vectors is the plane triangle (z_p, z_q, z_r), with its
+    angle at edge s-p at z_p (Milnor, Bull. AMS 6 (1982)).  Written in
+    d = p - s, z_p = (d.e1 + i d.e2) / (|d|^2 / 2): nothing cancels near
+    the apex.  Flat triangles get zeros.
+    """
+    s = np.asarray(apex, dtype=float)
     a = np.array([1.0, 0.0, 0.0]) if abs(s[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(s, a)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(s, e1)
-    denom = 1.0 - points @ s
-    return (points @ e1 + 1j * (points @ e2)) / denom
+    d = np.asarray(points, dtype=float)[np.asarray(tris, dtype=int).reshape(-1, 3)] - s
+    z = (d @ e1 + 1j * (d @ e2)) / (0.5 * np.sum(d * d, axis=-1))
+    cross = (z[:, 2] - z[:, 0]) / (z[:, 1] - z[:, 0])
+    cross = np.where(cross.imag < 0, cross.conjugate(), cross)
+    alpha, beta = np.angle(cross), -np.angle(1.0 - cross)
+    angles = np.stack([alpha, beta, math.pi - alpha - beta], axis=1)
+    angles[np.abs(cross.imag) < 1e-12 * (1.0 + np.abs(cross))] = 0.0
+    return angles
 
 
 def ideal_tetrahedron_angles(points, tol: float = TAU_IDEAL):
     """Dihedral angles (a, b, c) with a+b+c = pi of an ideal tetrahedron.
 
-    ``points`` are four boundary points; returns (0, 0, pi)-style flat
-    triples degenerated to zeros for coplanar configurations.
+    ``points`` are four boundary points.  The angles a, b and c sit at
+    the edges from the first point to the second, third and fourth (and
+    at the opposite edges).  Coplanar configurations give zeros.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (4, 3):
@@ -117,19 +132,7 @@ def ideal_tetrahedron_angles(points, tol: float = TAU_IDEAL):
     if np.any(np.abs(norms - 1.0) > tol):
         raise NotIdeal(f"point norms {norms} leave the ideal band")
     pts = pts / norms[:, None]
-    scores = _POLE_CANDIDATES @ pts.T
-    pole = _POLE_CANDIDATES[np.argmin(np.max(scores, axis=1))]
-    z = _stereographic(pts, pole)
-    cross = (z[2] - z[0]) * (z[3] - z[1]) / ((z[2] - z[1]) * (z[3] - z[0]))
-    if abs(cross.imag) < 1e-12 * (1.0 + abs(cross)):
-        return 0.0, 0.0, 0.0
-    if cross.imag < 0:
-        cross = cross.conjugate()
-    alpha = math.atan2(cross.imag, cross.real)
-    one_minus = 1.0 - cross
-    beta = -math.atan2(one_minus.imag, one_minus.real)
-    gamma = math.pi - alpha - beta
-    return alpha, beta, gamma
+    return tuple(_cone_angles(pts, pts[0], [(1, 2, 3)])[0].tolist())
 
 
 def ideal_tetrahedron_volume(points, tol: float = TAU_IDEAL) -> float:
@@ -369,20 +372,12 @@ def ideal_tetrahedra_volume(angles) -> float:
     return float(sum((lob[:, 0] + lob[:, 1] + lob[:, 2]).tolist()))
 
 
-def _ideal_decomposition(T: TruncatedPolyhedron, tol, apex_id: int = 0):
+def _ideal_decomposition(T: TruncatedPolyhedron, apex_id: int = 0):
     """Cone from one ideal vertex into ideal tetrahedra; exact volumes."""
     charts = T.vertex_charts
-    apex = charts[apex_id] / np.linalg.norm(charts[apex_id])
-    angles = []
-    for cyc in T.skeleton.faces:
-        if apex_id in cyc:
-            continue
-        poly = charts[list(cyc)]
-        poly = poly / np.linalg.norm(poly, axis=1, keepdims=True)
-        for k in range(1, len(poly) - 1):
-            angles.append(ideal_tetrahedron_angles(
-                np.array([apex, poly[0], poly[k], poly[k + 1]]), tol=tol))
-    return ideal_tetrahedra_volume(angles), len(angles)
+    points = charts / np.linalg.norm(charts, axis=1, keepdims=True)
+    tris = cone_triangles(T.skeleton.faces, apex_id)
+    return ideal_tetrahedra_volume(_cone_angles(points, points[apex_id], tris)), len(tris)
 
 
 def _truncation_or_none(P: Polyhedron):
@@ -475,7 +470,7 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
     else:
         radii = np.linalg.norm(T.vertex_charts, axis=1)
         if method is None and np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
-            value, count = _ideal_decomposition(T, tol=IDEAL_BAND)
+            value, count = _ideal_decomposition(T)
             return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
                                 1e-12 * max(1, count), False, 0)
         if np.any(radii >= 1.0 + TAU_IDEAL):

@@ -11,6 +11,11 @@ from polyvol.graphs import (
 )
 from polyvol.shapes import regular_tetrahedron
 
+#: Vertices of a square pyramid (``pyramid_graph(4)``) with a hyperideal apex
+#: and base vertices 3 and 4 on the apex's polar plane x = 1/2.
+ALMOST_PROPER_PYRAMID = np.array([[2.0, 0.0, 0.0], [-0.3, 0.4, -0.3], [-0.3, -0.4, -0.3],
+                                  [0.5, -0.4, -0.3], [0.5, 0.4, -0.3]])
+
 ICOSAHEDRON = PlanarGraph(12, (
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
     (1, 6, 2), (2, 7, 3), (3, 8, 4), (4, 9, 5), (5, 10, 1),

@@ -2,8 +2,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from conftest import stacked_triangulation
 from polyvol.cli import main
 from polyvol.graphs import format_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import format_polyhedron
@@ -88,6 +90,24 @@ def test_rectify_pyramid13_prints_antiprism_volume(tmp_path, capsys):
     antiprism = 26 * (lobachevsky(math.pi / 4 + math.pi / 26)
                       + lobachevsky(math.pi / 4 - math.pi / 26))
     assert abs(float(vol_line.split()[1]) - antiprism) < 1e-9
+
+
+def test_rectify_output_reads_back_as_rectified_volume(tmp_path, capsys):
+    # rectify's plane lines round-trip, so volume --rectified accepts its own
+    # 100-vertex output; at 12 digits the moved planes broke the truncation's
+    # right angles (gram 1.15e-7 against 1e-7).
+    graph = tmp_path / "stacked100.graph"
+    graph.write_text(format_graph(stacked_triangulation(100, np.random.default_rng(3))))
+    code, out = run_cli(["rectify", str(graph)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    poly = tmp_path / "stacked100.poly"
+    poly.write_text("".join(line + "\n" for line in lines if not line.startswith("VOL ")))
+    code, again = run_cli(["volume", "--rectified", str(poly)], capsys)
+    assert code == 0, again
+    (rivin,), (measured,) = ([float(line.split()[1]) for line in text.splitlines()
+                              if line.startswith("VOL ")] for text in (out, again))
+    assert abs(rivin - measured) <= 1e-8
 
 
 def test_angles_check_admissible_and_witness(k4_file, capsys):

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import polyvol.volume
+from conftest import ALMOST_PROPER_PYRAMID
 from polyvol.core import (
     OrientedPlane,
     PointKind,
     apply_lorentz,
     dihedral_angle,
+    lift,
     mdot,
     polar_plane,
     random_isometry,
@@ -16,12 +20,17 @@ from polyvol.errors import (
     EdgeMissesBall,
     ImproperInput,
     NonConvex,
+    PolyvolError,
     SkeletonMismatch,
     TooFewAngles,
+    TruncationDegenerate,
 )
-from polyvol.graphs import prism_graph, pyramid_graph, tetrahedron_graph
+from polyvol.flow import FlowOptions, run_flow
+from polyvol.graphs import _norm_edge, cube_graph, prism_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import (
+    MERGE_TOL,
     VertexStatus,
+    _assert_truncation_invariants,
     build_polyhedron,
     classify_vertex_by_angles,
     classify_vertices,
@@ -32,7 +41,13 @@ from polyvol.polyhedron import (
     strip_truncation,
     truncate,
 )
-from polyvol.shapes import planes_from_vertices, regular_tetrahedron
+from polyvol.rectify import rectification
+from polyvol.shapes import (
+    equiangular_hyperideal,
+    jittered_compact,
+    planes_from_vertices,
+    regular_tetrahedron,
+)
 
 
 # --- construction ------------------------------------------------------------
@@ -268,3 +283,165 @@ def test_polyhedron_format_roundtrip(hyperideal_tetra):
     Q = parse_polyhedron(text)
     np.testing.assert_allclose(Q.vertex_lifts, hyperideal_tetra.vertex_lifts,
                                atol=1e-9)
+
+
+# --- truncation against the all-pairs node pool -------------------------------------
+#
+# The earlier truncation walk, kept as the oracle: it computed each cut node
+# on its own and merged it with the first node made so far that lay within
+# MERGE_TOL, by a search over all of them.
+
+
+def pool_truncate(P):
+    """Face cycles and node lifts of P's truncation by the all-pairs node pool."""
+    report = P.report
+    if report.is_improper():
+        raise ImproperInput("cannot truncate an improper polyhedron")
+    g = P.skeleton
+    hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
+    if not hyper:
+        return g.faces, P.vertex_lifts.copy()
+    charts = P.vertex_charts
+    coords, key_to_id = [], {}
+
+    def add(key, coord):
+        if key in key_to_id:
+            return key_to_id[key]
+        for i, c in enumerate(coords):
+            if np.linalg.norm(c - coord) <= MERGE_TOL:
+                key_to_id[key] = i
+                return i
+        coords.append(np.asarray(coord, dtype=float))
+        key_to_id[key] = len(coords) - 1
+        return len(coords) - 1
+
+    def cut_node(edge, v):
+        a, b = charts[edge[0] if edge[1] == v else edge[1]], charts[v]
+        t = (1.0 - float(b @ a)) / float(b @ (b - a))
+        return add(("c", edge, v), a + t * (b - a))
+
+    def cycle(nodes):
+        out = [nd for k, nd in enumerate(nodes) if k == 0 or nd != nodes[k - 1]]
+        return out[:-1] if len(out) > 1 and out[0] == out[-1] else out
+
+    faces = []
+    for i, cyc in enumerate(g.faces):
+        m = len(cyc)
+        nodes = []
+        for k, v in enumerate(cyc):
+            if v not in hyper:
+                nodes.append(add(("v", v), charts[v]))
+            else:
+                nodes.append(cut_node(_norm_edge(cyc[(k - 1) % m], v), v))
+                nodes.append(cut_node(_norm_edge(v, cyc[(k + 1) % m]), v))
+        dedup = cycle(nodes)
+        if len(dedup) < 3 or len(set(dedup)) != len(dedup):
+            raise TruncationDegenerate(f"face {i} degenerates under truncation")
+        faces.append(tuple(dedup))
+    for v in hyper:
+        dedup = cycle([cut_node(e, v) for e in g.vertex_edges[v]])
+        if len(dedup) < 3:
+            raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
+        faces.append(tuple(dedup))
+    return tuple(faces), lift(np.array(coords))
+
+
+def loop_truncation_invariants(T):
+    """The earlier pair-by-pair check of ``_assert_truncation_invariants``."""
+    for e in T.skeleton.edges:
+        f1, f2 = T.skeleton.edge_faces[e]
+        if T.truncation_flags[f1] != T.truncation_flags[f2]:
+            gram = float(mdot(T.planes[f1].normal, T.planes[f2].normal))
+            if abs(gram) > 1e-7:
+                raise ImproperInput(
+                    f"truncation edge {e} is not right-angled (gram {gram:.3g})")
+    flagged = [i for i, t in enumerate(T.truncation_flags) if t]
+    for a in range(len(flagged)):
+        for b in range(a + 1, len(flagged)):
+            gram = float(mdot(T.planes[flagged[a]].normal, T.planes[flagged[b]].normal))
+            if abs(gram) < 1.0 - 1e-7:
+                raise ImproperInput(f"truncation faces {flagged[a]}, {flagged[b]} overlap")
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except PolyvolError as exc:
+        return type(exc), str(exc)
+
+
+def assert_truncation_matches_pool(P):
+    """Same faces and bit-identical lifts as the pool, or the same error."""
+    want, got = outcome(pool_truncate, P), outcome(truncate, P)
+    if isinstance(want[0], type):
+        assert got == want
+        return got
+    faces, lifts = want
+    assert got.skeleton.faces == faces
+    np.testing.assert_array_equal(got.vertex_lifts, lifts)
+    return got
+
+
+def test_truncation_matches_pool_on_rectifications(corpus_graphs):
+    # Every edge of a rectification touches the sphere, where the cuts of its
+    # two ends meet: each edge's two ends merge into one ideal node.
+    for g in corpus_graphs.values():
+        T = assert_truncation_matches_pool(rectification(g))
+        assert T.skeleton.n_vertices == len(g.edges)
+
+
+@pytest.mark.parametrize("g", [prism_graph(5), cube_graph()])
+def test_truncation_matches_pool_on_equiangular_hyperideal(g):
+    assert_truncation_matches_pool(equiangular_hyperideal(g, 0.5))
+
+
+def test_truncation_matches_pool_on_hyperideal_tetrahedron(hyperideal_tetra):
+    assert_truncation_matches_pool(hyperideal_tetra)
+
+
+@pytest.fixture(scope="module")
+def truncated_flow_states():
+    """The polyhedra two flows truncate for their volumes, as vertices turn hyperideal."""
+    states, cut = [], polyvol.volume.truncate
+    mp = pytest.MonkeyPatch()
+    mp.setattr(polyvol.volume, "truncate", lambda P: states.append(P) or cut(P))
+    try:
+        run_flow(regular_tetrahedron(0.55), FlowOptions(seed=3))
+        run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(11)), FlowOptions(seed=11))
+    finally:
+        mp.undo()
+    return states
+
+
+def test_truncation_matches_pool_on_recorded_flow_states(truncated_flow_states):
+    hyper = 0
+    for P in truncated_flow_states:
+        assert_truncation_matches_pool(P)
+        hyper += PointKind.HYPERIDEAL in P.report.kinds
+    assert hyper >= 25
+
+
+def test_degenerate_truncations_raise_as_pool():
+    # Vertices 1, 2 and 3 of the tetrahedron lie on the polar plane of vertex 0.
+    tetra = np.array([[2.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, -0.4, 0.4], [0.5, -0.1, -0.5]])
+    for pts, g, face in ((tetra, tetrahedron_graph(), 0),
+                         (ALMOST_PROPER_PYRAMID, pyramid_graph(4), 2)):
+        kind, message = assert_truncation_matches_pool(
+            build_polyhedron(planes_from_vertices(pts, g), g))
+        assert kind is TruncationDegenerate
+        assert message.endswith(f"face {face} degenerates under truncation")
+
+
+def test_truncation_invariants_match_loop_on_every_flag_subset(hyperideal_tetra):
+    # Flagging other planes than the polar ones breaks right angles and
+    # disjointness in every pattern; the first offender and message agree.
+    T = truncate(hyperideal_tetra)
+    kinds = set()
+    for mask in range(1 << len(T.planes)):
+        flags = tuple(bool(mask >> i & 1) for i in range(len(T.planes)))
+        bad = dataclasses.replace(T, truncation_flags=flags)
+        want = outcome(loop_truncation_invariants, bad)
+        assert outcome(_assert_truncation_invariants, bad) == want
+        kinds.add(want[1].split()[2] if want else None)
+    assert kinds == {None, "edge", "faces"}

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import ALMOST_PROPER_PYRAMID, stacked_triangulation
 from polyvol.core import MINKOWSKI_SIGNS, OrientedPlane, apply_lorentz, lift, random_isometry
 from polyvol.errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from polyvol.graphs import PlanarGraph, prism_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import build_polyhedron, dihedral_angles, truncate
+from polyvol.rectify import rectification
 from polyvol.shapes import compact_realization, planes_from_vertices, regular_tetrahedron
 from polyvol.volume import (
     VolumeMethod,
@@ -21,6 +23,7 @@ from polyvol.volume import (
     _split8,
     _tet_rule,
     _truncation_region,
+    ideal_tetrahedra_volume,
     ideal_tetrahedron_angles,
     ideal_tetrahedron_volume,
     integrate_klein_tets,
@@ -119,6 +122,103 @@ def test_not_ideal_rejected():
         ideal_tetrahedron_volume(pts)
 
 
+# --- ideal tetrahedra against the pole search ------------------------------------
+#
+# The earlier path, kept as the oracle: each tetrahedron projected from the
+# one of 14 fixed poles farthest from its points, and measured by the cross
+# ratio of all four.
+
+_POLE_CANDIDATES = np.array([
+    [0, 0, 1], [0, 0, -1], [0, 1, 0], [0, -1, 0], [1, 0, 0], [-1, 0, 0],
+    [1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1],
+    [-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1],
+], dtype=float)
+_POLE_CANDIDATES /= np.linalg.norm(_POLE_CANDIDATES, axis=1, keepdims=True)
+
+
+def pole_search_angles(points):
+    pts = np.asarray(points, dtype=float)
+    pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+    s = _POLE_CANDIDATES[np.argmin(np.max(_POLE_CANDIDATES @ pts.T, axis=1))]
+    a = np.array([1.0, 0.0, 0.0]) if abs(s[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(s, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(s, e1)
+    z = (pts @ e1 + 1j * (pts @ e2)) / (1.0 - pts @ s)
+    cross = (z[2] - z[0]) * (z[3] - z[1]) / ((z[2] - z[1]) * (z[3] - z[0]))
+    if abs(cross.imag) < 1e-12 * (1.0 + abs(cross)):
+        return 0.0, 0.0, 0.0
+    if cross.imag < 0:
+        cross = cross.conjugate()
+    alpha = math.atan2(cross.imag, cross.real)
+    beta = -math.atan2((1.0 - cross).imag, (1.0 - cross).real)
+    return alpha, beta, math.pi - alpha - beta
+
+
+def loop_ideal_decomposition(T, apex_id=0):
+    charts = T.vertex_charts
+    apex = charts[apex_id] / np.linalg.norm(charts[apex_id])
+    angles = []
+    for cyc in T.skeleton.faces:
+        if apex_id in cyc:
+            continue
+        poly = charts[list(cyc)]
+        poly = poly / np.linalg.norm(poly, axis=1, keepdims=True)
+        for k in range(1, len(poly) - 1):
+            angles.append(pole_search_angles([apex, poly[0], poly[k], poly[k + 1]]))
+    return ideal_tetrahedra_volume(angles), len(angles)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _on_circles(rng, n, lift_off):
+    """n sets of four points on random circles of the sphere, lifted off them by lift_off."""
+    normal = _unit(rng.normal(size=(n, 1, 3)))
+    u = _unit(np.cross(normal, rng.normal(size=(n, 1, 3))))
+    v = np.cross(normal, u)
+    height = rng.uniform(-0.9, 0.9, size=(n, 1, 1))
+    phase = np.sort(rng.uniform(0.0, 2 * math.pi, size=(n, 4, 1)), axis=1)
+    circle = height * normal + np.sqrt(1.0 - height ** 2) * (np.cos(phase) * u + np.sin(phase) * v)
+    return _unit(circle + lift_off * rng.normal(size=(n, 4, 3)))
+
+
+def test_ideal_angles_match_pole_search(rng):
+    for pts in np.concatenate([_unit(rng.normal(size=(300, 4, 3))), _on_circles(rng, 100, 1e-8)]):
+        got, want = ideal_tetrahedron_angles(pts), pole_search_angles(pts)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+        assert min(want) > 0.0
+
+
+def test_clustered_ideal_angles_match_pole_search_to_their_conditioning(rng):
+    # Four points within 1e-6 of each other fix their angles only to about
+    # 1e-16 / 1e-6: moving one point by a rounding moves them that much, and
+    # the two paths round differently.  Measured differences grow as
+    # 1.5e-15 / size, from 2e-14 at size 0.1 to 1.5e-9 at 1e-6.
+    size = 1e-6
+    center = _unit(rng.normal(size=(100, 1, 3)))
+    for pts in _unit(center + size * _unit(rng.normal(size=(100, 4, 3)))):
+        got, want = ideal_tetrahedron_angles(pts), pole_search_angles(pts)
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-14 / size
+        assert min(want) > 0.0
+
+
+def test_flat_ideal_sets_give_zeros_on_both_paths(rng):
+    for pts in _on_circles(rng, 100, 0.0):
+        assert ideal_tetrahedron_angles(pts) == pole_search_angles(pts) == (0.0, 0.0, 0.0)
+
+
+def test_ideal_decomposition_matches_pole_search(corpus_graphs):
+    graphs = list(corpus_graphs.values()) + [stacked_triangulation(40, np.random.default_rng(3))]
+    for g in graphs:
+        T = truncate(rectification(g))
+        value, count = _ideal_decomposition(T)
+        ref_value, ref_count = loop_ideal_decomposition(T)
+        assert count == ref_count
+        assert abs(value - ref_value) <= 1e-12 * ref_value
+
+
 # --- polyhedron volume --------------------------------------------------------------
 
 def test_rectified_tetrahedron_volume_exact():
@@ -132,8 +232,8 @@ def test_rectified_tetrahedron_volume_exact():
 def test_decomposition_independent_of_cone_vertex():
     P = regular_tetrahedron(math.sqrt(3), rectified=True)
     T = truncate(P)
-    v0, _ = _ideal_decomposition(T, 1e-7, apex_id=0)
-    v3, _ = _ideal_decomposition(T, 1e-7, apex_id=3)
+    v0, _ = _ideal_decomposition(T, apex_id=0)
+    v3, _ = _ideal_decomposition(T, apex_id=3)
     assert abs(v0 - v3) < 1e-8
 
 
@@ -287,6 +387,30 @@ def test_orthoscheme_on_halfspace_region(hyperideal_tetra):
     # truncation, built as angle-sorted vertex-enumeration polygons.
     value, _ = _orthoscheme_decomposition(*_halfspace_region(hyperideal_tetra))
     assert abs(value - polyhedron_volume(hyperideal_tetra).value) < 1e-12
+
+
+def test_halfspace_region_measures_almost_proper_pyramid():
+    # Base vertices 3 and 4 lie on the apex's polar plane x = 1/2: face 2
+    # degenerates under truncation, and the volume comes from the half-space
+    # region instead.  That region is the hull of the base and the points
+    # where edges 0-1 and 0-2 cross x = 1/2; Klein quadrature over a Delaunay
+    # split of those six points is the oracle.
+    from scipy.spatial import Delaunay
+
+    verts = ALMOST_PROPER_PYRAMID
+    g = pyramid_graph(4)
+    P = build_polyhedron(planes_from_vertices(verts, g), g)
+    with pytest.raises(TruncationDegenerate, match="face 2 degenerates under truncation"):
+        truncate(P)
+    res = polyhedron_volume(P)
+    assert res.method == VolumeMethod.ORTHOSCHEME
+    assert abs(res.value - 0.0479234054) < 1e-10
+    apex = verts[0]
+    cuts = [apex + (apex[0] - 0.5) / (apex[0] - v[0]) * (v - apex) for v in verts[1:3]]
+    region = np.vstack([verts[1:], cuts])
+    value, err, exceeded, _ = integrate_klein_tets(region[Delaunay(region).simplices], tol=2e-6)
+    assert not exceeded
+    assert abs(res.value - value) <= err
 
 
 def test_one_ideal_vertex_against_quadrature():
