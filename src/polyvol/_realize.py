@@ -6,8 +6,9 @@ normals, vertex-on-plane incidences, prescribed values of <n_f, n_g>
 per edge (cosine targets), and optional held incidences pinning a
 vertex onto the polar plane of another.
 
-The flat indices of the Jacobian's nonzeros depend on the graph alone
-(``PlanarGraph.jacobian_layout``, computed once per graph); each
+The flat indices of the Jacobian's nonzeros depend on the graph
+(``PlanarGraph.jacobian_layout``, computed once per graph), the edges
+with a target and the held incidences (``_layout``, cached); each
 evaluation scatters one concatenated value array into them.  The
 isometry group of H^3 leaves the system invariant, so J has a
 6-dimensional kernel at solutions.  Each step is the minimal-norm,
@@ -19,6 +20,7 @@ at lambda = 0 fails the attempt, which raises lambda.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,26 +42,37 @@ class SolveReport:
     message: str = ""
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(g: PlanarGraph, edges: tuple, held: tuple):
+    """Index arrays of the plane system with Gram rows for ``edges`` (indices).
+
+    They depend on the graph, the held incidences and which edges have
+    targets alone, so one flow stratum builds them once.
+    """
+    inc, flat, gram_cols = g.jacobian_layout
+    nF, n_cols = len(g.faces), 4 * len(g.faces) + 3 * g.n_vertices
+    edges = np.array(edges, dtype=int)
+    held_w, held_u = np.array(held, dtype=int).reshape(-1, 2).T
+    gram_rows = n_cols * (nF + len(inc) + np.arange(len(edges)))[:, None]
+    held_rows = n_cols * (nF + len(inc) + len(edges) + np.arange(len(held)))[:, None]
+    flat = np.concatenate([
+        flat, gram_rows + gram_cols[edges, :4], gram_rows + gram_cols[edges, 4:],
+        held_rows + 4 * nF + 3 * held_w[:, None] + np.arange(3),
+        held_rows + 4 * nF + 3 * held_u[:, None] + np.arange(3)], axis=None)
+    return (*inc.T, np.full(len(inc), -1.0), gram_cols[edges, 0] // 4,
+            gram_cols[edges, 4] // 4, held_w, held_u,
+            (nF + len(inc) + len(edges) + len(held), n_cols), flat)
+
+
 class _PlaneSystem:
     """Residual and Jacobian for fixed targets and held incidences."""
 
     def __init__(self, g: PlanarGraph, gram_targets: dict, held):
-        inc, flat, gram_cols = g.jacobian_layout
-        nF, n_cols = len(g.faces), 4 * len(g.faces) + 3 * g.n_vertices
         active = [(g.edge_index[e], t) for e, t in gram_targets.items() if t is not None]
-        edges = np.array([i for i, _ in active], dtype=int)
         self.targets = np.array([t for _, t in active])
-        self.inc_f, self.inc_v = inc.T
-        self.minus_ones = np.full(len(inc), -1.0)
-        self.f1, self.f2 = gram_cols[edges, 0] // 4, gram_cols[edges, 4] // 4
-        self.held_w, self.held_u = np.array(held, dtype=int).reshape(-1, 2).T
-        gram_rows = n_cols * (nF + len(inc) + np.arange(len(edges)))[:, None]
-        held_rows = n_cols * (nF + len(inc) + len(edges) + np.arange(len(held)))[:, None]
-        self.shape = (nF + len(inc) + len(edges) + len(held), n_cols)
-        self.flat = np.concatenate([
-            flat, gram_rows + gram_cols[edges, :4], gram_rows + gram_cols[edges, 4:],
-            held_rows + 4 * nF + 3 * self.held_w[:, None] + np.arange(3),
-            held_rows + 4 * nF + 3 * self.held_u[:, None] + np.arange(3)], axis=None)
+        (self.inc_f, self.inc_v, self.minus_ones, self.f1, self.f2, self.held_w, self.held_u,
+         self.shape, self.flat) = _layout(g, tuple(i for i, _ in active),
+                                          tuple(tuple(h) for h in held))
 
     def __call__(self, normals, verts):
         eta_n = normals * MINKOWSKI_SIGNS

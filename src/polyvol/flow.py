@@ -55,7 +55,9 @@ from .polyhedron import (
 )
 from .volume import VolumeResult, polyhedron_volume
 
-#: Initial and smallest step in t; the step halves on rejection.
+#: Initial and smallest step in t.  A step that fails to realize halves; a
+#: step that signals a degeneration brackets it, and the next trials are
+#: whole multiples of DT_MIN placed by the secant of the signal's gap.
 DT_INIT = 1e-2
 DT_MIN = 1e-7
 #: A real vertex within this chart distance of the sphere is becoming ideal.
@@ -82,14 +84,16 @@ EVENT_SLACK = 2e-3
 
 
 def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
-                        held=()) -> Polyhedron:
+                        held=(), start=None) -> Polyhedron:
     """Realize a polyhedron with skeleton g and the prescribed dihedral angles.
 
     ``seed`` must carry the same skeleton and no ideal vertices; the
     Newton solve starts there and returns the nearby solution (dihedral
-    angles are local coordinates away from ideal vertices).  ``held``
-    lists (vertex, pole-vertex) incidences kept on their polar planes;
-    the angle at a held adjacent edge is not prescribed.
+    angles are local coordinates away from ideal vertices).  ``start``,
+    a pair of face normals and vertex charts, replaces the seed's as the
+    starting point.  ``held`` lists (vertex, pole-vertex) incidences kept
+    on their polar planes; the angle at a held adjacent edge is not
+    prescribed.
     """
     if seed.skeleton.faces != g.faces:
         raise SkeletonChanged("seed skeleton differs from target")
@@ -100,8 +104,9 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
         if th is not None and not (0.0 < th < math.pi):
             raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
         targets[e] = None if th is None else -math.cos(th)
-    normals, verts, report = solve_plane_system(
-        g, targets, [p.normal for p in seed.planes], seed.vertex_charts, held=tuple(held))
+    if start is None:
+        start = ([p.normal for p in seed.planes], seed.vertex_charts)
+    normals, verts, report = solve_plane_system(g, targets, *start, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
@@ -278,11 +283,23 @@ class FlowOptions:
     seed: int = 0
 
 
+class _Signals(list):
+    """Signals ``(kind, data, size)``, worst first, with the scan's ``gaps``."""
+
+    def __init__(self, signals, gaps):
+        super().__init__(signals)
+        self.gaps = gaps
+
+
 def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     """Degeneration signals ``(kind, data, size)`` of a step from ``prev`` to P, worst first.
 
     A vertex real in ``prev`` entering the ideal band (or jumping past
-    it) signals.
+    it) signals.  The result's ``gaps`` maps each candidate ``(kind,
+    data)`` to its signed gap, positive exactly where it signals: the
+    radius past 1 - IDEAL_BAND, ALMOST_PROPER_BAND past the margin,
+    EDGE_COLLAPSE_TOL past the length, or FACE_COLLAPSE_TOL times
+    max(1, width) past a face's second width.
     ``relaxed`` widens the ideal band and the collapse thresholds, for a
     state stalled against the realizability boundary.
     """
@@ -290,35 +307,60 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     kinds, prev_kinds = P.report.kinds, prev.report.kinds
-    out = []
     charts = P.vertex_charts
     radii = np.linalg.norm(charts, axis=1)
-    for v, k in enumerate(prev_kinds):
-        if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
-            out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
+    was_real = [v for v, k in enumerate(prev_kinds) if k == PointKind.REAL]
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
     poles = [v for v, (k, k0) in enumerate(zip(kinds, prev_kinds))
              if k == k0 == PointKind.HYPERIDEAL]
     real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
-    margins = 1.0 - charts[poles] @ charts[real].T
-    for i, j in zip(*np.nonzero(margins < ALMOST_PROPER_BAND)):
-        if (real[j], poles[i]) not in held:
-            out.append((FlowEventKind.ALMOST_PROPER_ONSET, (real[j], poles[i]),
-                        float(margins[i, j])))
+    pairs = [(w, u) for u in poles for w in real]
+    free = np.array([pair not in held for pair in pairs], dtype=bool)
+    margins = (1.0 - charts[poles] @ charts[real].T).ravel()[free]
     g = P.skeleton
     lengths = np.linalg.norm(np.subtract(*charts[g.edge_array.T]), axis=1)
-    for i in np.flatnonzero(lengths < edge_tol):
-        out.append((FlowEventKind.EDGE_COLLAPSED, g.edges[i], float(lengths[i])))
     # The two largest singular values of each centred face polygon.
     widths = np.empty((len(g.faces), 2))
     for fs, cycles in g.faces_by_size:
         pts = charts[cycles]
         widths[fs] = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True),
                                    compute_uv=False)[:, :2]
-    for f in np.flatnonzero(widths[:, 1] < face_tol * np.maximum(1.0, widths[:, 0])):
-        out.append((FlowEventKind.FACE_COLLAPSED, int(f), widths[f, 1]))
+    candidates = (  # kind, data, sizes, gaps
+        (FlowEventKind.VERTEX_BECAME_IDEAL, was_real, np.abs(1.0 - radii[was_real]),
+         radii[was_real] - (1.0 - ideal_band)),
+        (FlowEventKind.ALMOST_PROPER_ONSET, [p for p, f in zip(pairs, free) if f], margins,
+         ALMOST_PROPER_BAND - margins),
+        (FlowEventKind.EDGE_COLLAPSED, g.edges, lengths, edge_tol - lengths),
+        (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)), widths[:, 1],
+         face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]))
+    out, gaps = [], {}
+    for kind, data, sizes, gap in candidates:
+        out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(gap > 0)]
+        gaps.update(zip([(kind, d) for d in data], gap.tolist()))
     out.sort(key=lambda item: item[2])
-    return out
+    return _Signals(out, gaps)
+
+
+def _bracket_step(width, gap_lo, gap_hi):
+    """Next trial step into a bracket ``width`` long whose far end signaled.
+
+    The secant of the worst signal's gaps, ``gap_lo`` <= 0 at the accepted
+    end and ``gap_hi`` > 0 at the far end, estimates where it crosses zero;
+    when either is missing or out of sign the step bisects.  The step is a
+    whole number of DT_MIN, at least one, and else at most 0.9 of the width.
+    """
+    s = 0.5 * width
+    if gap_lo is not None and gap_hi is not None and gap_lo <= 0.0 < gap_hi:
+        s = width * gap_lo / (gap_lo - gap_hi)
+    return DT_MIN * max(1, math.floor(min(s, 0.9 * width) / DT_MIN))
+
+
+def _predicted(before, t, P, t_next):
+    """Normals and charts at t_next extrapolated from ``before`` = (t0, P0) and (t, P)."""
+    t0, P0 = before
+    w = (t - t_next) / (t0 - t)
+    n0, n1 = (np.array([p.normal for p in Q.planes]) for Q in (P0, P))
+    return n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
 
 
 def _hyperideal_only(P: Polyhedron) -> bool:
@@ -455,6 +497,9 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     dt = DT_INIT
     accepted = 0
     hyperideal_only = _hyperideal_only(P)
+    # On this stratum: the accepted state before P as (t, P), P's signal
+    # gaps, and the nearest rejected trial as (t, worst signal, its gap).
+    before = gaps = bracket = None
 
     for _ in range(MAX_STEPS):
         if len(events) > max_events:
@@ -471,27 +516,40 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                 samples.append(FlowSample(t, dihedral_angles(P), P, final_vol))
                 return FlowTrace(samples, events, g, sup, err, opts.seed)
 
-        t_next = max(t - dt, 0.2 * t)
+        step = dt
+        if bracket is not None:
+            t_hi, signal, gap_hi = bracket
+            if gaps is None:
+                gaps = getattr(_scan_signals(P, P, held), "gaps", {})
+            step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi)
+        t_next = max(t - step, 0.2 * t)
+        start = None if before is None else _predicted(before, t, P, t_next)
         try:
-            P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held)
+            P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
+                                         start=start)
             # The all-hyperideal endgame scans for no degenerations.
             signals = [] if hyperideal_only else _scan_signals(P_next, P, held)
-        except (NewtonDiverged, SkeletonChanged):
-            if dt > DT_MIN:
-                dt *= 0.5
+        except (NewtonDiverged, SkeletonChanged) as exc:
+            if step > DT_MIN:
+                if bracket is None:
+                    dt *= 0.5
+                else:
+                    bracket = (t_next, None, None)
                 continue
             # Stalled against the realizability boundary: look for a
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically) and
-            # handle it as this step's signal, below, with dt <= DT_MIN.
+            # handle it as this step's signal, below, with step <= DT_MIN.
             signals = [s for s in _scan_signals(P, P, held, relaxed=True)
                        if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not signals:
-                raise StallDetected(f"no progress at t={t:.6g}", trace=partial_trace())
+                raise StallDetected(f"no progress at t={t:.6g} ({exc})",
+                                    trace=partial_trace()) from exc
             P_next, t_next = P, t
 
-        if signals and dt > DT_MIN:
-            dt *= 0.5
+        if signals and step > DT_MIN:
+            signal = signals[0][:2]
+            bracket = (t_next, signal, getattr(signals, "gaps", {}).get(signal))
             continue
         if signals:
             kind, data, _ = signals[0]
@@ -503,17 +561,21 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
                                         samples[-1].volume.value, {}))
             hyperideal_only = now_hyperideal_only
             dt = DT_INIT
+            before = gaps = bracket = None
             continue
 
         # Plain accepted step.
-        P = P_next
-        t = t_next
+        before = (t, P)
+        P, t, gaps = P_next, t_next, getattr(signals, "gaps", None)
         accepted += 1
         if accepted % SAMPLE_EVERY == 0:
             record(P, t)
-        dt = min(dt * 1.7, DT_INIT)
+        if bracket is None:
+            dt = min(dt * 1.7, DT_INIT)
+        elif t <= bracket[0]:
+            bracket = None
         if not hyperideal_only and _hyperideal_only(P):
-            hyperideal_only = True
+            hyperideal_only, bracket = True, None
             kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
             vol_ev = record(P, t, event=kind)
             events.append(FlowEvent(kind, t, vol_ev.value, {}))

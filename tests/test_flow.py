@@ -376,6 +376,94 @@ def test_flow_stall_escape_into_hyperideal_stratum_is_an_event(monkeypatch):
     assert events[1].t_value == events[0].t_value
 
 
+def test_flow_locates_a_linear_gap_on_the_dt_min_grid(compact_tetra, monkeypatch):
+    # A synthetic edge-collapse gap, linear in t, crosses zero at T_CROSS.  The
+    # first step signals; the secant then places every trial a whole number of
+    # DT_MIN below the current t, and the event fires after a signaled step of
+    # DT_MIN from an accepted, unsignaled state, within 3 trials.  Collapsing an
+    # edge of K4 leaves no polyhedral skeleton, so the flow stalls right there.
+    import polyvol.flow as flow
+
+    T_CROSS, RATE, signal = 0.99371234567, 3.0, (FlowEventKind.EDGE_COLLAPSED, (0, 1))
+    trials, t_of = [], {}
+    realize, scaled = flow.realize_from_angles, flow._scaled
+
+    def realize_at(*args, **kwargs):
+        P = realize(*args, **kwargs)
+        t_of[id(P)] = trials[-1]
+        return P
+
+    def linear_gap(P, prev, held, relaxed=False):
+        gap = RATE * (T_CROSS - t_of[id(P)])
+        return flow._Signals([(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap})
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
+    monkeypatch.setattr(flow, "_scan_signals", linear_gap)
+    with pytest.raises(StallDetected) as info:
+        run_flow(compact_tetra, FlowOptions(seed=21))
+    first = next(i for i, t in enumerate(trials) if t < T_CROSS)
+    assert first == 1 and trials[0] == 1.0
+    located = trials[first + 1:]
+    assert 1 <= len(located) <= 3
+    current = max(t for t in trials[:first] if t >= T_CROSS)
+    for t in located:
+        steps = (current - t) / flow.DT_MIN
+        assert round(steps) >= 1 and abs(steps - round(steps)) < 1e-6
+        if t >= T_CROSS:
+            current = t
+    assert current - located[-1] <= flow.DT_MIN * (1 + 1e-6)
+    assert located[-1] < T_CROSS <= current
+    event = info.value.trace.samples[-1]
+    assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, located[-1])
+
+
+# (kind, data) of the events, sup_estimate and plane-system solves of the flows
+# from jittered_compact(g, default_rng(951)) with seed 951, measured when every
+# signaled step halved dt down to DT_MIN.
+HALVING_FLOWS = {
+    "tetrahedron": (tetrahedron_graph, (3, 0, 1, 2), 3.6638631734618587, 191),
+    "cube": (cube_graph, (1, 3, 4, 0, 2, 5, 7, 6), 12.046099582672522, 318),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALVING_FLOWS))
+def test_flow_bracketing_keeps_events_with_fewer_solves(name, monkeypatch):
+    import polyvol.flow as flow
+
+    make, escaped, sup, halving_solves = HALVING_FLOWS[name]
+    solve, iterations = flow.solve_plane_system, []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[2].iterations)
+        return result
+
+    monkeypatch.setattr(flow, "solve_plane_system", counted)
+    trace = run_flow(jittered_compact(make(), np.random.default_rng(951)), FlowOptions(seed=951))
+    assert [(e.kind, e.data) for e in trace.events] == (
+        [(FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": v}) for v in escaped]
+        + [(FlowEventKind.BECAME_HYPERIDEAL_ONLY, {})])
+    assert abs(trace.sup_estimate - sup) <= 1e-6 * sup
+    assert len(iterations) <= 0.65 * halving_solves
+    # Started from the extrapolated state, a solve takes under 2 Newton
+    # iterations on average here; from the current state, about 2.6.
+    assert sum(iterations) <= 2.2 * len(iterations)
+
+
+def test_flow_no_progress_stall_carries_the_failed_solve():
+    # From this seed Gauss-Newton cannot realize the angles just below t = 1.
+    g = PlanarGraph(7, ((0, 2, 5), (2, 3, 5), (3, 0, 5), (6, 1, 4), (6, 4, 0, 3),
+                        (4, 1, 2, 0), (6, 3, 2, 1)))
+    with pytest.raises(StallDetected) as info:
+        run_flow(jittered_compact(g, np.random.default_rng(55)), FlowOptions(seed=17))
+    detail, cause = info.value.detail, info.value.__cause__
+    assert detail.startswith("no progress at t=0.999")
+    assert isinstance(cause, NewtonDiverged) and cause.detail.startswith("residual ")
+    assert str(cause) in detail
+    assert info.value.trace.samples
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_flow_almost_proper_seed_stalls_known_failure(seed):
     # Known failure: vertex 0 starts on the polar plane of vertex 1, so the

@@ -17,6 +17,7 @@ from polyvol._realize import (
     MAX_ITERATIONS,
     REALIZE_TOL,
     SolveReport,
+    _layout,
     _PlaneSystem,
     _step,
     solve_plane_system,
@@ -361,6 +362,20 @@ def test_flow_agrees_with_loop_engine(monkeypatch, g, seed):
     for a, b, near in zip(ref.samples, new.samples, _near_ideal(ref.samples)):
         tol = 1e-3 if near else 1e-9
         assert abs(a.volume.value - b.volume.value) <= tol * a.volume.value, (a.t, a.event)
+
+
+def test_flow_plane_system_reuse_is_bit_identical(monkeypatch):
+    # The index arrays kept per stratum give the same trace as arrays rebuilt
+    # for every solve.
+    P0 = jittered_compact(pyramid_graph(4), np.random.default_rng(4))
+    kept = run_flow(P0, FlowOptions(seed=4))
+    monkeypatch.setattr("polyvol._realize._layout", _layout.__wrapped__)
+    rebuilt = run_flow(P0, FlowOptions(seed=4))
+    assert [(s.t, s.volume.value) for s in kept.samples] == \
+        [(s.t, s.volume.value) for s in rebuilt.samples]
+    assert [(e.t_value, e.volume_at_event) for e in kept.events] == \
+        [(e.t_value, e.volume_at_event) for e in rebuilt.events]
+    assert kept.sup_estimate == rebuilt.sup_estimate
 
 
 # --- batched build_polyhedron --------------------------------------------------------
