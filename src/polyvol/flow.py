@@ -55,7 +55,9 @@ from .polyhedron import (
 )
 from .volume import VolumeResult, polyhedron_volume
 
-#: Initial and smallest step in t.  A step that fails to realize halves; a
+#: Initial and smallest step in t.  An accepted step grows dt by 1.7, up to
+#: DT_INIT before the all-hyperideal endgame and uncapped in it (each step
+#: still goes at most to 0.2 t).  A step that fails to realize halves; a
 #: step that signals a degeneration brackets it, and the next trials are
 #: whole multiples of DT_MIN placed by the secant of the signal's gap.
 DT_INIT = 1e-2
@@ -571,7 +573,8 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         if accepted % SAMPLE_EVERY == 0:
             record(P, t)
         if bracket is None:
-            dt = min(dt * 1.7, DT_INIT)
+            # The all-hyperideal path is realizable all the way down: no cap there.
+            dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
         elif t <= bracket[0]:
             bracket = None
         if not hyperideal_only and _hyperideal_only(P):

@@ -261,16 +261,29 @@ def edge_lengths(P: Polyhedron) -> dict:
     """Hyperbolic length of each edge's segment (:func:`_edge_segments`) inside the truncation.
 
     Zero is possible (almost proper contact); an edge with an end on the
-    sphere gets ``inf`` unless its two ends merge.
+    sphere gets ``inf`` unless its two ends merge.  The segment of an edge
+    between two hyperideal vertices a and b is the common perpendicular of
+    their polar planes, ``cosh l = (1 - a.b) / sqrt((|a|^2 - 1)(|b|^2 - 1))``,
+    read off the charts: its cut points can lie so near the sphere that
+    ``1 - |x|^2`` loses digits.
     """
     if P.report.is_improper():
         raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
     x, y = _edge_segments(P)
     sx, sy = 1.0 - np.sum(x * x, axis=1), 1.0 - np.sum(y * y, axis=1)
+    hyper = np.array([k == PointKind.HYPERIDEAL for k in P.report.kinds])
+    u, v = P.skeleton.edge_array.T
+    polar = hyper[u] & hyper[v]
+    a, b = P.vertex_charts[u[polar]], P.vertex_charts[v[polar]]
+    cosh = np.full(len(u), np.nan)
+    cosh[polar] = (1.0 - np.sum(a * b, axis=1)) / np.sqrt(
+        (np.sum(a * a, axis=1) - 1.0) * (np.sum(b * b, axis=1) - 1.0))
     out = {}
     for i, e in enumerate(P.skeleton.edges):
         if sx[i] <= TAU_IDEAL * 2 or sy[i] <= TAU_IDEAL * 2:
             out[e] = 0.0 if math.hypot(*(x[i] - y[i])) <= MERGE_TOL else math.inf
+        elif polar[i]:
+            out[e] = math.acosh(max(1.0, cosh[i]))
         else:
             out[e] = math.acosh(max(1.0, (1.0 - float(x[i] @ y[i])) / math.sqrt(sx[i] * sy[i])))
     return out

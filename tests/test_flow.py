@@ -451,6 +451,68 @@ def test_flow_bracketing_keeps_events_with_fewer_solves(name, monkeypatch):
     assert sum(iterations) <= 2.2 * len(iterations)
 
 
+@pytest.mark.parametrize("seed", [6, 951, 4242])
+def test_flow_hyperideal_endgame_strides(seed, monkeypatch):
+    # Every vertex starts hyperideal, so the whole flow is endgame: dt grows
+    # by 1.7 per step without the DT_INIT cap, and the flow takes a dozen
+    # solves where steps of at most DT_INIT took about 90.
+    import polyvol.flow as flow
+
+    g = prism_graph(3)
+    P0 = random_hyperideal(g, np.random.default_rng(seed))
+    solve, solves = flow.solve_plane_system, []
+    monkeypatch.setattr(flow, "solve_plane_system",
+                        lambda *args, **kwargs: solves.append(None) or solve(*args, **kwargs))
+    trace = run_flow(P0, FlowOptions(seed=seed))
+    assert len(solves) <= 12
+    target = rectification_volume(g).value
+    assert abs(trace.sup_estimate - target) <= 1e-6 * target
+
+
+# (kind, data, t_value.hex()) of the events of the tetrahedron flow from
+# jittered_compact(g, default_rng(951)) with seed 951, measured with every
+# all-hyperideal step capped at DT_INIT.
+TETRAHEDRON_951_EVENTS = [
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.cf1c53f39d1b2p-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.cf1c50989ec7dp-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cf1bf5ffcbfdap-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1b0b1e4133cp-1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.cf1b0b1e4133cp-1"),
+]
+
+
+def test_flow_endgame_stride_keeps_the_events_and_halves_on_failure(monkeypatch):
+    # The stride leaves the events bit for bit.  With the first all-hyperideal
+    # step longer than DT_INIT forced to fail, the retry from the same state
+    # takes half that step, and the flow finishes with the same events.
+    import polyvol.flow as flow
+
+    P0 = jittered_compact(tetrahedron_graph(), np.random.default_rng(951))
+    events = lambda trace: [(e.kind, e.data, e.t_value.hex()) for e in trace.events]
+    assert events(run_flow(P0, FlowOptions(seed=951))) == TETRAHEDRON_951_EVENTS
+    realize, scaled = flow.realize_from_angles, flow._scaled
+    trials, t_of, failed = [], {}, []
+
+    def realize_at(g, angles, P, **kwargs):
+        t, t_next = t_of.get(id(P)), trials[-1]
+        if (not failed and t is not None and t - t_next > flow.DT_INIT * (1 + 1e-9)
+                and all(k == PointKind.HYPERIDEAL for k in P.report.kinds)):
+            failed.append((t, t_next))
+            raise NewtonDiverged("forced")
+        Q = realize(g, angles, P, **kwargs)
+        t_of[id(Q)] = t_next
+        return Q
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
+    trace = run_flow(P0, FlowOptions(seed=951))
+    (t, t_fail), = failed
+    retry = trials[trials.index(t_fail) + 1]
+    assert t - retry == pytest.approx(0.5 * (t - t_fail), rel=1e-12)
+    assert events(trace) == TETRAHEDRON_951_EVENTS
+    assert trace.volumes_nondecreasing()
+
+
 def test_flow_no_progress_stall_carries_the_failed_solve():
     # From this seed Gauss-Newton cannot realize the angles just below t = 1.
     g = PlanarGraph(7, ((0, 2, 5), (2, 3, 5), (3, 0, 5), (6, 1, 4), (6, 4, 0, 3),

@@ -402,13 +402,14 @@ def test_truncation_matches_pool_on_hyperideal_tetrahedron(hyperideal_tetra):
 
 @pytest.fixture(scope="module")
 def truncated_flow_states():
-    """The polyhedra two flows truncate for their volumes, as vertices turn hyperideal."""
+    """The polyhedra three flows truncate for their volumes, as vertices turn hyperideal."""
     states, cut = [], polyvol.volume.truncate
     mp = pytest.MonkeyPatch()
     mp.setattr(polyvol.volume, "truncate", lambda P: states.append(P) or cut(P))
     try:
         run_flow(regular_tetrahedron(0.55), FlowOptions(seed=3))
         run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(11)), FlowOptions(seed=11))
+        run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
     finally:
         mp.undo()
     return states
