@@ -21,6 +21,7 @@ at lambda = 0 fails the attempt, which raises lambda.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,7 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
     nF = len(normals)
     system = _PlaneSystem(g, gram_targets, held)
     r, J = system(normals, verts)
-    best = float(np.max(np.abs(r)))
+    best = float(np.abs(r).max())
     lm = 0.0
     for it in range(MAX_ITERATIONS):
         if best < REALIZE_TOL:
@@ -122,12 +123,12 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
         for _ in range(8):
             d = _step(J, r, lm)
             alpha = 1.0
-            norm0 = float(np.linalg.norm(r))
+            norm0 = math.sqrt(r @ r)
             while d is not None and alpha > 1e-4:
                 n_try = normals + alpha * d[:4 * nF].reshape(nF, 4)
                 v_try = verts + alpha * d[4 * nF:].reshape(-1, 3)
                 r_try, J_try = system(n_try, v_try)
-                norm_try = float(np.linalg.norm(r_try))  # nan fails both tests
+                norm_try = math.sqrt(r_try @ r_try)  # nan fails both tests
                 if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
                     normals, verts, r, J = n_try, v_try, r_try, J_try
                     stepped = True
@@ -140,8 +141,8 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
             lm = max(lm * 100.0, 1e-10)
         if not stepped:
             return normals, verts, SolveReport(False, best, it, "line search stalled")
-        best = float(np.max(np.abs(r)))
-        if not np.isfinite(best) or np.max(np.abs(verts)) > 1e8:
+        best = float(np.abs(r).max())
+        if not math.isfinite(best) or np.abs(verts).max() > 1e8:
             return normals, verts, SolveReport(False, best, it, "iterate blew up")
     ok = best < REALIZE_TOL
     return normals, verts, SolveReport(ok, best, MAX_ITERATIONS,

@@ -72,17 +72,36 @@ class PointKind(enum.Enum):
         return self.value
 
 
+_KINDS = (PointKind.REAL, PointKind.IDEAL, PointKind.HYPERIDEAL)
+
+
+def row_dots(a, b):
+    """Products ``a[..., i, :] @ b[..., i, :]`` over the last axis, broadcast.
+
+    Each rounds as the scalar product ``a[i] @ b[i]`` of its pair (one BLAS
+    dot per pair), so vectorized code keeps the bits of per-row loops.
+    """
+    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def row_norms(a):
+    """Euclidean norms over the last axis, rounded as ``np.linalg.norm(a, axis=-1)`` rounds them."""
+    return np.sqrt((a * a).sum(axis=-1))
+
+
+def classify_points(charts, tol: float = TAU_IDEAL) -> tuple[PointKind, ...]:
+    """:func:`classify_point` of every row of ``charts``, in one array expression."""
+    r = np.sqrt(row_dots(charts, charts))
+    code = np.where(r < 1.0 - tol, 0, np.where(r > 1.0 + tol, 2, 1))
+    return tuple(map(_KINDS.__getitem__, code.tolist()))
+
+
 def classify_point(p, tol: float = TAU_IDEAL) -> PointKind:
     """Real / Ideal / Hyperideal classification of a chart point.
 
     The ideal band is ``| |p| - 1 | <= tol``.
     """
-    r = float(np.linalg.norm(np.asarray(p, dtype=float)))
-    if r < 1.0 - tol:
-        return PointKind.REAL
-    if r > 1.0 + tol:
-        return PointKind.HYPERIDEAL
-    return PointKind.IDEAL
+    return classify_points(np.asarray(p, dtype=float)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -99,10 +118,7 @@ class OrientedPlane:
         n = np.asarray(self.normal, dtype=float)
         if n.shape != (4,):
             raise ValueError("normal must be a 4-vector")
-        sq = mdot(n, n)
-        if not np.isfinite(sq) or sq <= 0:
-            raise ValueError("plane normal must be spacelike (plane must meet H^3)")
-        object.__setattr__(self, "normal", _frozen(n / math.sqrt(sq)))
+        object.__setattr__(self, "normal", _unit_rows(n))
 
     @classmethod
     def from_chart(cls, direction, offset: float) -> "OrientedPlane":
@@ -125,23 +141,33 @@ class OrientedPlane:
         """Return (direction, offset) with the plane ``direction . x = offset``."""
         return self.normal[1:].copy(), float(self.normal[0])
 
-    def closest_chart_point(self) -> np.ndarray:
-        """Euclidean foot of the origin on the plane, in chart coordinates."""
-        d, c = self.chart_equation()
-        return d * (c / float(d @ d))
-
-    def basis(self):
-        """Two Euclidean-orthonormal chart directions spanning the plane."""
-        d, _ = self.chart_equation()
-        d = d / np.linalg.norm(d)
-        a = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(d, a)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(d, e1)
-        return e1, e2
-
     def __repr__(self):
         return f"OrientedPlane({self.normal!r})"
+
+
+def _unit_rows(normals) -> np.ndarray:
+    """The rows of ``normals`` scaled to unit Minkowski norm, as a new read-only array."""
+    sq = mdot(normals, normals)
+    if not (np.isfinite(sq) & (sq > 0)).all():
+        raise ValueError("plane normal must be spacelike (plane must meet H^3)")
+    unit = normals / np.sqrt(sq)[..., None]
+    unit.setflags(write=False)
+    return unit
+
+
+def unit_planes(normals) -> tuple[OrientedPlane, ...]:
+    """``OrientedPlane(normal=row)`` for each row of ``normals``, normalized in one array expression.
+
+    The normals are rows of one read-only array, bit for bit those of the
+    one-plane constructor, which raises the same errors.
+    """
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 2 or normals.shape[1] != 4:
+        raise ValueError("normal must be a 4-vector")
+    planes = tuple(object.__new__(OrientedPlane) for _ in normals)
+    for plane, n in zip(planes, _unit_rows(normals)):
+        object.__setattr__(plane, "normal", n)
+    return planes
 
 
 def polar_plane(p) -> OrientedPlane:
@@ -157,6 +183,27 @@ def polar_plane(p) -> OrientedPlane:
     return OrientedPlane(normal=lift(coords))
 
 
+def interior_cosines(n1, n2) -> np.ndarray:
+    """cos of the interior dihedral angle between the planes of each pair of rows of unit normals.
+
+    Clamped to [-1, 1]: -1 exactly when the intersection line is tangent to
+    the sphere at infinity (within tolerance).  The first pair whose planes
+    coincide or whose intersection misses the closed ball raises.
+    """
+    n1, n2 = np.asarray(n1, dtype=float), np.asarray(n2, dtype=float)
+    diff, total = n1 - n2, n1 + n2
+    equal = np.sqrt(np.minimum(row_dots(diff, diff), row_dots(total, total))) < PLANE_TOL
+    g = mdot(n1, n2)
+    disjoint = np.abs(g) > 1.0 + PLANE_TOL
+    if equal.any() or disjoint.any():
+        i = int(np.argmax(equal | disjoint))
+        if equal[i]:
+            raise PlanesEqual("planes coincide")
+        raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g[i]):.12g} > 1")
+    # Clamp guards the tangency limit where |g| grazes 1.
+    return np.clip(-g, -1.0, 1.0)
+
+
 def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
     """Interior dihedral angle between two selected half-spaces, in [0, pi].
 
@@ -164,13 +211,7 @@ def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
     infinity (within tolerance).  Raises if the planes coincide or their
     intersection misses the closed ball.
     """
-    if min(np.linalg.norm(a.normal - b.normal), np.linalg.norm(a.normal + b.normal)) < PLANE_TOL:
-        raise PlanesEqual("planes coincide")
-    g = float(mdot(a.normal, b.normal))
-    if abs(g) > 1.0 + PLANE_TOL:
-        raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g):.12g} > 1")
-    # Clamp guards the tangency limit where |g| grazes 1.
-    return float(math.acos(np.clip(-g, -1.0, 1.0)))
+    return math.acos(interior_cosines(a.normal[None], b.normal[None])[0])
 
 
 # --- deformations and isometries -------------------------------------------

@@ -25,10 +25,11 @@ import numpy as np
 from ._realize import solve_plane_system
 from .core import (
     AffineDeformation,
-    OrientedPlane,
     PointKind,
     TAU_IDEAL,
     lift,
+    row_norms,
+    unit_planes,
 )
 from .errors import (
     CollapseMakesDegenerate,
@@ -59,7 +60,8 @@ from .volume import VolumeResult, polyhedron_volume
 #: DT_INIT before the all-hyperideal endgame and uncapped in it (each step
 #: still goes at most to 0.2 t).  A step that fails to realize halves; a
 #: step that signals a degeneration brackets it, and the next trials are
-#: whole multiples of DT_MIN placed by the secant of the signal's gap.
+#: whole multiples of DT_MIN placed by the secant of the signal's gap, or
+#: DT_MIN itself when the accepted state signals too.
 DT_INIT = 1e-2
 DT_MIN = 1e-7
 #: A real vertex within this chart distance of the sphere is becoming ideal.
@@ -107,11 +109,11 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
             raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
         targets[e] = None if th is None else -math.cos(th)
     if start is None:
-        start = ([p.normal for p in seed.planes], seed.vertex_charts)
+        start = (seed.normals, seed.vertex_charts)
     normals, verts, report = solve_plane_system(g, targets, *start, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
-    planes = tuple(OrientedPlane(normal=normals[f]) for f in range(len(g.faces)))
+    planes = unit_planes(normals)
     try:
         return build_polyhedron(planes, g)
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
@@ -285,8 +287,25 @@ class FlowOptions:
     seed: int = 0
 
 
+class _Gaps:
+    """A scan's signed gaps per candidate, looked up by ``(kind, data)`` only when asked."""
+
+    def __init__(self, candidates):
+        self._by_kind = {kind: (data, gaps) for kind, data, _, gaps in candidates}
+
+    def get(self, key):
+        """The gap of candidate ``key``; None for no key or one the scan did not test."""
+        if key is None:
+            return None
+        data, gaps = self._by_kind[key[0]]
+        try:
+            return float(gaps[data.index(key[1])])
+        except ValueError:
+            return None
+
+
 class _Signals(list):
-    """Signals ``(kind, data, size)``, worst first, with the scan's ``gaps``."""
+    """Signals ``(kind, data, size)``, worst first, and the scan's ``gaps`` (:class:`_Gaps`)."""
 
     def __init__(self, signals, gaps):
         super().__init__(signals)
@@ -297,11 +316,12 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     """Degeneration signals ``(kind, data, size)`` of a step from ``prev`` to P, worst first.
 
     A vertex real in ``prev`` entering the ideal band (or jumping past
-    it) signals.  The result's ``gaps`` maps each candidate ``(kind,
-    data)`` to its signed gap, positive exactly where it signals: the
+    it) signals.  The result's ``gaps.get((kind, data))`` gives each
+    candidate's signed gap, positive exactly where it signals: the
     radius past 1 - IDEAL_BAND, ALMOST_PROPER_BAND past the margin,
     EDGE_COLLAPSE_TOL past the length, or FACE_COLLAPSE_TOL times
-    max(1, width) past a face's second width.
+    max(1, width) past a face's second width.  The gaps stay arrays; a
+    lookup indexes them.
     ``relaxed`` widens the ideal band and the collapse thresholds, for a
     state stalled against the realizability boundary.
     """
@@ -310,7 +330,7 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     kinds, prev_kinds = P.report.kinds, prev.report.kinds
     charts = P.vertex_charts
-    radii = np.linalg.norm(charts, axis=1)
+    radii = row_norms(charts)
     was_real = [v for v, k in enumerate(prev_kinds) if k == PointKind.REAL]
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
     poles = [v for v, (k, k0) in enumerate(zip(kinds, prev_kinds))
@@ -320,13 +340,13 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     free = np.array([pair not in held for pair in pairs], dtype=bool)
     margins = (1.0 - charts[poles] @ charts[real].T).ravel()[free]
     g = P.skeleton
-    lengths = np.linalg.norm(np.subtract(*charts[g.edge_array.T]), axis=1)
+    lengths = row_norms(np.subtract(*charts[g.edge_array.T]))
     # The two largest singular values of each centred face polygon.
     widths = np.empty((len(g.faces), 2))
     for fs, cycles in g.faces_by_size:
-        pts = charts[cycles]
-        widths[fs] = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True),
-                                   compute_uv=False)[:, :2]
+        pts = charts[cycles]  # centred on the mean, rounded as ndarray.mean rounds it
+        centred = pts - pts.sum(axis=1, keepdims=True) / cycles.shape[1]
+        widths[fs] = np.linalg.svd(centred, compute_uv=False)[:, :2]
     candidates = (  # kind, data, sizes, gaps
         (FlowEventKind.VERTEX_BECAME_IDEAL, was_real, np.abs(1.0 - radii[was_real]),
          radii[was_real] - (1.0 - ideal_band)),
@@ -335,22 +355,26 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
         (FlowEventKind.EDGE_COLLAPSED, g.edges, lengths, edge_tol - lengths),
         (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)), widths[:, 1],
          face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]))
-    out, gaps = [], {}
+    out = []
     for kind, data, sizes, gap in candidates:
         out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(gap > 0)]
-        gaps.update(zip([(kind, d) for d in data], gap.tolist()))
     out.sort(key=lambda item: item[2])
-    return _Signals(out, gaps)
+    return _Signals(out, _Gaps(candidates))
 
 
 def _bracket_step(width, gap_lo, gap_hi):
     """Next trial step into a bracket ``width`` long whose far end signaled.
 
-    The secant of the worst signal's gaps, ``gap_lo`` <= 0 at the accepted
-    end and ``gap_hi`` > 0 at the far end, estimates where it crosses zero;
+    The secant of the worst signal's gaps, ``gap_lo`` at the accepted end
+    and ``gap_hi`` > 0 at the far end, estimates where it crosses zero;
     when either is missing or out of sign the step bisects.  The step is a
     whole number of DT_MIN, at least one, and else at most 0.9 of the width.
+    An accepted end that signals too (``gap_lo`` > 0, a vertex left inside
+    the ideal band by an escape) gives DT_MIN at once: bisection would
+    signal on every trial down to that same step.
     """
+    if gap_lo is not None and gap_lo > 0.0:
+        return DT_MIN
     s = 0.5 * width
     if gap_lo is not None and gap_hi is not None and gap_lo <= 0.0 < gap_hi:
         s = width * gap_lo / (gap_lo - gap_hi)
@@ -361,7 +385,7 @@ def _predicted(before, t, P, t_next):
     """Normals and charts at t_next extrapolated from ``before`` = (t0, P0) and (t, P)."""
     t0, P0 = before
     w = (t - t_next) / (t0 - t)
-    n0, n1 = (np.array([p.normal for p in Q.planes]) for Q in (P0, P))
+    n0, n1 = P0.normals, P.normals
     return n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
 
 

@@ -202,6 +202,19 @@ class PlanarGraph:
         return np.array(self.edges, dtype=int).reshape(-1, 2)
 
     @cached_property
+    def edge_face_array(self) -> np.ndarray:
+        """Row i: the two faces of ``edges[i]``, in ``edge_faces`` order."""
+        return np.array([self.edge_faces[e] for e in self.edges], dtype=int).reshape(-1, 2)
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """(vertices, faces) mask, True where the vertex lies on the face."""
+        out = np.zeros((self.n_vertices, len(self.faces)), dtype=bool)
+        for vs, inc in self.vertex_faces_by_degree:
+            out[vs[:, None], inc] = True
+        return out
+
+    @cached_property
     def jacobian_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparsity of the plane-system Jacobian of ``polyvol._realize``.
 
@@ -220,7 +233,7 @@ class PlanarGraph:
         flat = np.concatenate([(n_cols + 4) * np.arange(nF)[:, None] + quad,
                                rows + 4 * inc[:, :1], rows + 4 * inc[:, :1] + quad[1:],
                                rows + 4 * nF + 3 * inc[:, 1:] + quad[:3]], axis=None)
-        ef = np.array([self.edge_faces[e] for e in self.edges])
+        ef = self.edge_face_array
         return inc, flat, np.hstack([4 * ef[:, :1] + quad, 4 * ef[:, 1:] + quad])
 
     @cached_property

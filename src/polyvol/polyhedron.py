@@ -17,20 +17,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import core
 from .core import (
     MINKOWSKI_SIGNS,
     TAU_IDEAL,
     OrientedPlane,
     PointKind,
-    classify_point,
+    classify_points,
+    interior_cosines,
     lift,
     mdot,
     polar_plane,
+    row_dots,
+    row_norms,
 )
 from .errors import (
     BadFormat,
@@ -90,9 +92,20 @@ class Polyhedron:
         return self.vertex_lifts[:, 1:]
 
     @cached_property
+    def normals(self) -> np.ndarray:
+        """The planes' unit normals as one read-only (F, 4) array, built once."""
+        return _stacked_normals(self.planes)
+
+    @cached_property
     def report(self) -> PropernessReport:
         """Vertex kinds and properness at the default ideal band, computed once."""
         return classify_vertices(self)
+
+
+def _stacked_normals(planes) -> np.ndarray:
+    normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 4)
+    normals.setflags(write=False)
+    return normals
 
 
 def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
@@ -111,21 +124,19 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
     if len(planes) != len(g.faces):
         raise SkeletonMismatch(f"{len(planes)} planes for {len(g.faces)} faces")
 
-    normals = np.array([p.normal for p in planes])
+    normals = _stacked_normals(planes)
     # Vertex v is the null vector of its faces' Euclid-normalized rows: one point when
     # the third singular value is clear of zero and the fourth, if any, vanishes.
     rows = normals * MINKOWSKI_SIGNS
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows /= row_norms(rows)[:, None]
     n = g.n_vertices
     lifts, s2, s3, degree = np.zeros((n, 4)), np.full(n, np.inf), np.zeros(n), np.zeros(n, int)
-    incident = np.zeros((n, len(planes)), dtype=bool)
     for vs, inc in g.vertex_faces_by_degree:
         degree[vs] = k = inc.shape[1]
-        incident[vs[:, None], inc] = True
         if k >= 3:
             _, s, vt = np.linalg.svd(rows[inc])
             lifts[vs], s2[vs], s3[vs] = vt[:, -1], s[:, 2], s[:, 3] if k > 3 else 0.0
-    escapes = np.abs(lifts[:, 0]) < 1e-9 * np.linalg.norm(lifts, axis=1)
+    escapes = np.abs(lifts[:, 0]) < 1e-9 * row_norms(lifts)
     bad = (degree < 3) | (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL) | escapes
     if bad.any():
         v = int(np.argmax(bad))
@@ -144,13 +155,13 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
     # Convexity: every vertex weakly inside every selected half-space,
     # strictly inside those of the faces it is not on.
     margins = lifts @ (normals * MINKOWSKI_SIGNS).T
-    scale = np.maximum(1.0, np.linalg.norm(lifts, axis=1))[:, None]
+    scale = np.maximum(1.0, row_norms(lifts))[:, None]
     scaled = margins / scale
-    worst = float(np.max(scaled))
+    worst = float(scaled.max())
     if worst > CONVEXITY_SLACK * 10:
         bad = np.unravel_index(np.argmax(scaled), margins.shape)
         raise NonConvex(f"vertex {bad[0]} violates face {bad[1]} by {worst:.3g}")
-    off = np.where(incident, -np.inf, scaled)
+    off = np.where(g.incidence, -np.inf, scaled)
     v, f = np.unravel_index(np.argmax(off), off.shape)
     if off[v, f] >= -10 * CONVEXITY_SLACK:
         raise SkeletonMismatch(
@@ -160,17 +171,19 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
     # Closest point of each edge segment a + t (b - a), t in [0, 1], to the origin.
     a, b = lifts[g.edge_array.T, 1:]
     d = b - a
-    dd = np.sum(d * d, axis=1)
-    t = np.clip(-np.sum(a * d, axis=1) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    dd = (d * d).sum(axis=1)
+    t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
     q = a + t[:, None] * d
-    m2 = np.sum(q * q, axis=1)
+    m2 = (q * q).sum(axis=1)
     misses = m2 >= 1.0 + (2 * TAU_IDEAL if rectified else 0.0)
     if misses.any():
         i = int(np.argmax(misses))
         what = "not tangent" if rectified else "misses the ball"
         raise EdgeMissesBall(f"edge {g.edges[i]} {what} (min |x|^2 = {m2[i]:.6g})")
 
-    return Polyhedron(planes=planes, skeleton=g, vertex_lifts=lifts, rectified=rectified)
+    P = Polyhedron(planes=planes, skeleton=g, vertex_lifts=lifts, rectified=rectified)
+    vars(P)["normals"] = normals  # the cached property, from the array built above
+    return P
 
 
 # --- classification ---------------------------------------------------------
@@ -202,37 +215,33 @@ def classify_vertices(P: Polyhedron, tol: float = TAU_IDEAL) -> PropernessReport
     For each hyperideal vertex v, every other real vertex must lie
     strictly inside the polar half-space H_v; on its boundary plane
     (within tol) the configuration is almost proper, outside improper.
+    A vertex's witness is the last hyperideal vertex that makes its
+    status, an improper one before any almost proper one.
     """
     n = P.skeleton.n_vertices
     charts = P.vertex_charts
-    kinds = [classify_point(charts[v], tol) for v in range(n)]
+    kinds = classify_points(charts, tol)
     statuses = [VertexStatus.PROPER] * n
     witnesses = [None] * n
-    for v in range(n):
-        if kinds[v] != PointKind.HYPERIDEAL:
-            continue
-        for w in range(n):
-            if w == v or kinds[w] != PointKind.REAL:
-                continue
-            margin = 1.0 - float(charts[v] @ charts[w])
-            if margin < -tol:
-                statuses[w] = VertexStatus.IMPROPER
-                witnesses[w] = v
-            elif margin <= tol and statuses[w] != VertexStatus.IMPROPER:
-                statuses[w] = VertexStatus.ALMOST_PROPER
-                witnesses[w] = v
+    hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
+    real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
+    margins = 1.0 - row_dots(charts[hyper][:, None], charts[real])  # (pole, real vertex)
+    if (margins <= tol).any():
+        for status, hit in ((VertexStatus.ALMOST_PROPER, margins <= tol),
+                            (VertexStatus.IMPROPER, margins < -tol)):
+            last = len(hyper) - 1 - np.argmax(hit[::-1], axis=0)
+            for i in np.flatnonzero(hit.any(axis=0)).tolist():
+                statuses[real[i]], witnesses[real[i]] = status, hyper[last[i]]
     overall = next((s for s in (VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER)
                     if s in statuses), VertexStatus.PROPER)
-    return PropernessReport(tuple(kinds), tuple(statuses), tuple(witnesses), overall)
+    return PropernessReport(kinds, tuple(statuses), tuple(witnesses), overall)
 
 
 def dihedral_angles(P: Polyhedron) -> dict:
     """Interior dihedral angle at every skeleton edge."""
-    out = {}
-    for e in P.skeleton.edges:
-        f1, f2 = P.skeleton.edge_faces[e]
-        out[e] = core.dihedral_angle(P.planes[f1], P.planes[f2])
-    return out
+    f1, f2 = P.skeleton.edge_face_array.T
+    cosines = interior_cosines(P.normals[f1], P.normals[f2])
+    return dict(zip(P.skeleton.edges, map(math.acos, cosines.tolist())))
 
 
 def _edge_segments(P: Polyhedron):
@@ -327,24 +336,42 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     edges arising from the truncation meet the adjacent faces at right
     angles, and distinct truncation faces are disjoint.  The nodes are
     the ends of :func:`_edge_segments`, so they coincide only at the two
-    ends of one edge.  They are numbered in the order the face walk meets
-    them, each at the point of its first-met end.
+    ends of one edge.
     """
     report = P.report
     if report.is_improper():
         raise ImproperInput("cannot truncate an improper polyhedron")
-    g = P.skeleton
-    hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
+    hyper = tuple(v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL)
     if not hyper:
-        return TruncatedPolyhedron(P.planes, tuple(False for _ in P.planes), g,
+        return TruncatedPolyhedron(P.planes, tuple(False for _ in P.planes), P.skeleton,
                                    P.vertex_lifts.copy(), P)
+    x, y = _edge_segments(P)
+    short = tuple(np.flatnonzero(np.linalg.norm(x - y, axis=1) <= MERGE_TOL).tolist())
+    skeleton, first = _truncated_skeleton(P.skeleton, hyper, short)
+    polar = tuple(polar_plane(P.vertex_charts[v]) for v in hyper)
+    flags = tuple([False] * len(P.planes) + [True] * len(hyper))
+    points = np.concatenate([P.vertex_charts, x, y])
+    T = TruncatedPolyhedron(tuple(P.planes) + polar, flags, skeleton, lift(points[first]), P)
+    _assert_truncation_invariants(T)
+    return T
+
+
+@lru_cache(maxsize=16)
+def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
+    """Skeleton of g truncated at the vertices ``hyper``, and the point row of each node.
+
+    The points are the vertex charts, then the ends of :func:`_edge_segments`
+    at each edge's first vertex, then at its second; the ends of the edges
+    indexed by ``short`` merge.  Nodes are numbered in the order the face
+    walk meets them, each at the point of its first-met end.  The result
+    depends on these arguments alone, so the samples of one flow stratum
+    share it.
+    """
     hyper_set = set(hyper)
     n, n_edges = g.n_vertices, len(g.edges)
-    x, y = _edge_segments(P)
-    points = np.concatenate([P.vertex_charts, x, y])
 
     def end(e, v):
-        """Row of ``points`` at edge e's end at v."""
+        """Row of the points at edge e's end at v."""
         return v if v not in hyper_set else n + g.edge_index[e] + n_edges * (v == e[1])
 
     merged = {}  # union-find over the rows of short segments' ends
@@ -354,7 +381,7 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
             i = merged[i]
         return i
 
-    for i in np.flatnonzero(np.linalg.norm(x - y, axis=1) <= MERGE_TOL):
+    for i in short:
         e = g.edges[i]
         a, b = root(end(e, e[0])), root(end(e, e[1]))
         if a != b:
@@ -386,13 +413,9 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         if len(dedup) < 3:
             raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
-
-    skeleton = PlanarGraph(n_vertices=len(first), faces=tuple(faces))
-    planes = tuple(P.planes) + tuple(polar_plane(P.vertex_charts[v]) for v in hyper)
-    flags = tuple([False] * len(P.planes) + [True] * len(hyper))
-    T = TruncatedPolyhedron(planes, flags, skeleton, lift(points[first]), P)
-    _assert_truncation_invariants(T)
-    return T
+    first = np.array(first)
+    first.setflags(write=False)
+    return PlanarGraph(n_vertices=len(first), faces=tuple(faces)), first
 
 
 def _assert_truncation_invariants(T: TruncatedPolyhedron):
@@ -402,9 +425,10 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron):
     rectifications (adjacent vertex circles touch at the edge point).
     """
     g = T.skeleton
-    normals = np.array([p.normal for p in T.planes])
+    polar = T.planes[len(T.original.planes):]
+    normals = np.vstack([T.original.normals, *(p.normal for p in polar)])
     flags = np.array(T.truncation_flags)
-    f1, f2 = np.array([g.edge_faces[e] for e in g.edges]).T
+    f1, f2 = g.edge_face_array.T
     mixed = np.flatnonzero(flags[f1] != flags[f2])
     gram = mdot(normals[f1[mixed]], normals[f2[mixed]])
     bad = np.abs(gram) > 1e-7

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OrientedPlane,
     boost_to_origin,
     lift,
     mdot,
     rotation_about_z,
     rotation_to_z,
+    unit_planes,
 )
 from .errors import NotPolyhedral, SolverDiverged
 from .graphs import PlanarGraph, _norm_edge, medial_graph
@@ -252,7 +252,7 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     u, v = np.array(g.edges).T
     a, d = lifts[u, 1:], lifts[v, 1:] - lifts[u, 1:]
     feet = a - (np.sum(a * d, axis=1) / np.sum(d * d, axis=1))[:, None] * d
-    f1, f2 = np.array([g.edge_faces[e] for e in g.edges]).T
+    f1, f2 = g.edge_face_array.T
     residuals = {
         "solve": solve_residual,
         "tangency": float(np.max(np.abs(np.linalg.norm(feet, axis=1) - 1.0))),
@@ -274,8 +274,7 @@ def rectification_and_volume(g: PlanarGraph) -> tuple[Polyhedron, VolumeResult]:
     so only truncation and volume consume it downstream.
     """
     packing = solve_midsphere(g)
-    planes = tuple(OrientedPlane(normal=normal) for normal in packing.face_normals)
-    return build_polyhedron(planes, g, rectified=True), packing.volume
+    return build_polyhedron(unit_planes(packing.face_normals), g, rectified=True), packing.volume
 
 
 def rectification(g: PlanarGraph) -> Polyhedron:

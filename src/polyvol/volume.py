@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU_IDEAL, boost_to_origin, lift
+from .core import TAU_IDEAL, boost_to_origin, lift, row_norms
 from .errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from .polyhedron import (
     PointKind,
@@ -288,10 +288,6 @@ def _orthoscheme_volume(a1, a2, a3):
     return 0.25 * (lob[0] - lob[1] + lob[2] - lob[3] - lob[4] + lob[5] + 2.0 * lob[6])
 
 
-def _norm(x):
-    return np.sqrt(np.sum(x * x, axis=-1))
-
-
 def _chain_angles(v, foot_e, foot_f):
     """Essential angles of the orthoschemes (v, P_e, P_F, O), O the chart origin.
 
@@ -301,14 +297,14 @@ def _chain_angles(v, foot_e, foot_f):
     Along e, alpha3 is the angle at P_e of the hyperbolic right triangle
     (O, P_F, P_e): tan alpha3 = tanh|O P_F| / sinh|P_F P_e|.
     """
-    leg_v, leg_f = _norm(v - foot_e), _norm(foot_e - foot_f)
-    r_e = _norm(foot_e)
-    u = v / _norm(v)[:, None]
+    leg_v, leg_f = row_norms(v - foot_e), row_norms(foot_e - foot_f)
+    r_e = row_norms(foot_e)
+    u = v / row_norms(v)[:, None]
     p = foot_f - np.sum(foot_f * u, axis=1)[:, None] * u
     q = foot_e - np.sum(foot_e * u, axis=1)[:, None] * u
     return (np.arctan2(leg_v, leg_f),
-            np.arctan2(_norm(np.cross(p, q)), np.sum(p * q, axis=1)),
-            np.arctan2(_norm(foot_f) * np.sqrt(1.0 - r_e * r_e), leg_f))
+            np.arctan2(row_norms(np.cross(p, q)), np.sum(p * q, axis=1)),
+            np.arctan2(row_norms(foot_f) * np.sqrt(1.0 - r_e * r_e), leg_f))
 
 
 def _orthoscheme_decomposition(center, polygons):
@@ -344,7 +340,7 @@ def _orthoscheme_decomposition(center, polygons):
     v, w = np.concatenate([a, b]), np.concatenate([b, a])
     foot_e, foot_f, inner = (np.concatenate([x, x]) for x in (foot_e, foot_f, inner))
     sign = inner * np.sign(np.sum((foot_e - v) * (w - v), axis=1))
-    keep = (sign != 0) & (_norm(v - foot_e) * _norm(foot_e - foot_f) > FLAG_WIDTH_TOL)
+    keep = (sign != 0) & (row_norms(v - foot_e) * row_norms(foot_e - foot_f) > FLAG_WIDTH_TOL)
     angles = _chain_angles(v[keep], foot_e[keep], foot_f[keep])
     return float(sign[keep] @ _orthoscheme_volume(*angles)), int(np.count_nonzero(keep))
 

@@ -56,6 +56,23 @@ def hyperideal_tetra():
     return regular_tetrahedron(1.3)
 
 
+def closest_chart_point(plane):
+    """Euclidean foot of the origin on the plane, in chart coordinates."""
+    d, c = plane.chart_equation()
+    return d * (c / float(d @ d))
+
+
+def plane_basis(plane):
+    """Two Euclidean-orthonormal chart directions spanning the plane."""
+    d, _ = plane.chart_equation()
+    d = d / np.linalg.norm(d)
+    a = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(d, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    return e1, e2
+
+
 def to_networkx(g):
     import networkx as nx
 

@@ -418,6 +418,77 @@ def test_flow_locates_a_linear_gap_on_the_dt_min_grid(compact_tetra, monkeypatch
     assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, located[-1])
 
 
+def test_flow_steps_dt_min_at_once_when_the_accepted_state_signals(compact_tetra, monkeypatch):
+    # The linear gap above, crossing zero above t = 1: the accepted state at
+    # t = 1 already signals, as a state does after an escape that leaves
+    # another vertex inside the ideal band.  No secant can be placed and a
+    # bisection would signal on every trial, so the first signaled step is
+    # followed by exactly one trial, DT_MIN below t = 1, where the event fires.
+    import polyvol.flow as flow
+
+    T_CROSS, RATE, signal = 1.003, 3.0, (FlowEventKind.EDGE_COLLAPSED, (0, 1))
+    trials, t_of = [], {}
+    realize, scaled = flow.realize_from_angles, flow._scaled
+
+    def realize_at(*args, **kwargs):
+        P = realize(*args, **kwargs)
+        t_of[id(P)] = trials[-1]
+        return P
+
+    def linear_gap(P, prev, held, relaxed=False):
+        gap = RATE * (T_CROSS - t_of[id(P)])
+        return flow._Signals([(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap})
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
+    monkeypatch.setattr(flow, "_scan_signals", linear_gap)
+    with pytest.raises(StallDetected) as info:
+        run_flow(compact_tetra, FlowOptions(seed=21))
+    assert trials == [1.0, 1.0 - flow.DT_INIT, 1.0 - flow.DT_MIN]
+    event = info.value.trace.samples[-1]
+    assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, trials[-1])
+
+
+# The flow from jittered_compact(pyramid_graph(4), default_rng(951)) with seed
+# 951, measured when a bracket whose accepted end signaled bisected from DT_INIT
+# down to DT_MIN: (kind, data, t_value.hex(), volume_at_event.hex()) of its
+# events, the hex volume of each sample, sup_estimate.hex() and the number of
+# plane-system solves.
+PYRAMID4_951_EVENTS = [
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.e51cd522dca3ep-1", "0x1.40f21d5d483b9p-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cd63b4047eeadp-1", "0x1.3c13fd001bc30p+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cd6341eeb7d94p-1", "0x1.3c27e6e76b4d2p+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.712b6bbe94fbbp-1", "0x1.9e6d8ce6755e1p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.712b686396a86p-1", "0x1.9e770d4a4c90cp+1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.712b686396a86p-1", "0x1.9e770d4a4c90cp+1"),
+]
+PYRAMID4_951_SAMPLES = [
+    "0x1.3e363d56a4aaap-3", "0x1.40f21d5d483b9p-1", "0x1.c4bc7ee4786c4p-1",
+    "0x1.3c13fd001bc30p+0", "0x1.3c27e6e76b4d2p+0", "0x1.61c4828cfba00p+0",
+    "0x1.366cbc9fa6134p+1", "0x1.9e6d8ce6755e1p+1", "0x1.9e770d4a4c90cp+1",
+    "0x1.b211e62d48fc4p+1", "0x1.817750dd9dde0p+2",
+]
+PYRAMID4_951_SUP, PYRAMID4_951_BISECTING_SOLVES = "0x1.817996056bcf1p+2", 79
+
+
+def test_flow_degenerate_bracket_keeps_the_trace_with_fewer_solves(monkeypatch):
+    # Here an escape leaves another vertex inside the ideal band; stepping
+    # DT_MIN at once from that state gives the same trace, bit for bit, with
+    # the 15 signaled bisection trials before that step left out.
+    import polyvol.flow as flow
+
+    solve, solves = flow.solve_plane_system, []
+    monkeypatch.setattr(flow, "solve_plane_system",
+                        lambda *args, **kwargs: solves.append(None) or solve(*args, **kwargs))
+    trace = run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(951)),
+                     FlowOptions(seed=951))
+    assert [(e.kind, e.data, e.t_value.hex(), e.volume_at_event.hex())
+            for e in trace.events] == PYRAMID4_951_EVENTS
+    assert [s.volume.value.hex() for s in trace.samples] == PYRAMID4_951_SAMPLES
+    assert trace.sup_estimate.hex() == PYRAMID4_951_SUP
+    assert len(solves) <= PYRAMID4_951_BISECTING_SOLVES - 15
+
+
 # (kind, data) of the events, sup_estimate and plane-system solves of the flows
 # from jittered_compact(g, default_rng(951)) with seed 951, measured when every
 # signaled step halved dt down to DT_MIN.

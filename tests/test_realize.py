@@ -3,8 +3,10 @@
 The loop references below are the earlier implementations, kept as
 oracles: the row-by-row Jacobian with its ``lstsq`` Gauss-Newton solve,
 the per-vertex plane intersections and per-edge ball test of
-``build_polyhedron``, the per-face scan of ``flow._scan_signals`` and the
-per-edge truncated lengths of ``edge_lengths``.
+``build_polyhedron``, the per-face scan of ``flow._scan_signals``, the
+per-edge truncated lengths of ``edge_lengths``, the per-pair
+``classify_vertices``, the per-edge ``dihedral_angle`` and the per-plane
+normalization of ``OrientedPlane``.
 """
 
 import math
@@ -23,8 +25,25 @@ from polyvol._realize import (
     _step,
     solve_plane_system,
 )
-from polyvol.core import MINKOWSKI_SIGNS, TAU_IDEAL, OrientedPlane, PointKind, lift
-from polyvol.errors import EdgeMissesBall, NonConvex, PolyvolError, SkeletonMismatch
+from polyvol.core import (
+    MINKOWSKI_SIGNS,
+    PLANE_TOL,
+    TAU_IDEAL,
+    OrientedPlane,
+    PointKind,
+    dihedral_angle,
+    lift,
+    mdot,
+    unit_planes,
+)
+from polyvol.errors import (
+    EdgeMissesBall,
+    NonConvex,
+    PlanesDisjointInBall,
+    PlanesEqual,
+    PolyvolError,
+    SkeletonMismatch,
+)
 from polyvol.flow import (
     ALMOST_PROPER_BAND,
     EDGE_COLLAPSE_TOL,
@@ -47,7 +66,10 @@ from polyvol.polyhedron import (
     MERGE_TOL,
     VERTEX_RESIDUAL_TOL,
     Polyhedron,
+    PropernessReport,
+    VertexStatus,
     build_polyhedron,
+    classify_vertices,
     dihedral_angles,
     edge_lengths,
 )
@@ -251,6 +273,49 @@ def loop_edge_lengths(P):
             continue
         out[e] = math.acosh(max(1.0, (1.0 - float(x @ y)) / math.sqrt(sx * sy)))
     return out
+
+
+def loop_classify_vertices(P, tol=TAU_IDEAL):
+    """Kinds from each vertex's norm; statuses pole by pole, the later witness winning."""
+    n = P.skeleton.n_vertices
+    charts = P.vertex_charts
+    kinds = []
+    for v in range(n):
+        r = float(np.linalg.norm(charts[v]))
+        kinds.append(PointKind.REAL if r < 1.0 - tol
+                     else PointKind.HYPERIDEAL if r > 1.0 + tol else PointKind.IDEAL)
+    statuses = [VertexStatus.PROPER] * n
+    witnesses = [None] * n
+    for v in range(n):
+        if kinds[v] != PointKind.HYPERIDEAL:
+            continue
+        for w in range(n):
+            if w == v or kinds[w] != PointKind.REAL:
+                continue
+            margin = 1.0 - float(charts[v] @ charts[w])
+            if margin < -tol:
+                statuses[w] = VertexStatus.IMPROPER
+                witnesses[w] = v
+            elif margin <= tol and statuses[w] != VertexStatus.IMPROPER:
+                statuses[w] = VertexStatus.ALMOST_PROPER
+                witnesses[w] = v
+    overall = next((s for s in (VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER)
+                    if s in statuses), VertexStatus.PROPER)
+    return PropernessReport(tuple(kinds), tuple(statuses), tuple(witnesses), overall)
+
+
+def loop_dihedral_angle(a, b):
+    if min(np.linalg.norm(a.normal - b.normal), np.linalg.norm(a.normal + b.normal)) < PLANE_TOL:
+        raise PlanesEqual("planes coincide")
+    g = float(mdot(a.normal, b.normal))
+    if abs(g) > 1.0 + PLANE_TOL:
+        raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g):.12g} > 1")
+    return float(math.acos(np.clip(-g, -1.0, 1.0)))
+
+
+def loop_dihedral_angles(P):
+    return {e: loop_dihedral_angle(*(P.planes[f] for f in P.skeleton.edge_faces[e]))
+            for e in P.skeleton.edges}
 
 
 # --- plane system -----------------------------------------------------------------
@@ -489,6 +554,24 @@ def test_scan_signals_matches_loop_on_recorded_flow_states(recorded):
         assert _scan_signals(*args, **kw) == loop_scan_signals(*args, **kw)
 
 
+def test_scan_gaps_are_looked_up_per_candidate(recorded):
+    # Every signal has a positive gap, every edge its length below the
+    # threshold; a candidate the scan did not test, or no candidate at all (a
+    # bracket's far end after a failed solve), has none.
+    scans, _ = recorded
+    for (P, prev, held), kw in scans:
+        got = _scan_signals(P, prev, held, **kw)
+        assert all(got.gaps.get((kind, data)) > 0 for kind, data, _ in got)
+        tol = (1e3 if kw.get("relaxed") else 1.0) * EDGE_COLLAPSE_TOL
+        for (a, b) in P.skeleton.edges:
+            length = np.linalg.norm(P.vertex_charts[a] - P.vertex_charts[b])
+            assert got.gaps.get((FlowEventKind.EDGE_COLLAPSED, (a, b))) == \
+                pytest.approx(tol - length, rel=1e-12, abs=1e-15)
+        assert got.gaps.get(None) is None
+        assert got.gaps.get((FlowEventKind.VERTEX_BECAME_IDEAL, P.skeleton.n_vertices)) is None
+        assert got.gaps.get((FlowEventKind.FACE_COLLAPSED, len(P.skeleton.faces))) is None
+
+
 def test_build_matches_loop_on_recorded_flow_states(recorded):
     scans, _ = recorded
     for (P, *_), _kw in scans[:50]:
@@ -527,3 +610,91 @@ def test_edge_lengths_match_loop_on_recorded_flow_states(recorded):
             else:
                 assert got[e] == pytest.approx(ref[e], rel=1e-9, abs=1e-12)
     assert polar
+
+
+def _recorded_states(recorded):
+    """Every distinct state the two recorded flows scanned or measured."""
+    scans, lengths = recorded
+    states = {id(P): P for (P, prev, *_), _kw in scans for P in (P, prev)}
+    states.update((id(P), P) for P in lengths)
+    return list(states.values())
+
+
+def test_classify_vertices_matches_loop_on_recorded_flow_states(recorded):
+    states = _recorded_states(recorded)
+    kinds = set()
+    for P in states:
+        for tol in (TAU_IDEAL, 1e-3):
+            got = classify_vertices(P, tol)
+            assert got == loop_classify_vertices(P, tol)
+            assert all(type(w) is int for w in got.witnesses if w is not None)
+            kinds.update(got.kinds)
+    assert kinds == set(PointKind)
+
+
+def test_classify_vertices_keeps_the_loop_witness_order():
+    # Poles 0 and 1 with polar planes x = 1/2 and y = 1/2.  Vertex 2 is outside
+    # the first and on the second, vertex 3 the other way round, vertex 4 on
+    # both, vertex 5 outside both; vertex 6 is ideal.  An improper pole is the
+    # witness before an almost proper one, and of two alike the later one.
+    charts = np.array([(2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.6, 0.5, 0.0), (0.5, 0.6, 0.0),
+                       (0.5, 0.5, 0.1), (0.6, 0.6, 0.0), (0.0, 0.0, 1.0)])
+    P = Polyhedron(planes=(), skeleton=pyramid_graph(6), vertex_lifts=lift(charts))
+    got = classify_vertices(P)
+    assert got == loop_classify_vertices(P)
+    I, A = VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER
+    assert got.statuses[2:6] == (I, I, A, I) and got.witnesses[2:6] == (0, 1, 1, 1)
+    assert got.kinds[6] == PointKind.IDEAL and got.overall == I
+    # Without the improper vertices the configuration is almost proper.
+    P = Polyhedron(planes=(), skeleton=tetrahedron_graph(), vertex_lifts=lift(charts[[0, 1, 4, 6]]))
+    assert classify_vertices(P) == loop_classify_vertices(P)
+    assert classify_vertices(P).overall == A
+
+
+def test_dihedral_angles_match_loop_on_recorded_flow_states(recorded):
+    for P in _recorded_states(recorded):
+        want = loop_dihedral_angles(P)
+        assert dihedral_angles(P) == want
+        assert {e: dihedral_angle(*(P.planes[f] for f in P.skeleton.edge_faces[e]))
+                for e in P.skeleton.edges} == want
+
+
+def test_dihedral_angles_raise_as_loop():
+    # The first offending edge raises, with the loop's error and message.  In
+    # the last case faces 2 and 3 coincide on a later edge than the disjoint
+    # faces 0 and 1.
+    g = tetrahedron_graph()
+    planes = planes_from_vertices(_tetra_points(0.55), g)
+    x_low, x_high = OrientedPlane.from_chart([1, 0, 0], 0.9), OrientedPlane.from_chart([-1, 0, 0], 0.9)
+    for kind, case in ((PlanesEqual, (planes[0], planes[0], planes[2], planes[3])),
+                       (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[3])),
+                       (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[2]))):
+        P = Polyhedron(planes=case, skeleton=g, vertex_lifts=lift(_tetra_points(0.55)))
+        with pytest.raises(PolyvolError) as got:
+            dihedral_angles(P)
+        with pytest.raises(PolyvolError) as want:
+            loop_dihedral_angles(P)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert type(got.value) is kind
+    with pytest.raises(PlanesEqual):
+        dihedral_angle(planes[1], planes[1])
+
+
+def test_unit_planes_match_one_plane_constructor(recorded):
+    rng = np.random.default_rng(5)
+    for P in _recorded_states(recorded):
+        for normals in (P.normals, P.normals * rng.uniform(0.5, 2.0, size=(len(P.planes), 1))):
+            got = [p.normal for p in unit_planes(normals)]
+            want = [OrientedPlane(normal=n).normal for n in normals]
+            assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
+    good = P.normals
+    for row in ([0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0],
+                [np.inf, 1.0, 0.0, 0.0]):
+        bad = np.vstack([good, row])
+        with pytest.raises(ValueError) as want:
+            OrientedPlane(normal=np.array(row))
+        with pytest.raises(ValueError) as got:
+            unit_planes(bad)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="4-vector"):
+        unit_planes(good[:, :3])

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import ICOSAHEDRON, stacked_triangulation, to_networkx
+from conftest import ICOSAHEDRON, closest_chart_point, stacked_triangulation, to_networkx
 from polyvol.core import dihedral_angle
 from polyvol.errors import NotPolyhedral
 from polyvol.graphs import (
@@ -101,7 +101,7 @@ def test_cube_matches_analytic_midsphere_cube():
     assert np.allclose(radii, math.sqrt(3) * a, atol=1e-7)
     # face plane distances from the origin: a
     for pl in P.planes:
-        assert abs(np.linalg.norm(pl.closest_chart_point()) - a) < 1e-7
+        assert abs(np.linalg.norm(closest_chart_point(pl)) - a) < 1e-7
 
 
 def test_packing_centered(corpus_graphs):
