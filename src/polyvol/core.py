@@ -258,6 +258,12 @@ class AffineDeformation:
     def apply_plane(self, plane: OrientedPlane) -> OrientedPlane:
         return _apply_matrix_plane(self.matrix, plane)
 
+    def apply_planes(self, normals) -> tuple[OrientedPlane, ...]:
+        """:meth:`apply_plane` of each row of ``normals`` (F, 4), bit for bit: F stacked
+        one-column solves, as one F-column solve rounds a homothety differently."""
+        eta = MINKOWSKI_SIGNS
+        return unit_planes(np.linalg.solve(self.matrix.T, (eta * normals)[..., None])[..., 0] * eta)
+
 
 # --- Lorentz transformations ------------------------------------------------
 

@@ -147,7 +147,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     d = delta
     for _ in range(20):
         H = AffineDeformation.homothety(center, 1.0 + d)
-        planes = tuple(H.apply_plane(pl) for pl in P.planes)
+        planes = H.apply_planes(P.normals)
         try:
             Q = build_polyhedron(planes, P.skeleton)
         except (PolyvolError, ValueError):
@@ -194,7 +194,7 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
             shift = d * u - (max(0.0, d * float(u @ nw)) + 0.5 * d) * nw
         T = AffineDeformation.translation(shift)
         try:
-            planes = tuple(T.apply_plane(pl) for pl in P.planes)
+            planes = T.apply_planes(P.normals)
             Q = build_polyhedron(planes, P.skeleton)
         except (PolyvolError, ValueError):
             return None

@@ -46,21 +46,29 @@ def _by_length(cycles) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _orient_faces(n_vertices, faces):
-    """Flip face cycles so every directed edge is used exactly once.
+    """Flip face cycles so every directed edge (dart) is used exactly once.
 
-    Returns the oriented face list or raises BadFormat if impossible.
+    Coherent faces, each dart used once and its reverse too (and no loop),
+    come back unchanged.  Otherwise a breadth-first search flips each
+    neighbour that shares a dart with an oriented face.  Raises BadFormat,
+    in this order, for an edge on other than two faces, no coherent
+    orientation, or a dart used twice.
     """
+    darts_of = lambda cyc: set(zip(cyc, cyc[1:] + cyc[:1]))
+    face_darts = [darts_of(cyc) for cyc in faces]
+    darts = set().union(*face_darts)
+    if len(darts) == sum(map(len, faces)) == 2 * sum(a < b for a, b in darts) \
+            and darts == {(b, a) for a, b in darts}:
+        return faces
     edge_faces = {}
     for i, cyc in enumerate(faces):
-        for k in range(len(cyc)):
-            e = _norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
-            edge_faces.setdefault(e, []).append(i)
+        for d in zip(cyc, cyc[1:] + cyc[:1]):
+            edge_faces.setdefault(_norm_edge(*d), []).append(i)
     for e, fs in edge_faces.items():
         if len(fs) != 2:
             raise BadFormat(f"edge {e} lies on {len(fs)} faces, expected 2")
     # BFS over face adjacency, flipping so shared edges are traversed oppositely.
     flip = [None] * len(faces)
-    directed = lambda cyc: {(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc))}
     for start in range(len(faces)):
         if flip[start] is not None:
             continue
@@ -68,13 +76,12 @@ def _orient_faces(n_vertices, faces):
         queue = [start]
         while queue:
             i = queue.pop()
-            di = directed(faces[i] if not flip[i] else faces[i][::-1])
+            di = darts_of(faces[i][::-1]) if flip[i] else face_darts[i]
             for e in {_norm_edge(a, b) for a, b in di}:
                 for j in edge_faces[e]:
                     if j == i:
                         continue
-                    dj = directed(faces[j])
-                    want_flip = bool(di & dj)
+                    want_flip = bool(di & face_darts[j])
                     if flip[j] is None:
                         flip[j] = want_flip
                         queue.append(j)
@@ -83,8 +90,7 @@ def _orient_faces(n_vertices, faces):
     oriented = [tuple(cyc[::-1]) if flip[i] else tuple(cyc) for i, cyc in enumerate(faces)]
     used = set()
     for cyc in oriented:
-        for k in range(len(cyc)):
-            d = (cyc[k], cyc[(k + 1) % len(cyc)])
+        for d in zip(cyc, cyc[1:] + cyc[:1]):
             if d in used:
                 raise BadFormat(f"directed edge {d} used twice after orientation")
             used.add(d)
@@ -104,17 +110,15 @@ class PlanarGraph:
         self._validate()
 
     def _validate(self):
-        seen = set()
+        n = self.n_vertices
         for cyc in self.faces:
             if len(cyc) < 2:
                 raise BadFormat("face cycle shorter than 2")
             if len(set(cyc)) != len(cyc):
                 raise BadFormat(f"face cycle {cyc} repeats a vertex")
-            for v in cyc:
-                if not (0 <= v < self.n_vertices):
-                    raise BadFormat(f"vertex {v} out of range")
-                seen.add(v)
-        if seen != set(range(self.n_vertices)):
+            if min(cyc) < 0 or max(cyc) >= n:
+                raise BadFormat(f"vertex {next(v for v in cyc if not 0 <= v < n)} out of range")
+        if len(set().union(*self.faces)) != n:  # all in range(n) by now
             raise BadFormat("isolated vertices")
         V, E, F = self.n_vertices, len(self.edges), len(self.faces)
         if V - E + F != 2:
@@ -122,11 +126,9 @@ class PlanarGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        es = set()
-        for cyc in self.faces:
-            for k in range(len(cyc)):
-                es.add(_norm_edge(cyc[k], cyc[(k + 1) % len(cyc)]))
-        return tuple(sorted(es))
+        # Coherent faces traverse each edge once in each direction: keep the rising one.
+        return tuple(sorted((a, b) for cyc in self.faces for a, b in zip(cyc, cyc[1:] + cyc[:1])
+                            if a < b))
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -344,6 +346,8 @@ def medial_graph(g: PlanarGraph) -> PlanarGraph:
 
     Medial vertex i corresponds to ``g.edges[i]``; medial face f is the ring
     of face f of g, and medial face ``len(g.faces) + v`` the ring of vertex v.
+    Both come coherent: a face ring follows the face cycle, a vertex ring
+    ``g.vertex_edges[v]``, which passes each angle at v the opposite way.
     """
     if not g.is_polyhedral():
         raise NotPolyhedral("medial requires a 3-connected polyhedral graph")
@@ -352,9 +356,8 @@ def medial_graph(g: PlanarGraph) -> PlanarGraph:
     for cyc in g.faces:
         m = len(cyc)
         faces.append(tuple(idx[_norm_edge(cyc[k], cyc[(k + 1) % m])] for k in range(m)))
-    for v in range(g.n_vertices):
-        ring = tuple(idx[e] for e in g.vertex_edges[v])
-        faces.append(ring[::-1])
+    for ring in g.vertex_edges:
+        faces.append(tuple(idx[e] for e in ring))
     return PlanarGraph(n_vertices=len(g.edges), faces=tuple(faces))
 
 

@@ -30,6 +30,7 @@ from .core import (
     mdot,
     rotation_about_z,
     rotation_to_z,
+    row_norms,
     unit_planes,
 )
 from .errors import NotPolyhedral, SolverDiverged
@@ -43,6 +44,10 @@ SOLVE_TOL = 1e-12
 NEWTON_ITERATIONS = 100
 #: Newton steps allowed for the Mobius centering.
 CENTERING_ITERATIONS = 50
+
+# Columns i + 1 and i + 2 (mod 3): np.roll(x, -1, axis=1) and np.roll(x, 1, axis=1).
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])  # a Laplacian pair's Schur entries ii, jj, ij, ji
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,12 @@ def _cone_equations(m: PlanarGraph):
     """
     tris = cone_triangles(m.faces, 0)
     sides = {}
-    side = np.array([[sides.setdefault(_norm_edge(tri[(i + 1) % 3], tri[(i + 2) % 3]), len(sides))
-                      for i in range(3)] for tri in tris])
-    on_face = {w for cyc in m.faces if 0 in cyc for w in cyc}
-    vertex_target = [0.5 * math.pi if w in m.adjacency[0] else math.pi if w in on_face
+    side = np.array([[sides.setdefault(_norm_edge(a, b), len(sides))
+                      for a, b in ((q, w), (w, p), (p, q))] for p, q, w in tris])
+    around = [cyc for cyc in m.faces if 0 in cyc]
+    on_face = {w for cyc in around for w in cyc}
+    near = {cyc[cyc.index(0) - 1] for cyc in around}  # each edge w-0 is entered by one face
+    vertex_target = [0.5 * math.pi if w in near else math.pi if w in on_face
                      else 2.0 * math.pi for w in range(m.n_vertices)]
     side_target = [0.5 * math.pi if s in m.edge_index else math.pi for s in sides]
     return tris, side, np.array(side_target), np.array(vertex_target)
@@ -98,7 +105,7 @@ def _max_volume_angles(m: PlanarGraph):
     tris, side, side_target, vertex_target = _cone_equations(m)
     n = len(side_target)
     # Sides i and i + 1 of a triangle meet at angle i + 2: the Laplacian's pairs.
-    ends = np.stack([side, np.roll(side, -1, axis=1)], axis=-1)
+    ends = np.stack([side, side[:, _NEXT]], axis=-1)
     at = (ends[..., [0, 1, 0, 1]] * n + ends[..., [0, 1, 1, 0]]).ravel()
 
     def side_sums(q):
@@ -110,8 +117,8 @@ def _max_volume_angles(m: PlanarGraph):
         return u, np.concatenate([(u[:, :2] - u[:, 2:]).ravel(), primal])
 
     def laplacian(w, q):  # each tetrahedron's Hessian inverse, on its three angles
-        flux = w * (q - np.roll(q, -1, axis=1))
-        return flux - np.roll(flux, 1, axis=1)
+        flux = w * (q - q[:, _NEXT])
+        return flux - flux[:, _PREV]
 
     def line_search(dx, dnu):  # stay inside (0, pi) and decrease the residual
         s = 1.0
@@ -120,7 +127,7 @@ def _max_volume_angles(m: PlanarGraph):
             x_try[:, 2] = math.pi - x_try[:, 0] - x_try[:, 1]
             if np.all((x_try > 0.0) & (x_try < math.pi)):
                 u_try, r_try = residual(x_try, nu + s * dnu)
-                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
+                if math.sqrt(r_try @ r_try) <= (1.0 - 0.01 * s) * norm:
                     return x_try, nu + s * dnu, u_try, r_try
             s *= 0.5
         return None
@@ -128,11 +135,11 @@ def _max_volume_angles(m: PlanarGraph):
     x, nu = np.full(side.shape, math.pi / 3.0), np.zeros(n)  # nu[-1] stays 0
     u, r = residual(x, nu)
     for _ in range(NEWTON_ITERATIONS):
-        norm = float(np.linalg.norm(r))
+        norm = math.sqrt(r @ r)
         if norm < SOLVE_TOL:
             break
-        w = np.roll(1.0 / np.tan(x), -2, axis=1)
-        schur = np.bincount(at, weights=np.outer(w, [1.0, 1.0, -1.0, -1.0]).ravel(),
+        w = (1.0 / np.tan(x))[:, _PREV]
+        schur = np.bincount(at, weights=(w[..., None] * _PAIR_SIGNS).ravel(),
                             minlength=n * n).reshape(n, n)[:-1, :-1]
         # S dnu = r_primal - B H^-1 r_dual, dx = -H^-1 (r_dual + B^T dnu); where rounding
         # stalls that, the step with r_dual = 0: near angles 0 and pi large cotangents carry
@@ -146,7 +153,7 @@ def _max_volume_angles(m: PlanarGraph):
         if state is None:
             break
         x, nu, u, r = state
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r @ r)
     at_vertex = np.bincount(np.ravel(tris), weights=x.ravel(), minlength=m.n_vertices)
     gap = float(np.max(np.abs(np.concatenate([side_sums(x) - side_target, x.sum(axis=1) - math.pi,
                                               (at_vertex - vertex_target)[1:]]))))
@@ -166,8 +173,8 @@ def _develop(m: PlanarGraph, tris, angles):
     """
     owner = {(tri[i], tri[(i + 1) % 3]): (t, i) for t, tri in enumerate(tris) for i in range(3)}
     # Vertex i + 2 of a triangle from its side (i, i + 1): z_i + (z_{i+1} - z_i) * shape[i].
-    shape = (np.sin(np.roll(angles, -1, axis=1)) / np.sin(np.roll(angles, -2, axis=1))
-             * np.exp(-1j * angles)).tolist()
+    sines = np.sin(angles)
+    shape = (sines[:, _NEXT] / sines[:, _PREV] * np.exp(-1j * angles)).tolist()
     z = [0j] * m.n_vertices
     z[tris[0][1]] = 1.0
     order, seen = [(0, 0)], {0}
@@ -194,19 +201,21 @@ def _center_tangencies(points):
     each boost, where the Hessian is ``E I - sum_e t_e t_e^T``.  Steps are
     cut to chart length 0.5, so every boost center lies inside the ball.
     """
-    t = points / np.linalg.norm(points, axis=1, keepdims=True)
-    total = float(np.linalg.norm(t.sum(axis=0)))
+    t = points / row_norms(points)[:, None]
+    s = t.sum(axis=0)
+    total = math.sqrt(s @ s)
     for _ in range(CENTERING_ITERATIONS):
-        x = np.linalg.solve(len(t) * np.eye(3) - t.T @ t, t.sum(axis=0))
-        size = float(np.linalg.norm(x))
+        x = np.linalg.solve(len(t) * np.eye(3) - t.T @ t, s)
+        size = math.sqrt(x @ x)
         if size > 0.5:
             x *= 0.5 / size
         boosted = lift(t) @ boost_to_origin(x).T
-        t_new = boosted[:, 1:] / np.linalg.norm(boosted[:, 1:], axis=1, keepdims=True)
-        new_total = float(np.linalg.norm(t_new.sum(axis=0)))
+        t_new = boosted[:, 1:] / row_norms(boosted[:, 1:])[:, None]
+        s_new = t_new.sum(axis=0)
+        new_total = math.sqrt(s_new @ s_new)
         if new_total >= total:
             break
-        t, total = t_new, new_total
+        t, s, total = t_new, s_new, new_total
     return t
 
 
@@ -255,7 +264,7 @@ def solve_midsphere(g: PlanarGraph) -> MidspherePacking:
     f1, f2 = g.edge_face_array.T
     residuals = {
         "solve": solve_residual,
-        "tangency": float(np.max(np.abs(np.linalg.norm(feet, axis=1) - 1.0))),
+        "tangency": float(np.max(np.abs(row_norms(feet) - 1.0))),
         "gram": float(np.max(np.abs(mdot(normals[f1], normals[f2]) + 1.0))),
         "centering": float(np.linalg.norm(tang.sum(axis=0))),
     }

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import ICOSAHEDRON, stacked_triangulation, to_networkx
+from polyvol import graphs
 from polyvol.errors import (
     AngleOutOfRange,
     BadFormat,
     CollapseMakesDegenerate,
     NotPolyhedral,
+    TruncationDegenerate,
 )
 from polyvol.graphs import (
     EQUALITY_TOL,
@@ -36,6 +38,7 @@ from polyvol.graphs import (
     pyramid_graph,
     tetrahedron_graph,
 )
+from polyvol.polyhedron import _truncated_skeleton
 
 
 def iso(g1, g2):
@@ -59,6 +62,151 @@ def test_corpus_counts(corpus_graphs):
 def test_invalid_faces_rejected():
     with pytest.raises(BadFormat):
         PlanarGraph(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))  # edge on 3 faces
+
+
+# --- face orientation -------------------------------------------------------------
+
+def _orient_faces_reference(n_vertices, faces):
+    """Breadth-first face orientation that builds a neighbour's darts at each visit."""
+    edge_faces = {}
+    for i, cyc in enumerate(faces):
+        for k in range(len(cyc)):
+            e = tuple(sorted((cyc[k], cyc[(k + 1) % len(cyc)])))
+            edge_faces.setdefault(e, []).append(i)
+    for e, fs in edge_faces.items():
+        if len(fs) != 2:
+            raise BadFormat(f"edge {e} lies on {len(fs)} faces, expected 2")
+    flip = [None] * len(faces)
+    directed = lambda cyc: {(cyc[k], cyc[(k + 1) % len(cyc)]) for k in range(len(cyc))}
+    for start in range(len(faces)):
+        if flip[start] is not None:
+            continue
+        flip[start] = False
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            di = directed(faces[i] if not flip[i] else faces[i][::-1])
+            for e in {tuple(sorted((a, b))) for a, b in di}:
+                for j in edge_faces[e]:
+                    if j == i:
+                        continue
+                    want_flip = bool(di & directed(faces[j]))
+                    if flip[j] is None:
+                        flip[j] = want_flip
+                        queue.append(j)
+                    elif flip[j] != want_flip:
+                        raise BadFormat("face cycles admit no coherent orientation")
+    oriented = [tuple(cyc[::-1]) if flip[i] else tuple(cyc) for i, cyc in enumerate(faces)]
+    used = set()
+    for cyc in oriented:
+        for k in range(len(cyc)):
+            d = (cyc[k], cyc[(k + 1) % len(cyc)])
+            if d in used:
+                raise BadFormat(f"directed edge {d} used twice after orientation")
+            used.add(d)
+    return oriented
+
+
+def _orientation(orient, n_vertices, faces):
+    """The oriented faces as tuples, or the message of the BadFormat raised."""
+    try:
+        return [tuple(cyc) for cyc in orient(n_vertices, [tuple(f) for f in faces])]
+    except BadFormat as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def orientation_inputs(monkeypatch):
+    """Check every PlanarGraph's orientation against the reference; record the inputs."""
+    fast, inputs = graphs._orient_faces, []
+
+    def checked(n_vertices, faces):
+        inputs.append(tuple(faces))
+        assert (_orientation(fast, n_vertices, faces)
+                == _orientation(_orient_faces_reference, n_vertices, faces))
+        return fast(n_vertices, faces)
+
+    monkeypatch.setattr(graphs, "_orient_faces", checked)
+    return inputs
+
+
+def test_orientation_matches_reference_on_derived_graphs(corpus_graphs, orientation_inputs):
+    for g in [*corpus_graphs.values(), prism_graph(6), ICOSAHEDRON]:
+        assert PlanarGraph(g.n_vertices, g.faces).faces == g.faces
+        dual_graph(g)
+        m = medial_graph(g)
+        # The rings come coherent, and equal to what orienting the reversed
+        # vertex rings (the earlier construction) gives.
+        assert orientation_inputs[-1] == m.faces
+        nF = len(g.faces)
+        reversed_rings = m.faces[:nF] + tuple(ring[::-1] for ring in m.faces[nF:])
+        assert tuple(_orient_faces_reference(m.n_vertices, reversed_rings)) == m.faces
+        for hyper in (range(g.n_vertices), (0,), range(0, g.n_vertices, 2)):
+            try:
+                _truncated_skeleton.__wrapped__(g, tuple(hyper), ())
+            except TruncationDegenerate:
+                pass
+        for _ in _collapses(g):
+            pass
+    assert len(orientation_inputs) == 550
+
+
+def test_orientation_matches_reference_on_relabelled_faces(corpus_graphs):
+    rng = np.random.default_rng(20)
+    sources = [*corpus_graphs.values(), prism_graph(6), ICOSAHEDRON, dual_graph(ICOSAHEDRON)]
+    sources += [h for g in corpus_graphs.values() for h in _collapses(g)]
+    for g in sources:
+        for _ in range(3):
+            perm = rng.permutation(g.n_vertices).tolist()
+            faces = []
+            for f in rng.permutation(len(g.faces)):
+                cyc = [perm[v] for v in g.faces[f]]
+                k = int(rng.integers(len(cyc)))
+                cyc = cyc[k:] + cyc[:k]
+                faces.append(tuple(cyc[::-1] if rng.random() < 0.5 else cyc))
+            want = _orientation(_orient_faces_reference, g.n_vertices, faces)
+            assert _orientation(graphs._orient_faces, g.n_vertices, faces) == want
+            assert PlanarGraph(g.n_vertices, faces).faces == tuple(want)
+
+
+def test_orientation_rejects_malformed_faces_like_reference(corpus_graphs):
+    k4 = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    cases = [
+        (4, k4[:3]),                                        # three edges on one face
+        (3, [(0, 1, 2)] * 3),                               # every edge on three faces
+        (5, k4 + [(0, 1, 4), (4, 1, 0)]),                   # edge 0-1 on four faces
+        (4, [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]),    # K4 on the projective plane
+        (3, [(0, 1, 2, 0, 1, 2)]),                          # each dart twice in one face
+        (2, [(0, 0, 1)]),                                   # a loop
+    ]
+    rng = np.random.default_rng(21)
+    for g in [*corpus_graphs.values(), prism_graph(6)]:
+        for _ in range(10):
+            faces = list(g.faces)
+            f = int(rng.integers(len(faces)))
+            move = rng.integers(4)
+            if move == 0:
+                del faces[f]
+            elif move == 1:
+                faces.append(faces[f][::-1])
+            elif move == 2:   # swap two consecutive vertices of a face
+                cyc = list(faces[f])
+                cyc[0], cyc[1] = cyc[1], cyc[0]
+                faces[f] = tuple(cyc)
+            else:             # a twisted copy of the faces: one side reflected
+                faces = [cyc[::-1] if i % 2 else cyc for i, cyc in enumerate(faces)]
+                faces += [tuple(v + g.n_vertices for v in cyc) for cyc in g.faces]
+            cases.append((2 * g.n_vertices, faces))
+    messages = set()
+    for n_vertices, faces in cases:
+        want = _orientation(_orient_faces_reference, n_vertices, faces)
+        assert _orientation(graphs._orient_faces, n_vertices, faces) == want
+        if isinstance(want, str):
+            messages.add(want.split()[1])
+            with pytest.raises(BadFormat) as got:
+                PlanarGraph(n_vertices, faces)
+            assert str(got.value) == want
+    assert messages == {"edge", "face", "directed"}
 
 
 def test_is_3_connected(corpus_graphs):

@@ -5,8 +5,9 @@ oracles: the row-by-row Jacobian with its ``lstsq`` Gauss-Newton solve,
 the per-vertex plane intersections and per-edge ball test of
 ``build_polyhedron``, the per-face scan of ``flow._scan_signals``, the
 per-edge truncated lengths of ``edge_lengths``, the per-pair
-``classify_vertices``, the per-edge ``dihedral_angle`` and the per-plane
-normalization of ``OrientedPlane``.
+``classify_vertices``, the per-edge ``dihedral_angle``, the per-plane
+normalization of ``OrientedPlane`` and the per-plane ``apply_plane`` of
+the escape and nudge deformations.
 """
 
 import math
@@ -29,6 +30,7 @@ from polyvol.core import (
     MINKOWSKI_SIGNS,
     PLANE_TOL,
     TAU_IDEAL,
+    AffineDeformation,
     OrientedPlane,
     PointKind,
     dihedral_angle,
@@ -678,6 +680,32 @@ def test_dihedral_angles_raise_as_loop():
         assert type(got.value) is kind
     with pytest.raises(PlanesEqual):
         dihedral_angle(planes[1], planes[1])
+
+
+def test_apply_planes_match_one_plane_form(recorded):
+    # The translations of escape_deformation and the homotheties of
+    # nudge_ideal_vertices, as those build them, on every recorded state.
+    rng = np.random.default_rng(6)
+    for P in _recorded_states(recorded):
+        charts = P.vertex_charts
+        u = charts[int(rng.integers(len(charts)))]
+        center = charts.mean(axis=0)
+        for T in (AffineDeformation.translation(u * (1.0 + 1e-5 - np.linalg.norm(u))),
+                  AffineDeformation.translation(u * rng.uniform(1e-5, 0.3)),
+                  AffineDeformation.homothety(center, 1.0 + 1e-3 * 0.5 ** rng.integers(10))):
+            outcomes = []
+            for transform in (lambda: [p.normal for p in T.apply_planes(P.normals)],
+                              lambda: [T.apply_plane(p).normal for p in P.planes]):
+                try:
+                    outcomes.append(transform())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            got, want = outcomes
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert all(np.array_equal(a, b) and not a.flags.writeable
+                           for a, b in zip(got, want))
 
 
 def test_unit_planes_match_one_plane_constructor(recorded):

@@ -260,6 +260,84 @@ def _kkt_reference_angles(m):
     return x.reshape(-1, 3)
 
 
+def _max_volume_angles_roll(m):
+    """Rivin's maximizer as first written, with ``np.roll``, ``np.outer`` and
+    ``np.linalg.norm``.  Returns the angles and the number of primal-only
+    (``r_dual = 0``) steps taken."""
+    tris = [(cyc[0], cyc[k], cyc[k + 1]) for cyc in m.faces if 0 not in cyc
+            for k in range(1, len(cyc) - 1)]
+    sides = {}
+    side = np.array([[sides.setdefault(tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3]))),
+                                       len(sides)) for i in range(3)] for tri in tris])
+    side_target = np.array([0.5 * math.pi if s in m.edge_index else math.pi for s in sides])
+    n = len(side_target)
+    ends = np.stack([side, np.roll(side, -1, axis=1)], axis=-1)
+    at = (ends[..., [0, 1, 0, 1]] * n + ends[..., [0, 1, 1, 0]]).ravel()
+
+    def side_sums(q):
+        return np.bincount(side.ravel(), weights=q.ravel(), minlength=n)
+
+    def residual(x, nu):
+        u = np.log(2.0 * np.sin(x)) + nu[side]
+        primal = (side_sums(x) - side_target)[:-1]
+        return u, np.concatenate([(u[:, :2] - u[:, 2:]).ravel(), primal])
+
+    def laplacian(w, q):
+        flux = w * (q - np.roll(q, -1, axis=1))
+        return flux - np.roll(flux, 1, axis=1)
+
+    def line_search(dx, dnu):
+        s = 1.0
+        while s > 1e-10:
+            x_try = x + s * dx
+            x_try[:, 2] = math.pi - x_try[:, 0] - x_try[:, 1]
+            if np.all((x_try > 0.0) & (x_try < math.pi)):
+                u_try, r_try = residual(x_try, nu + s * dnu)
+                if np.linalg.norm(r_try) <= (1.0 - 0.01 * s) * norm:
+                    return x_try, nu + s * dnu, u_try, r_try
+            s *= 0.5
+        return None
+
+    x, nu = np.full(side.shape, math.pi / 3.0), np.zeros(n)
+    u, r = residual(x, nu)
+    primal_only = 0
+    for _ in range(NEWTON_ITERATIONS):
+        norm = float(np.linalg.norm(r))
+        if norm < SOLVE_TOL:
+            break
+        w = np.roll(1.0 / np.tan(x), -2, axis=1)
+        schur = np.bincount(at, weights=np.outer(w, [1.0, 1.0, -1.0, -1.0]).ravel(),
+                            minlength=n * n).reshape(n, n)[:-1, :-1]
+        primal = r[2 * len(tris):]
+        steps = np.linalg.solve(schur, np.column_stack(
+            [primal - side_sums(laplacian(w, u))[:-1], primal]))
+        tried = [line_search(-laplacian(w, q + dnu[side]), dnu)
+                 for dnu, q in zip(np.vstack([steps, [0.0, 0.0]]).T, (u, 0.0))]
+        state = next((found for found in tried if found is not None), None)
+        if state is None:
+            break
+        primal_only += tried[0] is None
+        x, nu, u, r = state
+    return x, primal_only
+
+
+def test_max_volume_angles_match_roll_form(corpus_graphs):
+    # Bit for bit, on the corpus, on the tiny-angle 100-vertex stacked
+    # triangulations of seeds 2 and 6 and their duals, and on the 60-vertex
+    # one of seed 7.  Whether seed 6 takes a primal-only step depends on the
+    # rounding of the LAPACK solve (it does with one OpenBLAS thread, not with
+    # two); seed 7 takes one at its last step with one, two and four threads.
+    stacked = [stacked_triangulation(100, np.random.default_rng(seed)) for seed in (2, 6)]
+    fallback = stacked_triangulation(60, np.random.default_rng(7))
+    primal_only = {}
+    for g in [*corpus_graphs.values(), *RIVIN_GRAPHS, *stacked, *map(dual_graph, stacked),
+              fallback]:
+        m = medial_graph(g)
+        want, primal_only[g] = _max_volume_angles_roll(m)
+        assert np.array_equal(_max_volume_angles(m)[1], want)
+    assert primal_only[fallback] > 0
+
+
 @pytest.mark.parametrize("g", RIVIN_GRAPHS, ids=RIVIN_IDS)
 def test_rivin_maximum_is_the_rectification_volume(g):
     # The maximal sum of Lobachevsky functions is the volume of the ideal
@@ -316,11 +394,28 @@ def test_stacked_triangulation_100_vertices():
     assert elapsed < 5.0, f"100-vertex rectification took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("n", [100, 150])
+def test_rectified_stacked_triangulation_is_n_minus_3_octahedra(n):
+    # Each stacked vertex glues one more right-angled ideal octahedron (v8) on:
+    # the closed form rect = (n - 3) v8.
+    g = stacked_triangulation(n, np.random.default_rng(3))
+    assert abs(rectification_volume(g).value - (n - 3) * V8) <= 1e-12 * (n - 3) * V8
+
+
+def test_rectification_volume_within_edge_count_bounds(corpus_graphs):
+    # (E - 2) v8 / 4 <= rect(G) <= (E - 4) v8 / 2 with E edges; K4 attains both.
+    for g in corpus_graphs.values():
+        for h in (g, dual_graph(g)):
+            E, value = len(h.edges), rectification_volume(h).value
+            assert (E - 2) * V8 / 4 * (1.0 - 1e-12) <= value <= (E - 4) * V8 / 2 * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("seed", [2, 6])
 def test_stacked_triangulations_with_tiny_angles(seed):
-    # Rivin's maximizer here has angles near 3e-4 and near pi - 0.08, and the
-    # full Newton step alone stalls at a residual of 1.3e-12 (the dual of
-    # seed 2) and 2.5e-12 (seed 6), just above SOLVE_TOL.
+    # Rivin's maximizer here has angles near 3e-4 and near pi - 0.08.  With
+    # one OpenBLAS thread the full Newton step alone stalls at a residual of
+    # 2.5e-12 on seed 6, just above SOLVE_TOL; with two it reaches 1.3e-12 and
+    # then converges.
     g = stacked_triangulation(100, np.random.default_rng(seed))
     _, angles, _ = _max_volume_angles(medial_graph(g))
     assert abs(rectification_volume(dual_graph(g)).value
