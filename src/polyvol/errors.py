@@ -9,6 +9,7 @@ class PolyvolError(Exception):
     """Base class for all domain errors."""
 
     code = "Error"
+    trace = None  # the FlowTrace up to the failure, on an error leaving run_flow
 
     def __init__(self, detail: str = ""):
         self.detail = detail
@@ -127,14 +128,6 @@ class NoSeparatingPlane(PolyvolError):
 class MaxEventsExceeded(PolyvolError):
     code = "MaxEventsExceeded"
 
-    def __init__(self, detail: str = "", trace=None):
-        super().__init__(detail)
-        self.trace = trace
-
 
 class StallDetected(PolyvolError):
     code = "StallDetected"
-
-    def __init__(self, detail: str = "", trace=None):
-        super().__init__(detail)
-        self.trace = trace

@@ -32,6 +32,7 @@ from .core import (
     unit_planes,
 )
 from .errors import (
+    AngleOutOfRange,
     CollapseMakesDegenerate,
     ImproperInput,
     MaxEventsExceeded,
@@ -106,14 +107,18 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
     for e in g.edges:
         th = None if e in held_edges else angles[e]
         if th is not None and not (0.0 < th < math.pi):
-            raise NewtonDiverged(f"target angle {th} at {e} outside (0, pi)")
+            raise AngleOutOfRange(f"target angle {th} at {e} outside (0, pi)")
         targets[e] = None if th is None else -math.cos(th)
     if start is None:
         start = (seed.normals, seed.vertex_charts)
     normals, verts, report = solve_plane_system(g, targets, *start, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
-    planes = unit_planes(normals)
+    return _rebuild(unit_planes(normals), g)
+
+
+def _rebuild(planes, g: PlanarGraph) -> Polyhedron:
+    """:func:`build_polyhedron`, raising SkeletonChanged where the planes do not realize g."""
     try:
         return build_polyhedron(planes, g)
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
@@ -147,17 +152,15 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     d = delta
     for _ in range(20):
         H = AffineDeformation.homothety(center, 1.0 + d)
-        planes = H.apply_planes(P.normals)
-        try:
-            Q = build_polyhedron(planes, P.skeleton)
-        except (PolyvolError, ValueError):
+        try:  # a ValueError: some plane left H^3
+            Q = _rebuild(H.apply_planes(P.normals), P.skeleton)
+        except (SkeletonChanged, ValueError):
             d /= 2
             continue
         rep = Q.report
-        ok = (not rep.is_improper()
-              and all(rep.kinds[v] == PointKind.HYPERIDEAL for v in ideal)
-              and not any(k == PointKind.IDEAL for k in rep.kinds))
-        if ok:
+        if (not rep.is_improper()
+                and all(rep.kinds[v] == PointKind.HYPERIDEAL for v in ideal)
+                and not any(k == PointKind.IDEAL for k in rep.kinds)):
             return Q
         d /= 2
     raise PropernessLost(f"no admissible expansion found below delta={delta}")
@@ -193,10 +196,9 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
             nw = w / np.linalg.norm(w)
             shift = d * u - (max(0.0, d * float(u @ nw)) + 0.5 * d) * nw
         T = AffineDeformation.translation(shift)
-        try:
-            planes = T.apply_planes(P.normals)
-            Q = build_polyhedron(planes, P.skeleton)
-        except (PolyvolError, ValueError):
+        try:  # a ValueError: some plane left H^3
+            Q = _rebuild(T.apply_planes(P.normals), P.skeleton)
+        except (SkeletonChanged, ValueError):
             return None
         rep = Q.report
         if rep.is_improper():
@@ -304,19 +306,11 @@ class _Gaps:
             return None
 
 
-class _Signals(list):
-    """Signals ``(kind, data, size)``, worst first, and the scan's ``gaps`` (:class:`_Gaps`)."""
-
-    def __init__(self, signals, gaps):
-        super().__init__(signals)
-        self.gaps = gaps
-
-
 def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
-    """Degeneration signals ``(kind, data, size)`` of a step from ``prev`` to P, worst first.
+    """``(signals, gaps)`` of a step from ``prev`` to P; signals ``(kind, data, size)`` worst first.
 
     A vertex real in ``prev`` entering the ideal band (or jumping past
-    it) signals.  The result's ``gaps.get((kind, data))`` gives each
+    it) signals.  ``gaps.get((kind, data))`` (:class:`_Gaps`) gives each
     candidate's signed gap, positive exactly where it signals: the
     radius past 1 - IDEAL_BAND, ALMOST_PROPER_BAND past the margin,
     EDGE_COLLAPSE_TOL past the length, or FACE_COLLAPSE_TOL times
@@ -359,7 +353,7 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     for kind, data, sizes, gap in candidates:
         out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(gap > 0)]
     out.sort(key=lambda item: item[2])
-    return _Signals(out, _Gaps(candidates))
+    return out, _Gaps(candidates)
 
 
 def _bracket_step(width, gap_lo, gap_hi):
@@ -444,8 +438,7 @@ def _collapse_rewrite(kind, data, g, P_state, rng, t):
     verts /= np.maximum(counts, 1)[:, None]
     seed_poly = Polyhedron(planes=planes, skeleton=new_g, vertex_lifts=lift(verts))
     P_new = realize_from_angles(new_g, dihedral_angles(seed_poly), seed_poly, held=())
-    theta_dir = _rebase(P_new, t, rng)
-    return new_g, P_new, theta_dir, ev_data
+    return new_g, P_new, _rebase(P_new, t, rng), ev_data
 
 
 def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
@@ -453,16 +446,27 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
     P0 must be proper with no ideal vertices (apply
     :func:`nudge_ideal_vertices` first if needed).  Returns the trace of
-    samples, events, the final skeleton, and the supremum estimate.
+    samples, events, the final skeleton, and the supremum estimate.  A
+    PolyvolError raised past these input checks carries the trace so far.
     """
     opts = opts or FlowOptions()
-    rng = np.random.default_rng(opts.seed)
-    report = P0.report
-    if report.is_improper():
+    if P0.report.is_improper():
         raise ImproperInput("flow needs a proper starting polyhedron")
-    if any(k == PointKind.IDEAL for k in report.kinds):
+    if any(k == PointKind.IDEAL for k in P0.report.kinds):
         raise ImproperInput("remove ideal vertices before flowing (nudge)")
+    trace = FlowTrace([], [], P0.skeleton, math.nan, math.nan, opts.seed)
+    try:
+        _follow(P0, trace, np.random.default_rng(opts.seed))
+    except PolyvolError as exc:
+        exc.trace = trace
+        raise
+    return trace
 
+
+def _follow(P0: Polyhedron, trace: FlowTrace, rng):
+    """The loop of :func:`run_flow`: records into ``trace`` and sets its supremum."""
+    samples, events = trace.samples, trace.events
+    report = P0.report
     g = P0.skeleton
     max_events = 10 * len(g.edges)
     held: list = [(w, report.witnesses[w]) for w, s in enumerate(report.statuses)
@@ -471,29 +475,21 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
     theta_dir = _rebase(P0, t, rng)
     P = realize_from_angles(g, _scaled(theta_dir, t), P0, held=held)
 
-    samples = []
-    events = []
-
     def record(P_, t_, event=None):
         vol = polyhedron_volume(P_)
         samples.append(FlowSample(t_, dihedral_angles(P_), P_, vol, event))
         return vol
 
-    def partial_trace():
-        return FlowTrace(samples, events, g, math.nan, math.nan, opts.seed)
-
     def handle_event(kind, data, P_state, t_now):
         """Dispatch one degeneration of P_state; returns the continued state."""
-        nonlocal g, held, theta_dir, events
+        nonlocal g, held, theta_dir
         vol_ev = record(P_state, t_now, event=kind)
         if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
             P_new = escape_deformation(P_state, v, almost_pole=pole)
             if P_new.report.kinds[v] != PointKind.HYPERIDEAL:
-                raise StallDetected(
-                    f"escape left vertex {v} inside the ball (tangent edge regime)",
-                    trace=partial_trace())
+                raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
             if pole is not None:
                 held = [(w, u) for (w, u) in held if w != v]
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
@@ -502,19 +498,16 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
         if kind == FlowEventKind.ALMOST_PROPER_ONSET:
             w, u = data
             if _norm_edge(w, u) not in P_state.skeleton.edge_index:
-                raise StallDetected(
-                    "non-adjacent almost-proper contact is out of scope",
-                    trace=partial_trace())
+                raise StallDetected("non-adjacent almost-proper contact is out of scope")
             held.append((w, u))
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": w, "pole": u}))
             return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
         try:
-            g_new, P_new, theta_new, ev_data = _collapse_rewrite(
+            g_new, P_new, theta_dir, ev_data = _collapse_rewrite(
                 kind, data, g, P_state, rng, t_now)
         except CollapseMakesDegenerate as exc:
-            raise StallDetected(exc.detail, trace=partial_trace()) from exc
-        g = g_new
-        theta_dir = theta_new
+            raise StallDetected(exc.detail) from exc
+        g = trace.final_skeleton = g_new
         held = []
         events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
         return P_new
@@ -529,24 +522,21 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
     for _ in range(MAX_STEPS):
         if len(events) > max_events:
-            raise MaxEventsExceeded(f"more than {max_events} events",
-                                    trace=partial_trace())
+            raise MaxEventsExceeded(f"more than {max_events} events")
         if hyperideal_only:
             lens = edge_lengths(P)
             bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
-            vol_here = samples[-1].volume.value if samples else 0.0
-            if bound < ENDGAME_REL * max(vol_here, 1e-9) or t <= T_FLOOR:
-                final_vol = polyhedron_volume(P)
-                sup = final_vol.value + 0.5 * bound
-                err = 0.5 * bound + final_vol.error_estimate
-                samples.append(FlowSample(t, dihedral_angles(P), P, final_vol))
-                return FlowTrace(samples, events, g, sup, err, opts.seed)
+            if bound < ENDGAME_REL * max(samples[-1].volume.value, 1e-9) or t <= T_FLOOR:
+                final_vol = record(P, t)
+                trace.sup_estimate = final_vol.value + 0.5 * bound
+                trace.sup_error = 0.5 * bound + final_vol.error_estimate
+                return
 
         step = dt
         if bracket is not None:
             t_hi, signal, gap_hi = bracket
             if gaps is None:
-                gaps = getattr(_scan_signals(P, P, held), "gaps", {})
+                _, gaps = _scan_signals(P, P, held)
             step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi)
         t_next = max(t - step, 0.2 * t)
         start = None if before is None else _predicted(before, t, P, t_next)
@@ -554,7 +544,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
                                          start=start)
             # The all-hyperideal endgame scans for no degenerations.
-            signals = [] if hyperideal_only else _scan_signals(P_next, P, held)
+            signals, next_gaps = ([], None) if hyperideal_only else _scan_signals(P_next, P, held)
         except (NewtonDiverged, SkeletonChanged) as exc:
             if step > DT_MIN:
                 if bracket is None:
@@ -566,33 +556,30 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically) and
             # handle it as this step's signal, below, with step <= DT_MIN.
-            signals = [s for s in _scan_signals(P, P, held, relaxed=True)
+            signals = [s for s in _scan_signals(P, P, held, relaxed=True)[0]
                        if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not signals:
-                raise StallDetected(f"no progress at t={t:.6g} ({exc})",
-                                    trace=partial_trace()) from exc
-            P_next, t_next = P, t
+                raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
+            P_next, t_next, next_gaps = P, t, None
 
         if signals and step > DT_MIN:
             signal = signals[0][:2]
-            bracket = (t_next, signal, getattr(signals, "gaps", {}).get(signal))
+            bracket = (t_next, signal, next_gaps.get(signal))
             continue
         if signals:
             kind, data, _ = signals[0]
             t = t_next
             P = handle_event(kind, data, P_next, t)
-            now_hyperideal_only = _hyperideal_only(P)
-            if now_hyperideal_only and not hyperideal_only:
+            was_hyperideal_only, hyperideal_only = hyperideal_only, _hyperideal_only(P)
+            if hyperideal_only and not was_hyperideal_only:
                 events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
                                         samples[-1].volume.value, {}))
-            hyperideal_only = now_hyperideal_only
             dt = DT_INIT
             before = gaps = bracket = None
             continue
 
         # Plain accepted step.
-        before = (t, P)
-        P, t, gaps = P_next, t_next, getattr(signals, "gaps", None)
+        before, P, t, gaps = (t, P), P_next, t_next, next_gaps
         accepted += 1
         if accepted % SAMPLE_EVERY == 0:
             record(P, t)
@@ -606,7 +593,7 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
             kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
             vol_ev = record(P, t, event=kind)
             events.append(FlowEvent(kind, t, vol_ev.value, {}))
-    raise StallDetected("step limit reached", trace=partial_trace())
+    raise StallDetected("step limit reached")
 
 
 def sup_volume(g: PlanarGraph, seed: Polyhedron, opts: FlowOptions | None = None) -> float:
@@ -616,8 +603,7 @@ def sup_volume(g: PlanarGraph, seed: Polyhedron, opts: FlowOptions | None = None
     P = seed
     if any(k == PointKind.IDEAL for k in P.report.kinds):
         P = nudge_ideal_vertices(P)
-    trace = run_flow(P, opts)
-    return trace.sup_estimate
+    return run_flow(P, opts).sup_estimate
 
 
 def trace_to_csv(trace: FlowTrace) -> str:

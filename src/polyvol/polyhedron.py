@@ -35,6 +35,7 @@ from .core import (
     row_norms,
 )
 from .errors import (
+    AngleOutOfRange,
     BadFormat,
     EdgeMissesBall,
     ImproperInput,
@@ -200,7 +201,7 @@ def classify_vertex_by_angles(incident_angles, tol: float = TAU_IDEAL) -> PointK
     if k < 3:
         raise TooFewAngles(f"need >= 3 angles, got {k}")
     if any(not (0.0 < a < math.pi) for a in angles):
-        raise TooFewAngles("angles must lie in (0, pi)")
+        raise AngleOutOfRange("angles must lie in (0, pi)")
     gap = sum(angles) - (k - 2) * math.pi
     if gap < -tol:
         return PointKind.HYPERIDEAL

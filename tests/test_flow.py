@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stacked_triangulation
 from polyvol.core import AffineDeformation
 from polyvol.errors import (
+    AngleOutOfRange,
     CollapseMakesDegenerate,
+    EdgeMissesBall,
     ImproperInput,
     NewtonDiverged,
     NoIdealVertices,
+    NoSeparatingPlane,
+    PlanesEqual,
+    PropernessLost,
     SkeletonChanged,
     SkeletonMismatch,
     StallDetected,
@@ -118,6 +124,16 @@ def test_realize_seed_skeleton_checked(compact_tetra):
     g5 = pyramid_graph(4)
     with pytest.raises(SkeletonChanged):
         realize_from_angles(g5, {e: 1.0 for e in g5.edges}, compact_tetra)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.pi, 3.5])
+def test_realize_target_outside_open_interval_is_an_angle_error(hyperideal_tetra, bad):
+    # An input error, not a failed solve that a caller retries with a shorter step.
+    g = tetrahedron_graph()
+    angles = dict(dihedral_angles(hyperideal_tetra))
+    angles[g.edges[2]] = bad
+    with pytest.raises(AngleOutOfRange, match=r"outside \(0, pi\)"):
+        realize_from_angles(g, angles, hyperideal_tetra)
 
 
 # --- nudge -----------------------------------------------------------------------
@@ -338,8 +354,8 @@ def test_flow_degenerate_collapse_stalls_with_trace(compact_tetra, monkeypatch):
     # collapsing an edge of K4 leaves no polyhedral skeleton
     import polyvol.flow as flow
 
-    monkeypatch.setattr(flow, "_scan_signals", lambda *args, **kwargs: [
-        (FlowEventKind.EDGE_COLLAPSED, (0, 1), 0.0)])
+    monkeypatch.setattr(flow, "_scan_signals", lambda *args, **kwargs: (
+        [(FlowEventKind.EDGE_COLLAPSED, (0, 1), 0.0)], {}))
     with pytest.raises(StallDetected) as info:
         run_flow(compact_tetra, FlowOptions(seed=20))
     assert info.value.trace.samples
@@ -395,7 +411,7 @@ def test_flow_locates_a_linear_gap_on_the_dt_min_grid(compact_tetra, monkeypatch
 
     def linear_gap(P, prev, held, relaxed=False):
         gap = RATE * (T_CROSS - t_of[id(P)])
-        return flow._Signals([(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap})
+        return [(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap}
 
     monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
     monkeypatch.setattr(flow, "realize_from_angles", realize_at)
@@ -437,7 +453,7 @@ def test_flow_steps_dt_min_at_once_when_the_accepted_state_signals(compact_tetra
 
     def linear_gap(P, prev, held, relaxed=False):
         gap = RATE * (T_CROSS - t_of[id(P)])
-        return flow._Signals([(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap})
+        return [(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap}
 
     monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
     monkeypatch.setattr(flow, "realize_from_angles", realize_at)
@@ -611,6 +627,96 @@ def test_flow_almost_proper_seed_stalls_known_failure(seed):
     with pytest.raises(StallDetected, match="escape left vertex 0 inside the ball") as info:
         run_flow(P, FlowOptions(seed=seed))
     assert info.value.trace.samples and info.value.trace.events
+
+
+def test_flow_stacked_triangulation_collapse_rewrite_known_failure():
+    # Known failure (ROADMAP item 11): after one FaceCollapsed event, the
+    # second collapse's re-realization puts vertex 33 of the new skeleton on
+    # face 43, which it is not on (margin about -2.6e-13): a second
+    # degeneration at the same t that the rewrite does not look for.  The error
+    # leaves with the trace up to there.  A fix makes this flow run through;
+    # then this test must expect success.
+    g = stacked_triangulation(40, np.random.default_rng(3))
+    with pytest.raises(SkeletonChanged) as info:
+        run_flow(jittered_compact(g, np.random.default_rng(3)), FlowOptions(seed=3))
+    assert info.value.detail.startswith("SkeletonMismatch: vertex 33 lies on face 43, ")
+    trace = info.value.trace
+    assert [(e.kind, e.data) for e in trace.events] == [
+        (FlowEventKind.FACE_COLLAPSED, {"face": 40, "split": 0})]
+    assert trace.samples[-1].event == FlowEventKind.FACE_COLLAPSED
+    assert trace.final_skeleton.n_vertices == 39
+    assert (replay(g, trace.events).canonical_hash()
+            == trace.final_skeleton.canonical_hash())
+
+
+# --- the trace on every failure -------------------------------------------------
+
+def test_flow_first_solve_failure_carries_an_empty_trace(compact_tetra, monkeypatch):
+    import polyvol.flow as flow
+
+    def diverge(*args, **kwargs):
+        raise NewtonDiverged("forced")
+
+    monkeypatch.setattr(flow, "realize_from_angles", diverge)
+    with pytest.raises(NewtonDiverged) as info:
+        run_flow(compact_tetra, FlowOptions(seed=12))
+    trace = info.value.trace
+    assert trace.samples == [] and trace.events == []
+    assert trace.final_skeleton is compact_tetra.skeleton
+    assert math.isnan(trace.sup_estimate) and trace.seed == 12
+
+
+def test_flow_escape_failure_carries_the_samples_before_it(compact_tetra, monkeypatch):
+    # The flow's first event is a VertexBecameIdeal.  With every escape
+    # failing, the error leaves with the flow's samples up to that event's
+    # own, bit for bit, and no event.
+    import polyvol.flow as flow
+
+    full = run_flow(compact_tetra, FlowOptions(seed=12))
+
+    def no_escape(P, v, **kwargs):
+        raise NoSeparatingPlane(f"forced for vertex {v}")
+
+    monkeypatch.setattr(flow, "escape_deformation", no_escape)
+    with pytest.raises(NoSeparatingPlane) as info:
+        run_flow(compact_tetra, FlowOptions(seed=12))
+    trace = info.value.trace
+    n = len(trace.samples)
+    assert n >= 2 and trace.events == []
+    assert trace.samples[-1].event == FlowEventKind.VERTEX_BECAME_IDEAL
+    assert ([(s.t, s.volume.value, s.event) for s in trace.samples]
+            == [(s.t, s.volume.value, s.event) for s in full.samples[:n]])
+
+
+@pytest.mark.parametrize("deformation", ["nudge", "escape"])
+def test_deformation_candidates_skip_only_rebuild_failures(deformation, monkeypatch):
+    # A candidate whose planes do not realize the skeleton, or leave H^3, is
+    # skipped, so the search runs out with its own error.  Any other domain
+    # error of a rebuild leaves at once.
+    import polyvol.flow as flow
+
+    if deformation == "nudge":
+        P, exhausted = regular_tetrahedron(1.0), PropernessLost
+        deform = lambda: nudge_ideal_vertices(P)
+    else:
+        g = tetrahedron_graph()
+        verts = np.array([[0.0, 0.0, 0.9999], [0.8, 0.0, -0.4],
+                          [-0.4, 0.7, -0.4], [-0.4, -0.7, -0.4]])
+        P, exhausted = build_polyhedron(planes_from_vertices(verts, g), g), NoSeparatingPlane
+        deform = lambda: escape_deformation(P, 0)
+    for raised, expected in [(EdgeMissesBall("forced"), exhausted),
+                             (ValueError("forced"), exhausted),
+                             (PlanesEqual("forced"), PlanesEqual)]:
+        calls = []
+
+        def rebuild(*args, **kwargs):
+            calls.append(None)
+            raise raised
+
+        monkeypatch.setattr(flow, "build_polyhedron", rebuild)
+        with pytest.raises(expected):
+            deform()
+        assert (len(calls) == 1) == (expected is PlanesEqual)
 
 
 def test_volume_just_past_ideal_depends_on_interior_point_known_failure():

@@ -17,6 +17,7 @@ from polyvol.core import (
     random_isometry,
 )
 from polyvol.errors import (
+    AngleOutOfRange,
     EdgeMissesBall,
     ImproperInput,
     NonConvex,
@@ -133,6 +134,12 @@ def test_classify_vertex_by_angles_examples():
     assert classify_vertex_by_angles([math.pi / 6] * 3) == PointKind.HYPERIDEAL
     with pytest.raises(TooFewAngles):
         classify_vertex_by_angles([1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.pi, 3.5])
+def test_classify_vertex_by_angles_rejects_angles_outside_open_interval(bad):
+    with pytest.raises(AngleOutOfRange, match=r"\(0, pi\)"):
+        classify_vertex_by_angles([1.0, 1.0, bad])
 
 
 def almost_proper_tetrahedron():

@@ -530,10 +530,10 @@ def test_scan_signals_matches_face_loop_on_flattened_base():
                        (-0.5, 0.0, -0.2), (0.0, -1e-8, -0.2)])
     g = pyramid_graph(4)
     P = Polyhedron(planes=(), skeleton=g, vertex_lifts=lift(charts))
-    got = _scan_signals(P, P, [])
+    got, _ = _scan_signals(P, P, [])
     assert got == loop_scan_signals(P, P, [])
     assert [(kind, data) for kind, data, _ in got] == [(FlowEventKind.FACE_COLLAPSED, 4)]
-    assert got == _scan_signals(P, P, [], relaxed=True)
+    assert got == _scan_signals(P, P, [], relaxed=True)[0]
 
 
 def test_scan_signals_matches_loop_with_held_incidence():
@@ -543,7 +543,7 @@ def test_scan_signals_matches_loop_with_held_incidence():
     z = 1 / 1.5 - 1e-8
     charts = np.array([(0.0, 0.0, 1.5), (0.5, 0.0, z), (0.0, 0.5, z), (-0.5, 0.0, z), (0.0, -0.5, z)])
     P = Polyhedron(planes=(), skeleton=pyramid_graph(4), vertex_lifts=lift(charts))
-    got = _scan_signals(P, P, [(1, 0)])
+    got, _ = _scan_signals(P, P, [(1, 0)])
     assert got == loop_scan_signals(P, P, [(1, 0)])
     assert sorted(data for kind, data, _ in got if kind == FlowEventKind.ALMOST_PROPER_ONSET) \
         == [(2, 0), (3, 0), (4, 0)]
@@ -553,7 +553,7 @@ def test_scan_signals_matches_loop_on_recorded_flow_states(recorded):
     scans, _ = recorded
     assert len(scans) >= 50
     for args, kw in scans[:50]:
-        assert _scan_signals(*args, **kw) == loop_scan_signals(*args, **kw)
+        assert _scan_signals(*args, **kw)[0] == loop_scan_signals(*args, **kw)
 
 
 def test_scan_gaps_are_looked_up_per_candidate(recorded):
@@ -562,16 +562,16 @@ def test_scan_gaps_are_looked_up_per_candidate(recorded):
     # bracket's far end after a failed solve), has none.
     scans, _ = recorded
     for (P, prev, held), kw in scans:
-        got = _scan_signals(P, prev, held, **kw)
-        assert all(got.gaps.get((kind, data)) > 0 for kind, data, _ in got)
+        got, gaps = _scan_signals(P, prev, held, **kw)
+        assert all(gaps.get((kind, data)) > 0 for kind, data, _ in got)
         tol = (1e3 if kw.get("relaxed") else 1.0) * EDGE_COLLAPSE_TOL
         for (a, b) in P.skeleton.edges:
             length = np.linalg.norm(P.vertex_charts[a] - P.vertex_charts[b])
-            assert got.gaps.get((FlowEventKind.EDGE_COLLAPSED, (a, b))) == \
+            assert gaps.get((FlowEventKind.EDGE_COLLAPSED, (a, b))) == \
                 pytest.approx(tol - length, rel=1e-12, abs=1e-15)
-        assert got.gaps.get(None) is None
-        assert got.gaps.get((FlowEventKind.VERTEX_BECAME_IDEAL, P.skeleton.n_vertices)) is None
-        assert got.gaps.get((FlowEventKind.FACE_COLLAPSED, len(P.skeleton.faces))) is None
+        assert gaps.get(None) is None
+        assert gaps.get((FlowEventKind.VERTEX_BECAME_IDEAL, P.skeleton.n_vertices)) is None
+        assert gaps.get((FlowEventKind.FACE_COLLAPSED, len(P.skeleton.faces))) is None
 
 
 def test_build_matches_loop_on_recorded_flow_states(recorded):
