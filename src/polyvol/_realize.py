@@ -8,14 +8,16 @@ vertex onto the polar plane of another.
 
 The flat indices of the Jacobian's nonzeros depend on the graph
 (``PlanarGraph.jacobian_layout``, computed once per graph), the edges
-with a target and the held incidences (``_layout``, cached); each
-evaluation scatters one concatenated value array into them.  The
-isometry group of H^3 leaves the system invariant, so J has a
-6-dimensional kernel at solutions.  Each step is the minimal-norm,
-Marquardt-damped correction d = -J^T (J J^T + lambda I)^{-1} r, the
-least-squares solution of J over sqrt(lambda) I, by one solve in the
-row space; it keeps the iterate close to its seed.  A singular J J^T
-at lambda = 0 fails the attempt, which raises lambda.
+with a target and the held incidences (``_layout``, cached).  The
+residual is evaluated at every trial point, the Jacobian once per Newton
+step, at the accepted iterate, by scattering one concatenated value
+array into those indices.  The isometry group of H^3 leaves the system
+invariant, so J has a 6-dimensional kernel at solutions.  Each step is
+the minimal-norm, Marquardt-damped correction
+d = -J^T (J J^T + lambda I)^{-1} r, the least-squares solution of J
+over sqrt(lambda) I, by one solve in the row space; it keeps the
+iterate close to its seed.  A singular J J^T at lambda = 0 fails the
+attempt, which raises lambda.
 """
 
 from __future__ import annotations
@@ -76,24 +78,33 @@ class _PlaneSystem:
                                           tuple(tuple(h) for h in held))
 
     def __call__(self, normals, verts):
+        """``(r, jacobian)``: the residual, and a callable that scatters J at the same point."""
+        dot = np.add.reduce  # what ndarray.sum calls
         eta_n = normals * MINKOWSKI_SIGNS
         n_inc, v_inc = normals[self.inc_f], verts[self.inc_v]
-        v_w, v_u = verts[self.held_w], verts[self.held_u]
-        r = np.concatenate([0.5 * ((normals * eta_n).sum(axis=1) - 1.0),
-                            (n_inc[:, 1:] * v_inc).sum(axis=1) - n_inc[:, 0],
-                            (eta_n[self.f1] * normals[self.f2]).sum(axis=1) - self.targets,
-                            (v_u * v_w).sum(axis=1) - 1.0])
-        J = np.zeros(self.shape)
-        J.ravel()[self.flat] = np.concatenate(
-            [eta_n, self.minus_ones, v_inc, n_inc[:, 1:], eta_n[self.f2], eta_n[self.f1],
-             v_u, v_w], axis=None)
-        return r, J
+        parts = [0.5 * (dot(normals * eta_n, axis=1) - 1.0),
+                 dot(n_inc[:, 1:] * v_inc, axis=1) - n_inc[:, 0],
+                 dot(eta_n[self.f1] * normals[self.f2], axis=1) - self.targets]
+        held = ()  # the held rows' vertex charts, gathered only when some are held
+        if len(self.held_w):
+            held = (verts[self.held_u], verts[self.held_w])
+            parts.append(dot(held[0] * held[1], axis=1) - 1.0)
+
+        def jacobian():
+            J = np.zeros(self.shape)
+            J.ravel()[self.flat] = np.concatenate(
+                [eta_n, self.minus_ones, v_inc, n_inc[:, 1:], eta_n[self.f2], eta_n[self.f1],
+                 *held], axis=None)
+            return J
+
+        return np.concatenate(parts), jacobian
 
 
 def _step(J, r, lm):
     """Minimal-norm step -J^T (J J^T + lm I)^{-1} r; None when singular."""
     JJt = J @ J.T
-    JJt.flat[::len(r) + 1] += lm
+    if lm > 0.0:  # the diagonal holds sums of squares, which += 0.0 leaves as they are
+        JJt.flat[::len(r) + 1] += lm
     try:
         return -(J.T @ np.linalg.solve(JJt, r))
     except np.linalg.LinAlgError:
@@ -113,24 +124,25 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
     verts = np.array(verts0, dtype=float)
     nF = len(normals)
     system = _PlaneSystem(g, gram_targets, held)
-    r, J = system(normals, verts)
+    r, jacobian = system(normals, verts)
     best = float(np.abs(r).max())
     lm = 0.0
     for it in range(MAX_ITERATIONS):
         if best < REALIZE_TOL:
             return normals, verts, SolveReport(True, best, it)
+        J = jacobian()  # once per Newton step, at the accepted iterate
+        norm0 = math.sqrt(r @ r)
         stepped = False
         for _ in range(8):
             d = _step(J, r, lm)
             alpha = 1.0
-            norm0 = math.sqrt(r @ r)
             while d is not None and alpha > 1e-4:
                 n_try = normals + alpha * d[:4 * nF].reshape(nF, 4)
                 v_try = verts + alpha * d[4 * nF:].reshape(-1, 3)
-                r_try, J_try = system(n_try, v_try)
+                r_try, jac_try = system(n_try, v_try)
                 norm_try = math.sqrt(r_try @ r_try)  # nan fails both tests
                 if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
-                    normals, verts, r, J = n_try, v_try, r_try, J_try
+                    normals, verts, r, jacobian = n_try, v_try, r_try, jac_try
                     stepped = True
                     break
                 alpha *= 0.5

@@ -34,6 +34,14 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _numbers(text: str) -> list[float]:
+    """``--angles``: numbers separated by commas or spaces."""
+    try:
+        return [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+
+
 def _cmd_classify(args) -> int:
     from .polyhedron import parse_polyhedron, classify_vertices
 
@@ -51,7 +59,7 @@ def _cmd_angles_check(args) -> int:
     from .graphs import parse_graph, check_hyperideal_angles
 
     g = parse_graph(_read(args.input))
-    values = [float(x) for x in args.angles.replace(",", " ").split()]
+    values = args.angles
     if len(values) != len(g.edges):
         print(f"ERR AngleOutOfRange expected {len(g.edges)} angles, got {len(values)}")
         return 1
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("angles-check", help="hyperideal angle admissibility")
     c.add_argument("input", help="graph text file")
-    c.add_argument("--angles", required=True,
+    c.add_argument("--angles", required=True, type=_numbers,
                    help="angles per edge, ordered by the sorted edge list")
     c.set_defaults(func=_cmd_angles_check)
 
@@ -161,7 +169,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env_seed = os.environ.get("POLYVOL_SEED")
     if env_seed is not None:
-        args.seed = int(env_seed)
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            parser.error(f"POLYVOL_SEED must be an integer, got {env_seed!r}")
     if args.seed is None:
         args.seed = 0
     try:

@@ -324,15 +324,19 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     kinds, prev_kinds = P.report.kinds, prev.report.kinds
     charts = P.vertex_charts
-    radii = row_norms(charts)
     was_real = [v for v, k in enumerate(prev_kinds) if k == PointKind.REAL]
+    radii = row_norms(charts)[was_real]
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
     poles = [v for v, (k, k0) in enumerate(zip(kinds, prev_kinds))
              if k == k0 == PointKind.HYPERIDEAL]
     real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
-    pairs = [(w, u) for u in poles for w in real]
-    free = np.array([pair not in held for pair in pairs], dtype=bool)
-    margins = (1.0 - charts[poles] @ charts[real].T).ravel()[free]
+    pairs, margins = [], np.empty(0)
+    if poles and real:
+        pairs = [(w, u) for u in poles for w in real]
+        margins = (1.0 - charts[poles] @ charts[real].T).ravel()
+        if held:
+            free = np.array([pair not in held for pair in pairs], dtype=bool)
+            pairs, margins = [p for p, f in zip(pairs, free) if f], margins[free]
     g = P.skeleton
     lengths = row_norms(np.subtract(*charts[g.edge_array.T]))
     # The two largest singular values of each centred face polygon.
@@ -342,16 +346,16 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
         centred = pts - pts.sum(axis=1, keepdims=True) / cycles.shape[1]
         widths[fs] = np.linalg.svd(centred, compute_uv=False)[:, :2]
     candidates = (  # kind, data, sizes, gaps
-        (FlowEventKind.VERTEX_BECAME_IDEAL, was_real, np.abs(1.0 - radii[was_real]),
-         radii[was_real] - (1.0 - ideal_band)),
-        (FlowEventKind.ALMOST_PROPER_ONSET, [p for p, f in zip(pairs, free) if f], margins,
-         ALMOST_PROPER_BAND - margins),
+        (FlowEventKind.VERTEX_BECAME_IDEAL, was_real, np.abs(1.0 - radii),
+         radii - (1.0 - ideal_band)),
+        (FlowEventKind.ALMOST_PROPER_ONSET, pairs, margins, ALMOST_PROPER_BAND - margins),
         (FlowEventKind.EDGE_COLLAPSED, g.edges, lengths, edge_tol - lengths),
         (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)), widths[:, 1],
          face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]))
     out = []
     for kind, data, sizes, gap in candidates:
-        out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(gap > 0)]
+        if (hit := gap > 0).any():
+            out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(hit)]
     out.sort(key=lambda item: item[2])
     return out, _Gaps(candidates)
 

@@ -200,6 +200,11 @@ class PlanarGraph:
         return _by_length(self.vertex_faces)
 
     @cached_property
+    def degrees(self) -> np.ndarray:
+        """Number of faces at each vertex."""
+        return np.array([len(fs) for fs in self.vertex_faces])
+
+    @cached_property
     def edge_array(self) -> np.ndarray:
         return np.array(self.edges, dtype=int).reshape(-1, 2)
 

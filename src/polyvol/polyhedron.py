@@ -126,23 +126,22 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
         raise SkeletonMismatch(f"{len(planes)} planes for {len(g.faces)} faces")
 
     normals = _stacked_normals(planes)
+    eta = normals * MINKOWSKI_SIGNS
     # Vertex v is the null vector of its faces' Euclid-normalized rows: one point when
     # the third singular value is clear of zero and the fourth, if any, vanishes.
-    rows = normals * MINKOWSKI_SIGNS
-    rows /= row_norms(rows)[:, None]
+    rows = eta / row_norms(eta)[:, None]
     n = g.n_vertices
-    lifts, s2, s3, degree = np.zeros((n, 4)), np.full(n, np.inf), np.zeros(n), np.zeros(n, int)
+    lifts, s2, s3 = np.zeros((n, 4)), np.full(n, np.inf), np.zeros(n)
     for vs, inc in g.vertex_faces_by_degree:
-        degree[vs] = k = inc.shape[1]
-        if k >= 3:
+        if (k := inc.shape[1]) >= 3:
             _, s, vt = np.linalg.svd(rows[inc])
             lifts[vs], s2[vs], s3[vs] = vt[:, -1], s[:, 2], s[:, 3] if k > 3 else 0.0
     escapes = np.abs(lifts[:, 0]) < 1e-9 * row_norms(lifts)
-    bad = (degree < 3) | (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL) | escapes
+    bad = (g.degrees < 3) | (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL) | escapes
     if bad.any():
         v = int(np.argmax(bad))
         inc = list(g.vertex_faces[v])
-        if degree[v] < 3:
+        if len(inc) < 3:
             raise SkeletonMismatch(f"vertex {v} lies on {len(inc)} faces {inc}, needs 3")
         if s3[v] > VERTEX_RESIDUAL_TOL:
             raise SkeletonMismatch(f"planes at vertex {v} do not concur (residual {s3[v]:.3g})")
@@ -155,16 +154,14 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
 
     # Convexity: every vertex weakly inside every selected half-space,
     # strictly inside those of the faces it is not on.
-    margins = lifts @ (normals * MINKOWSKI_SIGNS).T
-    scale = np.maximum(1.0, row_norms(lifts))[:, None]
-    scaled = margins / scale
+    scaled = lifts @ eta.T / np.maximum(1.0, row_norms(lifts))[:, None]
     worst = float(scaled.max())
     if worst > CONVEXITY_SLACK * 10:
-        bad = np.unravel_index(np.argmax(scaled), margins.shape)
+        bad = np.unravel_index(np.argmax(scaled), scaled.shape)
         raise NonConvex(f"vertex {bad[0]} violates face {bad[1]} by {worst:.3g}")
     off = np.where(g.incidence, -np.inf, scaled)
-    v, f = np.unravel_index(np.argmax(off), off.shape)
-    if off[v, f] >= -10 * CONVEXITY_SLACK:
+    if off.max() >= -10 * CONVEXITY_SLACK:
+        v, f = np.unravel_index(np.argmax(off), off.shape)
         raise SkeletonMismatch(
             f"vertex {v} lies on face {f}, which the skeleton does not put it on "
             f"(margin {off[v, f]:.3g})")
@@ -226,13 +223,14 @@ def classify_vertices(P: Polyhedron, tol: float = TAU_IDEAL) -> PropernessReport
     witnesses = [None] * n
     hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
     real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
-    margins = 1.0 - row_dots(charts[hyper][:, None], charts[real])  # (pole, real vertex)
-    if (margins <= tol).any():
-        for status, hit in ((VertexStatus.ALMOST_PROPER, margins <= tol),
-                            (VertexStatus.IMPROPER, margins < -tol)):
-            last = len(hyper) - 1 - np.argmax(hit[::-1], axis=0)
-            for i in np.flatnonzero(hit.any(axis=0)).tolist():
-                statuses[real[i]], witnesses[real[i]] = status, hyper[last[i]]
+    if hyper and real:
+        margins = 1.0 - row_dots(charts[hyper][:, None], charts[real])  # (pole, real vertex)
+        if (margins <= tol).any():
+            for status, hit in ((VertexStatus.ALMOST_PROPER, margins <= tol),
+                                (VertexStatus.IMPROPER, margins < -tol)):
+                last = len(hyper) - 1 - np.argmax(hit[::-1], axis=0)
+                for i in np.flatnonzero(hit.any(axis=0)).tolist():
+                    statuses[real[i]], witnesses[real[i]] = status, hyper[last[i]]
     overall = next((s for s in (VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER)
                     if s in statuses), VertexStatus.PROPER)
     return PropernessReport(kinds, tuple(statuses), tuple(witnesses), overall)

@@ -201,6 +201,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_non_integer_env_seed_is_a_usage_error(hyper_file, capsys, monkeypatch):
+    monkeypatch.setenv("POLYVOL_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", hyper_file])
+    assert exc.value.code == 2
+    assert "POLYVOL_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_non_numeric_angle_is_a_usage_error(k4_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["angles-check", k4_file, "--angles", "0.2,x,0.2,0.2,0.2,0.2"])
+    assert exc.value.code == 2
+    assert "not a list of numbers: '0.2,x,0.2,0.2,0.2,0.2'" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     code, out = run_cli(["classify", "/nonexistent/file.poly"], capsys)
     assert code == 1

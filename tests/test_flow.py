@@ -505,6 +505,42 @@ def test_flow_degenerate_bracket_keeps_the_trace_with_fewer_solves(monkeypatch):
     assert len(solves) <= PYRAMID4_951_BISECTING_SOLVES - 15
 
 
+# The flow from jittered_compact(cube_graph(), default_rng(951)) with seed 951,
+# the slowest op of the bench's flow workload, measured before a realization
+# built its Jacobians only where a Newton step uses them: (kind, data,
+# t_value.hex(), volume_at_event.hex()) of its events, the hex volume of each
+# sample and sup_estimate.hex(), the same with 1, 2 and 4 OpenBLAS threads.
+CUBE_951_EVENTS = [
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.b52f463ea8b23p-1", "0x1.09a0303773672p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.b52e2c6335598p-1", "0x1.09b1388d6b6b1p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.b52ccf6be37dfp-1", "0x1.09be329273b44p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.aa7d566cf41f2p-1", "0x1.45ac5942d2c40p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.48142c06ef078p-1", "0x1.83a157af469c8p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 5}, "0x1.4813d82418e40p-1", "0x1.83a9e382c56d9p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 7}, "0x1.4810e8858ff77p-1", "0x1.83c031f0a62c3p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 6}, "0x1.b045712358ca9p-2", "0x1.33a055b3518c5p+3"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.b045712358ca9p-2", "0x1.33a055b3518c5p+3"),
+]
+CUBE_951_SAMPLES = [
+    "0x1.15e7f9fa72f53p-2", "0x1.42a947ebe8f3ep+0", "0x1.09a0303773672p+1",
+    "0x1.09b111ed7bd73p+1", "0x1.09b1388d6b6b1p+1", "0x1.09be329273b44p+1",
+    "0x1.45ac5942d2c40p+1", "0x1.a366806cfd408p+1", "0x1.3c843f1d9e130p+2",
+    "0x1.83a157af469c8p+2", "0x1.83aa097a73420p+2", "0x1.83a9e382c56d9p+2",
+    "0x1.83c031f0a62c3p+2", "0x1.dc72e3eee1b32p+2", "0x1.1c7b10412bfeap+3",
+    "0x1.33a055b3518c5p+3", "0x1.4b4d6767157b8p+3", "0x1.815a780440574p+3",
+]
+CUBE_951_SUP = "0x1.817997ae1b22dp+3"
+
+
+def test_flow_cube_951_is_pinned_bit_for_bit():
+    trace = run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)),
+                     FlowOptions(seed=951))
+    assert [(e.kind, e.data, e.t_value.hex(), e.volume_at_event.hex())
+            for e in trace.events] == CUBE_951_EVENTS
+    assert [s.volume.value.hex() for s in trace.samples] == CUBE_951_SAMPLES
+    assert trace.sup_estimate.hex() == CUBE_951_SUP
+
+
 # (kind, data) of the events, sup_estimate and plane-system solves of the flows
 # from jittered_compact(g, default_rng(951)) with seed 951, measured when every
 # signaled step halved dt down to DT_MIN.

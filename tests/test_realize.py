@@ -348,7 +348,8 @@ def system_state(name, mode, seed=7):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_jacobian_matches_loop_reference(name, mode):
     g, targets, held, normals, verts = system_state(name, mode)
-    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    J = jacobian()
     r_ref, J_ref = loop_residual_and_jacobian(g, normals, verts, targets, held)
     assert np.array_equal(J, J_ref)
     assert np.max(np.abs(r - r_ref)) <= 1e-15
@@ -368,7 +369,7 @@ def test_jacobian_matches_central_differences(name, mode):
     h = 1e-6
     J_fd = np.column_stack([(residual(x + h * e) - residual(x - h * e)) / (2 * h)
                             for e in np.eye(len(x))])
-    _, J = system(normals, verts)
+    J = system(normals, verts)[1]()
     np.testing.assert_allclose(J, J_fd, rtol=0, atol=1e-8)
 
 
@@ -377,7 +378,8 @@ def test_jacobian_matches_central_differences(name, mode):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_step_matches_stacked_lstsq(name, mode, lm):
     g, targets, held, normals, verts = system_state(name, mode)
-    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    J = jacobian()
     d = _step(J, r, lm)
     d_ref = lstsq_step(J, r, lm)
     assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
@@ -385,7 +387,8 @@ def test_step_matches_stacked_lstsq(name, mode, lm):
 
 def test_singular_step_fails_until_damped():
     g, targets, held, normals, verts = system_state("cube", "all")
-    r, J = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    J = jacobian()
     J[3] = 0.0
     assert _step(J, r, 0.0) is None
     d = _step(J, r, 1e-10)
@@ -400,6 +403,32 @@ def test_solve_matches_loop_reference():
     assert abs(rep1.iterations - rep2.iterations) <= 1
     np.testing.assert_allclose(n1, n2, atol=1e-8)
     np.testing.assert_allclose(v1, v2, atol=1e-8)
+
+
+def test_plane_system_builds_one_jacobian_per_newton_step(monkeypatch):
+    # The cube flow from jittered_compact(cube_graph(), default_rng(951)) with
+    # seed 951: a Jacobian is built only at an iterate that takes a Newton
+    # step, never at a converged iterate or a rejected line-search point.
+    call, solve = _PlaneSystem.__call__, polyvol.flow.solve_plane_system
+    evaluations, jacobians, iterations = [], [], []
+
+    def counted_call(self, normals, verts):
+        r, jacobian = call(self, normals, verts)
+        evaluations.append(None)
+        return r, lambda: jacobians.append(None) or jacobian()
+
+    def counted_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result[2].iterations)
+        return result
+
+    monkeypatch.setattr(_PlaneSystem, "__call__", counted_call)
+    monkeypatch.setattr(polyvol.flow, "solve_plane_system", counted_solve)
+    run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
+    assert len(jacobians) == sum(iterations) == 205
+    # A residual at each solve's start and one per accepted step: this flow
+    # rejects no line-search point, and 110 converged iterates build no J.
+    assert len(evaluations) == len(iterations) + sum(iterations) == 315
 
 
 # --- flow agreement ----------------------------------------------------------------
