@@ -1,4 +1,4 @@
-"""Gauss-Newton engine for plane-tuple realizations with prescribed angles.
+"""Gauss-Newton engine for face-normal realizations with prescribed angles.
 
 Unknowns are the Minkowski face normals (4 per face) and the chart
 coordinates of the vertices (3 per vertex).  Equations: unit spacelike

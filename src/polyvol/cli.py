@@ -11,6 +11,7 @@ Numeric output uses 12 significant digits, except the plane normals of
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -167,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol_ideal) and args.tol_ideal >= 0):
+        parser.error(f"--tol-ideal must be a finite number >= 0, got {args.tol_ideal!r}")
     env_seed = os.environ.get("POLYVOL_SEED")
     if env_seed is not None:
         try:

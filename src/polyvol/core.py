@@ -126,20 +126,16 @@ class OrientedPlane:
         direction = np.asarray(direction, dtype=float)
         return cls(normal=np.concatenate([[float(offset)], direction]))
 
-    def complement(self) -> "OrientedPlane":
-        """The same plane with the other half-space selected."""
-        return OrientedPlane(normal=-self.normal)
+    @classmethod
+    def _of_unit(cls, normal) -> "OrientedPlane":
+        """The plane of a normal already of unit norm, kept bit for bit (the constructor rescales)."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "normal", normal)
+        return plane
 
-    def side_of(self, point) -> float:
-        """Signed value of ``<normal, lift(point)>``; <= 0 inside the half-space."""
-        return float(mdot(self.normal, lift(point)))
-
-    def contains(self, point, slack: float = 0.0) -> bool:
-        return self.side_of(point) <= slack
-
-    def chart_equation(self):
-        """Return (direction, offset) with the plane ``direction . x = offset``."""
-        return self.normal[1:].copy(), float(self.normal[0])
+    def __array__(self, dtype=None, copy=None):
+        """The normal, so ``np.asarray`` stacks a sequence of planes into an (F, 4) array."""
+        return np.array(self.normal, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"OrientedPlane({self.normal!r})"
@@ -153,21 +149,6 @@ def _unit_rows(normals) -> np.ndarray:
     unit = normals / np.sqrt(sq)[..., None]
     unit.setflags(write=False)
     return unit
-
-
-def unit_planes(normals) -> tuple[OrientedPlane, ...]:
-    """``OrientedPlane(normal=row)`` for each row of ``normals``, normalized in one array expression.
-
-    The normals are rows of one read-only array, bit for bit those of the
-    one-plane constructor, which raises the same errors.
-    """
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 2 or normals.shape[1] != 4:
-        raise ValueError("normal must be a 4-vector")
-    planes = tuple(object.__new__(OrientedPlane) for _ in normals)
-    for plane, n in zip(planes, _unit_rows(normals)):
-        object.__setattr__(plane, "normal", n)
-    return planes
 
 
 def polar_plane(p) -> OrientedPlane:
@@ -217,14 +198,6 @@ def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
 # --- deformations and isometries -------------------------------------------
 
 
-def _apply_matrix_plane(T: np.ndarray, plane: OrientedPlane) -> OrientedPlane:
-    # <n', T x> = <n, x> for all x requires n' = eta T^{-T} eta n.
-    eta = MINKOWSKI_SIGNS
-    n = plane.normal
-    m = np.linalg.solve(T.T, eta * n) * eta
-    return OrientedPlane(normal=m)
-
-
 @dataclass(frozen=True)
 class AffineDeformation:
     """Homothety or translation of the chart, stored as a 4x4 projective matrix."""
@@ -255,14 +228,15 @@ class AffineDeformation:
         out = self.matrix @ lift(point)
         return out[1:] / out[0]
 
-    def apply_plane(self, plane: OrientedPlane) -> OrientedPlane:
-        return _apply_matrix_plane(self.matrix, plane)
+    def apply_planes(self, normals) -> np.ndarray:
+        """Unit normals of the images of the planes with unit normals ``normals`` (F, 4).
 
-    def apply_planes(self, normals) -> tuple[OrientedPlane, ...]:
-        """:meth:`apply_plane` of each row of ``normals`` (F, 4), bit for bit: F stacked
-        one-column solves, as one F-column solve rounds a homothety differently."""
+        ``<n', T x> = <n, x>`` for all x requires ``n' = eta T^{-T} eta n``.  The F
+        one-column solves are stacked, as one F-column solve rounds a homothety
+        differently from the solve of each plane alone.
+        """
         eta = MINKOWSKI_SIGNS
-        return unit_planes(np.linalg.solve(self.matrix.T, (eta * normals)[..., None])[..., 0] * eta)
+        return _unit_rows(np.linalg.solve(self.matrix.T, (eta * normals)[..., None])[..., 0] * eta)
 
 
 # --- Lorentz transformations ------------------------------------------------
@@ -317,13 +291,9 @@ def rotation_about_z(angle: float) -> np.ndarray:
     return T
 
 
-def apply_lorentz(L: np.ndarray, obj):
-    """Apply a Lorentz matrix to a plane, an array of Minkowski lifts, or a sequence of them."""
-    if isinstance(obj, OrientedPlane):
-        return OrientedPlane(normal=L @ obj.normal)
-    if isinstance(obj, np.ndarray):
-        return obj @ L.T
-    return tuple(apply_lorentz(L, item) for item in obj)
+def apply_lorentz(L: np.ndarray, plane: OrientedPlane) -> OrientedPlane:
+    """The image of a plane under a Lorentz matrix, which moves normals as it moves lifts."""
+    return OrientedPlane(normal=L @ plane.normal)
 
 
 def random_isometry(rng) -> np.ndarray:

@@ -27,9 +27,9 @@ from .core import (
     AffineDeformation,
     PointKind,
     TAU_IDEAL,
+    _unit_rows,
     lift,
     row_norms,
-    unit_planes,
 )
 from .errors import (
     AngleOutOfRange,
@@ -114,13 +114,13 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
     normals, verts, report = solve_plane_system(g, targets, *start, held=tuple(held))
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
-    return _rebuild(unit_planes(normals), g)
+    return _rebuild(_unit_rows(normals), g)
 
 
-def _rebuild(planes, g: PlanarGraph) -> Polyhedron:
+def _rebuild(normals, g: PlanarGraph) -> Polyhedron:
     """:func:`build_polyhedron`, raising SkeletonChanged where the planes do not realize g."""
     try:
-        return build_polyhedron(planes, g)
+        return build_polyhedron(normals, g)
     except (SkeletonMismatch, NonConvex, EdgeMissesBall) as exc:
         raise SkeletonChanged(str(exc)) from exc
 
@@ -432,7 +432,7 @@ def _collapse_rewrite(kind, data, g, P_state, rng, t):
     new_g = res.graph
     order = sorted((new_idx, old) for old, new_idx in res.face_map.items()
                    if new_idx is not None)
-    planes = tuple(P_state.planes[old] for _, old in order)
+    normals = P_state.normals[[old for _, old in order]]
     verts = np.zeros((new_g.n_vertices, 3))
     counts = np.zeros(new_g.n_vertices)
     for old, new in res.vertex_map.items():
@@ -440,7 +440,7 @@ def _collapse_rewrite(kind, data, g, P_state, rng, t):
             verts[new] += P_state.vertex_charts[old]
             counts[new] += 1
     verts /= np.maximum(counts, 1)[:, None]
-    seed_poly = Polyhedron(planes=planes, skeleton=new_g, vertex_lifts=lift(verts))
+    seed_poly = Polyhedron(normals=normals, skeleton=new_g, vertex_lifts=lift(verts))
     P_new = realize_from_angles(new_g, dihedral_angles(seed_poly), seed_poly, held=())
     return new_g, P_new, _rebase(P_new, t, rng), ev_data
 

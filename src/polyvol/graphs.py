@@ -664,15 +664,19 @@ def parse_graph(text: str) -> PlanarGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "V":
-            if n is not None:
-                raise BadFormat("duplicate V line")
-            n = int(parts[1])
-        elif parts[0] == "F":
-            faces.append(tuple(int(p) for p in parts[1:]))
-        else:
-            raise BadFormat(f"unknown line {parts[0]!r}")
+        head, *values = line.split()
+        if head not in ("V", "F"):
+            raise BadFormat(f"unknown line {head!r}")
+        if head == "V" and n is not None:
+            raise BadFormat("duplicate V line")
+        try:  # a ValueError: not integers, or not one on a V line
+            if head == "V":
+                (n,) = map(int, values)
+            else:
+                faces.append(tuple(map(int, values)))
+        except ValueError:
+            need = "one integer" if head == "V" else "integers"
+            raise BadFormat(f"{head} line needs {need}: {line!r}") from None
     if n is None or not faces:
         raise BadFormat("need one V line and at least one F line")
     return PlanarGraph(n_vertices=n, faces=tuple(faces))

@@ -1,10 +1,10 @@
-"""Plane-tuple polyhedra with combinatorics.
+"""Polyhedra as arrays of face normals with combinatorics.
 
-A :class:`Polyhedron` is an ordered, face-marked tuple of oriented
-planes together with a skeleton graph; vertices are computed as the
-prescribed multi-plane concurrences.  Operations cover vertex and
-properness classification, truncation by polar half-spaces, dihedral
-angles, and (truncated) edge lengths.
+A :class:`Polyhedron` is a read-only (F, 4) array of unit face normals,
+row f the plane of face f, together with a skeleton graph; vertices are
+computed as the prescribed multi-plane concurrences.  Operations cover
+vertex and properness classification, truncation by polar half-spaces,
+dihedral angles, and (truncated) edge lengths.
 
 Polyhedron text format (shared with the CLI): ``P <face-count>``, one
 ``N a b c d`` line per face giving the Minkowski normal 4-vector (the
@@ -26,11 +26,12 @@ from .core import (
     TAU_IDEAL,
     OrientedPlane,
     PointKind,
+    _frozen,
+    _unit_rows,
     classify_points,
     interior_cosines,
     lift,
     mdot,
-    polar_plane,
     row_dots,
     row_norms,
 )
@@ -74,28 +75,32 @@ class PropernessReport:
         return self.overall == VertexStatus.IMPROPER
 
 
-@dataclass(frozen=True)
-class Polyhedron:
-    """Ordered plane tuple plus combinatorial incidence."""
-
-    planes: tuple[OrientedPlane, ...]
-    skeleton: PlanarGraph
-    vertex_lifts: np.ndarray  # (V, 4), chart-normalized
-    rectified: bool = False
+class _Faces:
+    """What both polyhedron classes share: read-only ``normals`` (F, 4) and
+    ``vertex_lifts`` (V, 4), with the planes and charts they hold."""
 
     def __post_init__(self):
-        arr = np.array(self.vertex_lifts, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertex_lifts", arr)
+        object.__setattr__(self, "normals", _frozen(self.normals))
+        object.__setattr__(self, "vertex_lifts", _frozen(self.vertex_lifts))
+
+    @property
+    def planes(self) -> tuple[OrientedPlane, ...]:
+        """The plane of each face, its normal the face's row of ``normals`` bit for bit."""
+        return tuple(map(OrientedPlane._of_unit, self.normals))
 
     @property
     def vertex_charts(self) -> np.ndarray:
         return self.vertex_lifts[:, 1:]
 
-    @cached_property
-    def normals(self) -> np.ndarray:
-        """The planes' unit normals as one read-only (F, 4) array, built once."""
-        return _stacked_normals(self.planes)
+
+@dataclass(frozen=True)
+class Polyhedron(_Faces):
+    """Unit face normals, row f the plane of face f, plus combinatorial incidence."""
+
+    normals: np.ndarray  # (F, 4)
+    skeleton: PlanarGraph
+    vertex_lifts: np.ndarray  # (V, 4), chart-normalized
+    rectified: bool = False
 
     @cached_property
     def report(self) -> PropernessReport:
@@ -103,29 +108,25 @@ class Polyhedron:
         return classify_vertices(self)
 
 
-def _stacked_normals(planes) -> np.ndarray:
-    normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 4)
-    normals.setflags(write=False)
-    return normals
-
-
-def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
+def build_polyhedron(normals, expected_skeleton: PlanarGraph, *,
                      rectified: bool = False) -> Polyhedron:
-    """Realize a polyhedron from its face planes and expected combinatorics.
+    """Realize a polyhedron from its faces' unit plane normals and expected combinatorics.
 
-    Every vertex lies on at least three faces whose planes meet in one
-    point, weakly inside every selected half-space and strictly inside
-    every half-space of a face it is not on; every skeleton edge meets
-    the closed ball (open ball unless ``rectified``).  Strict incidence
-    makes each face's cycle walk the whole boundary of the face polygon,
-    so the planes realize exactly the expected skeleton.
+    ``normals`` is an (F, 4) array, or a sequence of F :class:`OrientedPlane`,
+    and is stored as given.  Every vertex lies on at least three faces
+    whose planes meet in one point, weakly inside every selected half-space
+    and strictly inside every half-space of a face it is not on; every
+    skeleton edge meets the closed ball (open ball unless ``rectified``).
+    Strict incidence makes each face's cycle walk the whole boundary of the
+    face polygon, so the planes realize exactly the expected skeleton.
     """
-    planes = tuple(planes)
+    normals = np.asarray(normals, dtype=float)
     g = expected_skeleton
-    if len(planes) != len(g.faces):
-        raise SkeletonMismatch(f"{len(planes)} planes for {len(g.faces)} faces")
+    if normals.shape[1:] != (4,):
+        raise ValueError("normal must be a 4-vector")
+    if len(normals) != len(g.faces):
+        raise SkeletonMismatch(f"{len(normals)} planes for {len(g.faces)} faces")
 
-    normals = _stacked_normals(planes)
     eta = normals * MINKOWSKI_SIGNS
     # Vertex v is the null vector of its faces' Euclid-normalized rows: one point when
     # the third singular value is clear of zero and the fourth, if any, vanishes.
@@ -179,9 +180,7 @@ def build_polyhedron(planes, expected_skeleton: PlanarGraph, *,
         what = "not tangent" if rectified else "misses the ball"
         raise EdgeMissesBall(f"edge {g.edges[i]} {what} (min |x|^2 = {m2[i]:.6g})")
 
-    P = Polyhedron(planes=planes, skeleton=g, vertex_lifts=lifts, rectified=rectified)
-    vars(P)["normals"] = normals  # the cached property, from the array built above
-    return P
+    return Polyhedron(normals=normals, skeleton=g, vertex_lifts=lifts, rectified=rectified)
 
 
 # --- classification ---------------------------------------------------------
@@ -301,28 +300,19 @@ def edge_lengths(P: Polyhedron) -> dict:
 
 
 @dataclass(frozen=True)
-class TruncatedPolyhedron:
+class TruncatedPolyhedron(_Faces):
     """Result of cutting off every hyperideal vertex by its polar half-space.
 
-    Face f of ``skeleton`` lies on ``planes[f]``; ``truncation_flags[f]``
-    marks the polar planes of the hyperideal vertices, which follow the
-    original faces in order.
+    Face f of ``skeleton`` lies on the plane of ``normals[f]``;
+    ``truncation_flags[f]`` marks the polar planes of the hyperideal
+    vertices, which follow the original faces in order.
     """
 
-    planes: tuple[OrientedPlane, ...]
+    normals: np.ndarray
     truncation_flags: tuple[bool, ...]
     skeleton: PlanarGraph
     vertex_lifts: np.ndarray
     original: Polyhedron
-
-    def __post_init__(self):
-        arr = np.array(self.vertex_lifts, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertex_lifts", arr)
-
-    @property
-    def vertex_charts(self):
-        return self.vertex_lifts[:, 1:]
 
     def face_polygon(self, f: int) -> np.ndarray:
         return self.vertex_charts[list(self.skeleton.faces[f])]
@@ -342,15 +332,16 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
         raise ImproperInput("cannot truncate an improper polyhedron")
     hyper = tuple(v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL)
     if not hyper:
-        return TruncatedPolyhedron(P.planes, tuple(False for _ in P.planes), P.skeleton,
-                                   P.vertex_lifts.copy(), P)
+        return TruncatedPolyhedron(P.normals, (False,) * len(P.normals), P.skeleton,
+                                   P.vertex_lifts, P)
     x, y = _edge_segments(P)
     short = tuple(np.flatnonzero(np.linalg.norm(x - y, axis=1) <= MERGE_TOL).tolist())
     skeleton, first = _truncated_skeleton(P.skeleton, hyper, short)
-    polar = tuple(polar_plane(P.vertex_charts[v]) for v in hyper)
-    flags = tuple([False] * len(P.planes) + [True] * len(hyper))
+    polar = _unit_rows(P.vertex_lifts[list(hyper)])  # the polar planes, as polar_plane gives them
+    flags = (False,) * len(P.normals) + (True,) * len(hyper)
     points = np.concatenate([P.vertex_charts, x, y])
-    T = TruncatedPolyhedron(tuple(P.planes) + polar, flags, skeleton, lift(points[first]), P)
+    T = TruncatedPolyhedron(np.concatenate([P.normals, polar]), flags, skeleton,
+                            lift(points[first]), P)
     _assert_truncation_invariants(T)
     return T
 
@@ -423,9 +414,7 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron):
     Tangency of truncation planes is the boundary case reached by
     rectifications (adjacent vertex circles touch at the edge point).
     """
-    g = T.skeleton
-    polar = T.planes[len(T.original.planes):]
-    normals = np.vstack([T.original.normals, *(p.normal for p in polar)])
+    g, normals = T.skeleton, T.normals
     flags = np.array(T.truncation_flags)
     f1, f2 = g.edge_face_array.T
     mixed = np.flatnonzero(flags[f1] != flags[f2])
@@ -445,12 +434,9 @@ def _assert_truncation_invariants(T: TruncatedPolyhedron):
 
 
 def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
-    """Drop truncation faces and rebuild the original polyhedron.
-
-    The returned plane tuple is the original one, object for object.
-    """
-    planes = tuple(p for p, flag in zip(T.planes, T.truncation_flags) if not flag)
-    return build_polyhedron(planes, T.original.skeleton, rectified=T.original.rectified)
+    """Drop truncation faces and rebuild the original polyhedron, its normals bit for bit."""
+    normals = T.normals[np.logical_not(T.truncation_flags)]
+    return build_polyhedron(normals, T.original.skeleton, rectified=T.original.rectified)
 
 
 # --- text format -------------------------------------------------------------
@@ -458,28 +444,35 @@ def strip_truncation(T: TruncatedPolyhedron) -> Polyhedron:
 
 def format_polyhedron(P: Polyhedron) -> str:
     """The text format, each normal coordinate in the shortest form that parses back exactly."""
-    normals = "".join("N " + " ".join(repr(float(x)) for x in pl.normal) + "\n" for pl in P.planes)
-    return f"P {len(P.planes)}\n" + normals + format_graph(P.skeleton)
+    normals = "".join("N " + " ".join(map(repr, row)) + "\n" for row in P.normals.tolist())
+    return f"P {len(P.normals)}\n" + normals + format_graph(P.skeleton)
 
 
 def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
+    """Read the text format, scaling each normal to unit norm as :class:`OrientedPlane` does.
+
+    A malformed ``P`` or ``N`` line raises BadFormat naming the line.
+    """
     lines = text.splitlines()
-    planes = []
-    count = None
-    rest_start = 0
+    normals, count, rest_start = [], None, len(lines)
     for idx, raw in enumerate(lines):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "P":
-            count = int(parts[1])
-        elif parts[0] == "N":
-            planes.append(OrientedPlane(normal=np.array([float(x) for x in parts[1:5]])))
-        else:
+        head, *values = line.split()
+        if head not in ("P", "N"):
             rest_start = idx
             break
-    if count is None or len(planes) != count:
+        try:  # a ValueError: not one integer, or not four numbers of a spacelike normal
+            if head == "P":
+                (count,) = map(int, values)
+            else:
+                a, b, c, d = map(float, values)
+                normals.append(_unit_rows(np.array([a, b, c, d])))
+        except ValueError:
+            need = "one integer" if head == "P" else "four numbers of a spacelike normal"
+            raise BadFormat(f"{head} line needs {need}: {line!r}") from None
+    if count is None or len(normals) != count:
         raise BadFormat("polyhedron header does not match plane count")
     skeleton = parse_graph("\n".join(lines[rest_start:]))
-    return build_polyhedron(tuple(planes), skeleton, rectified=rectified)
+    return build_polyhedron(np.array(normals).reshape(-1, 4), skeleton, rectified=rectified)

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _unit_rows,
     boost_to_origin,
     lift,
     mdot,
     rotation_about_z,
     rotation_to_z,
     row_norms,
-    unit_planes,
 )
 from .errors import NotPolyhedral, SolverDiverged
 from .graphs import PlanarGraph, _norm_edge, medial_graph
@@ -283,7 +283,7 @@ def rectification_and_volume(g: PlanarGraph) -> tuple[Polyhedron, VolumeResult]:
     so only truncation and volume consume it downstream.
     """
     packing = solve_midsphere(g)
-    return build_polyhedron(unit_planes(packing.face_normals), g, rectified=True), packing.volume
+    return build_polyhedron(_unit_rows(packing.face_normals), g, rectified=True), packing.volume
 
 
 def rectification(g: PlanarGraph) -> Polyhedron:

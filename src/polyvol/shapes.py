@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ._steinitz import convex_realization
-from .core import OrientedPlane, apply_lorentz, random_isometry
+from .core import _unit_rows, random_isometry
 from .errors import NewtonDiverged, SkeletonChanged
 from .graphs import PlanarGraph, check_hyperideal_angles, tetrahedron_graph
 from .polyhedron import Polyhedron, build_polyhedron, dihedral_angles
@@ -29,14 +29,14 @@ def regular_tetrahedron(radius: float, rectified: bool = False) -> Polyhedron:
     """
     g = tetrahedron_graph()
     opp = [next(v for v in range(4) if v not in cyc) for cyc in g.faces]
-    planes = tuple(OrientedPlane.from_chart(-_TETRA_DIRS[o], radius / 3.0) for o in opp)
-    return build_polyhedron(planes, g, rectified=rectified)
+    normals = _unit_rows(np.column_stack([np.full(4, radius / 3.0), -_TETRA_DIRS[opp]]))
+    return build_polyhedron(normals, g, rectified=rectified)
 
 
-def planes_from_vertices(points: np.ndarray, g: PlanarGraph):
-    """Outward face planes of a convex vertex realization of g."""
+def planes_from_vertices(points: np.ndarray, g: PlanarGraph) -> np.ndarray:
+    """Unit normals of the outward face planes of a convex vertex realization of g."""
     center = points.mean(axis=0)
-    planes = []
+    rows = []
     for cyc in g.faces:
         P = points[list(cyc)]
         centroid = P.mean(axis=0)
@@ -44,8 +44,8 @@ def planes_from_vertices(points: np.ndarray, g: PlanarGraph):
         n = Vt[-1]
         if float(n @ (centroid - center)) < 0:
             n = -n
-        planes.append(OrientedPlane.from_chart(n, float(n @ centroid)))
-    return tuple(planes)
+        rows.append([float(n @ centroid), *n])  # the plane {n . x = n . centroid}
+    return _unit_rows(np.array(rows))
 
 
 def compact_realization(g: PlanarGraph, scale: float = 0.6) -> Polyhedron:
@@ -61,8 +61,8 @@ def jittered_compact(g: PlanarGraph, rng) -> Polyhedron:
     scale = float(rng.uniform(*JITTER_SCALES))
     P = compact_realization(g, scale=scale)
     L = random_isometry(rng)
-    planes = tuple(apply_lorentz(L, pl) for pl in P.planes)
-    return build_polyhedron(planes, g)
+    # Stacked one-column products round as each plane's L @ n; P.normals @ L.T does not.
+    return build_polyhedron(_unit_rows((L @ P.normals[:, :, None])[..., 0]), g)
 
 
 def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron) -> Polyhedron:

@@ -394,9 +394,9 @@ def _halfspace_region(P: Polyhedron):
     report = P.report
     charts = P.vertex_charts
     hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
-    equations = [pl.chart_equation() for pl in P.planes] + [(charts[v], 1.0) for v in hyper]
-    D = np.array([d for d, _ in equations])
-    c = np.array([offset for _, offset in equations])
+    # Face planes {n[1:] . x = n[0]}, then the polar planes {v . x = 1}.
+    D = np.concatenate([P.normals[:, 1:], charts[hyper]])
+    c = np.concatenate([P.normals[:, 0], np.ones(len(hyper))])
     m = len(D)
     pts = []
     from itertools import combinations

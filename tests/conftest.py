@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyvol.core import lift, mdot
 from polyvol.graphs import (
     PlanarGraph,
     cube_graph,
@@ -56,15 +57,25 @@ def hyperideal_tetra():
     return regular_tetrahedron(1.3)
 
 
+def chart_equation(plane):
+    """(direction, offset) of the plane ``{direction . x = offset}``, from its unit normal."""
+    return plane.normal[1:].copy(), float(plane.normal[0])
+
+
+def side_of(plane, point) -> float:
+    """``<normal, lift(point)>`` of a plane or a normal: <= 0 in the selected half-space."""
+    return float(mdot(plane, lift(point)))
+
+
 def closest_chart_point(plane):
     """Euclidean foot of the origin on the plane, in chart coordinates."""
-    d, c = plane.chart_equation()
+    d, c = chart_equation(plane)
     return d * (c / float(d @ d))
 
 
 def plane_basis(plane):
     """Two Euclidean-orthonormal chart directions spanning the plane."""
-    d, _ = plane.chart_equation()
+    d, _ = chart_equation(plane)
     d = d / np.linalg.norm(d)
     a = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(d, a)

@@ -180,6 +180,51 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert out.startswith("ERR BadFormat")
 
 
+@pytest.mark.parametrize("command, head, line, detail", [
+    ("volume", "N", "N 0.3 1 0", "N line needs four numbers of a spacelike normal: 'N 0.3 1 0'"),
+    ("volume", "N", "N 0.3 1 x 0", "N line needs four numbers of a spacelike normal: 'N 0.3 1 x 0'"),
+    ("volume", "N", "N 1 0 0 0", "N line needs four numbers of a spacelike normal: 'N 1 0 0 0'"),
+    ("volume", "N", "N 0.3 1 0 0 2",
+     "N line needs four numbers of a spacelike normal: 'N 0.3 1 0 0 2'"),
+    ("volume", "P", "P 4.5", "P line needs one integer: 'P 4.5'"),
+    ("rectify", "V", "V x", "V line needs one integer: 'V x'"),
+    ("rectify", "F", "F 0 1 y", "F line needs integers: 'F 0 1 y'"),
+], ids=["N_three_numbers", "N_not_numeric", "N_timelike", "N_five_numbers", "P_not_integer",
+        "V_not_integer", "F_not_integer"])
+def test_malformed_line_is_bad_format(tmp_path, capsys, command, head, line, detail):
+    # The first line with the given head is replaced; the error names the line.
+    text = (format_polyhedron(regular_tetrahedron(0.55)) if command == "volume"
+            else format_graph(tetrahedron_graph())).splitlines()
+    first = next(i for i, text_line in enumerate(text) if text_line.split()[0] == head)
+    text[first] = line
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(text) + "\n")
+    assert run_cli([command, str(bad)], capsys) == (1, f"ERR BadFormat {detail}\n")
+
+
+def test_polyhedron_without_graph_lines_is_bad_format(tmp_path, capsys):
+    bad = tmp_path / "planes.poly"
+    bad.write_text("".join(line for line in format_polyhedron(regular_tetrahedron(0.55))
+                           .splitlines(keepends=True) if line[0] in "PN"))
+    assert run_cli(["volume", str(bad)], capsys) == \
+        (1, "ERR BadFormat need one V line and at least one F line\n")
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_tol_ideal_must_be_finite_and_nonnegative(tetra_file, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tol-ideal={value}", "classify", tetra_file])
+    assert exc.value.code == 2
+    assert f"--tol-ideal must be a finite number >= 0, got {float(value)!r}" in \
+        capsys.readouterr().err
+
+
+def test_tol_ideal_band_reads_near_sphere_vertices_as_ideal(tetra_file, capsys):
+    code, out = run_cli(["--tol-ideal", "0.5", "classify", tetra_file], capsys)
+    assert code == 0
+    assert out.splitlines().count("Ideal Proper") == 4
+
+
 def test_error_code_for_improper(tmp_path, capsys):
     import numpy as np
     from polyvol.polyhedron import build_polyhedron

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closest_chart_point, plane_basis
+from conftest import chart_equation, closest_chart_point, plane_basis, side_of
 from polyvol.core import (
     AffineDeformation,
     OrientedPlane,
@@ -62,20 +62,20 @@ def test_classify_matches_minkowski_sign(coords):
 
 def test_polar_plane_examples():
     pl = polar_plane([2, 0, 0])
-    d, c = pl.chart_equation()
+    d, c = chart_equation(pl)
     np.testing.assert_allclose(d / np.linalg.norm(d), [1, 0, 0], atol=1e-12)
     assert abs(c / np.linalg.norm(d) - 0.5) < 1e-12
     # half-space x <= 1/2 contains the origin
-    assert pl.contains([0, 0, 0])
-    assert not pl.contains([0.6, 0, 0])
+    assert side_of(pl, [0, 0, 0]) <= 0
+    assert side_of(pl, [0.6, 0, 0]) > 0
 
     pl_z = polar_plane([0, 0, 2])
-    d, c = pl_z.chart_equation()
+    d, c = chart_equation(pl_z)
     np.testing.assert_allclose(d / np.linalg.norm(d), [0, 0, 1], atol=1e-12)
     assert abs(c / np.linalg.norm(d) - 0.5) < 1e-12
 
     far = polar_plane([10, 0, 0])
-    d, c = far.chart_equation()
+    d, c = chart_equation(far)
     assert abs(c / np.linalg.norm(d) - 0.1) < 1e-12
     # the farther the pole, the closer the plane to the origin
     assert abs(np.linalg.norm(closest_chart_point(far))) < \
@@ -96,7 +96,7 @@ def _line_orthogonal_to_plane_at_crossing(p, direction, plane):
     the tangent space at x, and checks it is (anti)parallel to the plane
     normal there, i.e. |<u, n>| = 1.
     """
-    d, c = plane.chart_equation()
+    d, c = chart_equation(plane)
     denom = float(d @ direction)
     t = (c - float(d @ p)) / denom
     x = p + t * direction
@@ -132,13 +132,6 @@ def test_polar_involution(coords):
     np.testing.assert_allclose(n / n[0], lift(p), atol=1e-10)
 
 
-def test_plane_complement_involution():
-    pl = polar_plane([2, 0, 0])
-    assert np.allclose(pl.complement().complement().normal, pl.normal)
-    assert pl.complement().contains([0.6, 0, 0])
-    assert not pl.complement().contains([0, 0, 0])
-
-
 # --- polar half-spaces of two poles ----------------------------------------------
 
 def test_polar_half_spaces_contain_each_other(rng):
@@ -153,7 +146,7 @@ def test_polar_half_spaces_contain_each_other(rng):
             s, t = rng.uniform(-1, 1, size=2)
             pt = x0 + s * e1 + t * e2
             if np.linalg.norm(pt) < 1.0:
-                assert other.contains(pt, slack=1e-12)
+                assert side_of(other, pt) <= 1e-12
 
     # Only the half-line from p through q meets H^3: H_p lies inside H_q
     # ({x <= 1/4} inside {x <= 1/2}).
@@ -161,8 +154,8 @@ def test_polar_half_spaces_contain_each_other(rng):
     Hq = polar_plane(q)
     for _ in range(1000):
         pt = rng.uniform(-1, 1, size=3)
-        if np.linalg.norm(pt) < 1.0 and polar_plane(p).contains(pt):
-            assert Hq.contains(pt, slack=1e-12)
+        if np.linalg.norm(pt) < 1.0 and side_of(polar_plane(p), pt) <= 0:
+            assert side_of(Hq, pt) <= 1e-12
 
 
 # --- dihedral angles -------------------------------------------------------------
@@ -197,8 +190,8 @@ def _geodesic_angle_oracle(a, b):
     tangent vector of each plane orthogonal to the line and oriented into
     the other half-space, and measures the Minkowski angle between them.
     """
-    da, ca = a.chart_equation()
-    db, cb = b.chart_equation()
+    da, ca = chart_equation(a)
+    db, cb = chart_equation(b)
     line_dir = np.cross(da, db)
     line_dir /= np.linalg.norm(line_dir)
     A = np.array([da, db, line_dir])
@@ -281,17 +274,17 @@ def test_deformation_rejects_bad_factor():
 
 def test_deformation_plane_through_images_of_points(rng):
     plane = OrientedPlane.from_chart([1, 1, 0], 0.4)
-    d, c = plane.chart_equation()
+    d, c = chart_equation(plane)
     x0 = closest_chart_point(plane)
     e1, e2 = plane_basis(plane)
     pts = [x0, x0 + 0.3 * e1, x0 - 0.2 * e1 + 0.4 * e2]
     t = AffineDeformation.translation([0.05, -0.1, 0.2])
-    img_plane = t.apply_plane(plane)
+    img_plane = t.apply_planes(plane.normal[None])[0]
     for p in pts:
-        assert abs(img_plane.side_of(t.apply_point(p))) < 1e-12
+        assert abs(side_of(img_plane, t.apply_point(p))) < 1e-12
     # side carried along
     inside = x0 - 0.1 * d / np.linalg.norm(d)
-    assert plane.contains(inside) == img_plane.contains(t.apply_point(inside))
+    assert (side_of(plane, inside) <= 0) == (side_of(img_plane, t.apply_point(inside)) <= 0)
 
 
 def test_unproper_lemma_instance():
@@ -299,12 +292,12 @@ def test_unproper_lemma_instance():
     # ball keeps the image of w strictly inside the image half-space.
     v = np.array([2.0, 0, 0])
     w = np.array([0.49, 0, 0])
-    assert polar_plane(v).contains(w)
+    assert side_of(polar_plane(v), w) <= 0
     t = AffineDeformation.translation([-0.05, 0, 0])
     v2 = t.apply_point(v)
     w2 = t.apply_point(w)
     pl2 = polar_plane(v2)
-    assert pl2.side_of(w2) < -1e-12
+    assert side_of(pl2, w2) < -1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -315,7 +308,7 @@ def test_unproper_lemma_property(seed):
     if np.linalg.norm(v) < 1.3:
         return
     w = rng.uniform(-0.9, 0.9, size=3)
-    if np.linalg.norm(w) >= 1.0 or not polar_plane(v).contains(w):
+    if np.linalg.norm(w) >= 1.0 or side_of(polar_plane(v), w) > 0:
         return
     lam = rng.uniform(0.7, 0.999)
     d = AffineDeformation.homothety([0, 0, 0], lam)  # contraction: stays in cone
@@ -324,7 +317,7 @@ def test_unproper_lemma_property(seed):
         return
     w2 = d.apply_point(w)
     if np.linalg.norm(w2) < 1.0:
-        assert polar_plane(v2).side_of(w2) < 1e-12
+        assert side_of(polar_plane(v2), w2) < 1e-12
 
 
 def test_deformation_commutes_with_skeleton(hyperideal_tetra):
@@ -332,8 +325,7 @@ def test_deformation_commutes_with_skeleton(hyperideal_tetra):
 
     P = hyperideal_tetra
     t = AffineDeformation.translation([0.02, -0.03, 0.01])
-    planes2 = tuple(t.apply_plane(pl) for pl in P.planes)
-    Q = build_polyhedron(planes2, P.skeleton)
+    Q = build_polyhedron(t.apply_planes(P.normals), P.skeleton)
     expect = np.array([t.apply_point(x) for x in P.vertex_charts])
     np.testing.assert_allclose(Q.vertex_charts, expect, atol=1e-9)
 

@@ -284,7 +284,7 @@ def test_flow_pyramid_with_hyperideal_apex():
     # push the apex out: homothety centered at the base's vertex centroid
     factor = 1.35 / np.linalg.norm(P.vertex_charts[0])
     H = AffineDeformation.homothety(P.vertex_charts[1:].mean(axis=0), factor)
-    P2 = build_polyhedron(tuple(H.apply_plane(pl) for pl in P.planes), g)
+    P2 = build_polyhedron(H.apply_planes(P.normals), g)
     rep = classify_vertices(P2)
     assert rep.kinds[0] == PointKind.HYPERIDEAL
     assert rep.overall == VertexStatus.PROPER

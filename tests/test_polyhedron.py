@@ -9,6 +9,7 @@ from conftest import ALMOST_PROPER_PYRAMID
 from polyvol.core import (
     OrientedPlane,
     PointKind,
+    _unit_rows,
     apply_lorentz,
     dihedral_angle,
     lift,
@@ -83,7 +84,7 @@ def test_build_plane_count_mismatch(compact_tetra):
 
 def test_build_detects_nonconvex(compact_tetra):
     planes = list(compact_tetra.planes)
-    planes[0] = planes[0].complement()
+    planes[0] = OrientedPlane(normal=-planes[0].normal)  # the other half-space
     with pytest.raises((NonConvex, SkeletonMismatch)):
         build_polyhedron(tuple(planes), compact_tetra.skeleton)
 
@@ -113,6 +114,24 @@ def test_build_rejects_face_collapsed_to_a_point():
     planes[top] = OrientedPlane.from_chart([0, 0, 1], 0.3)
     with pytest.raises(SkeletonMismatch, match="does not put it on"):
         build_polyhedron(tuple(planes), g)
+
+
+@pytest.mark.parametrize("make", [lambda: regular_tetrahedron(0.5),
+                                  lambda: rectification(prism_graph(5))],
+                         ids=["tetrahedron", "rectified_prism5"])
+def test_plane_objects_build_as_the_normal_array(make, rng):
+    # The benchmark rotates its inputs one plane object at a time and builds from
+    # the tuple; that must give what the array form gives, bit for bit.
+    P = make()
+    assert all(plane.normal.tobytes() == row.tobytes() for plane, row in zip(P.planes, P.normals))
+    L = np.eye(4)
+    L[1:, 1:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    by_plane = build_polyhedron(tuple(apply_lorentz(L, p) for p in P.planes), P.skeleton,
+                                rectified=P.rectified)
+    by_array = build_polyhedron(_unit_rows((L @ P.normals[:, :, None])[..., 0]), P.skeleton,
+                                rectified=P.rectified)
+    assert by_plane.normals.tobytes() == by_array.normals.tobytes()
+    assert by_plane.vertex_lifts.tobytes() == by_array.vertex_lifts.tobytes()
 
 
 def test_build_rejects_vertex_planes_meeting_in_a_line():
@@ -230,7 +249,7 @@ def test_almost_proper_edge_has_zero_length():
 
 def test_truncate_compact_is_identity(compact_tetra):
     T = truncate(compact_tetra)
-    assert T.planes == compact_tetra.planes
+    assert np.array_equal(T.normals, compact_tetra.normals)
     assert not any(T.truncation_flags)
 
 
@@ -257,7 +276,7 @@ def test_truncation_idempotent_on_compact(compact_tetra):
     T = truncate(compact_tetra)
     P2 = build_polyhedron(T.planes, T.skeleton)
     T2 = truncate(P2)
-    assert T2.planes == T.planes
+    assert np.array_equal(T2.normals, T.normals)
 
 
 def test_roundtrip_bit_identical(hyperideal_tetra):

@@ -6,8 +6,8 @@ the per-vertex plane intersections and per-edge ball test of
 ``build_polyhedron``, the per-face scan of ``flow._scan_signals``, the
 per-edge truncated lengths of ``edge_lengths``, the per-pair
 ``classify_vertices``, the per-edge ``dihedral_angle``, the per-plane
-normalization of ``OrientedPlane`` and the per-plane ``apply_plane`` of
-the escape and nudge deformations.
+normalization of ``OrientedPlane`` and the per-plane transform of the
+escape and nudge deformations (``one_plane_apply``).
 """
 
 import math
@@ -33,10 +33,10 @@ from polyvol.core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
+    _unit_rows,
     dihedral_angle,
     lift,
     mdot,
-    unit_planes,
 )
 from polyvol.errors import (
     EdgeMissesBall,
@@ -172,7 +172,7 @@ def loop_build_polyhedron(planes, g, *, rectified=False):
     """Per-vertex SVDs and per-edge segment minima, raising on the first failure."""
     planes = tuple(planes)
     lifts = np.empty((g.n_vertices, 4))
-    normals = np.array([p.normal for p in planes])
+    normals = np.asarray(planes, dtype=float)
     incident = np.zeros((g.n_vertices, len(planes)), dtype=bool)
     for v in range(g.n_vertices):
         inc = list(g.vertex_faces[v])
@@ -508,7 +508,7 @@ def test_build_names_lowest_vertex_on_too_few_faces():
 def test_build_names_non_concurrent_apex():
     g = pyramid_graph(5)
     planes = list(_pyramid5_planes())
-    planes[2] = OrientedPlane(normal=planes[2].normal + np.array([1e-3, 0, 0, 0]))
+    planes[2] = OrientedPlane(normal=planes[2] + np.array([1e-3, 0, 0, 0]))
     got = _raised(build_polyhedron, planes, g)
     assert got == _raised(loop_build_polyhedron, planes, g)
     assert "planes at vertex 0 do not concur" in got[1]
@@ -558,7 +558,7 @@ def test_scan_signals_matches_face_loop_on_flattened_base():
     charts = np.array([(0.0, 0.0, 0.6), (0.5, 0.0, -0.2), (0.0, 1e-8, -0.2),
                        (-0.5, 0.0, -0.2), (0.0, -1e-8, -0.2)])
     g = pyramid_graph(4)
-    P = Polyhedron(planes=(), skeleton=g, vertex_lifts=lift(charts))
+    P = Polyhedron(normals=(), skeleton=g, vertex_lifts=lift(charts))
     got, _ = _scan_signals(P, P, [])
     assert got == loop_scan_signals(P, P, [])
     assert [(kind, data) for kind, data, _ in got] == [(FlowEventKind.FACE_COLLAPSED, 4)]
@@ -571,7 +571,7 @@ def test_scan_signals_matches_loop_with_held_incidence():
     # the held one.
     z = 1 / 1.5 - 1e-8
     charts = np.array([(0.0, 0.0, 1.5), (0.5, 0.0, z), (0.0, 0.5, z), (-0.5, 0.0, z), (0.0, -0.5, z)])
-    P = Polyhedron(planes=(), skeleton=pyramid_graph(4), vertex_lifts=lift(charts))
+    P = Polyhedron(normals=(), skeleton=pyramid_graph(4), vertex_lifts=lift(charts))
     got, _ = _scan_signals(P, P, [(1, 0)])
     assert got == loop_scan_signals(P, P, [(1, 0)])
     assert sorted(data for kind, data, _ in got if kind == FlowEventKind.ALMOST_PROPER_ONSET) \
@@ -670,14 +670,14 @@ def test_classify_vertices_keeps_the_loop_witness_order():
     # witness before an almost proper one, and of two alike the later one.
     charts = np.array([(2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.6, 0.5, 0.0), (0.5, 0.6, 0.0),
                        (0.5, 0.5, 0.1), (0.6, 0.6, 0.0), (0.0, 0.0, 1.0)])
-    P = Polyhedron(planes=(), skeleton=pyramid_graph(6), vertex_lifts=lift(charts))
+    P = Polyhedron(normals=(), skeleton=pyramid_graph(6), vertex_lifts=lift(charts))
     got = classify_vertices(P)
     assert got == loop_classify_vertices(P)
     I, A = VertexStatus.IMPROPER, VertexStatus.ALMOST_PROPER
     assert got.statuses[2:6] == (I, I, A, I) and got.witnesses[2:6] == (0, 1, 1, 1)
     assert got.kinds[6] == PointKind.IDEAL and got.overall == I
     # Without the improper vertices the configuration is almost proper.
-    P = Polyhedron(planes=(), skeleton=tetrahedron_graph(), vertex_lifts=lift(charts[[0, 1, 4, 6]]))
+    P = Polyhedron(normals=(), skeleton=tetrahedron_graph(), vertex_lifts=lift(charts[[0, 1, 4, 6]]))
     assert classify_vertices(P) == loop_classify_vertices(P)
     assert classify_vertices(P).overall == A
 
@@ -700,15 +700,22 @@ def test_dihedral_angles_raise_as_loop():
     for kind, case in ((PlanesEqual, (planes[0], planes[0], planes[2], planes[3])),
                        (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[3])),
                        (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[2]))):
-        P = Polyhedron(planes=case, skeleton=g, vertex_lifts=lift(_tetra_points(0.55)))
+        P = Polyhedron(normals=case, skeleton=g, vertex_lifts=lift(_tetra_points(0.55)))
         with pytest.raises(PolyvolError) as got:
             dihedral_angles(P)
         with pytest.raises(PolyvolError) as want:
             loop_dihedral_angles(P)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
         assert type(got.value) is kind
+    plane = OrientedPlane(normal=planes[1])
     with pytest.raises(PlanesEqual):
-        dihedral_angle(planes[1], planes[1])
+        dihedral_angle(plane, plane)
+
+
+def one_plane_apply(T, plane):
+    """The image of one plane under the deformation T, solved alone."""
+    eta = MINKOWSKI_SIGNS
+    return OrientedPlane(normal=np.linalg.solve(T.matrix.T, eta * plane.normal) * eta)
 
 
 def test_apply_planes_match_one_plane_form(recorded):
@@ -723,8 +730,8 @@ def test_apply_planes_match_one_plane_form(recorded):
                   AffineDeformation.translation(u * rng.uniform(1e-5, 0.3)),
                   AffineDeformation.homothety(center, 1.0 + 1e-3 * 0.5 ** rng.integers(10))):
             outcomes = []
-            for transform in (lambda: [p.normal for p in T.apply_planes(P.normals)],
-                              lambda: [T.apply_plane(p).normal for p in P.planes]):
+            for transform in (lambda: list(T.apply_planes(P.normals)),
+                              lambda: [one_plane_apply(T, p).normal for p in P.planes]):
                 try:
                     outcomes.append(transform())
                 except ValueError as exc:
@@ -737,11 +744,11 @@ def test_apply_planes_match_one_plane_form(recorded):
                            for a, b in zip(got, want))
 
 
-def test_unit_planes_match_one_plane_constructor(recorded):
+def test_unit_rows_match_one_plane_constructor(recorded):
     rng = np.random.default_rng(5)
     for P in _recorded_states(recorded):
         for normals in (P.normals, P.normals * rng.uniform(0.5, 2.0, size=(len(P.planes), 1))):
-            got = [p.normal for p in unit_planes(normals)]
+            got = list(_unit_rows(normals))
             want = [OrientedPlane(normal=n).normal for n in normals]
             assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, want))
     good = P.normals
@@ -751,7 +758,7 @@ def test_unit_planes_match_one_plane_constructor(recorded):
         with pytest.raises(ValueError) as want:
             OrientedPlane(normal=np.array(row))
         with pytest.raises(ValueError) as got:
-            unit_planes(bad)
+            _unit_rows(bad)
         assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="4-vector"):
-        unit_planes(good[:, :3])
+        build_polyhedron(good[:, :3], P.skeleton)
