@@ -6,18 +6,28 @@ normals, vertex-on-plane incidences, prescribed values of <n_f, n_g>
 per edge (cosine targets), and optional held incidences pinning a
 vertex onto the polar plane of another.
 
-The flat indices of the Jacobian's nonzeros depend on the graph
-(``PlanarGraph.jacobian_layout``, computed once per graph), the edges
-with a target and the held incidences (``_layout``, cached).  The
-residual is evaluated at every trial point, the Jacobian once per Newton
-step, at the accepted iterate, by scattering one concatenated value
-array into those indices.  The isometry group of H^3 leaves the system
-invariant, so J has a 6-dimensional kernel at solutions.  Each step is
-the minimal-norm, Marquardt-damped correction
-d = -J^T (J J^T + lambda I)^{-1} r, the least-squares solution of J
-over sqrt(lambda) I, by one solve in the row space; it keeps the
-iterate close to its seed.  A singular J J^T at lambda = 0 fails the
-attempt, which raises lambda.
+What depends only on the graph, the held incidences and which edges have
+a target is built once and cached (``_layout``); in a flow stratum, a
+skeleton with its held incidences, every edge that no held pair joins has
+a target (``target_edges``), so a stratum builds it once.  It holds the
+edges of the Gram rows, for each residual row the slots of the factors of
+its five terms, and the flat index and slot of each nonzero of the
+Jacobian.  A slot indexes one gathered vector: the normals, their
+Minkowski duals, the charts and the constants 1, -1, -0 and each
+negated target.  A row sums its terms left to right, which rounds as
+summing its products and then subtracting its constant; -0, which leaves
+any sum as it is, pads the rows of four terms.  What a solve still
+computes is its target vector; each residual evaluation gathers the
+state, multiplies the factors and sums the rows, at every trial point,
+and the Jacobian is one gather scattered into its indices, once per
+Newton step, at the accepted iterate.
+
+The isometry group of H^3 leaves the system invariant, so J has a
+6-dimensional kernel at solutions.  Each step is the minimal-norm,
+Marquardt-damped correction d = -J^T (J J^T + lambda I)^{-1} r, the
+least-squares solution of J over sqrt(lambda) I, by one solve in the row
+space; it keeps the iterate close to its seed.  A singular J J^T at
+lambda = 0 fails the attempt, which raises lambda.
 """
 
 from __future__ import annotations
@@ -25,11 +35,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import MINKOWSKI_SIGNS
-from .graphs import PlanarGraph
+from .graphs import PlanarGraph, _norm_edge
 
 #: Residual required of each realization.
 REALIZE_TOL = 1e-11
@@ -45,59 +56,102 @@ class SolveReport:
     message: str = ""
 
 
-@functools.lru_cache(maxsize=16)
-def _layout(g: PlanarGraph, edges: tuple, held: tuple):
-    """Index arrays of the plane system with Gram rows for ``edges`` (indices).
+class _Layout(NamedTuple):
+    edges: tuple  # the edges of the Gram rows, in row order
+    n_faces: int
+    left: np.ndarray  # (rows, 5) slots of the first factor of each term
+    right: np.ndarray  # (rows, 5) slots of the second factor
+    flat: np.ndarray  # flat index of each nonzero of J
+    src: np.ndarray  # slot of each nonzero's value
+    shape: tuple
 
-    They depend on the graph, the held incidences and which edges have
-    targets alone, so one flow stratum builds them once.
+
+@functools.lru_cache(maxsize=16)
+def _layout(g: PlanarGraph, held: tuple, edges: tuple | None = None) -> _Layout:
+    """The plane system's index arrays, with Gram rows for ``edges`` (indices).
+
+    ``edges`` defaults to every edge that no pair of ``held`` joins, in
+    ``g.edges`` order.  Rows: a normalization per face, an incidence per
+    (face, vertex) in cycle order, the Gram rows, then a row per held pair.
+    Columns: 4 normal coordinates per face, then 3 chart coordinates per
+    vertex.
     """
-    inc, flat, gram_cols = g.jacobian_layout
-    nF, n_cols = len(g.faces), 4 * len(g.faces) + 3 * g.n_vertices
-    edges = np.array(edges, dtype=int)
+    if edges is None:
+        joined = {_norm_edge(w, u) for w, u in held}
+        edges = tuple(i for i, e in enumerate(g.edges) if e not in joined)
+    nF, nV = len(g.faces), g.n_vertices
+    normal = np.arange(4 * nF).reshape(nF, 4)
+    eta = normal + 4 * nF
+    chart = 8 * nF + np.arange(3 * nV).reshape(nV, 3)
+    one, minus_one, minus_zero = 8 * nF + 3 * nV + np.arange(3)
+    inc_f, inc_v = np.array([(f, v) for f, cyc in enumerate(g.faces) for v in cyc]).T
+    f1, f2 = g.edge_face_array[list(edges)].reshape(-1, 2).T
     held_w, held_u = np.array(held, dtype=int).reshape(-1, 2).T
-    gram_rows = n_cols * (nF + len(inc) + np.arange(len(edges)))[:, None]
-    held_rows = n_cols * (nF + len(inc) + len(edges) + np.arange(len(held)))[:, None]
-    flat = np.concatenate([
-        flat, gram_rows + gram_cols[edges, :4], gram_rows + gram_cols[edges, 4:],
-        held_rows + 4 * nF + 3 * held_w[:, None] + np.arange(3),
-        held_rows + 4 * nF + 3 * held_u[:, None] + np.arange(3)], axis=None)
-    return (*inc.T, np.full(len(inc), -1.0), gram_cols[edges, 0] // 4,
-            gram_cols[edges, 4] // 4, held_w, held_u,
-            (nF + len(inc) + len(edges) + len(held), n_cols), flat)
+    m, k, h = len(inc_f), len(edges), len(held_w)
+    slot = lambda n, s: np.full((n, 1), s)
+    # Terms: n.eta_n - 1; n_f[1:].v - n_f[0] (+ -0); eta_n1.n2 - target; u.w - 1 (+ -0).
+    left = np.vstack([
+        np.hstack([normal, slot(nF, one)]),
+        np.hstack([normal[inc_f, 1:], eta[inc_f, :1], slot(m, minus_zero)]),
+        np.hstack([eta[f1], one + 3 + np.arange(k)[:, None]]),
+        np.hstack([chart[held_u], slot(h, minus_one), slot(h, minus_zero)])])
+    right = np.vstack([
+        np.hstack([eta, slot(nF, minus_one)]),
+        np.hstack([chart[inc_v], slot(m, one), slot(m, one)]),
+        np.hstack([normal[f2], slot(k, one)]),
+        np.hstack([chart[held_w], slot(h, one), slot(h, one)])])
+    n_cols = 4 * nF + 3 * nV
+    rows = lambda start, n: n_cols * (start + np.arange(n))[:, None]
+    cols_n = lambda fs: 4 * fs[:, None] + np.arange(4)
+    cols_v = lambda vs: 4 * nF + 3 * vs[:, None] + np.arange(3)
+    inc_rows, gram_rows, held_rows = rows(nF, m), rows(nF + m, k), rows(nF + m + k, h)
+    blocks = [  # (flat indices, slots of their values)
+        (rows(0, nF) + cols_n(np.arange(nF)), eta),
+        (inc_rows + 4 * inc_f[:, None], slot(m, minus_one)),
+        (inc_rows + cols_n(inc_f)[:, 1:], chart[inc_v]),
+        (inc_rows + cols_v(inc_v), normal[inc_f, 1:]),
+        (gram_rows + cols_n(f1), eta[f2]),
+        (gram_rows + cols_n(f2), eta[f1]),
+        (held_rows + cols_v(held_w), chart[held_u]),
+        (held_rows + cols_v(held_u), chart[held_w])]
+    flat, src = (np.concatenate(part, axis=None) for part in zip(*blocks))
+    return _Layout(tuple(g.edges[i] for i in edges), nF, left, right, flat, src,
+                   (nF + m + k + h, n_cols))
+
+
+def target_edges(g: PlanarGraph, held) -> tuple:
+    """The edges given a target in the stratum of g holding ``held``: every
+    edge no held pair joins, in ``g.edges`` order."""
+    return _layout(g, tuple(map(tuple, held))).edges
 
 
 class _PlaneSystem:
     """Residual and Jacobian for fixed targets and held incidences."""
 
-    def __init__(self, g: PlanarGraph, gram_targets: dict, held):
-        active = [(g.edge_index[e], t) for e, t in gram_targets.items() if t is not None]
-        self.targets = np.array([t for _, t in active])
-        (self.inc_f, self.inc_v, self.minus_ones, self.f1, self.f2, self.held_w, self.held_u,
-         self.shape, self.flat) = _layout(g, tuple(i for i, _ in active),
-                                          tuple(tuple(h) for h in held))
+    def __init__(self, g: PlanarGraph, gram_targets, held):
+        held = tuple(map(tuple, held))
+        if isinstance(gram_targets, dict):
+            active = [(g.edge_index[e], t) for e, t in gram_targets.items() if t is not None]
+            self.layout = _layout(g, held, tuple(i for i, _ in active))
+            gram_targets = [t for _, t in active]
+        else:
+            self.layout = _layout(g, held)
+        self.constants = np.concatenate([(1.0, -1.0, -0.0), np.negative(gram_targets)])
 
     def __call__(self, normals, verts):
         """``(r, jacobian)``: the residual, and a callable that scatters J at the same point."""
-        dot = np.add.reduce  # what ndarray.sum calls
-        eta_n = normals * MINKOWSKI_SIGNS
-        n_inc, v_inc = normals[self.inc_f], verts[self.inc_v]
-        parts = [0.5 * (dot(normals * eta_n, axis=1) - 1.0),
-                 dot(n_inc[:, 1:] * v_inc, axis=1) - n_inc[:, 0],
-                 dot(eta_n[self.f1] * normals[self.f2], axis=1) - self.targets]
-        held = ()  # the held rows' vertex charts, gathered only when some are held
-        if len(self.held_w):
-            held = (verts[self.held_u], verts[self.held_w])
-            parts.append(dot(held[0] * held[1], axis=1) - 1.0)
+        lay = self.layout
+        x = np.concatenate((normals, normals * MINKOWSKI_SIGNS, verts, self.constants),
+                           axis=None)
+        r = np.add.reduce(x[lay.left] * x[lay.right], axis=1)
+        r[:lay.n_faces] *= 0.5
 
         def jacobian():
-            J = np.zeros(self.shape)
-            J.ravel()[self.flat] = np.concatenate(
-                [eta_n, self.minus_ones, v_inc, n_inc[:, 1:], eta_n[self.f2], eta_n[self.f1],
-                 *held], axis=None)
+            J = np.zeros(lay.shape)
+            J.ravel()[lay.flat] = x[lay.src]
             return J
 
-        return np.concatenate(parts), jacobian
+        return r, jacobian
 
 
 def _step(J, r, lm):
@@ -111,25 +165,25 @@ def _step(J, r, lm):
         return None
 
 
-def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
-                       held=()):
+def solve_plane_system(g: PlanarGraph, gram_targets, normals0, verts0, *, held=()):
     """Solve for normals and vertices matching the prescribed Gram values.
 
     ``gram_targets`` maps each edge to the desired <n_f, n_g> (use
     ``-cos(theta)`` for interior dihedral angle theta, so -1 means
-    tangency); a ``None`` value drops that edge's equation.  Returns
-    ``(normals, verts, report)``.
+    tangency); a ``None`` value drops that edge's equation.  It may
+    instead be an array of the values at ``target_edges(g, held)``, in
+    that order.  Returns ``(normals, verts, report)``.
     """
-    normals = np.array(normals0, dtype=float)
-    verts = np.array(verts0, dtype=float)
-    nF = len(normals)
     system = _PlaneSystem(g, gram_targets, held)
-    r, jacobian = system(normals, verts)
-    best = float(np.abs(r).max())
+    x = np.concatenate((normals0, verts0), axis=None, dtype=float)
+    cut = 4 * len(g.faces)
+    split = lambda y: (y[:cut].reshape(-1, 4), y[cut:].reshape(-1, 3))
+    r, jacobian = system(*split(x))
+    best = float(np.maximum.reduce(np.abs(r)))
     lm = 0.0
     for it in range(MAX_ITERATIONS):
         if best < REALIZE_TOL:
-            return normals, verts, SolveReport(True, best, it)
+            return *split(x), SolveReport(True, best, it)
         J = jacobian()  # once per Newton step, at the accepted iterate
         norm0 = math.sqrt(r @ r)
         stepped = False
@@ -137,12 +191,11 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
             d = _step(J, r, lm)
             alpha = 1.0
             while d is not None and alpha > 1e-4:
-                n_try = normals + alpha * d[:4 * nF].reshape(nF, 4)
-                v_try = verts + alpha * d[4 * nF:].reshape(-1, 3)
-                r_try, jac_try = system(n_try, v_try)
+                x_try = x + alpha * d
+                r_try, jac_try = system(*split(x_try))
                 norm_try = math.sqrt(r_try @ r_try)  # nan fails both tests
                 if norm_try < norm0 * (1.0 - 1e-4 * alpha) or norm_try < REALIZE_TOL:
-                    normals, verts, r, jacobian = n_try, v_try, r_try, jac_try
+                    x, r, jacobian = x_try, r_try, jac_try
                     stepped = True
                     break
                 alpha *= 0.5
@@ -152,10 +205,10 @@ def solve_plane_system(g: PlanarGraph, gram_targets: dict, normals0, verts0, *,
             # Marquardt damping against stiff or rank-deficient steps.
             lm = max(lm * 100.0, 1e-10)
         if not stepped:
-            return normals, verts, SolveReport(False, best, it, "line search stalled")
-        best = float(np.abs(r).max())
-        if not math.isfinite(best) or np.abs(verts).max() > 1e8:
-            return normals, verts, SolveReport(False, best, it, "iterate blew up")
+            return *split(x), SolveReport(False, best, it, "line search stalled")
+        best = float(np.maximum.reduce(np.abs(r)))
+        if not math.isfinite(best) or np.maximum.reduce(np.abs(x[cut:])) > 1e8:
+            return *split(x), SolveReport(False, best, it, "iterate blew up")
     ok = best < REALIZE_TOL
-    return normals, verts, SolveReport(ok, best, MAX_ITERATIONS,
-                                       "" if ok else "max iterations reached")
+    return *split(x), SolveReport(ok, best, MAX_ITERATIONS,
+                                  "" if ok else "max iterations reached")

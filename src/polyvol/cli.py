@@ -2,7 +2,10 @@
 
 Subcommands: classify, angles-check, volume, rectify, flow, selftest.
 Exit codes: 0 success, 1 domain error (with a machine-readable
-``ERR <code> <detail>`` line), 2 usage error.  Volumes are exact.
+``ERR <code> <detail>`` line), 2 usage error.  A file that cannot be
+opened is a domain error named after the OS error (``ERR FileNotFound
+<path>``, ``ERR IsADirectory <path>``), and input that is not UTF-8 text
+is ``BadFormat``.  Volumes are exact.
 Numeric output uses 12 significant digits, except the plane normals of
 ``rectify``, which parse back to the same floats; the environment variable
 ``POLYVOL_SEED`` overrides ``--seed``.
@@ -15,7 +18,7 @@ import math
 import os
 import sys
 
-from .errors import PolyvolError
+from .errors import BadFormat, PolyvolError
 
 
 def _fmt(x: float) -> str:
@@ -23,8 +26,11 @@ def _fmt(x: float) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _emit(text: str, out: str | None):
@@ -183,8 +189,8 @@ def main(argv=None) -> int:
     except PolyvolError as exc:
         print(f"ERR {exc.code} {exc.detail}")
         return 1
-    except FileNotFoundError as exc:
-        print(f"ERR FileNotFound {exc.filename}")
+    except OSError as exc:  # FileNotFoundError -> "FileNotFound", and so on
+        print(f"ERR {type(exc).__name__.removesuffix('Error')} {exc.filename}")
         return 1
 
 

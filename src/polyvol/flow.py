@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._realize import solve_plane_system
+from ._realize import solve_plane_system, target_edges
 from .core import (
     AffineDeformation,
     PointKind,
@@ -99,19 +99,24 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
     starting point.  ``held`` lists (vertex, pole-vertex) incidences kept
     on their polar planes; the angle at a held adjacent edge is not
     prescribed.
+
+    The edges with a target and the solver's index arrays are built once
+    per stratum, the skeleton g with its held incidences
+    (:func:`polyvol._realize.target_edges`).  A call still reads the
+    angles at those edges, checks them and takes ``-math.cos`` of each.
     """
     if seed.skeleton.faces != g.faces:
         raise SkeletonChanged("seed skeleton differs from target")
-    held_edges = {_norm_edge(w, u) for (w, u) in held}
-    targets = {}
-    for e in g.edges:
-        th = None if e in held_edges else angles[e]
-        if th is not None and not (0.0 < th < math.pi):
-            raise AngleOutOfRange(f"target angle {th} at {e} outside (0, pi)")
-        targets[e] = None if th is None else -math.cos(th)
+    held = tuple(map(tuple, held))
+    edges = target_edges(g, held)
+    th = [angles[e] for e in edges]
+    if not all(0.0 < a < math.pi for a in th):
+        a, e = next((a, e) for a, e in zip(th, edges) if not 0.0 < a < math.pi)
+        raise AngleOutOfRange(f"target angle {a} at {e} outside (0, pi)")
     if start is None:
         start = (seed.normals, seed.vertex_charts)
-    normals, verts, report = solve_plane_system(g, targets, *start, held=tuple(held))
+    targets = np.array([-math.cos(a) for a in th])
+    normals, verts, report = solve_plane_system(g, targets, *start, held=held)
     if not report.ok:
         raise NewtonDiverged(f"residual {report.residual:.3g}: {report.message}")
     return _rebuild(_unit_rows(normals), g)
@@ -290,18 +295,29 @@ class FlowOptions:
 
 
 class _Gaps:
-    """A scan's signed gaps per candidate, looked up by ``(kind, data)`` only when asked."""
+    """A scan's signed gaps: one vector, each kind's candidates in a run of it.
 
-    def __init__(self, candidates):
-        self._by_kind = {kind: (data, gaps) for kind, data, _, gaps in candidates}
+    ``candidates`` lists ``(kind, data)`` in the vector's order; a gap is
+    looked up by ``(kind, data)`` only when asked.
+    """
+
+    def __init__(self, gaps, candidates):
+        self.vector, self._candidates = gaps, candidates
+
+    def spans(self):
+        """``(kind, offset, data)`` of each kind's run of the vector."""
+        offset = 0
+        for kind, data in self._candidates:
+            yield kind, offset, data
+            offset += len(data)
 
     def get(self, key):
         """The gap of candidate ``key``; None for no key or one the scan did not test."""
         if key is None:
             return None
-        data, gaps = self._by_kind[key[0]]
+        offset, data = next((o, d) for kind, o, d in self.spans() if kind == key[0])
         try:
-            return float(gaps[data.index(key[1])])
+            return float(self.vector[offset + data.index(key[1])])
         except ValueError:
             return None
 
@@ -314,8 +330,8 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     candidate's signed gap, positive exactly where it signals: the
     radius past 1 - IDEAL_BAND, ALMOST_PROPER_BAND past the margin,
     EDGE_COLLAPSE_TOL past the length, or FACE_COLLAPSE_TOL times
-    max(1, width) past a face's second width.  The gaps stay arrays; a
-    lookup indexes them.
+    max(1, width) past a face's second width.  The gaps stay one array,
+    compared with 0 once; a lookup indexes it.
     ``relaxed`` widens the ideal band and the collapse thresholds, for a
     state stalled against the realizability boundary.
     """
@@ -343,21 +359,23 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     widths = np.empty((len(g.faces), 2))
     for fs, cycles in g.faces_by_size:
         pts = charts[cycles]  # centred on the mean, rounded as ndarray.mean rounds it
-        centred = pts - pts.sum(axis=1, keepdims=True) / cycles.shape[1]
+        centred = pts - np.add.reduce(pts, axis=1, keepdims=True) / cycles.shape[1]
         widths[fs] = np.linalg.svd(centred, compute_uv=False)[:, :2]
-    candidates = (  # kind, data, sizes, gaps
-        (FlowEventKind.VERTEX_BECAME_IDEAL, was_real, np.abs(1.0 - radii),
-         radii - (1.0 - ideal_band)),
-        (FlowEventKind.ALMOST_PROPER_ONSET, pairs, margins, ALMOST_PROPER_BAND - margins),
-        (FlowEventKind.EDGE_COLLAPSED, g.edges, lengths, edge_tol - lengths),
-        (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)), widths[:, 1],
-         face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]))
-    out = []
-    for kind, data, sizes, gap in candidates:
-        if (hit := gap > 0).any():
-            out += [(kind, data[i], sizes[i]) for i in np.flatnonzero(hit)]
+    gaps = _Gaps(np.concatenate([
+        radii - (1.0 - ideal_band), ALMOST_PROPER_BAND - margins, edge_tol - lengths,
+        face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]]), (
+        (FlowEventKind.VERTEX_BECAME_IDEAL, was_real),
+        (FlowEventKind.ALMOST_PROPER_ONSET, pairs),
+        (FlowEventKind.EDGE_COLLAPSED, g.edges),
+        (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)))))
+    hits = (gaps.vector > 0).nonzero()[0].tolist()
+    if not hits:
+        return [], gaps
+    sizes = np.concatenate([np.abs(1.0 - radii), margins, lengths, widths[:, 1]])
+    out = [(kind, data[i - offset], sizes[i]) for kind, offset, data in gaps.spans()
+           for i in hits if 0 <= i - offset < len(data)]
     out.sort(key=lambda item: item[2])
-    return out, _Gaps(candidates)
+    return out, gaps
 
 
 def _bracket_step(width, gap_lo, gap_hi):

@@ -105,22 +105,19 @@ class PlanarGraph:
     faces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        faces = _orient_faces(self.n_vertices, [tuple(f) for f in self.faces])
-        object.__setattr__(self, "faces", tuple(faces))
-        self._validate()
-
-    def _validate(self):
-        n = self.n_vertices
-        for cyc in self.faces:
+        # Each cycle is checked before orientation, whose messages assume valid cycles.
+        n, faces = self.n_vertices, [tuple(f) for f in self.faces]
+        for cyc in faces:
             if len(cyc) < 2:
                 raise BadFormat("face cycle shorter than 2")
             if len(set(cyc)) != len(cyc):
                 raise BadFormat(f"face cycle {cyc} repeats a vertex")
             if min(cyc) < 0 or max(cyc) >= n:
                 raise BadFormat(f"vertex {next(v for v in cyc if not 0 <= v < n)} out of range")
+        object.__setattr__(self, "faces", tuple(_orient_faces(n, faces)))
         if len(set().union(*self.faces)) != n:  # all in range(n) by now
             raise BadFormat("isolated vertices")
-        V, E, F = self.n_vertices, len(self.edges), len(self.faces)
+        V, E, F = n, len(self.edges), len(self.faces)
         if V - E + F != 2:
             raise BadFormat(f"Euler formula violated: V-E+F = {V - E + F}")
 
@@ -200,11 +197,6 @@ class PlanarGraph:
         return _by_length(self.vertex_faces)
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """Number of faces at each vertex."""
-        return np.array([len(fs) for fs in self.vertex_faces])
-
-    @cached_property
     def edge_array(self) -> np.ndarray:
         return np.array(self.edges, dtype=int).reshape(-1, 2)
 
@@ -220,28 +212,6 @@ class PlanarGraph:
         for vs, inc in self.vertex_faces_by_degree:
             out[vs[:, None], inc] = True
         return out
-
-    @cached_property
-    def jacobian_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparsity of the plane-system Jacobian of ``polyvol._realize``.
-
-        Columns: 4 normal coordinates per face, then 3 chart coordinates per
-        vertex.  Rows: a normalization per face, an incidence per (face,
-        vertex) in cycle order, then Gram rows.  Returns each incidence's
-        (face, vertex); the flat indices of the nonzeros of those rows, in
-        blocks: 4 per face, then per incidence the face's first normal
-        coordinate, its other three and the vertex's three; and each edge's
-        8 Gram columns, for its two faces in ``edge_faces`` order.
-        """
-        nF, quad = len(self.faces), np.arange(4)
-        n_cols = 4 * nF + 3 * self.n_vertices
-        inc = np.array([(f, v) for f, cyc in enumerate(self.faces) for v in cyc])
-        rows = n_cols * (nF + np.arange(len(inc)))[:, None]
-        flat = np.concatenate([(n_cols + 4) * np.arange(nF)[:, None] + quad,
-                               rows + 4 * inc[:, :1], rows + 4 * inc[:, :1] + quad[1:],
-                               rows + 4 * nF + 3 * inc[:, 1:] + quad[:3]], axis=None)
-        ef = self.edge_face_array
-        return inc, flat, np.hstack([4 * ef[:, :1] + quad, 4 * ef[:, 1:] + quad])
 
     @cached_property
     def face_crossings(self) -> tuple[tuple[tuple[int, Edge], ...], ...]:

@@ -132,14 +132,15 @@ def build_polyhedron(normals, expected_skeleton: PlanarGraph, *,
     # the third singular value is clear of zero and the fourth, if any, vanishes.
     rows = eta / row_norms(eta)[:, None]
     n = g.n_vertices
-    lifts, s2, s3 = np.zeros((n, 4)), np.full(n, np.inf), np.zeros(n)
+    # A vertex on fewer than three faces keeps s2 = 0, which flags it.
+    lifts, s2, s3 = np.zeros((n, 4)), np.zeros(n), np.zeros(n)
     for vs, inc in g.vertex_faces_by_degree:
         if (k := inc.shape[1]) >= 3:
             _, s, vt = np.linalg.svd(rows[inc])
             lifts[vs], s2[vs], s3[vs] = vt[:, -1], s[:, 2], s[:, 3] if k > 3 else 0.0
-    escapes = np.abs(lifts[:, 0]) < 1e-9 * row_norms(lifts)
-    bad = (g.degrees < 3) | (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL) | escapes
-    if bad.any():
+    bad = (s3 > VERTEX_RESIDUAL_TOL) | (s2 <= VERTEX_RESIDUAL_TOL)
+    bad |= np.abs(lifts[:, 0]) < 1e-9 * row_norms(lifts)  # escapes the chart
+    if np.logical_or.reduce(bad):
         v = int(np.argmax(bad))
         inc = list(g.vertex_faces[v])
         if len(inc) < 3:
@@ -154,28 +155,29 @@ def build_polyhedron(normals, expected_skeleton: PlanarGraph, *,
     lifts /= lifts[:, :1]
 
     # Convexity: every vertex weakly inside every selected half-space,
-    # strictly inside those of the faces it is not on.
-    scaled = lifts @ eta.T / np.maximum(1.0, row_norms(lifts))[:, None]
-    worst = float(scaled.max())
+    # strictly inside those of the faces it is not on.  Each margin is divided
+    # by its lift's norm, at least 1 for a lift (1, x).
+    scaled = lifts @ eta.T / row_norms(lifts)[:, None]
+    worst = float(np.maximum.reduce(scaled, axis=None))
     if worst > CONVEXITY_SLACK * 10:
         bad = np.unravel_index(np.argmax(scaled), scaled.shape)
         raise NonConvex(f"vertex {bad[0]} violates face {bad[1]} by {worst:.3g}")
     off = np.where(g.incidence, -np.inf, scaled)
-    if off.max() >= -10 * CONVEXITY_SLACK:
+    if np.maximum.reduce(off, axis=None) >= -10 * CONVEXITY_SLACK:
         v, f = np.unravel_index(np.argmax(off), off.shape)
         raise SkeletonMismatch(
             f"vertex {v} lies on face {f}, which the skeleton does not put it on "
             f"(margin {off[v, f]:.3g})")
 
-    # Closest point of each edge segment a + t (b - a), t in [0, 1], to the origin.
+    # Closest point of each edge segment a - t (a - b), t in [0, 1], to the origin.
     a, b = lifts[g.edge_array.T, 1:]
-    d = b - a
-    dd = (d * d).sum(axis=1)
-    t = np.clip(-(a * d).sum(axis=1) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
-    q = a + t[:, None] * d
-    m2 = (q * q).sum(axis=1)
+    d = a - b
+    dd = np.add.reduce(d * d, axis=1)
+    t = np.add.reduce(a * d, axis=1) / np.where(dd > 0.0, dd, 1.0)
+    q = a - np.minimum(np.maximum(t, 0.0), 1.0)[:, None] * d
+    m2 = np.add.reduce(q * q, axis=1)
     misses = m2 >= 1.0 + (2 * TAU_IDEAL if rectified else 0.0)
-    if misses.any():
+    if np.logical_or.reduce(misses):
         i = int(np.argmax(misses))
         what = "not tangent" if rectified else "misses the ball"
         raise EdgeMissesBall(f"edge {g.edges[i]} {what} (min |x|^2 = {m2[i]:.6g})")
@@ -286,13 +288,16 @@ def edge_lengths(P: Polyhedron) -> dict:
     cosh[polar] = (1.0 - np.sum(a * b, axis=1)) / np.sqrt(
         (np.sum(a * a, axis=1) - 1.0) * (np.sum(b * b, axis=1) - 1.0))
     out = {}
-    for i, e in enumerate(P.skeleton.edges):
-        if sx[i] <= TAU_IDEAL * 2 or sy[i] <= TAU_IDEAL * 2:
+    # Python floats per edge; row_dots rounds each x @ y as the scalar product does.
+    for i, (e, sxi, syi, polar_i, cosh_i, xy) in enumerate(zip(
+            P.skeleton.edges, sx.tolist(), sy.tolist(), polar.tolist(), cosh.tolist(),
+            row_dots(x, y).tolist())):
+        if sxi <= TAU_IDEAL * 2 or syi <= TAU_IDEAL * 2:
             out[e] = 0.0 if math.hypot(*(x[i] - y[i])) <= MERGE_TOL else math.inf
-        elif polar[i]:
-            out[e] = math.acosh(max(1.0, cosh[i]))
+        elif polar_i:
+            out[e] = math.acosh(max(1.0, cosh_i))
         else:
-            out[e] = math.acosh(max(1.0, (1.0 - float(x[i] @ y[i])) / math.sqrt(sx[i] * sy[i])))
+            out[e] = math.acosh(max(1.0, (1.0 - xy) / math.sqrt(sxi * syi)))
     return out
 
 

@@ -267,6 +267,28 @@ def test_missing_file(capsys):
     assert out.startswith("ERR FileNotFound")
 
 
+def test_out_of_range_vertex_is_named(tmp_path, capsys):
+    # Vertex 9 of a 4-vertex graph: named before orientation counts edges.
+    bad = tmp_path / "range.graph"
+    bad.write_text("V 4\nF 1 3 9\nF 0 1 2\n")
+    assert run_cli(["rectify", str(bad)], capsys) == (1, "ERR BadFormat vertex 9 out of range\n")
+
+
+def test_directory_input_is_one_err_line(tmp_path, capsys):
+    code = main(["volume", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, f"ERR IsADirectory {tmp_path}\n", "")
+
+
+def test_input_that_is_not_utf8_is_bad_format(tmp_path, capsys):
+    bad = tmp_path / "bytes.graph"
+    bad.write_bytes(b"\xff\xfe")
+    code = main(["rectify", str(bad)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, f"ERR BadFormat {bad} is not UTF-8 text (byte 0)\n", "")
+
+
 def test_selftest_subset(capsys):
     code, out = run_cli(["selftest", "--criteria", "1,3"], capsys)
     assert code == 0

@@ -592,6 +592,29 @@ def test_flow_hyperideal_endgame_strides(seed, monkeypatch):
     assert abs(trace.sup_estimate - target) <= 1e-6 * target
 
 
+# The whole trace of the flow from random_hyperideal(prism_graph(3),
+# default_rng(951)) with seed 951, all endgame: (t.hex(), volume.hex(),
+# error_estimate.hex()) of each sample, and sup_estimate.hex() and
+# sup_error.hex(), which the edge lengths of the last state give.  The same
+# with 1 and 2 OpenBLAS threads.
+PRISM3_951_SAMPLES = [
+    ("0x1.0000000000000p+0", "0x1.ac3a6ff73bd7ep+2", "0x1.dafd309fd7afdp-34"),
+    ("0x1.5eb07a8f45e14p-4", "0x1.d4aff9a435cccp+2", "0x1.dafd309fd7afdp-34"),
+]
+PRISM3_951_SUP = ("0x1.d4f97642964d1p+2", "0x1.25f279f8c072dp-8")
+
+
+def test_flow_hyperideal_prism3_951_is_pinned_bit_for_bit():
+    g = prism_graph(3)
+    trace = run_flow(random_hyperideal(g, np.random.default_rng(951)), FlowOptions(seed=951))
+    assert [(s.t.hex(), s.volume.value.hex(), s.volume.error_estimate.hex())
+            for s in trace.samples] == PRISM3_951_SAMPLES
+    assert [s.event for s in trace.samples] == [None, None]
+    assert trace.events == []
+    assert (trace.sup_estimate.hex(), trace.sup_error.hex()) == PRISM3_951_SUP
+    assert trace.final_skeleton == g
+
+
 # (kind, data, t_value.hex()) of the events of the tetrahedron flow from
 # jittered_compact(g, default_rng(951)) with seed 951, measured with every
 # all-hyperideal step capped at DT_INIT.
@@ -602,6 +625,24 @@ TETRAHEDRON_951_EVENTS = [
     (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1b0b1e4133cp-1"),
     (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.cf1b0b1e4133cp-1"),
 ]
+
+
+# The hex volume of each sample and sup_estimate.hex() of that flow, the same
+# with 1 and 2 OpenBLAS threads.
+TETRAHEDRON_951_SAMPLES = [
+    "0x1.72beac4d7a1e7p-3", "0x1.0068685a2cbf5p+0", "0x1.03c5a8439421ep+0",
+    "0x1.03ce41e6885f1p+0", "0x1.03deaf0ed86a9p+0", "0x1.03ef70db2492ep+0",
+    "0x1.a545daa9c858fp+0", "0x1.d4edc80acf220p+1",
+]
+TETRAHEDRON_951_SUP = "0x1.d4f97164468c5p+1"
+
+
+def test_flow_tetrahedron_951_is_pinned_bit_for_bit():
+    trace = run_flow(jittered_compact(tetrahedron_graph(), np.random.default_rng(951)),
+                     FlowOptions(seed=951))
+    assert [(e.kind, e.data, e.t_value.hex()) for e in trace.events] == TETRAHEDRON_951_EVENTS
+    assert [s.volume.value.hex() for s in trace.samples] == TETRAHEDRON_951_SAMPLES
+    assert trace.sup_estimate.hex() == TETRAHEDRON_951_SUP
 
 
 def test_flow_endgame_stride_keeps_the_events_and_halves_on_failure(monkeypatch):
@@ -617,13 +658,13 @@ def test_flow_endgame_stride_keeps_the_events_and_halves_on_failure(monkeypatch)
     trials, t_of, failed = [], {}, []
 
     def realize_at(g, angles, P, **kwargs):
-        t, t_next = t_of.get(id(P)), trials[-1]
+        t, t_next = t_of.get(id(P), (None, None))[1], trials[-1]
         if (not failed and t is not None and t - t_next > flow.DT_INIT * (1 + 1e-9)
                 and all(k == PointKind.HYPERIDEAL for k in P.report.kinds)):
             failed.append((t, t_next))
             raise NewtonDiverged("forced")
         Q = realize(g, angles, P, **kwargs)
-        t_of[id(Q)] = t_next
+        t_of[id(Q)] = (Q, t_next)  # Q kept alive, so no later state reuses its id
         return Q
 
     monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))

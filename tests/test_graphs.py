@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -62,6 +63,18 @@ def test_corpus_counts(corpus_graphs):
 def test_invalid_faces_rejected():
     with pytest.raises(BadFormat):
         PlanarGraph(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))  # edge on 3 faces
+
+
+@pytest.mark.parametrize("faces, message", [
+    (((1, 3, 9), (0, 1, 2)), "vertex 9 out of range"),
+    (((1, 3, 4), (0, 1, 2)), "vertex 4 out of range"),
+    (((0, 1, 1), (0, 1, 2)), "face cycle (0, 1, 1) repeats a vertex"),
+    (((0,), (0, 1, 2)), "face cycle shorter than 2"),
+], ids=["range", "range_edge", "repeat", "short"])
+def test_face_cycles_are_checked_before_orientation(faces, message):
+    # Orientation would first report an edge on one face.
+    with pytest.raises(BadFormat, match=r"^BadFormat: " + re.escape(message) + "$"):
+        PlanarGraph(4, faces)
 
 
 # --- face orientation -------------------------------------------------------------
@@ -205,7 +218,10 @@ def test_orientation_rejects_malformed_faces_like_reference(corpus_graphs):
             messages.add(want.split()[1])
             with pytest.raises(BadFormat) as got:
                 PlanarGraph(n_vertices, faces)
-            assert str(got.value) == want
+            # A cycle that repeats a vertex is named before orientation runs.
+            repeat = next((cyc for cyc in faces if len(set(cyc)) != len(cyc)), None)
+            assert str(got.value) == (
+                want if repeat is None else f"BadFormat: face cycle {repeat} repeats a vertex")
     assert messages == {"edge", "face", "directed"}
 
 

@@ -25,6 +25,7 @@ from polyvol._realize import (
     _PlaneSystem,
     _step,
     solve_plane_system,
+    target_edges,
 )
 from polyvol.core import (
     MINKOWSKI_SIGNS,
@@ -451,7 +452,10 @@ def _near_ideal(samples):
 def test_flow_agrees_with_loop_engine(monkeypatch, g, seed):
     P0 = jittered_compact(g, np.random.default_rng(seed))
     new = run_flow(P0, FlowOptions(seed=seed))
-    monkeypatch.setattr(polyvol.flow, "solve_plane_system", loop_solve_plane_system)
+    # A flow trial passes its targets as an array over target_edges(g, held).
+    monkeypatch.setattr(polyvol.flow, "solve_plane_system",
+                        lambda g, targets, *args, held=(): loop_solve_plane_system(
+                            g, dict(zip(target_edges(g, held), targets)), *args, held=held))
     ref = run_flow(P0, FlowOptions(seed=seed))
     assert [e.kind for e in new.events] == [e.kind for e in ref.events]
     assert [(s.t, s.event) for s in new.samples] == [(s.t, s.event) for s in ref.samples]
@@ -530,6 +534,19 @@ def test_build_names_lowest_edge_missing_the_ball(rectified):
     got = _raised(build_polyhedron, planes, g, rectified=rectified)
     assert got == _raised(loop_build_polyhedron, planes, g, rectified=rectified)
     assert got[0] is EdgeMissesBall and f"edge {g.edges[0]} " in got[1]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_build_takes_the_closest_point_on_the_edge_not_its_line(first):
+    # Edge 0-1 stays outside the ball while its line passes near the origin,
+    # beyond vertex `first`: the segment parameter is clamped at that end.
+    g = tetrahedron_graph()
+    pts = np.array([[1.2, 0.0, 0.0], [2.0, 0.0, 0.1], [0.0, 0.5, -0.2], [0.0, -0.5, -0.2]])
+    pts[[0, 1]] = pts[[first, 1 - first]]
+    planes = planes_from_vertices(pts, g)
+    got = _raised(build_polyhedron, planes, g)
+    assert got == _raised(loop_build_polyhedron, planes, g)
+    assert got == (EdgeMissesBall, "EdgeMissesBall: edge (0, 1) misses the ball (min |x|^2 = 1.44)")
 
 
 # --- recorded flow states ---------------------------------------------------------------
