@@ -44,7 +44,7 @@ def mdot(a, b):
     """Minkowski inner product, vectorized over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return np.sum(a * b * MINKOWSKI_SIGNS, axis=-1)
+    return np.add.reduce(a * b * MINKOWSKI_SIGNS, axis=-1)
 
 
 def lift(chart):
@@ -73,6 +73,8 @@ class PointKind(enum.Enum):
 
 
 _KINDS = (PointKind.REAL, PointKind.IDEAL, PointKind.HYPERIDEAL)
+#: The code of each kind in :func:`kind_codes`: its index in ``_KINDS``.
+REAL_CODE, IDEAL_CODE, HYPERIDEAL_CODE = range(3)
 
 
 def row_dots(a, b):
@@ -86,14 +88,23 @@ def row_dots(a, b):
 
 def row_norms(a):
     """Euclidean norms over the last axis, rounded as ``np.linalg.norm(a, axis=-1)`` rounds them."""
-    return np.sqrt((a * a).sum(axis=-1))
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
+
+
+def kind_codes(charts, tol: float = TAU_IDEAL) -> np.ndarray:
+    """The kind code (``REAL_CODE``, ...) of every row of ``charts``, in one array expression."""
+    r = np.sqrt(row_dots(charts, charts))
+    return np.where(r < 1.0 - tol, REAL_CODE, np.where(r > 1.0 + tol, HYPERIDEAL_CODE, IDEAL_CODE))
+
+
+def kinds_of(codes) -> tuple[PointKind, ...]:
+    """The kinds that an array of kind codes names."""
+    return tuple(map(_KINDS.__getitem__, codes.tolist()))
 
 
 def classify_points(charts, tol: float = TAU_IDEAL) -> tuple[PointKind, ...]:
-    """:func:`classify_point` of every row of ``charts``, in one array expression."""
-    r = np.sqrt(row_dots(charts, charts))
-    code = np.where(r < 1.0 - tol, 0, np.where(r > 1.0 + tol, 2, 1))
-    return tuple(map(_KINDS.__getitem__, code.tolist()))
+    """:func:`classify_point` of every row of ``charts``."""
+    return kinds_of(kind_codes(charts, tol))
 
 
 def classify_point(p, tol: float = TAU_IDEAL) -> PointKind:
@@ -121,12 +132,6 @@ class OrientedPlane:
         object.__setattr__(self, "normal", _unit_rows(n))
 
     @classmethod
-    def from_chart(cls, direction, offset: float) -> "OrientedPlane":
-        """Plane ``{direction . x = offset}`` with half-space ``direction . x <= offset``."""
-        direction = np.asarray(direction, dtype=float)
-        return cls(normal=np.concatenate([[float(offset)], direction]))
-
-    @classmethod
     def _of_unit(cls, normal) -> "OrientedPlane":
         """The plane of a normal already of unit norm, kept bit for bit (the constructor rescales)."""
         plane = object.__new__(cls)
@@ -142,9 +147,12 @@ class OrientedPlane:
 
 
 def _unit_rows(normals) -> np.ndarray:
-    """The rows of ``normals`` scaled to unit Minkowski norm, as a new read-only array."""
-    sq = mdot(normals, normals)
-    if not (np.isfinite(sq) & (sq > 0)).all():
+    """The rows of ``normals`` scaled to unit Minkowski norm, as a new read-only array.
+
+    ``normals`` is a float array; its squares are summed as :func:`mdot` sums them.
+    """
+    sq = np.add.reduce(normals * normals * MINKOWSKI_SIGNS, axis=-1)
+    if not np.logical_and.reduce(np.isfinite(sq) & (sq > 0), axis=None):
         raise ValueError("plane normal must be spacelike (plane must meet H^3)")
     unit = normals / np.sqrt(sq)[..., None]
     unit.setflags(write=False)

@@ -24,6 +24,8 @@ import numpy as np
 
 from ._realize import solve_plane_system, target_edges
 from .core import (
+    HYPERIDEAL_CODE,
+    REAL_CODE,
     AffineDeformation,
     PointKind,
     TAU_IDEAL,
@@ -338,14 +340,13 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     ideal_band = 1e2 * IDEAL_BAND if relaxed else IDEAL_BAND
     edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
-    kinds, prev_kinds = P.report.kinds, prev.report.kinds
+    codes, prev_codes = P.kind_codes, prev.kind_codes
     charts = P.vertex_charts
-    was_real = [v for v, k in enumerate(prev_kinds) if k == PointKind.REAL]
+    was_real = (prev_codes == REAL_CODE).nonzero()[0].tolist()
     radii = row_norms(charts)[was_real]
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
-    poles = [v for v, (k, k0) in enumerate(zip(kinds, prev_kinds))
-             if k == k0 == PointKind.HYPERIDEAL]
-    real = [w for w, k in enumerate(kinds) if k == PointKind.REAL]
+    poles = ((codes == HYPERIDEAL_CODE) & (prev_codes == HYPERIDEAL_CODE)).nonzero()[0].tolist()
+    real = (codes == REAL_CODE).nonzero()[0].tolist()
     pairs, margins = [], np.empty(0)
     if poles and real:
         pairs = [(w, u) for u in poles for w in real]
@@ -406,7 +407,7 @@ def _predicted(before, t, P, t_next):
 
 
 def _hyperideal_only(P: Polyhedron) -> bool:
-    return all(k == PointKind.HYPERIDEAL for k in P.report.kinds)
+    return bool(np.logical_and.reduce(P.kind_codes == HYPERIDEAL_CODE))
 
 
 def _scaled(angles_dir, t):
@@ -414,8 +415,14 @@ def _scaled(angles_dir, t):
 
 
 def _rebase(P, t, rng):
+    """P's dihedral angles over t, each jittered by a uniform draw in +-PERTURBATION.
+
+    The E draws are one ``rng.uniform`` call, which gives the same values
+    and leaves the generator where E one-value calls would.
+    """
     th = dihedral_angles(P)
-    return {e: (a + rng.uniform(-PERTURBATION, PERTURBATION)) / t for e, a in th.items()}
+    jitter = rng.uniform(-PERTURBATION, PERTURBATION, size=len(th))
+    return dict(zip(th, ((np.fromiter(th.values(), float, len(th)) + jitter) / t).tolist()))
 
 
 def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
@@ -510,7 +517,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             v = data
             pole = next((u for (w, u) in held if w == v), None)
             P_new = escape_deformation(P_state, v, almost_pole=pole)
-            if P_new.report.kinds[v] != PointKind.HYPERIDEAL:
+            if P_new.kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
             if pole is not None:
                 held = [(w, u) for (w, u) in held if w != v]

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,34 @@ def _by_length(cycles) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Indices of the cycles grouped by length, with their (n, k) member arrays."""
     groups = [[i for i, c in enumerate(cycles) if len(c) == k] for k in {len(c) for c in cycles}]
     return tuple((np.array(ids), np.array([cycles[i] for i in ids])) for ids in groups)
+
+
+class CycleWalk(NamedTuple):
+    """Cycles laid end to end, one position per member.
+
+    Cycle i takes the ``sizes[i]`` positions from ``starts[i]`` on;
+    position j holds member ``order[j]`` of cycle ``owner[j]``, followed
+    in it by position ``next[j]``.
+    """
+
+    order: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    next: np.ndarray
+    owner: np.ndarray
+
+
+def cycle_walk(cycles) -> CycleWalk:
+    """The :class:`CycleWalk` of a nonempty sequence of nonempty cycles."""
+    sizes = np.array([len(c) for c in cycles])
+    starts = np.cumsum(sizes) - sizes
+    nxt = np.arange(starts[-1] + sizes[-1]) + 1
+    nxt[starts + sizes - 1] = starts
+    walk = CycleWalk(np.concatenate(cycles), sizes, starts, nxt,
+                     np.repeat(np.arange(len(sizes)), sizes))
+    for arr in walk:
+        arr.setflags(write=False)
+    return walk
 
 
 def _orient_faces(n_vertices, faces):
@@ -190,6 +219,11 @@ class PlanarGraph:
     def faces_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(face ids, (n, k) vertex cycles)`` per face size k."""
         return _by_length(self.faces)
+
+    @cached_property
+    def face_walk(self) -> CycleWalk:
+        """The face cycles laid end to end (:func:`cycle_walk`)."""
+        return cycle_walk(self.faces)
 
     @cached_property
     def vertex_faces_by_degree(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import (
+    HYPERIDEAL_CODE,
     MINKOWSKI_SIGNS,
     TAU_IDEAL,
     OrientedPlane,
@@ -30,6 +31,8 @@ from .core import (
     _unit_rows,
     classify_points,
     interior_cosines,
+    kind_codes,
+    kinds_of,
     lift,
     mdot,
     row_dots,
@@ -103,8 +106,21 @@ class Polyhedron(_Faces):
     rectified: bool = False
 
     @cached_property
+    def kind_codes(self) -> np.ndarray:
+        """The kind code of each vertex at the default ideal band, computed once."""
+        return kind_codes(self.vertex_charts)
+
+    @cached_property
+    def kinds(self) -> tuple[PointKind, ...]:
+        """The kind of each vertex at the default ideal band, computed once."""
+        return kinds_of(self.kind_codes)
+
+    @cached_property
     def report(self) -> PropernessReport:
-        """Vertex kinds and properness at the default ideal band, computed once."""
+        """:func:`classify_vertices` at the default ideal band, computed once.
+
+        Its kinds are :attr:`kinds`; the statuses are computed only here.
+        """
         return classify_vertices(self)
 
 
@@ -215,11 +231,12 @@ def classify_vertices(P: Polyhedron, tol: float = TAU_IDEAL) -> PropernessReport
     strictly inside the polar half-space H_v; on its boundary plane
     (within tol) the configuration is almost proper, outside improper.
     A vertex's witness is the last hyperideal vertex that makes its
-    status, an improper one before any almost proper one.
+    status, an improper one before any almost proper one.  At the default
+    band the kinds are ``P.kinds``.
     """
     n = P.skeleton.n_vertices
     charts = P.vertex_charts
-    kinds = classify_points(charts, tol)
+    kinds = P.kinds if tol == TAU_IDEAL else classify_points(charts, tol)
     statuses = [VertexStatus.PROPER] * n
     witnesses = [None] * n
     hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
@@ -253,7 +270,7 @@ def _edge_segments(P: Polyhedron):
     with ``t = (1 - b.a) / (b.(b - a))``.  Ends coincide only at the two
     ends of one edge, when its segment is shorter than ``MERGE_TOL``.
     """
-    hyper = np.array([k == PointKind.HYPERIDEAL for k in P.report.kinds])
+    hyper = P.kind_codes == HYPERIDEAL_CODE
     u, v = P.skeleton.edge_array.T
 
     def end(a, b, cut):  # stacked (1, 3) @ (3, 1) products round as the scalar b @ a
@@ -279,14 +296,14 @@ def edge_lengths(P: Polyhedron) -> dict:
     if P.report.is_improper():
         raise ImproperInput("edge lengths need a proper or almost proper polyhedron")
     x, y = _edge_segments(P)
-    sx, sy = 1.0 - np.sum(x * x, axis=1), 1.0 - np.sum(y * y, axis=1)
-    hyper = np.array([k == PointKind.HYPERIDEAL for k in P.report.kinds])
+    sx, sy = 1.0 - np.add.reduce(x * x, axis=1), 1.0 - np.add.reduce(y * y, axis=1)
+    hyper = P.kind_codes == HYPERIDEAL_CODE
     u, v = P.skeleton.edge_array.T
     polar = hyper[u] & hyper[v]
     a, b = P.vertex_charts[u[polar]], P.vertex_charts[v[polar]]
     cosh = np.full(len(u), np.nan)
-    cosh[polar] = (1.0 - np.sum(a * b, axis=1)) / np.sqrt(
-        (np.sum(a * a, axis=1) - 1.0) * (np.sum(b * b, axis=1) - 1.0))
+    cosh[polar] = (1.0 - np.add.reduce(a * b, axis=1)) / np.sqrt(
+        (np.add.reduce(a * a, axis=1) - 1.0) * (np.add.reduce(b * b, axis=1) - 1.0))
     out = {}
     # Python floats per edge; row_dots rounds each x @ y as the scalar product does.
     for i, (e, sxi, syi, polar_i, cosh_i, xy) in enumerate(zip(
@@ -319,9 +336,6 @@ class TruncatedPolyhedron(_Faces):
     vertex_lifts: np.ndarray
     original: Polyhedron
 
-    def face_polygon(self, f: int) -> np.ndarray:
-        return self.vertex_charts[list(self.skeleton.faces[f])]
-
 
 def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     """Intersect P with the polar half-space of every hyperideal vertex.
@@ -331,36 +345,45 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     angles, and distinct truncation faces are disjoint.  The nodes are
     the ends of :func:`_edge_segments`, so they coincide only at the two
     ends of one edge.
+
+    What depends on the combinatorics alone (the truncated skeleton, the
+    point row of each node, the flags and the face pairs the invariants
+    test) comes from :func:`_truncated_skeleton`, built once per truncated
+    skeleton; a call computes the cut points, the polar planes and the
+    invariants' Gram products.
     """
-    report = P.report
-    if report.is_improper():
+    if P.report.is_improper():
         raise ImproperInput("cannot truncate an improper polyhedron")
-    hyper = tuple(v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL)
+    hyper = tuple((P.kind_codes == HYPERIDEAL_CODE).nonzero()[0].tolist())
     if not hyper:
         return TruncatedPolyhedron(P.normals, (False,) * len(P.normals), P.skeleton,
                                    P.vertex_lifts, P)
     x, y = _edge_segments(P)
-    short = tuple(np.flatnonzero(np.linalg.norm(x - y, axis=1) <= MERGE_TOL).tolist())
-    skeleton, first = _truncated_skeleton(P.skeleton, hyper, short)
+    short = tuple((row_norms(x - y) <= MERGE_TOL).nonzero()[0].tolist())
+    skeleton, first, flags, pairs = _truncated_skeleton(P.skeleton, hyper, short)
     polar = _unit_rows(P.vertex_lifts[list(hyper)])  # the polar planes, as polar_plane gives them
-    flags = (False,) * len(P.normals) + (True,) * len(hyper)
     points = np.concatenate([P.vertex_charts, x, y])
     T = TruncatedPolyhedron(np.concatenate([P.normals, polar]), flags, skeleton,
                             lift(points[first]), P)
-    _assert_truncation_invariants(T)
+    _assert_truncation_invariants(T, pairs)
     return T
 
 
 @lru_cache(maxsize=16)
 def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
-    """Skeleton of g truncated at the vertices ``hyper``, and the point row of each node.
+    """Skeleton of g truncated at the vertices ``hyper``, with what its truncations share.
 
-    The points are the vertex charts, then the ends of :func:`_edge_segments`
-    at each edge's first vertex, then at its second; the ends of the edges
-    indexed by ``short`` merge.  Nodes are numbered in the order the face
-    walk meets them, each at the point of its first-met end.  The result
-    depends on these arguments alone, so the samples of one flow stratum
-    share it.
+    Returns ``(skeleton, first, flags, pairs)``: the skeleton, the point
+    row of each node, the truncation flags of its faces and their
+    :func:`_invariant_pairs`.  The points are the vertex charts, then the
+    ends of :func:`_edge_segments` at each edge's first vertex, then at
+    its second; the ends of the edges indexed by ``short`` merge.  Nodes
+    are numbered in the order the face walk meets them, each at the point
+    of its first-met end.  The result depends on these arguments alone, so
+    the samples of one flow stratum share it: its skeleton (with the face
+    walk the orthoscheme volume gathers by, :attr:`PlanarGraph.face_walk`),
+    the node rows and the invariants' index pairs are each built once per
+    truncated skeleton.
     """
     hyper_set = set(hyper)
     n, n_edges = g.n_vertices, len(g.edges)
@@ -408,29 +431,45 @@ def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
         if len(dedup) < 3:
             raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
         faces.append(tuple(dedup))
+    skeleton = PlanarGraph(n_vertices=len(first), faces=tuple(faces))
+    flags = (False,) * len(g.faces) + (True,) * len(hyper)
     first = np.array(first)
     first.setflags(write=False)
-    return PlanarGraph(n_vertices=len(first), faces=tuple(faces)), first
+    return skeleton, first, flags, _invariant_pairs(skeleton, flags)
 
 
-def _assert_truncation_invariants(T: TruncatedPolyhedron):
+def _invariant_pairs(g: PlanarGraph, flags) -> tuple:
+    """The face pairs the truncation invariants test, on skeleton g with face flags ``flags``.
+
+    ``(mixed, f1, f2, a, b)``: the edges between a flagged and an
+    unflagged face with their two faces, and every pair of flagged faces.
+    """
+    flags = np.array(flags)
+    f1, f2 = g.edge_face_array.T
+    mixed = np.flatnonzero(flags[f1] != flags[f2])
+    flagged = np.flatnonzero(flags)
+    a, b = flagged[np.array(np.triu_indices(len(flagged), 1))]
+    out = (mixed, f1[mixed], f2[mixed], a, b)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _assert_truncation_invariants(T: TruncatedPolyhedron, pairs):
     """Right angles at truncation edges; distinct truncation planes disjoint.
 
+    ``pairs`` is :func:`_invariant_pairs` of T's skeleton and flags.
     Tangency of truncation planes is the boundary case reached by
     rectifications (adjacent vertex circles touch at the edge point).
     """
     g, normals = T.skeleton, T.normals
-    flags = np.array(T.truncation_flags)
-    f1, f2 = g.edge_face_array.T
-    mixed = np.flatnonzero(flags[f1] != flags[f2])
-    gram = mdot(normals[f1[mixed]], normals[f2[mixed]])
+    mixed, f1, f2, a, b = pairs
+    gram = mdot(normals[f1], normals[f2])
     bad = np.abs(gram) > 1e-7
     if bad.any():
         i = int(np.argmax(bad))
         raise ImproperInput(
             f"truncation edge {g.edges[mixed[i]]} is not right-angled (gram {gram[i]:.3g})")
-    flagged = np.flatnonzero(flags)
-    a, b = flagged[np.array(np.triu_indices(len(flagged), 1))]
     gram = mdot(normals[a], normals[b])
     bad = np.abs(gram) < 1.0 - 1e-7
     if bad.any():

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import TAU_IDEAL, boost_to_origin, lift, row_norms
 from .errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
+from .graphs import CycleWalk, cycle_walk
 from .polyhedron import (
     PointKind,
     Polyhedron,
@@ -307,7 +308,26 @@ def _chain_angles(v, foot_e, foot_f):
             np.arctan2(row_norms(foot_f) * np.sqrt(1.0 - r_e * r_e), leg_f))
 
 
-def _orthoscheme_decomposition(center, polygons):
+@dataclass(frozen=True)
+class _Polygons:
+    """The face polygons of a region, as its points and the walk of its face cycles.
+
+    Face i has the corners ``points[walk.order]`` on its span of ``walk``.
+    """
+
+    points: np.ndarray  # (V, 3) chart points
+    walk: CycleWalk
+
+    def corners(self) -> np.ndarray:
+        """Every polygon's corners laid end to end, in one gather."""
+        return self.points[self.walk.order]
+
+    def __iter__(self):
+        """Each polygon's (k, 3) corners."""
+        return iter(np.split(self.corners(), self.walk.starts[1:]))
+
+
+def _orthoscheme_decomposition(center, polygons: _Polygons):
     """Exact volume of a convex region from its face polygons and an interior point.
 
     ``center`` is boosted to the chart origin O.  There the feet of the
@@ -319,19 +339,15 @@ def _orthoscheme_decomposition(center, polygons):
     along e.  The signed sum over all flags is the region.  Returns the
     volume and the number of orthoschemes.
     """
-    sizes = np.array([len(poly) for poly in polygons])
-    lifted = lift(np.concatenate(polygons)) @ boost_to_origin(center).T
+    walk = polygons.walk
+    lifted = lift(polygons.corners()) @ boost_to_origin(center).T
     a = lifted[:, 1:] / lifted[:, :1]
-    starts = np.cumsum(sizes) - sizes
-    nxt = np.arange(len(a)) + 1
-    nxt[starts + sizes - 1] = starts
-    b = a[nxt]
-    normal = np.add.reduceat(np.cross(a, b), starts)  # Newell normals
-    centroid = np.add.reduceat(a, starts) / sizes[:, None]
+    b = a[walk.next]
+    normal = np.add.reduceat(np.cross(a, b), walk.starts)  # Newell normals
+    centroid = np.add.reduceat(a, walk.starts) / walk.sizes[:, None]
     foot_f = normal * (np.sum(normal * centroid, axis=1)
                        / np.sum(normal * normal, axis=1))[:, None]
-    normal, centroid, foot_f = (np.repeat(x, sizes, axis=0)
-                                for x in (normal, centroid, foot_f))
+    normal, centroid, foot_f = (x[walk.owner] for x in (normal, centroid, foot_f))
     d = b - a
     foot_e = a - d * (np.sum(a * d, axis=1) / np.sum(d * d, axis=1))[:, None]
     inner = (np.sign(np.sum(np.cross(d, foot_f - a) * normal, axis=1))
@@ -358,8 +374,8 @@ def _fan_tets(apex, polygons):
 
 
 def _truncation_region(T: TruncatedPolyhedron):
-    """An interior point and the face polygons of a truncation."""
-    return T.vertex_charts.mean(axis=0), [T.face_polygon(f) for f in range(len(T.skeleton.faces))]
+    """An interior point and the face polygons of a truncation, on the face walk of its skeleton."""
+    return T.vertex_charts.mean(axis=0), _Polygons(T.vertex_charts, T.skeleton.face_walk)
 
 
 def ideal_tetrahedra_volume(angles) -> float:
@@ -389,7 +405,7 @@ def _halfspace_region(P: Polyhedron):
     Used when some face is swallowed whole by a polar plane, where the
     combinatorial truncation walk does not apply.  Returns an interior
     point and the face polygons of the region, in the form
-    :func:`truncate` gives, or None if the region has no volume.
+    :func:`_truncation_region` gives, or None if the region has no volume.
     """
     report = P.report
     charts = P.vertex_charts
@@ -420,22 +436,26 @@ def _halfspace_region(P: Polyhedron):
     center = pts.mean(axis=0)
     if np.linalg.norm(pts - center, axis=1).max() < 1e-8:
         return None
-    polygons = []
+    cycles = []
     for idx in range(m):
-        on = [p for p in pts if abs(D[idx] @ p - c[idx]) < 1e-7 * max(1.0, abs(c[idx]))]
+        on = [i for i, p in enumerate(pts)
+              if abs(D[idx] @ p - c[idx]) < 1e-7 * max(1.0, abs(c[idx]))]
         if len(on) < 3:
             continue
-        on = np.array(on)
-        centroid = on.mean(axis=0)
+        corners = pts[on]
+        centroid = corners.mean(axis=0)
         normal = D[idx] / np.linalg.norm(D[idx])
-        ref = on[0] - centroid
+        ref = corners[0] - centroid
         nref = np.linalg.norm(ref)
         if nref < 1e-12:
             continue
         ref /= nref
         other = np.cross(normal, ref)
-        ang = np.arctan2((on - centroid) @ other, (on - centroid) @ ref)
-        polygons.append(on[np.argsort(ang)])
+        ang = np.arctan2((corners - centroid) @ other, (corners - centroid) @ ref)
+        cycles.append(np.array(on)[np.argsort(ang)])
+    if not cycles:
+        return None
+    polygons = _Polygons(pts, cycle_walk(cycles))
     tets = _fan_tets(center, polygons)
     if len(tets) == 0:
         return None

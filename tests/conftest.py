@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyvol.core import lift, mdot
+from polyvol.core import OrientedPlane, lift, mdot
 from polyvol.graphs import (
     PlanarGraph,
     cube_graph,
@@ -55,6 +55,12 @@ def compact_tetra():
 def hyperideal_tetra():
     # Radius must stay below sqrt(3) so edges still cross the ball.
     return regular_tetrahedron(1.3)
+
+
+def chart_plane(direction, offset: float) -> OrientedPlane:
+    """Plane ``{direction . x = offset}`` with half-space ``direction . x <= offset``."""
+    direction = np.asarray(direction, dtype=float)
+    return OrientedPlane(normal=np.concatenate([[float(offset)], direction]))
 
 
 def chart_equation(plane):

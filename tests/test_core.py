@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chart_equation, closest_chart_point, plane_basis, side_of
+from conftest import chart_equation, chart_plane, closest_chart_point, plane_basis, side_of
 from polyvol.core import (
     AffineDeformation,
-    OrientedPlane,
     PointKind,
     apply_lorentz,
     classify_point,
@@ -161,24 +160,24 @@ def test_polar_half_spaces_contain_each_other(rng):
 # --- dihedral angles -------------------------------------------------------------
 
 def test_dihedral_angle_orthogonal_planes():
-    a = OrientedPlane.from_chart([-1, 0, 0], 0.0)  # keep x >= 0
-    b = OrientedPlane.from_chart([0, -1, 0], 0.0)  # keep y >= 0
+    a = chart_plane([-1, 0, 0], 0.0)  # keep x >= 0
+    b = chart_plane([0, -1, 0], 0.0)  # keep y >= 0
     assert abs(dihedral_angle(a, b) - math.pi / 2) < 1e-12
 
 
 def test_dihedral_angle_tangent_line_is_zero():
     # Planes x+z = 1 and x-z = 1 meet in the line {(1, t, 0)} tangent at (1,0,0).
-    a = OrientedPlane.from_chart([1, 0, 1], 1.0)
-    b = OrientedPlane.from_chart([1, 0, -1], 1.0)
+    a = chart_plane([1, 0, 1], 1.0)
+    b = chart_plane([1, 0, -1], 1.0)
     assert abs(dihedral_angle(a, b)) < 1e-9
 
 
 def test_dihedral_angle_errors():
-    a = OrientedPlane.from_chart([1, 0, 0], 0.0)
+    a = chart_plane([1, 0, 0], 0.0)
     with pytest.raises(PlanesEqual):
-        dihedral_angle(a, OrientedPlane.from_chart([1, 0, 0], 0.0))
-    far = OrientedPlane.from_chart([1, 0, 0], 0.5)
-    far2 = OrientedPlane.from_chart([-1, 0, 0], 0.5)
+        dihedral_angle(a, chart_plane([1, 0, 0], 0.0))
+    far = chart_plane([1, 0, 0], 0.5)
+    far2 = chart_plane([-1, 0, 0], 0.5)
     with pytest.raises(PlanesDisjointInBall):
         dihedral_angle(far, far2)
 
@@ -236,8 +235,8 @@ def test_dihedral_angle_geodesic_oracle(rng):
         n2 /= np.linalg.norm(n2)
         c1, c2 = rng.uniform(-0.5, 0.5, size=2)
         try:
-            a = OrientedPlane.from_chart(n1, c1)
-            b = OrientedPlane.from_chart(n2, c2)
+            a = chart_plane(n1, c1)
+            b = chart_plane(n2, c2)
             theta = dihedral_angle(a, b)
         except (PlanesDisjointInBall, PlanesEqual):
             continue
@@ -247,8 +246,8 @@ def test_dihedral_angle_geodesic_oracle(rng):
 
 
 def test_dihedral_angle_symmetric_and_isometry_invariant(rng):
-    a = OrientedPlane.from_chart([1, 0.2, 0], 0.3)
-    b = OrientedPlane.from_chart([0, 1, -0.1], -0.2)
+    a = chart_plane([1, 0.2, 0], 0.3)
+    b = chart_plane([0, 1, -0.1], -0.2)
     assert abs(dihedral_angle(a, b) - dihedral_angle(b, a)) < 1e-15
     for _ in range(10):
         L = random_isometry(rng)
@@ -273,7 +272,7 @@ def test_deformation_rejects_bad_factor():
 
 
 def test_deformation_plane_through_images_of_points(rng):
-    plane = OrientedPlane.from_chart([1, 1, 0], 0.4)
+    plane = chart_plane([1, 1, 0], 0.4)
     d, c = chart_equation(plane)
     x0 = closest_chart_point(plane)
     e1, e2 = plane_basis(plane)
@@ -331,8 +330,8 @@ def test_deformation_commutes_with_skeleton(hyperideal_tetra):
 
 
 def test_isometry_invariance_of_measurements(rng):
-    a = OrientedPlane.from_chart([1, 0.1, -0.2], 0.1)
-    b = OrientedPlane.from_chart([-0.3, 1, 0.2], -0.2)
+    a = chart_plane([1, 0.1, -0.2], 0.1)
+    b = chart_plane([-0.3, 1, 0.2], -0.2)
     for _ in range(10):
         L = random_isometry(rng)
         a2, b2 = apply_lorentz(L, a), apply_lorentz(L, b)

@@ -22,6 +22,8 @@ from polyvol.errors import (
 from polyvol.flow import (
     FlowEventKind,
     FlowOptions,
+    _hyperideal_only,
+    _scan_signals,
     escape_deformation,
     nudge_ideal_vertices,
     realize_from_angles,
@@ -815,6 +817,21 @@ def test_volume_just_past_ideal_depends_on_interior_point_known_failure():
         spread = max(abs(_orthoscheme_decomposition(center + 0.01 * axis, polygons)[0] - value)
                      for axis in np.eye(3))
         assert spread > 1000 * sample.volume.error_estimate
+
+
+def test_scan_reads_the_kinds_and_no_statuses():
+    # A trial state is scanned from its kinds; its properness report is
+    # computed only where a status is read.
+    for P0 in (jittered_compact(cube_graph(), np.random.default_rng(951)),
+               random_hyperideal(prism_graph(3), np.random.default_rng(951))):
+        prev, P = (build_polyhedron(P0.normals, P0.skeleton) for _ in range(2))
+        _scan_signals(P, prev, [])
+        _scan_signals(P, P, [], relaxed=True)
+        _hyperideal_only(P)
+        for Q in (prev, P):
+            assert "kind_codes" in vars(Q)
+            assert "report" not in vars(Q)
+        assert P.report.kinds == P.kinds
 
 
 def test_flow_rejects_bad_seeds():

@@ -26,6 +26,7 @@ from polyvol.graphs import (
     _edges_share_vertex,
     check_hyperideal_angles,
     cube_graph,
+    cycle_walk,
     dual_graph,
     edge_collapse,
     face_collapse,
@@ -223,6 +224,20 @@ def test_orientation_rejects_malformed_faces_like_reference(corpus_graphs):
             assert str(got.value) == (
                 want if repeat is None else f"BadFormat: face cycle {repeat} repeats a vertex")
     assert messages == {"edge", "face", "directed"}
+
+
+def test_face_walk_lays_the_faces_end_to_end(corpus_graphs):
+    for g in [*corpus_graphs.values(), ICOSAHEDRON]:
+        walk = g.face_walk
+        assert walk is g.face_walk
+        assert [tuple(c) for c in np.split(walk.order, walk.starts[1:])] == list(g.faces)
+        assert walk.sizes.tolist() == [len(c) for c in g.faces]
+        for j, (v, f) in enumerate(zip(walk.order.tolist(), walk.owner.tolist())):
+            cyc = g.faces[f]
+            assert walk.order[walk.next[j]] == cyc[(cyc.index(v) + 1) % len(cyc)]
+    walk = cycle_walk([np.array([4, 2, 7]), (0, 1, 3, 5)])
+    assert walk.next.tolist() == [1, 2, 0, 4, 5, 6, 3]
+    assert walk.owner.tolist() == [0, 0, 0, 1, 1, 1, 1]
 
 
 def test_is_3_connected(corpus_graphs):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import polyvol.volume
-from conftest import ALMOST_PROPER_PYRAMID
+from conftest import ALMOST_PROPER_PYRAMID, chart_plane
 from polyvol.core import (
     OrientedPlane,
     PointKind,
     _unit_rows,
     apply_lorentz,
+    classify_points,
     dihedral_angle,
     lift,
     mdot,
@@ -33,6 +34,7 @@ from polyvol.polyhedron import (
     MERGE_TOL,
     VertexStatus,
     _assert_truncation_invariants,
+    _invariant_pairs,
     build_polyhedron,
     classify_vertex_by_angles,
     classify_vertices,
@@ -94,7 +96,7 @@ def test_build_detects_extra_intersections():
     # the K4-with-extra-face skeleton unrealizable.
     P = regular_tetrahedron(0.6)
     g5 = pyramid_graph(4)
-    planes = P.planes + (OrientedPlane.from_chart([0, 0, 1], 0.05),)
+    planes = P.planes + (chart_plane([0, 0, 1], 0.05),)
     with pytest.raises(SkeletonMismatch):
         build_polyhedron(planes, g5)
 
@@ -111,7 +113,7 @@ def test_build_rejects_face_collapsed_to_a_point():
     planes = list(planes_from_vertices(frustum, g))
     build_polyhedron(tuple(planes), g)
     top = g.faces.index((5, 4, 3))
-    planes[top] = OrientedPlane.from_chart([0, 0, 1], 0.3)
+    planes[top] = chart_plane([0, 0, 1], 0.3)
     with pytest.raises(SkeletonMismatch, match="does not put it on"):
         build_polyhedron(tuple(planes), g)
 
@@ -137,10 +139,10 @@ def test_plane_objects_build_as_the_normal_array(make, rng):
 def test_build_rejects_vertex_planes_meeting_in_a_line():
     # The three faces at vertex 0 all contain the z-axis.
     g = tetrahedron_graph()
-    planes = [OrientedPlane.from_chart([0, 0, -1], 0.2)] * 4
+    planes = [chart_plane([0, 0, -1], 0.2)] * 4
     for k, f in enumerate(g.vertex_faces[0]):
         phi = 2 * math.pi * k / 3
-        planes[f] = OrientedPlane.from_chart([math.cos(phi), math.sin(phi), 0.0], 0.0)
+        planes[f] = chart_plane([math.cos(phi), math.sin(phi), 0.0], 0.0)
     with pytest.raises(SkeletonMismatch, match="vertex 0 do not meet in a single point"):
         build_polyhedron(tuple(planes), g)
 
@@ -192,6 +194,20 @@ def test_improper_detected():
         truncate(P)
     with pytest.raises(ImproperInput):
         edge_lengths(P)
+
+
+@pytest.mark.parametrize("first", ["band", "kinds", "report"])
+def test_kinds_and_report_keep_the_default_band(first):
+    # On one object, whichever is read first: a band of 0.5 reads every vertex
+    # at |x| = 0.55 as ideal, while the kinds and report cached on the
+    # polyhedron keep the default band and read them real.
+    P = regular_tetrahedron(0.55)
+    reads = {"band": lambda: classify_vertices(P, 0.5), "kinds": lambda: P.kinds,
+             "report": lambda: P.report}
+    got = {name: reads[name]() for name in [first, *(n for n in reads if n != first)]}
+    assert got["band"].kinds == (PointKind.IDEAL,) * 4
+    assert got["kinds"] == got["report"].kinds == (PointKind.REAL,) * 4
+    assert got["band"].overall == got["report"].overall == VertexStatus.PROPER
 
 
 def test_angle_geometry_consistency(compact_tetra, hyperideal_tetra):
@@ -449,6 +465,21 @@ def test_truncation_matches_pool_on_recorded_flow_states(truncated_flow_states):
     assert hyper >= 25
 
 
+def test_report_matches_classify_vertices_on_recorded_flow_states(truncated_flow_states):
+    # classify_vertices on a copy that has cached nothing yet, and on the state
+    # itself, field by field against the cached report.
+    kinds = set()
+    for P in truncated_flow_states:
+        want = P.report
+        for rep in (classify_vertices(dataclasses.replace(P)), classify_vertices(P)):
+            assert rep.kinds == want.kinds == P.kinds == classify_points(P.vertex_charts)
+            assert rep.statuses == want.statuses
+            assert rep.witnesses == want.witnesses
+            assert rep.overall == want.overall
+        kinds.update(want.kinds)
+    assert kinds >= {PointKind.REAL, PointKind.HYPERIDEAL}
+
+
 def test_degenerate_truncations_raise_as_pool():
     # Vertices 1, 2 and 3 of the tetrahedron lie on the polar plane of vertex 0.
     tetra = np.array([[2.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, -0.4, 0.4], [0.5, -0.1, -0.5]])
@@ -469,6 +500,7 @@ def test_truncation_invariants_match_loop_on_every_flag_subset(hyperideal_tetra)
         flags = tuple(bool(mask >> i & 1) for i in range(len(T.planes)))
         bad = dataclasses.replace(T, truncation_flags=flags)
         want = outcome(loop_truncation_invariants, bad)
-        assert outcome(_assert_truncation_invariants, bad) == want
+        pairs = _invariant_pairs(bad.skeleton, flags)
+        assert outcome(_assert_truncation_invariants, bad, pairs) == want
         kinds.add(want[1].split()[2] if want else None)
     assert kinds == {None, "edge", "faces"}

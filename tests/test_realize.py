@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import polyvol.flow
+from conftest import chart_plane
 from polyvol._realize import (
     MAX_ITERATIONS,
     REALIZE_TOL,
@@ -713,7 +714,7 @@ def test_dihedral_angles_raise_as_loop():
     # faces 0 and 1.
     g = tetrahedron_graph()
     planes = planes_from_vertices(_tetra_points(0.55), g)
-    x_low, x_high = OrientedPlane.from_chart([1, 0, 0], 0.9), OrientedPlane.from_chart([-1, 0, 0], 0.9)
+    x_low, x_high = chart_plane([1, 0, 0], 0.9), chart_plane([-1, 0, 0], 0.9)
     for kind, case in ((PlanesEqual, (planes[0], planes[0], planes[2], planes[3])),
                        (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[3])),
                        (PlanesDisjointInBall, (x_low, x_high, planes[2], planes[2]))):

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import ALMOST_PROPER_PYRAMID, stacked_triangulation
-from polyvol.core import MINKOWSKI_SIGNS, OrientedPlane, apply_lorentz, lift, random_isometry
+from conftest import ALMOST_PROPER_PYRAMID, chart_plane, stacked_triangulation
+from polyvol.core import MINKOWSKI_SIGNS, apply_lorentz, lift, random_isometry
 from polyvol.errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
 from polyvol.graphs import PlanarGraph, prism_graph, pyramid_graph, tetrahedron_graph
 from polyvol.polyhedron import build_polyhedron, dihedral_angles, truncate
 from polyvol.rectify import rectification
-from polyvol.shapes import compact_realization, planes_from_vertices, regular_tetrahedron
+from polyvol.shapes import (
+    compact_realization,
+    planes_from_vertices,
+    random_hyperideal,
+    regular_tetrahedron,
+)
 from polyvol.volume import (
     VolumeMethod,
     _chain_angles,
@@ -285,7 +290,7 @@ def test_volume_monotone_under_inclusion(compact_tetra):
     # Slice a corner off the compact tetrahedron: more half-spaces, less volume.
     g5 = PlanarGraph(6, ((0, 1, 2), (0, 2, 5, 3), (0, 3, 4, 1), (1, 4, 5, 2),
                          (3, 4, 5)))
-    slicer = OrientedPlane.from_chart(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3),
+    slicer = chart_plane(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3),
                                       0.45)
     Q = build_polyhedron(compact_tetra.planes + (slicer,), g5)
     v_p = polyhedron_volume(compact_tetra)
@@ -370,6 +375,40 @@ def test_regular_tetrahedron_matches_schlafli_integral(radius):
     assert res.method == VolumeMethod.ORTHOSCHEME
     assert res.evaluations == 0 and not res.budget_exceeded
     assert abs(res.value - _regular_schlafli_volume(radius)) < 1e-10
+
+
+# Shapes outside any flow and the (method, value.hex(), error_estimate.hex())
+# of polyhedron_volume at its defaults, the same with 1 and 2 OpenBLAS
+# threads: both exact paths, on compact polyhedra and on truncations.
+DEFAULT_VOLUME_PINS = {
+    "regular0.3": (lambda: regular_tetrahedron(0.3), VolumeMethod.ORTHOSCHEME,
+                   "0x1.d71778a50d578p-7", "0x1.a636641c4df1ap-36"),
+    "regular0.5": (lambda: regular_tetrahedron(0.5), VolumeMethod.ORTHOSCHEME,
+                   "0x1.247971f5f192ap-4", "0x1.a636641c4df1ap-36"),
+    "regular1.0": (lambda: regular_tetrahedron(1.0), VolumeMethod.IDEAL_DECOMPOSITION,
+                   "0x1.03d3368ee1110p+0", "0x1.19799812dea11p-40"),
+    "regular1.3": (lambda: regular_tetrahedron(1.3), VolumeMethod.ORTHOSCHEME,
+                   "0x1.1daa9aec9544ap+1", "0x1.3ca8cb153a753p-34"),
+    "pyramid5": (lambda: compact_realization(pyramid_graph(5), 0.6), VolumeMethod.ORTHOSCHEME,
+                 "0x1.853174fbcb793p-4", "0x1.5fd7fe1796495p-35"),
+    "prism4": (lambda: compact_realization(prism_graph(4), 0.6), VolumeMethod.ORTHOSCHEME,
+               "0x1.8c411a74453bbp-3", "0x1.a636641c4df1ap-35"),
+    "hyperideal_tetrahedron": (
+        lambda: random_hyperideal(tetrahedron_graph(), np.random.default_rng(951)),
+        VolumeMethod.ORTHOSCHEME, "0x1.a172b70ad6cc5p+1", "0x1.3ca8cb153a753p-34"),
+    "rectified_prism5": (lambda: rectification(prism_graph(5)),
+                         VolumeMethod.IDEAL_DECOMPOSITION,
+                         "0x1.04698df7586bdp+4", "0x1.4e406496685f4p-36"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_VOLUME_PINS))
+def test_default_volume_is_pinned_bit_for_bit(name):
+    make, method, value, error = DEFAULT_VOLUME_PINS[name]
+    P = make()
+    for _ in range(2):  # the second call reuses what the first cached on P and its skeleton
+        res = polyhedron_volume(P)
+        assert (res.method, res.value.hex(), res.error_estimate.hex()) == (method, value, error)
 
 
 def test_orthoscheme_ideal_regular_tetrahedron():
