@@ -4,11 +4,11 @@ Starting from a proper polyhedron with no ideal vertices, scale all its
 dihedral angles by t and follow the path t -> t * theta downward,
 realizing each target through the local-coordinate property of dihedral
 angles.  As t decreases the Schlafli identity makes the volume grow.
-Degenerations are detected and handled: a real vertex reaching the
-sphere at infinity is pushed out by a properness-preserving translation
-(an escape deformation); a vertex landing on a truncation plane starts
-an almost-proper stratum where the incidence is held; collapsing edges
-or faces rewrite the skeleton by the corresponding combinatorial move.
+Degenerations are detected and handled: a real vertex crossing the
+sphere at infinity is an event on the path (one held on a polar plane is
+pushed out by a translation, an escape deformation); a vertex landing on
+a truncation plane starts an almost-proper stratum where the incidence
+is held; collapsing edges or faces rewrite the skeleton.
 Once every vertex is hyperideal the target path stays realizable all
 the way down, and the supremum of the volume is estimated from the last
 computed volume plus a Schlafli bound on the remaining gain.
@@ -84,7 +84,7 @@ MAX_STEPS = 20000
 #: The all-hyperideal endgame stops at this t at the latest.
 T_FLOOR = 1e-3
 #: Volume drop allowed between consecutive samples, beyond their error estimates.
-EVENT_SLACK = 2e-3
+EVENT_SLACK = 1e-9
 
 
 # --- realization with prescribed angles --------------------------------------
@@ -94,9 +94,9 @@ def realize_from_angles(g: PlanarGraph, angles: dict, seed: Polyhedron, *,
                         held=(), start=None) -> Polyhedron:
     """Realize a polyhedron with skeleton g and the prescribed dihedral angles.
 
-    ``seed`` must carry the same skeleton and no ideal vertices; the
-    Newton solve starts there and returns the nearby solution (dihedral
-    angles are local coordinates away from ideal vertices).  ``start``,
+    ``seed`` must carry the same skeleton; the Newton solve starts there
+    and returns the nearby solution (dihedral angles are local
+    coordinates away from ideal vertices).  ``start``,
     a pair of face normals and vertex charts, replaces the seed's as the
     starting point.  ``held`` lists (vertex, pole-vertex) incidences kept
     on their polar planes; the angle at a held adjacent edge is not
@@ -173,16 +173,15 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     raise PropernessLost(f"no admissible expansion found below delta={delta}")
 
 
-def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
+def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int,
                        delta: float = 1e-5) -> Polyhedron:
-    """Translate P so the near-ideal vertex v becomes just hyperideal.
+    """Translate P so the near-ideal vertex v, held on the polar plane of
+    ``almost_pole``, becomes just hyperideal and leaves that plane.
 
-    The translation runs along v's chart direction, growing from the
-    distance that takes v just past the sphere.  Each candidate must keep
-    the skeleton and properness and make no other vertex ideal.  With
-    ``almost_pole`` set (the vertex whose polar plane contains v) the
-    translation gains a component along that polar plane's inward
-    normal, and the candidate must free the almost-proper incidence.
+    The translation runs along v's chart direction, with a component
+    along the polar plane's inward normal, growing from the distance that
+    takes v just past the sphere.  Each candidate must keep the skeleton
+    and properness, make no other vertex ideal and free the incidence.
     """
     charts = P.vertex_charts
     x = charts[v]
@@ -190,18 +189,15 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
     if r > 1.0 + 10 * TAU_IDEAL:
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
+    nw = charts[almost_pole] / np.linalg.norm(charts[almost_pole])
     lam0 = (1.0 + delta) - r
     if lam0 <= 0:
         lam0 = delta
 
     def attempt(d):
-        shift = d * u
-        if almost_pole is not None:
-            # Extra inward component along the polar plane's normal frees
-            # the held incidence strictly.
-            w = charts[almost_pole]
-            nw = w / np.linalg.norm(w)
-            shift = d * u - (max(0.0, d * float(u @ nw)) + 0.5 * d) * nw
+        # The inward component along the polar plane's normal frees the
+        # held incidence strictly.
+        shift = d * u - (max(0.0, d * float(u @ nw)) + 0.5 * d) * nw
         T = AffineDeformation.translation(shift)
         try:  # a ValueError: some plane left H^3
             Q = _rebuild(T.apply_planes(P.normals), P.skeleton)
@@ -212,10 +208,8 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int | None = None,
             return None
         if any(k == PointKind.IDEAL for w_, k in enumerate(rep.kinds) if w_ != v):
             return None
-        if almost_pole is not None:
-            m = 1.0 - float(Q.vertex_charts[almost_pole] @ Q.vertex_charts[v])
-            if m <= TAU_IDEAL:
-                return None
+        if 1.0 - float(Q.vertex_charts[almost_pole] @ Q.vertex_charts[v]) <= TAU_IDEAL:
+            return None
         return Q, float(np.linalg.norm(Q.vertex_charts[v]))
 
     # Prefer the translation landing v just hyperideal; where the edge
@@ -266,7 +260,6 @@ class FlowEvent:
 @dataclass(frozen=True)
 class FlowSample:
     t: float
-    angles: dict
     polyhedron: Polyhedron
     volume: VolumeResult
     event: FlowEventKind | None = None
@@ -324,11 +317,12 @@ class _Gaps:
             return None
 
 
-def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
+def _scan_signals(P: Polyhedron, prev: Polyhedron, held, exempt=(), relaxed: bool = False):
     """``(signals, gaps)`` of a step from ``prev`` to P; signals ``(kind, data, size)`` worst first.
 
     A vertex real in ``prev`` entering the ideal band (or jumping past
-    it) signals.  ``gaps.get((kind, data))`` (:class:`_Gaps`) gives each
+    it) signals, unless ``exempt`` (crossing on the path already).
+    ``gaps.get((kind, data))`` (:class:`_Gaps`) gives each
     candidate's signed gap, positive exactly where it signals: the
     radius past 1 - IDEAL_BAND, ALMOST_PROPER_BAND past the margin,
     EDGE_COLLAPSE_TOL past the length, or FACE_COLLAPSE_TOL times
@@ -342,7 +336,7 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, relaxed: bool = False):
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
     codes, prev_codes = P.kind_codes, prev.kind_codes
     charts = P.vertex_charts
-    was_real = (prev_codes == REAL_CODE).nonzero()[0].tolist()
+    was_real = [v for v in (prev_codes == REAL_CODE).nonzero()[0].tolist() if v not in exempt]
     radii = row_norms(charts)[was_real]
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
     poles = ((codes == HYPERIDEAL_CODE) & (prev_codes == HYPERIDEAL_CODE)).nonzero()[0].tolist()
@@ -385,17 +379,17 @@ def _bracket_step(width, gap_lo, gap_hi):
     The secant of the worst signal's gaps, ``gap_lo`` at the accepted end
     and ``gap_hi`` > 0 at the far end, estimates where it crosses zero;
     when either is missing or out of sign the step bisects.  The step is a
-    whole number of DT_MIN, at least one, and else at most 0.9 of the width.
-    An accepted end that signals too (``gap_lo`` > 0, a vertex left inside
-    the ideal band by an escape) gives DT_MIN at once: bisection would
-    signal on every trial down to that same step.
+    whole number of DT_MIN, at least one, and else at most the width less
+    DT_MIN.  An accepted end that signals too (``gap_lo`` > 0, a vertex
+    already in the ideal band at another's event) gives DT_MIN at once:
+    bisection would signal on every trial down to that same step.
     """
     if gap_lo is not None and gap_lo > 0.0:
         return DT_MIN
     s = 0.5 * width
     if gap_lo is not None and gap_hi is not None and gap_lo <= 0.0 < gap_hi:
         s = width * gap_lo / (gap_lo - gap_hi)
-    return DT_MIN * max(1, math.floor(min(s, 0.9 * width) / DT_MIN))
+    return DT_MIN * max(1, math.floor(min(s, width - DT_MIN) / DT_MIN))
 
 
 def _predicted(before, t, P, t_next):
@@ -506,21 +500,24 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
 
     def record(P_, t_, event=None):
         vol = polyhedron_volume(P_)
-        samples.append(FlowSample(t_, dihedral_angles(P_), P_, vol, event))
+        samples.append(FlowSample(t_, P_, vol, event))
         return vol
 
     def handle_event(kind, data, P_state, t_now):
-        """Dispatch one degeneration of P_state; returns the continued state."""
-        nonlocal g, held, theta_dir
+        """Dispatch one degeneration of P_state; returns a new stratum's state, or None."""
+        nonlocal g, held, theta_dir, exempt
         vol_ev = record(P_state, t_now, event=kind)
         if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
             v = data
             pole = next((u for (w, u) in held if w == v), None)
+            if pole is None:
+                exempt += (v,)
+                events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
+                return None
             P_new = escape_deformation(P_state, v, almost_pole=pole)
             if P_new.kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
-            if pole is not None:
-                held = [(w, u) for (w, u) in held if w != v]
+            held = [(w, u) for (w, u) in held if w != v]
             events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
             theta_dir = _rebase(P_new, t_now, rng)
             return P_new
@@ -537,7 +534,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
         except CollapseMakesDegenerate as exc:
             raise StallDetected(exc.detail) from exc
         g = trace.final_skeleton = g_new
-        held = []
+        held, exempt = [], ()
         events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
         return P_new
 
@@ -545,6 +542,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     dt = DT_INIT
     accepted = 0
     hyperideal_only = _hyperideal_only(P)
+    # Vertices crossing the sphere on the path: no ideal signal until an
+    # accepted state shows them hyperideal or back inside 1 - IDEAL_BAND.
+    exempt: tuple = ()
     # On this stratum: the accepted state before P as (t, P), P's signal
     # gaps, and the nearest rejected trial as (t, worst signal, its gap).
     before = gaps = bracket = None
@@ -565,7 +565,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
         if bracket is not None:
             t_hi, signal, gap_hi = bracket
             if gaps is None:
-                _, gaps = _scan_signals(P, P, held)
+                _, gaps = _scan_signals(P, P, held, exempt)
             step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi)
         t_next = max(t - step, 0.2 * t)
         start = None if before is None else _predicted(before, t, P, t_next)
@@ -573,7 +573,8 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
                                          start=start)
             # The all-hyperideal endgame scans for no degenerations.
-            signals, next_gaps = ([], None) if hyperideal_only else _scan_signals(P_next, P, held)
+            signals, next_gaps = (([], None) if hyperideal_only
+                                  else _scan_signals(P_next, P, held, exempt))
         except (NewtonDiverged, SkeletonChanged) as exc:
             if step > DT_MIN:
                 if bracket is None:
@@ -585,7 +586,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             # degeneration of the current state with relaxed thresholds
             # (the limit is approached but never reached numerically) and
             # handle it as this step's signal, below, with step <= DT_MIN.
-            signals = [s for s in _scan_signals(P, P, held, relaxed=True)[0]
+            signals = [s for s in _scan_signals(P, P, held, exempt, relaxed=True)[0]
                        if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
             if not signals:
                 raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
@@ -597,26 +598,28 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             continue
         if signals:
             kind, data, _ = signals[0]
-            t = t_next
-            P = handle_event(kind, data, P_next, t)
-            was_hyperideal_only, hyperideal_only = hyperideal_only, _hyperideal_only(P)
-            if hyperideal_only and not was_hyperideal_only:
-                events.append(FlowEvent(FlowEventKind.BECAME_HYPERIDEAL_ONLY, t,
-                                        samples[-1].volume.value, {}))
-            dt = DT_INIT
-            before = gaps = bracket = None
-            continue
-
-        # Plain accepted step.
-        before, P, t, gaps = (t, P), P_next, t_next, next_gaps
-        accepted += 1
-        if accepted % SAMPLE_EVERY == 0:
-            record(P, t)
-        if bracket is None:
-            # The all-hyperideal path is realizable all the way down: no cap there.
-            dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
-        elif t <= bracket[0]:
+            P_new = handle_event(kind, data, P_next, t_next)
             bracket = None
+            if P_new is not None:  # a new stratum
+                t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
+            elif P_next is P:
+                continue  # a stall's event: the flow has not moved
+            else:  # the event state is the path's next accepted state
+                before, P, t, gaps = (t, P), P_next, t_next, next_gaps
+        else:
+            before, P, t, gaps = (t, P), P_next, t_next, next_gaps
+            accepted += 1
+            if accepted % SAMPLE_EVERY == 0:
+                record(P, t)
+            if bracket is None:
+                # The all-hyperideal path is realizable all the way down: no cap there.
+                dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
+            elif t <= bracket[0]:
+                bracket = None
+        if exempt:
+            radii = row_norms(P.vertex_charts)
+            exempt = tuple(v for v in exempt if P.kind_codes[v] != HYPERIDEAL_CODE
+                           and radii[v] > 1.0 - IDEAL_BAND)
         if not hyperideal_only and _hyperideal_only(P):
             hyperideal_only, bracket = True, None
             kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY

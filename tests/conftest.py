@@ -30,6 +30,23 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+@pytest.fixture(autouse=True)
+def completed_flows_lose_no_volume():
+    """Every flow that completes in a test: no sample's volume is below the one
+    before it by more than their two error estimates and ``EVENT_SLACK``."""
+    import polyvol.flow as flow
+
+    follow = flow._follow
+
+    def checked(P0, trace, rng):
+        follow(P0, trace, rng)
+        assert trace.volumes_nondecreasing(), [s.volume.value for s in trace.samples]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_follow", checked)
+        yield
+
+
 @pytest.fixture
 def corpus_graphs():
     return {

@@ -166,38 +166,26 @@ def test_nudge_adaptive_delta():
 
 # --- escape deformation ------------------------------------------------------------
 
-def test_escape_pushes_near_ideal_vertex_out():
+def held_near_sphere():
+    """Vertex 0 on the polar plane of the hyperideal vertex 1, 1.5e-4 inside the sphere."""
     g = tetrahedron_graph()
-    verts = np.array([[0.0, 0.0, 0.9999], [0.8, 0.0, -0.4],
-                      [-0.4, 0.7, -0.4], [-0.4, -0.7, -0.4]])
-    P = build_polyhedron(planes_from_vertices(verts, g), g)
-    Q = escape_deformation(P, 0)
-    rep = classify_vertices(Q)
-    assert rep.kinds[0] == PointKind.HYPERIDEAL
-    assert [str(k) for k in rep.kinds[1:]] == ["Real", "Real", "Real"]
-    assert not rep.is_improper()
+    x = 1 / 1.5
+    verts = np.array([[x, 0.0, math.sqrt(1 - x * x) - 2e-4], [1.5, 0.0, 0.0],
+                      [-0.5, 0.55, -0.3], [-0.5, -0.55, -0.3]])
+    return build_polyhedron(planes_from_vertices(verts, g), g)
 
 
 def test_escape_zero_translation_is_identity():
     # translation magnitude scales with the distance to the sphere; a
-    # vertex already on the working band moves by an amount of that order
-    g = tetrahedron_graph()
-    verts = np.array([[0.0, 0.0, 0.99999], [0.8, 0.0, -0.4],
-                      [-0.4, 0.7, -0.4], [-0.4, -0.7, -0.4]])
-    P = build_polyhedron(planes_from_vertices(verts, g), g)
-    Q = escape_deformation(P, 0, delta=1e-6)
+    # vertex already near it moves by an amount of that order
+    P = held_near_sphere()
+    Q = escape_deformation(P, 0, almost_pole=1, delta=1e-6)
     move = np.max(np.abs(Q.vertex_charts - P.vertex_charts))
     assert move < 1e-3
 
 
 def test_escape_case_3b_frees_incidence():
-    g = tetrahedron_graph()
-    w = np.array([1.5, 0.0, 0.0])
-    x = 1 / 1.5
-    v = np.array([x, 0.0, math.sqrt(1 - x * x) - 2e-4])
-    a = np.array([-0.5, 0.55, -0.3])
-    b = np.array([-0.5, -0.55, -0.3])
-    P = build_polyhedron(planes_from_vertices(np.array([v, w, a, b]), g), g)
+    P = held_near_sphere()
     rep = classify_vertices(P)
     assert rep.statuses[0] == VertexStatus.ALMOST_PROPER
     Q = escape_deformation(P, 0, almost_pole=1)
@@ -275,7 +263,8 @@ def test_flow_event_localization_matches_angle_sum():
     sample = min((s for s in trace.samples if s.event == "VertexBecameIdeal"),
                  key=lambda s: abs(s.t - ev.t_value))
     v = ev.data["vertex"]
-    inc = [sample.angles[e] for e in sample.polyhedron.skeleton.vertex_edges[v]]
+    angles = dihedral_angles(sample.polyhedron)
+    inc = [angles[e] for e in sample.polyhedron.skeleton.vertex_edges[v]]
     k = len(inc)
     assert abs(sum(inc) - (k - 2) * math.pi) < 1e-3
 
@@ -308,6 +297,42 @@ def test_flow_prism_collapse_path(prism_collapse_trace):
     assert trace.final_skeleton.n_vertices == 4
     assert abs(trace.sup_estimate - V8) / V8 < 0.01
     assert trace.volumes_nondecreasing()
+
+
+@pytest.mark.parametrize("make", [cube_graph, lambda: pyramid_graph(4)], ids=["cube", "pyramid4"])
+def test_flow_follows_one_path(make):
+    # Each crossing of the sphere is an event on the path t * theta, with no
+    # translation and no new angle direction: from t = 1 to the all-hyperideal
+    # onset every sample realizes the same angle direction, crossings included.
+    g = make()
+    trace = run_flow(jittered_compact(g, np.random.default_rng(951)), FlowOptions(seed=951))
+    kinds = [s.event for s in trace.samples]
+    path = trace.samples[:kinds.index(FlowEventKind.BECAME_HYPERIDEAL_ONLY) + 1]
+    assert kinds.count(FlowEventKind.VERTEX_BECAME_IDEAL) == g.n_vertices
+    direction = np.array([[dihedral_angles(s.polyhedron)[e] / s.t for e in g.edges]
+                          for s in path])
+    assert np.abs(direction - direction[0]).max() <= 1e-9
+    target = rectification_volume(trace.final_skeleton).value
+    assert abs(trace.sup_estimate - target) <= 1e-6 * target
+
+
+@pytest.mark.parametrize("seed", [951, 911, 17, 4242])
+def test_bench_flows_lose_no_volume(seed):
+    # The four flows of the bench's flow workload at this seed: each sample's
+    # volume is at least the one before it less their two error estimates and
+    # EVENT_SLACK, and sup lies within 1e-6 relative of rect(final).
+    import polyvol.flow as flow
+
+    rng = np.random.default_rng(seed)
+    starts = [jittered_compact(g, rng) for g in (tetrahedron_graph(), pyramid_graph(4), cube_graph())]
+    starts.append(random_hyperideal(prism_graph(3), rng))
+    for P0 in starts:
+        trace = run_flow(P0, FlowOptions(seed=seed))
+        vals = [(s.volume.value, s.volume.error_estimate) for s in trace.samples]
+        for (v1, e1), (v2, e2) in zip(vals, vals[1:]):
+            assert v2 - v1 >= -(e1 + e2 + flow.EVENT_SLACK), (v1, v2)
+        target = rectification_volume(trace.final_skeleton).value
+        assert abs(trace.sup_estimate - target) <= 1e-6 * target
 
 
 def test_flow_prism_hyperideal_reaches_prism_rectification():
@@ -348,7 +373,7 @@ def test_flow_endgame_stays_admissible(hyperideal_tetra):
     trace = run_flow(hyperideal_tetra, FlowOptions(seed=16))
     g = trace.final_skeleton
     for s in trace.samples[-3:]:
-        rep = check_hyperideal_angles(g, s.angles)
+        rep = check_hyperideal_angles(g, dihedral_angles(s.polyhedron))
         assert rep.admissible
 
 
@@ -364,183 +389,243 @@ def test_flow_degenerate_collapse_stalls_with_trace(compact_tetra, monkeypatch):
     assert isinstance(info.value.__cause__, CollapseMakesDegenerate)
 
 
-def test_flow_stall_escape_into_hyperideal_stratum_is_an_event(monkeypatch):
+def test_flow_stalled_crossing_is_an_event_and_not_a_step(monkeypatch):
     # One real vertex inside the relaxed ideal band, three hyperideal ones.
-    # Every step after the first realization fails, so the flow stalls, the
-    # relaxed scan finds the near-ideal vertex, and its escape leaves every
-    # vertex hyperideal: that transition must be an event as on a signal.
+    # Every solve below t = 0.9999 fails, so after one accepted step the flow
+    # stalls, and the relaxed scan finds the near-ideal vertex.  Its crossing
+    # is an event at the stalled state, with no escape translation.  The state
+    # is not a new accepted step (two accepted states at one t would make the
+    # predictor divide by zero); the vertex is exempt, so the next stall finds
+    # no signal and the flow stops there.
     import polyvol.flow as flow
 
     g = tetrahedron_graph()
     verts = regular_tetrahedron(1.3).vertex_charts.copy()
     verts[0] *= 0.9995 / 1.3
     P = build_polyhedron(planes_from_vertices(verts, g), g)
-    realize = flow.realize_from_angles
-    calls = []
+    realize, scaled = flow.realize_from_angles, flow._scaled
+    trials = []
 
-    def first_realization_only(*args, **kwargs):
-        calls.append(None)
-        if len(calls) > 1:
+    def above_floor(*args, **kwargs):
+        if trials[-1] < 0.9999:
             raise NewtonDiverged("forced")
         return realize(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "realize_from_angles", first_realization_only)
-    with pytest.raises(StallDetected) as info:
+    def no_escape(*args, **kwargs):
+        raise AssertionError("escape_deformation called")
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", above_floor)
+    monkeypatch.setattr(flow, "escape_deformation", no_escape)
+    with pytest.raises(StallDetected, match="no progress at t=0.9999") as info:
         run_flow(P, FlowOptions(seed=3))
-    events = info.value.trace.events
-    assert [e.kind for e in events] == [FlowEventKind.VERTEX_BECAME_IDEAL,
-                                        FlowEventKind.BECAME_HYPERIDEAL_ONLY]
-    assert events[0].data == {"vertex": 0}
-    assert events[1].t_value == events[0].t_value
+    trace = info.value.trace
+    accepted = [t for t in trials if t >= 0.9999]
+    assert accepted[0] == 1.0 and len(accepted) > 1
+    assert [(e.kind, e.data, e.t_value) for e in trace.events] == [
+        (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, accepted[-1])]
+    assert [(s.t, s.event) for s in trace.samples] == [
+        (1.0, None), (accepted[-1], FlowEventKind.VERTEX_BECAME_IDEAL)]
+    assert trace.samples[-1].polyhedron.kinds[0] == PointKind.REAL
+
+
+def synthetic_gap_trials(monkeypatch, P0, gap):
+    """The trial t values of a flow from P0 whose one signal has the gap ``gap(t)``.
+
+    The signal is an edge collapse of K4, which leaves no polyhedral
+    skeleton, so the flow stalls right where it fires; returns the trials
+    and that StallDetected.
+    """
+    import polyvol.flow as flow
+
+    signal = (FlowEventKind.EDGE_COLLAPSED, (0, 1))
+    trials, t_of = [], {}
+    realize, scaled = flow.realize_from_angles, flow._scaled
+
+    def realize_at(*args, **kwargs):
+        P = realize(*args, **kwargs)
+        t_of[id(P)] = trials[-1]
+        return P
+
+    def synthetic_scan(P, prev, held, exempt=(), relaxed=False):
+        value = gap(t_of[id(P)])
+        return [(*signal, 0.0)] if value > 0 and not relaxed else [], {signal: value}
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
+    monkeypatch.setattr(flow, "_scan_signals", synthetic_scan)
+    with pytest.raises(StallDetected) as info:
+        run_flow(P0, FlowOptions(seed=21))
+    return trials, info.value
+
+
+def located_on_the_dt_min_grid(trials, t_cross, error):
+    """The trials after the first signaled one, checked against the DT_MIN grid.
+
+    Each trial is a whole number of DT_MIN below the current t, and the event
+    fires on a signaled step of DT_MIN from an accepted, unsignaled state.
+    """
+    import polyvol.flow as flow
+
+    first = next(i for i, t in enumerate(trials) if t < t_cross)
+    assert first == 1 and trials[0] == 1.0
+    located = trials[first + 1:]
+    current = max(t for t in trials[:first] if t >= t_cross)
+    for t in located:
+        steps = (current - t) / flow.DT_MIN
+        assert round(steps) >= 1 and abs(steps - round(steps)) < 1e-6
+        if t >= t_cross:
+            current = t
+    assert current - located[-1] <= flow.DT_MIN * (1 + 1e-6)
+    assert located[-1] < t_cross <= current
+    event = error.trace.samples[-1]
+    assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, located[-1])
+    return located
 
 
 def test_flow_locates_a_linear_gap_on_the_dt_min_grid(compact_tetra, monkeypatch):
     # A synthetic edge-collapse gap, linear in t, crosses zero at T_CROSS.  The
-    # first step signals; the secant then places every trial a whole number of
-    # DT_MIN below the current t, and the event fires after a signaled step of
-    # DT_MIN from an accepted, unsignaled state, within 3 trials.  Collapsing an
-    # edge of K4 leaves no polyhedral skeleton, so the flow stalls right there.
-    import polyvol.flow as flow
+    # first step signals; the secant then places the event within 3 trials.
+    T_CROSS, RATE = 0.99371234567, 3.0
+    trials, error = synthetic_gap_trials(monkeypatch, compact_tetra,
+                                         lambda t: RATE * (T_CROSS - t))
+    assert 1 <= len(located_on_the_dt_min_grid(trials, T_CROSS, error)) <= 3
 
-    T_CROSS, RATE, signal = 0.99371234567, 3.0, (FlowEventKind.EDGE_COLLAPSED, (0, 1))
-    trials, t_of = [], {}
-    realize, scaled = flow.realize_from_angles, flow._scaled
 
-    def realize_at(*args, **kwargs):
-        P = realize(*args, **kwargs)
-        t_of[id(P)] = trials[-1]
-        return P
-
-    def linear_gap(P, prev, held, relaxed=False):
-        gap = RATE * (T_CROSS - t_of[id(P)])
-        return [(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap}
-
-    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
-    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
-    monkeypatch.setattr(flow, "_scan_signals", linear_gap)
-    with pytest.raises(StallDetected) as info:
-        run_flow(compact_tetra, FlowOptions(seed=21))
-    first = next(i for i, t in enumerate(trials) if t < T_CROSS)
-    assert first == 1 and trials[0] == 1.0
-    located = trials[first + 1:]
-    assert 1 <= len(located) <= 3
-    current = max(t for t in trials[:first] if t >= T_CROSS)
-    for t in located:
-        steps = (current - t) / flow.DT_MIN
-        assert round(steps) >= 1 and abs(steps - round(steps)) < 1e-6
-        if t >= T_CROSS:
-            current = t
-    assert current - located[-1] <= flow.DT_MIN * (1 + 1e-6)
-    assert located[-1] < T_CROSS <= current
-    event = info.value.trace.samples[-1]
-    assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, located[-1])
+def test_flow_locates_a_convex_gap_near_the_far_end(compact_tetra, monkeypatch):
+    # A synthetic gap, linear plus quadratic in t, crosses zero 1.2e-4 above
+    # the first signaled trial at t = 0.99.  The secant of a convex gap falls
+    # short of the crossing, so every trial before the event is accepted and
+    # the signaled end is kept.  With trials capped at 0.9 of the bracket they
+    # crept toward that end and the event took 4 trials after the first
+    # signal (steps of 8754, 11 and 1 DT_MIN after the capped one); up to
+    # the width less DT_MIN, it takes 3.
+    T_CROSS, RATE, CURVATURE = 0.99012345678, 3.0, 30.0
+    trials, error = synthetic_gap_trials(
+        monkeypatch, compact_tetra,
+        lambda t: RATE * (T_CROSS - t) + CURVATURE * (T_CROSS - t) ** 2)
+    located = located_on_the_dt_min_grid(trials, T_CROSS, error)
+    assert len(located) <= 3
+    assert all(t >= T_CROSS for t in located[:-1])
 
 
 def test_flow_steps_dt_min_at_once_when_the_accepted_state_signals(compact_tetra, monkeypatch):
     # The linear gap above, crossing zero above t = 1: the accepted state at
-    # t = 1 already signals, as a state does after an escape that leaves
-    # another vertex inside the ideal band.  No secant can be placed and a
-    # bisection would signal on every trial, so the first signaled step is
-    # followed by exactly one trial, DT_MIN below t = 1, where the event fires.
+    # t = 1 already signals, as an event state does when a second vertex of
+    # a cluster is already inside the ideal band.  No secant can be placed and
+    # a bisection would signal on every trial down to DT_MIN, so the first
+    # signaled step is followed by exactly one trial, DT_MIN below t = 1,
+    # where the event fires.
     import polyvol.flow as flow
 
-    T_CROSS, RATE, signal = 1.003, 3.0, (FlowEventKind.EDGE_COLLAPSED, (0, 1))
-    trials, t_of = [], {}
-    realize, scaled = flow.realize_from_angles, flow._scaled
-
-    def realize_at(*args, **kwargs):
-        P = realize(*args, **kwargs)
-        t_of[id(P)] = trials[-1]
-        return P
-
-    def linear_gap(P, prev, held, relaxed=False):
-        gap = RATE * (T_CROSS - t_of[id(P)])
-        return [(*signal, 0.0)] if gap > 0 and not relaxed else [], {signal: gap}
-
-    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
-    monkeypatch.setattr(flow, "realize_from_angles", realize_at)
-    monkeypatch.setattr(flow, "_scan_signals", linear_gap)
-    with pytest.raises(StallDetected) as info:
-        run_flow(compact_tetra, FlowOptions(seed=21))
+    T_CROSS, RATE = 1.003, 3.0
+    trials, error = synthetic_gap_trials(monkeypatch, compact_tetra,
+                                         lambda t: RATE * (T_CROSS - t))
     assert trials == [1.0, 1.0 - flow.DT_INIT, 1.0 - flow.DT_MIN]
-    event = info.value.trace.samples[-1]
+    event = error.trace.samples[-1]
     assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, trials[-1])
 
 
+def flow_pins(trace):
+    """(kind, data, t_value.hex(), volume_at_event.hex()) of each event, the hex
+    volume of each sample and sup_estimate.hex()."""
+    return ([(e.kind, e.data, e.t_value.hex(), e.volume_at_event.hex()) for e in trace.events],
+            [s.volume.value.hex() for s in trace.samples], trace.sup_estimate.hex())
+
+
 # The flow from jittered_compact(pyramid_graph(4), default_rng(951)) with seed
-# 951, measured when a bracket whose accepted end signaled bisected from DT_INIT
-# down to DT_MIN: (kind, data, t_value.hex(), volume_at_event.hex()) of its
-# events, the hex volume of each sample, sup_estimate.hex() and the number of
-# plane-system solves.
+# 951, each crossing of the sphere followed on the path: its pins (flow_pins),
+# the same with 1 and 2 OpenBLAS threads.  Each of the 5 vertices crosses
+# once, sup lies 1.3e-7 relative above rect(final), and no sample volume is
+# below the one before it.
 PYRAMID4_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.e51cd522dca3ep-1", "0x1.40f21d5d483b9p-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cd63b4047eeadp-1", "0x1.3c13fd001bc30p+0"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cd6341eeb7d94p-1", "0x1.3c27e6e76b4d2p+0"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.712b6bbe94fbbp-1", "0x1.9e6d8ce6755e1p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.712b686396a86p-1", "0x1.9e770d4a4c90cp+1"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.712b686396a86p-1", "0x1.9e770d4a4c90cp+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.e51cd522dca3ep-1", "0x1.40f21d5d0fd0ap-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cd63c82674dedp-1", "0x1.3c14bb56c450cp+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cd6370e8a067fp-1", "0x1.3c19211a69121p+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.712c59fb1e18ep-1", "0x1.9e6a827c4dfd3p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.712be48a58b3fp-1", "0x1.9e6dcc8a3b0b5p+1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.6c0d2c386d2edp-1", "0x1.b20e443f857a2p+1"),
 ]
 PYRAMID4_951_SAMPLES = [
-    "0x1.3e363d56a4aaap-3", "0x1.40f21d5d483b9p-1", "0x1.c4bc7ee4786c4p-1",
-    "0x1.3c13fd001bc30p+0", "0x1.3c27e6e76b4d2p+0", "0x1.61c4828cfba00p+0",
-    "0x1.366cbc9fa6134p+1", "0x1.9e6d8ce6755e1p+1", "0x1.9e770d4a4c90cp+1",
-    "0x1.b211e62d48fc4p+1", "0x1.817750dd9dde0p+2",
+    "0x1.3e363d56a4aaap-3", "0x1.40f21d5d0fd0ap-1", "0x1.22dbcddff209fp+0",
+    "0x1.3c14bb56c450cp+0", "0x1.3c19211a69121p+0", "0x1.108f0ac7229fep+1",
+    "0x1.9e13c6bdd5d58p+1", "0x1.9e6a827c4dfd3p+1", "0x1.9e6dcc8a3b0b5p+1",
+    "0x1.b20e443f857a2p+1", "0x1.7c9e46e71e58ep+2", "0x1.81482c9dce498p+2",
 ]
-PYRAMID4_951_SUP, PYRAMID4_951_BISECTING_SOLVES = "0x1.817996056bcf1p+2", 79
+PYRAMID4_951_SUP = "0x1.81799963518c8p+2"
+
+
+def test_flow_pyramid4_951_is_pinned_bit_for_bit():
+    trace = run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(951)),
+                     FlowOptions(seed=951))
+    assert flow_pins(trace) == (PYRAMID4_951_EVENTS, PYRAMID4_951_SAMPLES, PYRAMID4_951_SUP)
 
 
 def test_flow_degenerate_bracket_keeps_the_trace_with_fewer_solves(monkeypatch):
-    # Here an escape leaves another vertex inside the ideal band; stepping
-    # DT_MIN at once from that state gives the same trace, bit for bit, with
-    # the 15 signaled bisection trials before that step left out.
+    # In the tetrahedron flow from jittered_compact(g, default_rng(951)) with
+    # seed 951, vertex 0 is already inside the ideal band at the event state of
+    # vertex 3, so the next bracket's accepted end signals.  Stepping DT_MIN at
+    # once from there gives the trace that bisecting such a bracket gives, bit
+    # for bit, without the signaled bisection trials (14 solves).
     import polyvol.flow as flow
 
-    solve, solves = flow.solve_plane_system, []
-    monkeypatch.setattr(flow, "solve_plane_system",
-                        lambda *args, **kwargs: solves.append(None) or solve(*args, **kwargs))
-    trace = run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(951)),
-                     FlowOptions(seed=951))
-    assert [(e.kind, e.data, e.t_value.hex(), e.volume_at_event.hex())
-            for e in trace.events] == PYRAMID4_951_EVENTS
-    assert [s.volume.value.hex() for s in trace.samples] == PYRAMID4_951_SAMPLES
-    assert trace.sup_estimate.hex() == PYRAMID4_951_SUP
-    assert len(solves) <= PYRAMID4_951_BISECTING_SOLVES - 15
+    def run(bisect):
+        solve, step, solves, degenerate = flow.solve_plane_system, flow._bracket_step, [], []
+
+        def bracket_step(width, gap_lo, gap_hi):
+            if gap_lo is not None and gap_lo > 0:
+                degenerate.append(width)
+                if bisect:
+                    return flow.DT_MIN * max(1, math.floor(0.5 * width / flow.DT_MIN))
+            return step(width, gap_lo, gap_hi)
+
+        monkeypatch.setattr(flow, "solve_plane_system",
+                            lambda *args, **kwargs: solves.append(None) or solve(*args, **kwargs))
+        monkeypatch.setattr(flow, "_bracket_step", bracket_step)
+        trace = run_flow(jittered_compact(tetrahedron_graph(), np.random.default_rng(951)),
+                         FlowOptions(seed=951))
+        monkeypatch.undo()
+        return trace, len(solves), degenerate
+
+    stepped, stepped_solves, degenerate = run(bisect=False)
+    bisected, bisected_solves, _ = run(bisect=True)
+    assert len(degenerate) == 1
+    assert flow_pins(stepped) == flow_pins(bisected)
+    assert [e.kind for e in stepped.events][:2] == [FlowEventKind.VERTEX_BECAME_IDEAL] * 2
+    assert stepped_solves <= bisected_solves - 14
 
 
 # The flow from jittered_compact(cube_graph(), default_rng(951)) with seed 951,
-# the slowest op of the bench's flow workload, measured before a realization
-# built its Jacobians only where a Newton step uses them: (kind, data,
-# t_value.hex(), volume_at_event.hex()) of its events, the hex volume of each
-# sample and sup_estimate.hex(), the same with 1, 2 and 4 OpenBLAS threads.
+# the slowest op of the bench's flow workload, each crossing of the sphere
+# followed on the path: its pins (flow_pins), the same with 1 and 2 OpenBLAS
+# threads.  Each of the 8 vertices crosses once, sup lies 4.2e-8 relative above
+# rect(final), and no sample volume is below the one before it.
 CUBE_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.b52f463ea8b23p-1", "0x1.09a0303773672p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.b52e2c6335598p-1", "0x1.09b1388d6b6b1p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.b52ccf6be37dfp-1", "0x1.09be329273b44p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.aa7d566cf41f2p-1", "0x1.45ac5942d2c40p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.48142c06ef078p-1", "0x1.83a157af469c8p+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 5}, "0x1.4813d82418e40p-1", "0x1.83a9e382c56d9p+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 7}, "0x1.4810e8858ff77p-1", "0x1.83c031f0a62c3p+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 6}, "0x1.b045712358ca9p-2", "0x1.33a055b3518c5p+3"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.b045712358ca9p-2", "0x1.33a055b3518c5p+3"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.b52f463ea8b23p-1", "0x1.09a03036f6972p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.b52ebcabed593p-1", "0x1.09a588ddcb4bap+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.b52e97c2ffc48p-1", "0x1.09a7006721d4ap+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.aa7cdda13066fp-1", "0x1.45ada16c7c3c2p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.48149e1cb6194p-1", "0x1.83a0db3bd04a5p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 5}, "0x1.48146f22cd8a8p-1", "0x1.83a1ef6878418p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 7}, "0x1.48137d8b4619fp-1", "0x1.83a79f1468be4p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 6}, "0x1.b043ebe81b071p-2", "0x1.33a091dfffb64p+3"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.a6067b4443fcdp-2", "0x1.3913373c8bd1ap+3"),
 ]
 CUBE_951_SAMPLES = [
-    "0x1.15e7f9fa72f53p-2", "0x1.42a947ebe8f3ep+0", "0x1.09a0303773672p+1",
-    "0x1.09b111ed7bd73p+1", "0x1.09b1388d6b6b1p+1", "0x1.09be329273b44p+1",
-    "0x1.45ac5942d2c40p+1", "0x1.a366806cfd408p+1", "0x1.3c843f1d9e130p+2",
-    "0x1.83a157af469c8p+2", "0x1.83aa097a73420p+2", "0x1.83a9e382c56d9p+2",
-    "0x1.83c031f0a62c3p+2", "0x1.dc72e3eee1b32p+2", "0x1.1c7b10412bfeap+3",
-    "0x1.33a055b3518c5p+3", "0x1.4b4d6767157b8p+3", "0x1.815a780440574p+3",
+    "0x1.15e7f9fa72f53p-2", "0x1.42a947ebe8f3ep+0", "0x1.09a03036f6972p+1",
+    "0x1.09a588ddcb4bap+1", "0x1.09a7006721d4ap+1", "0x1.4311902be4dcbp+1",
+    "0x1.45ada16c7c3c2p+1", "0x1.f78fdb8ca41a3p+1", "0x1.6f01a51479926p+2",
+    "0x1.83a0db3bd04a5p+2", "0x1.83a1ef6878418p+2", "0x1.83a79f1468be4p+2",
+    "0x1.c71f947db282bp+2", "0x1.13ad39ea84bc1p+3", "0x1.33a091dfffb64p+3",
+    "0x1.3913373c8bd1ap+3", "0x1.447b173d5e2f8p+3", "0x1.8160e524ca4eep+3",
 ]
-CUBE_951_SUP = "0x1.817997ae1b22dp+3"
+CUBE_951_SUP = "0x1.817997101ffe0p+3"
 
 
 def test_flow_cube_951_is_pinned_bit_for_bit():
     trace = run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)),
                      FlowOptions(seed=951))
-    assert [(e.kind, e.data, e.t_value.hex(), e.volume_at_event.hex())
-            for e in trace.events] == CUBE_951_EVENTS
-    assert [s.volume.value.hex() for s in trace.samples] == CUBE_951_SAMPLES
-    assert trace.sup_estimate.hex() == CUBE_951_SUP
+    assert flow_pins(trace) == (CUBE_951_EVENTS, CUBE_951_SAMPLES, CUBE_951_SUP)
 
 
 # (kind, data) of the events, sup_estimate and plane-system solves of the flows
@@ -556,7 +641,7 @@ HALVING_FLOWS = {
 def test_flow_bracketing_keeps_events_with_fewer_solves(name, monkeypatch):
     import polyvol.flow as flow
 
-    make, escaped, sup, halving_solves = HALVING_FLOWS[name]
+    make, crossed, sup, halving_solves = HALVING_FLOWS[name]
     solve, iterations = flow.solve_plane_system, []
 
     def counted(*args, **kwargs):
@@ -567,7 +652,7 @@ def test_flow_bracketing_keeps_events_with_fewer_solves(name, monkeypatch):
     monkeypatch.setattr(flow, "solve_plane_system", counted)
     trace = run_flow(jittered_compact(make(), np.random.default_rng(951)), FlowOptions(seed=951))
     assert [(e.kind, e.data) for e in trace.events] == (
-        [(FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": v}) for v in escaped]
+        [(FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": v}) for v in crossed]
         + [(FlowEventKind.BECAME_HYPERIDEAL_ONLY, {})])
     assert abs(trace.sup_estimate - sup) <= 1e-6 * sup
     assert len(iterations) <= 0.65 * halving_solves
@@ -618,25 +703,28 @@ def test_flow_hyperideal_prism3_951_is_pinned_bit_for_bit():
 
 
 # (kind, data, t_value.hex()) of the events of the tetrahedron flow from
-# jittered_compact(g, default_rng(951)) with seed 951, measured with every
-# all-hyperideal step capped at DT_INIT.
+# jittered_compact(g, default_rng(951)) with seed 951, each crossing of the
+# sphere followed on the path.  They all come before the all-hyperideal
+# endgame, so its stride does not move them.
 TETRAHEDRON_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.cf1c53f39d1b2p-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.cf1c50989ec7dp-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cf1bf5ffcbfdap-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1b0b1e4133cp-1"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.cf1b0b1e4133cp-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.cf1c53f39d1b3p-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.cf1c50989ec7ep-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cf1c3265add9dp-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1c0a21c1f1cp-1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.c9fd51cfd66cap-1"),
 ]
 
 
 # The hex volume of each sample and sup_estimate.hex() of that flow, the same
-# with 1 and 2 OpenBLAS threads.
+# with 1 and 2 OpenBLAS threads.  Each of the 4 vertices crosses once, sup
+# lies 4.2e-9 relative above rect(final), and no sample volume is below the
+# one before it.
 TETRAHEDRON_951_SAMPLES = [
-    "0x1.72beac4d7a1e7p-3", "0x1.0068685a2cbf5p+0", "0x1.03c5a8439421ep+0",
-    "0x1.03ce41e6885f1p+0", "0x1.03deaf0ed86a9p+0", "0x1.03ef70db2492ep+0",
-    "0x1.a545daa9c858fp+0", "0x1.d4edc80acf220p+1",
+    "0x1.72beac4d7a1e7p-3", "0x1.03c564ef03ebbp+0", "0x1.03c5a842bd1ebp+0",
+    "0x1.03c5ebb5ffa0dp+0", "0x1.03c850ca0df82p+0", "0x1.03cb96c20b131p+0",
+    "0x1.2f9200da1a62bp+0", "0x1.b95d4095f2d50p+1", "0x1.d4ee78b8ae146p+1",
 ]
-TETRAHEDRON_951_SUP = "0x1.d4f97164468c5p+1"
+TETRAHEDRON_951_SUP = "0x1.d4f9715fefe3cp+1"
 
 
 def test_flow_tetrahedron_951_is_pinned_bit_for_bit():
@@ -692,16 +780,22 @@ def test_flow_no_progress_stall_carries_the_failed_solve():
     assert info.value.trace.samples
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_flow_almost_proper_seed_stalls_known_failure(seed):
-    # Known failure: vertex 0 starts on the polar plane of vertex 1, so the
-    # flow holds that incidence.  Once vertices 3 and 2 have escaped, vertex 0
-    # reaches the sphere and no escape translation takes it out of the ball.
-    # A fix makes this flow run through; then this test must expect success.
+def almost_proper_tetrahedron():
+    """Vertex 0 on the polar plane of the hyperideal vertex 1, the others real."""
     g = tetrahedron_graph()
     verts = np.array([[1 / 1.5, 0.0, 0.3], [1.5, 0.0, 0.0],
                       [-0.5, 0.55, -0.3], [-0.5, -0.55, -0.3]])
-    P = build_polyhedron(planes_from_vertices(verts, g), g)
+    return build_polyhedron(planes_from_vertices(verts, g), g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flow_almost_proper_seed_stalls_known_failure(seed):
+    # Known failure: vertex 0 starts on the polar plane of vertex 1, so the
+    # flow holds that incidence.  Once vertices 3 and 2 have crossed the
+    # sphere, vertex 0 reaches it and no escape translation takes it out of
+    # the ball.
+    # A fix makes this flow run through; then this test must expect success.
+    P = almost_proper_tetrahedron()
     assert P.report.statuses[0] == VertexStatus.ALMOST_PROPER
     with pytest.raises(StallDetected, match="escape left vertex 0 inside the ball") as info:
         run_flow(P, FlowOptions(seed=seed))
@@ -745,26 +839,36 @@ def test_flow_first_solve_failure_carries_an_empty_trace(compact_tetra, monkeypa
     assert math.isnan(trace.sup_estimate) and trace.seed == 12
 
 
-def test_flow_escape_failure_carries_the_samples_before_it(compact_tetra, monkeypatch):
-    # The flow's first event is a VertexBecameIdeal.  With every escape
-    # failing, the error leaves with the flow's samples up to that event's
-    # own, bit for bit, and no event.
+def test_flow_escape_failure_carries_the_samples_before_it(monkeypatch):
+    # The almost-proper tetrahedron of the known-failure test above: vertices 3
+    # and 2 cross the sphere on the path, with no escape, and then vertex 0
+    # reaches it while held on the polar plane of vertex 1.  With every escape
+    # failing, the error leaves with the flow's samples up to that vertex's
+    # event sample, bit for bit, and the two crossings before it.
     import polyvol.flow as flow
 
-    full = run_flow(compact_tetra, FlowOptions(seed=12))
+    P = almost_proper_tetrahedron()
+    with pytest.raises(StallDetected) as info:
+        run_flow(P, FlowOptions(seed=1))
+    full = info.value.trace
+    escaped = []
 
     def no_escape(P, v, **kwargs):
+        escaped.append((v, kwargs))
         raise NoSeparatingPlane(f"forced for vertex {v}")
 
     monkeypatch.setattr(flow, "escape_deformation", no_escape)
     with pytest.raises(NoSeparatingPlane) as info:
-        run_flow(compact_tetra, FlowOptions(seed=12))
+        run_flow(P, FlowOptions(seed=1))
     trace = info.value.trace
-    n = len(trace.samples)
-    assert n >= 2 and trace.events == []
+    assert escaped == [(0, {"almost_pole": 1})]
+    assert [(e.kind, e.data) for e in trace.events] == [
+        (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}),
+        (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2})]
     assert trace.samples[-1].event == FlowEventKind.VERTEX_BECAME_IDEAL
     assert ([(s.t, s.volume.value, s.event) for s in trace.samples]
-            == [(s.t, s.volume.value, s.event) for s in full.samples[:n]])
+            == [(s.t, s.volume.value, s.event) for s in full.samples])
+    assert trace.events == full.events
 
 
 @pytest.mark.parametrize("deformation", ["nudge", "escape"])
@@ -778,11 +882,8 @@ def test_deformation_candidates_skip_only_rebuild_failures(deformation, monkeypa
         P, exhausted = regular_tetrahedron(1.0), PropernessLost
         deform = lambda: nudge_ideal_vertices(P)
     else:
-        g = tetrahedron_graph()
-        verts = np.array([[0.0, 0.0, 0.9999], [0.8, 0.0, -0.4],
-                          [-0.4, 0.7, -0.4], [-0.4, -0.7, -0.4]])
-        P, exhausted = build_polyhedron(planes_from_vertices(verts, g), g), NoSeparatingPlane
-        deform = lambda: escape_deformation(P, 0)
+        P, exhausted = held_near_sphere(), NoSeparatingPlane
+        deform = lambda: escape_deformation(P, 0, almost_pole=1)
     for raised, expected in [(EdgeMissesBall("forced"), exhausted),
                              (ValueError("forced"), exhausted),
                              (PlanesEqual("forced"), PlanesEqual)]:
@@ -799,24 +900,33 @@ def test_deformation_candidates_skip_only_rebuild_failures(deformation, monkeypa
 
 
 def test_volume_just_past_ideal_depends_on_interior_point_known_failure():
-    # Known failure: on the 2nd to 4th VertexBecameIdeal samples of this flow
-    # a vertex has only just turned hyperideal (|x| - 1 about 2e-5).  Moving
-    # the interior point of the orthoscheme decomposition by 0.01 along an
-    # axis then moves the volume by 4.5e-5 to 1.3e-4, though the exact value
-    # does not depend on that point and the estimates are 3.6e-11 to 6e-11.
-    # On the first sample, every vertex still real, the spread is 6e-15.
-    # A fix makes the spread stay within the estimate; then this test must
-    # expect that.
-    trace = run_flow(regular_tetrahedron(0.55), FlowOptions(seed=3))
-    became_ideal = [s for s in trace.samples if s.event == FlowEventKind.VERTEX_BECAME_IDEAL]
-    assert len(became_ideal) == 4
-    for sample in became_ideal[1:]:
-        center, polygons = _truncation_region(truncate(sample.polyhedron))
+    # Known failure: a tetrahedron with one to three vertices just hyperideal
+    # (|x| - 1 = 2e-5) and the others just inside the ideal band (|x| = 1 -
+    # 1e-5), the regular tetrahedron's directions.  Moving the interior point of
+    # the orthoscheme decomposition by 0.01 along an axis moves the volume by
+    # 3.8e-5 to 1.3e-4, though the exact value does not depend on that point and
+    # the estimates are 3.6e-11 to 6e-11.  With every vertex still real the
+    # spread is under 1e-12.  A fix makes the spread stay within the estimate;
+    # then this test must expect that.
+    g = tetrahedron_graph()
+    directions = regular_tetrahedron(0.55).vertex_charts / 0.55
+
+    def spread(radii):
+        P = build_polyhedron(planes_from_vertices(directions * np.array(radii)[:, None], g), g)
+        center, polygons = _truncation_region(truncate(P))
         value, _ = _orthoscheme_decomposition(center, polygons)
-        assert value == sample.volume.value
-        spread = max(abs(_orthoscheme_decomposition(center + 0.01 * axis, polygons)[0] - value)
-                     for axis in np.eye(3))
-        assert spread > 1000 * sample.volume.error_estimate
+        volume = polyhedron_volume(P)
+        assert value == volume.value
+        moved = max(abs(_orthoscheme_decomposition(center + 0.01 * axis, polygons)[0] - value)
+                    for axis in np.eye(3))
+        return P, moved, volume.error_estimate
+
+    for past in (1, 2, 3):
+        P, moved, error = spread([1 + 2e-5] * past + [1 - 1e-5] * (4 - past))
+        assert P.kinds == (PointKind.HYPERIDEAL,) * past + (PointKind.REAL,) * (4 - past)
+        assert moved > 1000 * error
+    _, moved, error = spread([1 - 1e-5] * 4)
+    assert moved < 1e-12
 
 
 def test_scan_reads_the_kinds_and_no_statuses():

@@ -217,7 +217,7 @@ def loop_build_polyhedron(planes, g, *, rectified=False):
     return lifts
 
 
-def loop_scan_signals(P, prev, held, relaxed=False):
+def loop_scan_signals(P, prev, held, exempt=(), relaxed=False):
     ideal_band = 1e2 * IDEAL_BAND if relaxed else IDEAL_BAND
     edge_tol = 1e3 * EDGE_COLLAPSE_TOL if relaxed else EDGE_COLLAPSE_TOL
     face_tol = 1e3 * FACE_COLLAPSE_TOL if relaxed else FACE_COLLAPSE_TOL
@@ -226,7 +226,7 @@ def loop_scan_signals(P, prev, held, relaxed=False):
     charts = P.vertex_charts
     radii = np.linalg.norm(charts, axis=1)
     for v, k in enumerate(prev_kinds):
-        if k == PointKind.REAL and radii[v] > 1.0 - ideal_band:
+        if k == PointKind.REAL and v not in exempt and radii[v] > 1.0 - ideal_band:
             out.append((FlowEventKind.VERTEX_BECAME_IDEAL, v, abs(1.0 - radii[v])))
     hyper = [v for v, k in enumerate(kinds) if k == PointKind.HYPERIDEAL]
     for v in hyper:
@@ -427,10 +427,10 @@ def test_plane_system_builds_one_jacobian_per_newton_step(monkeypatch):
     monkeypatch.setattr(_PlaneSystem, "__call__", counted_call)
     monkeypatch.setattr(polyvol.flow, "solve_plane_system", counted_solve)
     run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
-    assert len(jacobians) == sum(iterations) == 205
+    assert len(jacobians) == sum(iterations) == 183
     # A residual at each solve's start and one per accepted step: this flow
-    # rejects no line-search point, and 110 converged iterates build no J.
-    assert len(evaluations) == len(iterations) + sum(iterations) == 315
+    # rejects no line-search point, and 102 converged iterates build no J.
+    assert len(evaluations) == len(iterations) + sum(iterations) == 285
 
 
 # --- flow agreement ----------------------------------------------------------------
@@ -441,7 +441,7 @@ def _near_ideal(samples):
 
     Near an ideal vertex the angles fix the volume only to about 1e-4
     relative, so a state there depends on the solver's path; the states
-    between two escapes of one cluster inherit that.
+    between two crossings of one cluster inherit that.
     """
     ideal = [s.event == FlowEventKind.VERTEX_BECAME_IDEAL for s in samples]
     return [flag or (0 < i < len(ideal) - 1 and ideal[i - 1] and ideal[i + 1])
@@ -599,6 +599,8 @@ def test_scan_signals_matches_loop_with_held_incidence():
 def test_scan_signals_matches_loop_on_recorded_flow_states(recorded):
     scans, _ = recorded
     assert len(scans) >= 50
+    # Some of these scans exempt a vertex whose crossing the flow follows.
+    assert any(args[3] for args, _ in scans[:50])
     for args, kw in scans[:50]:
         assert _scan_signals(*args, **kw)[0] == loop_scan_signals(*args, **kw)
 
@@ -608,8 +610,8 @@ def test_scan_gaps_are_looked_up_per_candidate(recorded):
     # threshold; a candidate the scan did not test, or no candidate at all (a
     # bracket's far end after a failed solve), has none.
     scans, _ = recorded
-    for (P, prev, held), kw in scans:
-        got, gaps = _scan_signals(P, prev, held, **kw)
+    for (P, prev, held, *exempt), kw in scans:
+        got, gaps = _scan_signals(P, prev, held, *exempt, **kw)
         assert all(gaps.get((kind, data)) > 0 for kind, data, _ in got)
         tol = (1e3 if kw.get("relaxed") else 1.0) * EDGE_COLLAPSE_TOL
         for (a, b) in P.skeleton.edges:
