@@ -67,7 +67,6 @@ from .flow import (
     nudge_ideal_vertices,
     realize_from_angles,
     run_flow,
-    sup_volume,
     trace_to_csv,
 )
 

@@ -5,10 +5,12 @@ dihedral angles by t and follow the path t -> t * theta downward,
 realizing each target through the local-coordinate property of dihedral
 angles.  As t decreases the Schlafli identity makes the volume grow.
 Degenerations are detected and handled: a real vertex crossing the
-sphere at infinity is an event on the path (one held on a polar plane is
-pushed out by a translation, an escape deformation); a vertex landing on
-a truncation plane starts an almost-proper stratum where the incidence
-is held; collapsing edges or faces rewrite the skeleton.
+sphere at infinity is an event on the path, recorded at the first state
+that puts it in the outer half of the ideal band (one held on a polar
+plane is located to DT_MIN and pushed out by a translation, an escape
+deformation); a vertex landing on a truncation plane starts an
+almost-proper stratum where the incidence is held; collapsing edges or
+faces rewrite the skeleton.
 Once every vertex is hyperideal the target path stays realizable all
 the way down, and the supremum of the volume is estimated from the last
 computed volume plus a Schlafli bound on the remaining gain.
@@ -61,13 +63,18 @@ from .volume import VolumeResult, polyhedron_volume
 
 #: Initial and smallest step in t.  An accepted step grows dt by 1.7, up to
 #: DT_INIT before the all-hyperideal endgame and uncapped in it (each step
-#: still goes at most to 0.2 t).  A step that fails to realize halves; a
-#: step that signals a degeneration brackets it, and the next trials are
-#: whole multiples of DT_MIN placed by the secant of the signal's gap, or
-#: DT_MIN itself when the accepted state signals too.
+#: still goes at most to 0.2 t).  A step toward the sphere is cut to a whole
+#: multiple of DT_MIN aimed into the window (IDEAL_BAND).  A step that fails
+#: to realize halves; a step that signals a degeneration brackets it, and
+#: the next trials are whole multiples of DT_MIN placed by the secant of the
+#: signal's gap, or DT_MIN itself when the accepted state signals too.  Every
+#: degeneration but a crossing in the window is located to DT_MIN.
 DT_INIT = 1e-2
 DT_MIN = 1e-7
 #: A real vertex within this chart distance of the sphere is becoming ideal.
+#: The outer half of the band, radius gap in (0, IDEAL_BAND / 2], is the
+#: window: a trial whose only signals are crossings there by vertices with no
+#: held pole is their event state, and steps aim at IDEAL_BAND / 4.
 IDEAL_BAND = 1e-5
 #: A real vertex this close to a polar plane starts an almost-proper stratum.
 ALMOST_PROPER_BAND = 1e-6
@@ -293,11 +300,12 @@ class _Gaps:
     """A scan's signed gaps: one vector, each kind's candidates in a run of it.
 
     ``candidates`` lists ``(kind, data)`` in the vector's order; a gap is
-    looked up by ``(kind, data)`` only when asked.
+    looked up by ``(kind, data)`` only when asked.  ``radius`` is every
+    vertex's radius gap, the ideal signal's gap whether it is tested or not.
     """
 
-    def __init__(self, gaps, candidates):
-        self.vector, self._candidates = gaps, candidates
+    def __init__(self, gaps, candidates, radius):
+        self.vector, self._candidates, self.radius = gaps, candidates, radius
 
     def spans(self):
         """``(kind, offset, data)`` of each kind's run of the vector."""
@@ -337,7 +345,8 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, exempt=(), relaxed: boo
     codes, prev_codes = P.kind_codes, prev.kind_codes
     charts = P.vertex_charts
     was_real = [v for v in (prev_codes == REAL_CODE).nonzero()[0].tolist() if v not in exempt]
-    radii = row_norms(charts)[was_real]
+    norms = row_norms(charts)
+    radius = norms - (1.0 - ideal_band)
     # Poles hyperideal in both states; a fresh crossing signals as VERTEX_BECAME_IDEAL.
     poles = ((codes == HYPERIDEAL_CODE) & (prev_codes == HYPERIDEAL_CODE)).nonzero()[0].tolist()
     real = (codes == REAL_CODE).nonzero()[0].tolist()
@@ -357,44 +366,66 @@ def _scan_signals(P: Polyhedron, prev: Polyhedron, held, exempt=(), relaxed: boo
         centred = pts - np.add.reduce(pts, axis=1, keepdims=True) / cycles.shape[1]
         widths[fs] = np.linalg.svd(centred, compute_uv=False)[:, :2]
     gaps = _Gaps(np.concatenate([
-        radii - (1.0 - ideal_band), ALMOST_PROPER_BAND - margins, edge_tol - lengths,
+        radius[was_real], ALMOST_PROPER_BAND - margins, edge_tol - lengths,
         face_tol * np.maximum(1.0, widths[:, 0]) - widths[:, 1]]), (
         (FlowEventKind.VERTEX_BECAME_IDEAL, was_real),
         (FlowEventKind.ALMOST_PROPER_ONSET, pairs),
         (FlowEventKind.EDGE_COLLAPSED, g.edges),
-        (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)))))
+        (FlowEventKind.FACE_COLLAPSED, range(len(g.faces)))), radius)
     hits = (gaps.vector > 0).nonzero()[0].tolist()
     if not hits:
         return [], gaps
-    sizes = np.concatenate([np.abs(1.0 - radii), margins, lengths, widths[:, 1]])
+    sizes = np.concatenate([np.abs(1.0 - norms[was_real]), margins, lengths, widths[:, 1]])
     out = [(kind, data[i - offset], sizes[i]) for kind, offset, data in gaps.spans()
            for i in hits if 0 <= i - offset < len(data)]
     out.sort(key=lambda item: item[2])
     return out, gaps
 
 
-def _bracket_step(width, gap_lo, gap_hi):
+def _bracket_step(width, gap_lo, gap_hi, aim=0.0):
     """Next trial step into a bracket ``width`` long whose far end signaled.
 
     The secant of the worst signal's gaps, ``gap_lo`` at the accepted end
-    and ``gap_hi`` > 0 at the far end, estimates where it crosses zero;
-    when either is missing or out of sign the step bisects.  The step is a
-    whole number of DT_MIN, at least one, and else at most the width less
-    DT_MIN.  An accepted end that signals too (``gap_lo`` > 0, a vertex
-    already in the ideal band at another's event) gives DT_MIN at once:
-    bisection would signal on every trial down to that same step.
+    and ``gap_hi`` > 0 at the far end, estimates where the gap reaches
+    ``aim``: 0 to locate a degeneration, the middle of the window for a
+    crossing of the sphere with no held pole.  When either gap is missing
+    or out of sign the step bisects.  The step is a whole number of
+    DT_MIN, at least one, and else at most the width less DT_MIN.  An
+    accepted end that signals too (``gap_lo`` > 0, a vertex already in
+    the ideal band at another's event) gives DT_MIN at once: bisection
+    would signal on every trial down to that same step.
     """
     if gap_lo is not None and gap_lo > 0.0:
         return DT_MIN
     s = 0.5 * width
     if gap_lo is not None and gap_hi is not None and gap_lo <= 0.0 < gap_hi:
-        s = width * gap_lo / (gap_lo - gap_hi)
+        s = width * (gap_lo - aim) / (gap_lo - gap_hi)
     return DT_MIN * max(1, math.floor(min(s, width - DT_MIN) / DT_MIN))
 
 
+def _aimed_step(step, before, t, P, gaps, skip):
+    """``step``, shortened where a real vertex not in ``skip`` would pass the window.
+
+    The secant of each vertex's radius gap over the accepted states
+    ``before`` = (t0, P0, gaps0) and (t, P, gaps) gives the step at which
+    it reaches IDEAL_BAND / 4, the middle of the window.  A shortened step
+    is a whole number of DT_MIN, at least one.
+    """
+    t0, _, gaps0 = before
+    if gaps0 is None:
+        return step
+    g0, g1 = gaps0.radius, gaps.radius
+    near = (P.kind_codes == REAL_CODE) & (g1 > g0)
+    near[list(skip)] = False
+    if not near.any():
+        return step
+    s = (t0 - t) * float(np.min((0.25 * IDEAL_BAND - g1[near]) / (g1[near] - g0[near])))
+    return step if s >= step else DT_MIN * max(1, math.floor(s / DT_MIN))
+
+
 def _predicted(before, t, P, t_next):
-    """Normals and charts at t_next extrapolated from ``before`` = (t0, P0) and (t, P)."""
-    t0, P0 = before
+    """Normals and charts at t_next extrapolated from ``before`` = (t0, P0, _) and (t, P)."""
+    t0, P0, _ = before
     w = (t - t_next) / (t0 - t)
     n0, n1 = P0.normals, P.normals
     return n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
@@ -487,7 +518,16 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
 
 def _follow(P0: Polyhedron, trace: FlowTrace, rng):
-    """The loop of :func:`run_flow`: records into ``trace`` and sets its supremum."""
+    """The loop of :func:`run_flow`: records into ``trace`` and sets its supremum.
+
+    Before the endgame a step is cut where the secant of a vertex's radius
+    gap would take it past the middle of the window (:func:`_aimed_step`).
+    A trial whose signals are all crossings in the window, by vertices with
+    no held pole, is the event state of the worst of them, with no bracket.
+    Any other signaled trial brackets its worst signal (:func:`_bracket_step`),
+    aimed at the window's middle for such a crossing and at the threshold
+    otherwise, and the event fires on a signaled step of DT_MIN.
+    """
     samples, events = trace.samples, trace.events
     report = P0.report
     g = P0.skeleton
@@ -499,9 +539,27 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     P = realize_from_angles(g, _scaled(theta_dir, t), P0, held=held)
 
     def record(P_, t_, event=None):
+        """Sample P_ once: a state sampled last gets its event on that row, or a row per event."""
+        if samples and samples[-1].polyhedron is P_:
+            last = samples[-1]
+            if event is not None:
+                if last.event is None:
+                    samples.pop()
+                samples.append(FlowSample(t_, P_, last.volume, event))
+            return last.volume
         vol = polyhedron_volume(P_)
         samples.append(FlowSample(t_, P_, vol, event))
         return vol
+
+    def pole_free(signal):
+        """Whether ``signal`` is a crossing of the sphere by a vertex with no held pole."""
+        return (signal[0] == FlowEventKind.VERTEX_BECAME_IDEAL
+                and all(w != signal[1] for w, _ in held))
+
+    def in_window(signals, gaps_):
+        """Whether every signal is a pole-free crossing within IDEAL_BAND / 2 of the band's edge."""
+        return all(pole_free(s) and 0.0 < gaps_.get(s[:2]) <= 0.5 * IDEAL_BAND
+                   for s in signals)
 
     def handle_event(kind, data, P_state, t_now):
         """Dispatch one degeneration of P_state; returns a new stratum's state, or None."""
@@ -545,8 +603,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     # Vertices crossing the sphere on the path: no ideal signal until an
     # accepted state shows them hyperideal or back inside 1 - IDEAL_BAND.
     exempt: tuple = ()
-    # On this stratum: the accepted state before P as (t, P), P's signal
-    # gaps, and the nearest rejected trial as (t, worst signal, its gap).
+    # On this stratum: the accepted state before P as (t, P, its signal
+    # gaps), P's signal gaps, and the nearest rejected trial as (t, worst
+    # signal, its gap).
     before = gaps = bracket = None
 
     for _ in range(MAX_STEPS):
@@ -566,7 +625,10 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             t_hi, signal, gap_hi = bracket
             if gaps is None:
                 _, gaps = _scan_signals(P, P, held, exempt)
-            step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi)
+            aim = 0.25 * IDEAL_BAND if signal is not None and pole_free(signal) else 0.0
+            step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim)
+        elif before is not None and not hyperideal_only:
+            step = _aimed_step(dt, before, t, P, gaps, exempt + tuple(w for w, _ in held))
         t_next = max(t - step, 0.2 * t)
         start = None if before is None else _predicted(before, t, P, t_next)
         try:
@@ -578,7 +640,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
         except (NewtonDiverged, SkeletonChanged) as exc:
             if step > DT_MIN:
                 if bracket is None:
-                    dt *= 0.5
+                    dt = 0.5 * step
                 else:
                     bracket = (t_next, None, None)
                 continue
@@ -592,7 +654,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
                 raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
             P_next, t_next, next_gaps = P, t, None
 
-        if signals and step > DT_MIN:
+        if signals and step > DT_MIN and not in_window(signals, next_gaps):
             signal = signals[0][:2]
             bracket = (t_next, signal, next_gaps.get(signal))
             continue
@@ -605,9 +667,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             elif P_next is P:
                 continue  # a stall's event: the flow has not moved
             else:  # the event state is the path's next accepted state
-                before, P, t, gaps = (t, P), P_next, t_next, next_gaps
+                before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
         else:
-            before, P, t, gaps = (t, P), P_next, t_next, next_gaps
+            before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
             accepted += 1
             if accepted % SAMPLE_EVERY == 0:
                 record(P, t)
@@ -626,16 +688,6 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             vol_ev = record(P, t, event=kind)
             events.append(FlowEvent(kind, t, vol_ev.value, {}))
     raise StallDetected("step limit reached")
-
-
-def sup_volume(g: PlanarGraph, seed: Polyhedron, opts: FlowOptions | None = None) -> float:
-    """Flow estimate of sup Vol over proper polyhedra with skeleton g."""
-    if seed.skeleton.faces != g.faces:
-        raise SkeletonMismatch("seed skeleton differs from g")
-    P = seed
-    if any(k == PointKind.IDEAL for k in P.report.kinds):
-        P = nudge_ideal_vertices(P)
-    return run_flow(P, opts).sup_estimate
 
 
 def trace_to_csv(trace: FlowTrace) -> str:
