@@ -8,9 +8,6 @@ from .core import (
     AffineDeformation,
     OrientedPlane,
     PointKind,
-    classify_point,
-    dihedral_angle,
-    polar_plane,
 )
 from .graphs import (
     AdmissibilityStatus,

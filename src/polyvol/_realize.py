@@ -2,22 +2,20 @@
 
 Unknowns are the Minkowski face normals (4 per face) and the chart
 coordinates of the vertices (3 per vertex).  Equations: unit spacelike
-normals, vertex-on-plane incidences, prescribed values of <n_f, n_g>
-per edge (cosine targets), and optional held incidences pinning a
-vertex onto the polar plane of another.
+normals, vertex-on-plane incidences, held incidences pinning a vertex
+onto the polar plane of another, and a prescribed <n_f, n_g> (a cosine
+target) at every edge that no held pair joins (``target_edges``).
 
-What depends only on the graph, the held incidences and which edges have
-a target is built once and cached (``_layout``); in a flow stratum, a
-skeleton with its held incidences, every edge that no held pair joins has
-a target (``target_edges``), so a stratum builds it once.  It holds the
-edges of the Gram rows, for each residual row the slots of the factors of
-its five terms, and the flat index and slot of each nonzero of the
-Jacobian.  A slot indexes one gathered vector: the normals, their
-Minkowski duals, the charts and the constants 1, -1, -0 and each
-negated target.  A row sums its terms left to right, which rounds as
-summing its products and then subtracting its constant; -0, which leaves
-any sum as it is, pads the rows of four terms.  What a solve still
-computes is its target vector; each residual evaluation gathers the
+What depends only on the graph and the held incidences is built once per
+flow stratum, a skeleton with its held incidences, and cached
+(``_layout``).  It holds the edges of the Gram rows, for each residual row
+the slots of the factors of its five terms, and the flat index and slot
+of each nonzero of the Jacobian.  A slot indexes one gathered vector: the
+normals, their Minkowski duals, the charts and the constants 1, -1, -0
+and each negated target.  A row sums its terms left to right, which
+rounds as summing its products and then subtracting its constant; -0,
+which leaves any sum as it is, pads the rows of four terms.  What a solve
+still computes is its target vector; each residual evaluation gathers the
 state, multiplies the factors and sums the rows, at every trial point,
 and the Jacobian is one gather scattered into its indices, once per
 Newton step, at the accepted iterate.
@@ -67,25 +65,23 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(g: PlanarGraph, held: tuple, edges: tuple | None = None) -> _Layout:
-    """The plane system's index arrays, with Gram rows for ``edges`` (indices).
+def _layout(g: PlanarGraph, held: tuple) -> _Layout:
+    """The plane system's index arrays, with a Gram row per edge that no pair of ``held`` joins.
 
-    ``edges`` defaults to every edge that no pair of ``held`` joins, in
-    ``g.edges`` order.  Rows: a normalization per face, an incidence per
-    (face, vertex) in cycle order, the Gram rows, then a row per held pair.
+    Rows: a normalization per face, an incidence per (face, vertex) in cycle
+    order, the Gram rows in ``g.edges`` order, then a row per held pair.
     Columns: 4 normal coordinates per face, then 3 chart coordinates per
     vertex.
     """
-    if edges is None:
-        joined = {_norm_edge(w, u) for w, u in held}
-        edges = tuple(i for i, e in enumerate(g.edges) if e not in joined)
+    joined = {_norm_edge(w, u) for w, u in held}
+    edges = [i for i, e in enumerate(g.edges) if e not in joined]
     nF, nV = len(g.faces), g.n_vertices
     normal = np.arange(4 * nF).reshape(nF, 4)
     eta = normal + 4 * nF
     chart = 8 * nF + np.arange(3 * nV).reshape(nV, 3)
     one, minus_one, minus_zero = 8 * nF + 3 * nV + np.arange(3)
     inc_f, inc_v = np.array([(f, v) for f, cyc in enumerate(g.faces) for v in cyc]).T
-    f1, f2 = g.edge_face_array[list(edges)].reshape(-1, 2).T
+    f1, f2 = g.edge_face_array[edges].reshape(-1, 2).T
     held_w, held_u = np.array(held, dtype=int).reshape(-1, 2).T
     m, k, h = len(inc_f), len(edges), len(held_w)
     slot = lambda n, s: np.full((n, 1), s)
@@ -129,13 +125,7 @@ class _PlaneSystem:
     """Residual and Jacobian for fixed targets and held incidences."""
 
     def __init__(self, g: PlanarGraph, gram_targets, held):
-        held = tuple(map(tuple, held))
-        if isinstance(gram_targets, dict):
-            active = [(g.edge_index[e], t) for e, t in gram_targets.items() if t is not None]
-            self.layout = _layout(g, held, tuple(i for i, _ in active))
-            gram_targets = [t for _, t in active]
-        else:
-            self.layout = _layout(g, held)
+        self.layout = _layout(g, tuple(map(tuple, held)))
         self.constants = np.concatenate([(1.0, -1.0, -0.0), np.negative(gram_targets)])
 
     def __call__(self, normals, verts):
@@ -168,11 +158,10 @@ def _step(J, r, lm):
 def solve_plane_system(g: PlanarGraph, gram_targets, normals0, verts0, *, held=()):
     """Solve for normals and vertices matching the prescribed Gram values.
 
-    ``gram_targets`` maps each edge to the desired <n_f, n_g> (use
-    ``-cos(theta)`` for interior dihedral angle theta, so -1 means
-    tangency); a ``None`` value drops that edge's equation.  It may
-    instead be an array of the values at ``target_edges(g, held)``, in
-    that order.  Returns ``(normals, verts, report)``.
+    ``gram_targets`` is an array of the desired <n_f, n_g> at the edges
+    ``target_edges(g, held)``, in that order (use ``-cos(theta)`` for
+    interior dihedral angle theta, so -1 means tangency).  Returns
+    ``(normals, verts, report)``.
     """
     system = _PlaneSystem(g, gram_targets, held)
     x = np.concatenate((normals0, verts0), axis=None, dtype=float)

@@ -49,6 +49,19 @@ def _numbers(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
+def _criteria(text: str) -> list[int]:
+    """``selftest --criteria``: comma-separated numbers of criteria."""
+    from .selftest import CRITERIA
+
+    try:
+        numbers = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    if not CRITERIA.keys() >= set(numbers):
+        raise argparse.ArgumentTypeError(f"criteria are 1 to {len(CRITERIA)}, got {text!r}")
+    return numbers
+
+
 def _cmd_classify(args) -> int:
     from .polyhedron import parse_polyhedron, classify_vertices
 
@@ -165,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_flow)
 
     c = sub.add_parser("selftest", help="run the acceptance corpus")
-    c.add_argument("--criteria", default=None,
+    c.add_argument("--criteria", default=None, type=_criteria,
                    help="comma-separated criterion numbers (default: all)")
     c.set_defaults(func=_cmd_selftest)
     return p

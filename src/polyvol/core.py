@@ -29,12 +29,11 @@ from .errors import (
     OutsideModel,
     PlanesDisjointInBall,
     PlanesEqual,
-    PoleNotHyperideal,
 )
 
 #: Half-width of the band around the unit sphere treated as "ideal".
 TAU_IDEAL = 1e-9
-#: Slack on |<n1, n2>| <= 1 and on coinciding normals in :func:`dihedral_angle`.
+#: Slack on |<n1, n2>| <= 1 and on coinciding normals in :func:`interior_cosines`.
 PLANE_TOL = 1e-9
 
 MINKOWSKI_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -103,16 +102,8 @@ def kinds_of(codes) -> tuple[PointKind, ...]:
 
 
 def classify_points(charts, tol: float = TAU_IDEAL) -> tuple[PointKind, ...]:
-    """:func:`classify_point` of every row of ``charts``."""
+    """Real / Ideal / Hyperideal kind of each chart row p; Ideal if ``| |p| - 1 | <= tol``."""
     return kinds_of(kind_codes(charts, tol))
-
-
-def classify_point(p, tol: float = TAU_IDEAL) -> PointKind:
-    """Real / Ideal / Hyperideal classification of a chart point.
-
-    The ideal band is ``| |p| - 1 | <= tol``.
-    """
-    return classify_points(np.asarray(p, dtype=float)[None], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -159,19 +150,6 @@ def _unit_rows(normals) -> np.ndarray:
     return unit
 
 
-def polar_plane(p) -> OrientedPlane:
-    """Polar plane of a hyperideal point, oriented so the half-space holds the origin.
-
-    In the chart the plane is ``{p . x = 1}`` and the half-space is
-    ``{p . x <= 1}``; every line through ``p`` meeting H^3 crosses it
-    orthogonally.
-    """
-    coords = np.asarray(p, dtype=float)
-    if np.linalg.norm(coords) <= 1.0 + TAU_IDEAL:
-        raise PoleNotHyperideal(f"|p| = {np.linalg.norm(coords):.12g} <= 1 + tol")
-    return OrientedPlane(normal=lift(coords))
-
-
 def interior_cosines(n1, n2) -> np.ndarray:
     """cos of the interior dihedral angle between the planes of each pair of rows of unit normals.
 
@@ -191,16 +169,6 @@ def interior_cosines(n1, n2) -> np.ndarray:
         raise PlanesDisjointInBall(f"|<n1,n2>| = {abs(g[i]):.12g} > 1")
     # Clamp guards the tangency limit where |g| grazes 1.
     return np.clip(-g, -1.0, 1.0)
-
-
-def dihedral_angle(a: OrientedPlane, b: OrientedPlane) -> float:
-    """Interior dihedral angle between two selected half-spaces, in [0, pi].
-
-    0 exactly when the intersection line is tangent to the sphere at
-    infinity (within tolerance).  Raises if the planes coincide or their
-    intersection misses the closed ball.
-    """
-    return math.acos(interior_cosines(a.normal[None], b.normal[None])[0])
 
 
 # --- deformations and isometries -------------------------------------------
@@ -231,10 +199,6 @@ class AffineDeformation:
         T = np.eye(4)
         T[1:, 0] = v
         return cls(matrix=T)
-
-    def apply_point(self, point):
-        out = self.matrix @ lift(point)
-        return out[1:] / out[0]
 
     def apply_planes(self, normals) -> np.ndarray:
         """Unit normals of the images of the planes with unit normals ``normals`` (F, 4).

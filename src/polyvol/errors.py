@@ -23,10 +23,6 @@ class PolyvolError(Exception):
 
 # --- mink-core -----------------------------------------------------------
 
-class PoleNotHyperideal(PolyvolError):
-    code = "PoleNotHyperideal"
-
-
 class PlanesDisjointInBall(PolyvolError):
     code = "PlanesDisjointInBall"
 

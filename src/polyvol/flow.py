@@ -92,6 +92,10 @@ MAX_STEPS = 20000
 T_FLOOR = 1e-3
 #: Volume drop allowed between consecutive samples, beyond their error estimates.
 EVENT_SLACK = 1e-9
+#: First expansion factor minus one that a nudge tries; halved until it fits.
+NUDGE_DELTA = 1e-3
+#: How far past the sphere the first escape translation aims a vertex.
+ESCAPE_DELTA = 1e-5
 
 
 # --- realization with prescribed angles --------------------------------------
@@ -150,11 +154,11 @@ def _interior_point(P: Polyhedron):
     return c
 
 
-def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
+def nudge_ideal_vertices(P: Polyhedron) -> Polyhedron:
     """Expand P slightly so its ideal vertices become hyperideal.
 
-    A homothety with factor 1 + delta about an interior point; delta is
-    halved adaptively until properness and the skeleton survive.
+    A homothety with factor 1 + d about an interior point; d starts at
+    ``NUDGE_DELTA`` and is halved until properness and the skeleton survive.
     """
     report = P.report
     ideal = [v for v, k in enumerate(report.kinds) if k == PointKind.IDEAL]
@@ -163,7 +167,7 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
     if report.is_improper():
         raise ImproperInput("nudge needs a proper polyhedron")
     center = _interior_point(P)
-    d = delta
+    d = NUDGE_DELTA
     for _ in range(20):
         H = AffineDeformation.homothety(center, 1.0 + d)
         try:  # a ValueError: some plane left H^3
@@ -177,11 +181,10 @@ def nudge_ideal_vertices(P: Polyhedron, delta: float = 1e-3) -> Polyhedron:
                 and not any(k == PointKind.IDEAL for k in rep.kinds)):
             return Q
         d /= 2
-    raise PropernessLost(f"no admissible expansion found below delta={delta}")
+    raise PropernessLost(f"no admissible expansion found below delta={NUDGE_DELTA}")
 
 
-def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int,
-                       delta: float = 1e-5) -> Polyhedron:
+def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int) -> Polyhedron:
     """Translate P so the near-ideal vertex v, held on the polar plane of
     ``almost_pole``, becomes just hyperideal and leaves that plane.
 
@@ -197,9 +200,9 @@ def escape_deformation(P: Polyhedron, v: int, *, almost_pole: int,
         raise NoSeparatingPlane(f"vertex {v} already hyperideal (|x| = {r:.9g})")
     u = x / r
     nw = charts[almost_pole] / np.linalg.norm(charts[almost_pole])
-    lam0 = (1.0 + delta) - r
+    lam0 = (1.0 + ESCAPE_DELTA) - r
     if lam0 <= 0:
-        lam0 = delta
+        lam0 = ESCAPE_DELTA
 
     def attempt(d):
         # The inward component along the polar plane's normal frees the

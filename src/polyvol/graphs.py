@@ -263,14 +263,6 @@ class PlanarGraph:
     def degree(self, v: int) -> int:
         return len(self.vertex_faces[v])
 
-    @cached_property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        adj = [set() for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
-
     def is_polyhedral(self) -> bool:
         """Every face >= 3, every degree >= 3, simple, and 3-connected (cached)."""
         return self._polyhedral

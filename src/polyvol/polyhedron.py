@@ -361,7 +361,7 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     x, y = _edge_segments(P)
     short = tuple((row_norms(x - y) <= MERGE_TOL).nonzero()[0].tolist())
     skeleton, first, flags, pairs = _truncated_skeleton(P.skeleton, hyper, short)
-    polar = _unit_rows(P.vertex_lifts[list(hyper)])  # the polar planes, as polar_plane gives them
+    polar = _unit_rows(P.vertex_lifts[list(hyper)])  # polar planes {v . x = 1}, origin side kept
     points = np.concatenate([P.vertex_charts, x, y])
     T = TruncatedPolyhedron(np.concatenate([P.normals, polar]), flags, skeleton,
                             lift(points[first]), P)
@@ -495,7 +495,7 @@ def format_polyhedron(P: Polyhedron) -> str:
 def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
     """Read the text format, scaling each normal to unit norm as :class:`OrientedPlane` does.
 
-    A malformed ``P`` or ``N`` line raises BadFormat naming the line.
+    A malformed ``P`` or ``N`` line, or a second ``P`` line, raises BadFormat naming the line.
     """
     lines = text.splitlines()
     normals, count, rest_start = [], None, len(lines)
@@ -507,6 +507,8 @@ def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
         if head not in ("P", "N"):
             rest_start = idx
             break
+        if head == "P" and count is not None:
+            raise BadFormat(f"duplicate P line: {line!r}")
         try:  # a ValueError: not one integer, or not four numbers of a spacelike normal
             if head == "P":
                 (count,) = map(int, values)

@@ -60,7 +60,7 @@ def _antiprism_volume(n: int) -> float:
                     + lobachevsky(math.pi / 4 - math.pi / (2 * n)))
 
 
-def _random_tetrahedron(rng, radius_range, jitter=0.15):
+def _random_tetrahedron(rng, radius_range):
     """Random tetrahedral polyhedron from jittered regular planes."""
     from .shapes import _TETRA_DIRS
 
@@ -69,7 +69,7 @@ def _random_tetrahedron(rng, radius_range, jitter=0.15):
     opp = [next(v for v in range(4) if v not in cyc) for cyc in g.faces]
     rows = []
     for o in opp:
-        d = -_TETRA_DIRS[o] + rng.uniform(-jitter, jitter, size=3)
+        d = -_TETRA_DIRS[o] + rng.uniform(-0.15, 0.15, size=3)
         d /= np.linalg.norm(d)
         rows.append([r / 3.0 * (1 + rng.uniform(-0.2, 0.2)), *d])  # the plane {d . x = offset}
     return build_polyhedron(_unit_rows(np.array(rows)), g)
@@ -273,9 +273,9 @@ def criterion_7(seed=0) -> CriterionResult:
                            f"{mismatches} mismatches", elapsed)
 
 
-def _sample_admissible(g, rng, lo=0.08, hi=0.95, tries=4000):
-    for _ in range(tries):
-        th = {e: float(rng.uniform(lo, hi)) for e in g.edges}
+def _sample_admissible(g, rng):
+    for _ in range(4000):
+        th = {e: float(rng.uniform(0.08, 0.95)) for e in g.edges}
         if check_hyperideal_angles(g, th).admissible:
             return th
     raise RuntimeError("no admissible sample found")
@@ -335,14 +335,9 @@ CRITERIA = {
 
 
 def run_all(seed: int = 0, criteria=None):
-    if criteria is None:
-        numbers = sorted(CRITERIA)
-    elif isinstance(criteria, str):
-        numbers = [int(x) for x in criteria.split(",")]
-    else:
-        numbers = list(criteria)
+    """The results of the criteria numbered in ``criteria`` (a list of ints), or of all of them."""
     results = []
-    for n in numbers:
+    for n in sorted(CRITERIA) if criteria is None else criteria:
         fn = CRITERIA[n]
         try:
             results.append(fn(seed=seed))

@@ -119,7 +119,7 @@ def _cone_angles(points, apex, tris):
     return angles
 
 
-def ideal_tetrahedron_angles(points, tol: float = TAU_IDEAL):
+def ideal_tetrahedron_angles(points):
     """Dihedral angles (a, b, c) with a+b+c = pi of an ideal tetrahedron.
 
     ``points`` are four boundary points.  The angles a, b and c sit at
@@ -130,15 +130,15 @@ def ideal_tetrahedron_angles(points, tol: float = TAU_IDEAL):
     if pts.shape != (4, 3):
         raise NotIdeal("need exactly four boundary points")
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
+    if np.any(np.abs(norms - 1.0) > TAU_IDEAL):
         raise NotIdeal(f"point norms {norms} leave the ideal band")
     pts = pts / norms[:, None]
     return tuple(_cone_angles(pts, pts[0], [(1, 2, 3)])[0].tolist())
 
 
-def ideal_tetrahedron_volume(points, tol: float = TAU_IDEAL) -> float:
+def ideal_tetrahedron_volume(points) -> float:
     """Hyperbolic volume of the ideal tetrahedron spanned by four boundary points."""
-    alpha, beta, gamma = ideal_tetrahedron_angles(points, tol)
+    alpha, beta, gamma = ideal_tetrahedron_angles(points)
     return float(lobachevsky(alpha) + lobachevsky(beta) + lobachevsky(gamma))
 
 
@@ -384,12 +384,12 @@ def ideal_tetrahedra_volume(angles) -> float:
     return float(sum((lob[:, 0] + lob[:, 1] + lob[:, 2]).tolist()))
 
 
-def _ideal_decomposition(T: TruncatedPolyhedron, apex_id: int = 0):
-    """Cone from one ideal vertex into ideal tetrahedra; exact volumes."""
+def _ideal_decomposition(T: TruncatedPolyhedron):
+    """Cone from ideal vertex 0 into ideal tetrahedra; exact volumes."""
     charts = T.vertex_charts
     points = charts / np.linalg.norm(charts, axis=1, keepdims=True)
-    tris = cone_triangles(T.skeleton.faces, apex_id)
-    return ideal_tetrahedra_volume(_cone_angles(points, points[apex_id], tris)), len(tris)
+    tris = cone_triangles(T.skeleton.faces, 0)
+    return ideal_tetrahedra_volume(_cone_angles(points, points[0], tris)), len(tris)
 
 
 def _truncation_or_none(P: Polyhedron):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,33 @@ def plane_basis(plane):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(d, e1)
     return e1, e2
+
+
+def polar_plane(p) -> OrientedPlane:
+    """Polar plane ``{p . x = 1}`` of a hyperideal chart point, with the half-space
+    ``{p . x <= 1}`` that holds the origin; lines through p meeting H^3 cross it orthogonally."""
+    return OrientedPlane(normal=lift(p))
+
+
+def dihedral_angle(a, b) -> float:
+    """Interior dihedral angle of two planes meeting in H^3, from cos(theta) = -<n_a, n_b>."""
+    gram = float(a.normal[1:] @ b.normal[1:]) - a.normal[0] * b.normal[0]
+    return math.acos(min(1.0, max(-1.0, -gram)))
+
+
+def apply_point(T, point):
+    """The chart image of a point under the projective matrix of an affine deformation."""
+    out = T.matrix @ lift(point)
+    return out[1:] / out[0]
+
+
+def adjacency(g) -> tuple[frozenset, ...]:
+    """The neighbours of each vertex of a graph, from its edge list."""
+    adj = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(map(frozenset, adj))
 
 
 def to_networkx(g):

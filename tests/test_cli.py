@@ -202,6 +202,12 @@ def test_malformed_line_is_bad_format(tmp_path, capsys, command, head, line, det
     assert run_cli([command, str(bad)], capsys) == (1, f"ERR BadFormat {detail}\n")
 
 
+def test_repeated_p_line_is_bad_format(tmp_path, capsys):
+    bad = tmp_path / "twice.poly"
+    bad.write_text("P 4\n" + format_polyhedron(regular_tetrahedron(0.5)))
+    assert run_cli(["volume", str(bad)], capsys) == (1, "ERR BadFormat duplicate P line: 'P 4'\n")
+
+
 def test_polyhedron_without_graph_lines_is_bad_format(tmp_path, capsys):
     bad = tmp_path / "planes.poly"
     bad.write_text("".join(line for line in format_polyhedron(regular_tetrahedron(0.55))
@@ -261,6 +267,20 @@ def test_non_numeric_angle_is_a_usage_error(k4_file, capsys):
     assert "not a list of numbers: '0.2,x,0.2,0.2,0.2,0.2'" in capsys.readouterr().err
 
 
+def test_angles_check_needs_one_angle_per_edge(k4_file, capsys):
+    assert run_cli(["angles-check", k4_file, "--angles", "0.2,0.2,0.2,0.2,0.2"], capsys) == \
+        (1, "ERR AngleOutOfRange expected 6 angles, got 5\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "volume", "rectify"])
+def test_out_file_holds_what_stdout_would(tmp_path, tetra_file, k4_file, capsys, command):
+    args = [command, k4_file if command == "rectify" else tetra_file]
+    code, want = run_cli(args, capsys)
+    out = tmp_path / "out.txt"
+    assert run_cli(["--out", str(out), *args], capsys) == (code, "")
+    assert out.read_bytes() == want.encode()
+
+
 def test_missing_file(capsys):
     code, out = run_cli(["classify", "/nonexistent/file.poly"], capsys)
     assert code == 1
@@ -295,6 +315,20 @@ def test_selftest_subset(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_selftest_one_criterion(capsys):
+    code, out = run_cli(["selftest", "--criteria", "1"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 and out.startswith("PASS ")
+
+
+@pytest.mark.parametrize("value", ["10", "x", ""])
+def test_selftest_unknown_criteria_are_usage_errors(value):
+    result = subprocess.run([sys.executable, "-m", "polyvol.cli", "selftest", "--criteria", value],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "argument --criteria" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_console_script_installed():

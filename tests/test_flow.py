@@ -137,12 +137,21 @@ def test_realize_target_outside_open_interval_is_an_angle_error(hyperideal_tetra
         realize_from_angles(g, angles, hyperideal_tetra)
 
 
+def test_flow_rejects_an_improper_seed():
+    g = tetrahedron_graph()
+    pts = np.array([[2.0, 0, 0], [0.6, 0.3, 0], [0.2, -0.5, 0.3], [0, 0, -0.4]])
+    with pytest.raises(ImproperInput) as exc:
+        run_flow(build_polyhedron(planes_from_vertices(pts, g), g))
+    assert str(exc.value) == "ImproperInput: flow needs a proper starting polyhedron"
+
+
 # --- nudge -----------------------------------------------------------------------
 
-def test_nudge_ideal_tetrahedron():
+def test_nudge_ideal_tetrahedron(monkeypatch):
+    monkeypatch.setattr("polyvol.flow.NUDGE_DELTA", 1e-4)
     P = regular_tetrahedron(1.0)
     v0 = polyhedron_volume(P).value
-    Q = nudge_ideal_vertices(P, delta=1e-4)
+    Q = nudge_ideal_vertices(P)
     kinds = classify_vertices(Q).kinds
     assert all(k == PointKind.HYPERIDEAL for k in kinds)
     v1 = polyhedron_volume(Q).value
@@ -154,10 +163,11 @@ def test_nudge_requires_ideal():
         nudge_ideal_vertices(regular_tetrahedron(0.5))
 
 
-def test_nudge_adaptive_delta():
-    # a large requested delta must be halved into an admissible one
+def test_nudge_adaptive_delta(monkeypatch):
+    # a large first delta must be halved into an admissible one
+    monkeypatch.setattr("polyvol.flow.NUDGE_DELTA", 0.5)
     P = regular_tetrahedron(1.0)
-    Q = nudge_ideal_vertices(P, delta=0.5)
+    Q = nudge_ideal_vertices(P)
     rep = classify_vertices(Q)
     assert not rep.is_improper()
     assert all(k == PointKind.HYPERIDEAL for k in rep.kinds)
@@ -174,11 +184,12 @@ def held_near_sphere():
     return build_polyhedron(planes_from_vertices(verts, g), g)
 
 
-def test_escape_zero_translation_is_identity():
+def test_escape_zero_translation_is_identity(monkeypatch):
     # translation magnitude scales with the distance to the sphere; a
     # vertex already near it moves by an amount of that order
+    monkeypatch.setattr("polyvol.flow.ESCAPE_DELTA", 1e-6)
     P = held_near_sphere()
-    Q = escape_deformation(P, 0, almost_pole=1, delta=1e-6)
+    Q = escape_deformation(P, 0, almost_pole=1)
     move = np.max(np.abs(Q.vertex_charts - P.vertex_charts))
     assert move < 1e-3
 

@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import ICOSAHEDRON, stacked_triangulation, to_networkx
+from conftest import ICOSAHEDRON, adjacency, stacked_triangulation, to_networkx
 from polyvol import graphs
 from polyvol.errors import (
     AngleOutOfRange,
@@ -608,6 +608,7 @@ def _reference_paths(adj, src, dst):
 def _reference_check(g, angles):
     """Enumerate every dual cycle and arc first, then check each one."""
     dual = dual_graph(g)
+    adj = adjacency(dual)
     cross = {frozenset(fs): e for e, fs in g.edge_faces.items()}
     equalities = []
 
@@ -623,7 +624,7 @@ def _reference_check(g, angles):
             return w
         return w if total > bound else None
 
-    for cyc in _reference_cycles(dual.adjacency, dual.n_vertices):
+    for cyc in _reference_cycles(adj, dual.n_vertices):
         h = len(cyc)
         crossed = [cross[frozenset((cyc[k], cyc[(k + 1) % h]))] for k in range(h)]
         if len(set(crossed)) != h:
@@ -635,7 +636,7 @@ def _reference_check(g, angles):
                                        tuple(equalities))
     share_pairs = {tuple(sorted(p)) for ring in g.vertex_faces for p in combinations(ring, 2)}
     for f1, f2 in sorted(share_pairs):
-        for path in _reference_paths(dual.adjacency, f1, f2):
+        for path in _reference_paths(adj, f1, f2):
             h = len(path) - 1
             crossed = [cross[frozenset(path[k:k + 2])] for k in range(h)]
             if len(set(crossed)) != h:
@@ -719,6 +720,25 @@ def test_parse_comments_and_errors():
         parse_graph("V 4\n")
     with pytest.raises(BadFormat):
         parse_graph("F 0 1 2\n")
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("V 4\nE 0 1\n", "unknown line 'E'"),
+    ("V 4\nV 4\nF 0 1 2\n", "duplicate V line"),
+], ids=["unknown_head", "duplicate_V"])
+def test_parse_rejects_line(text, detail):
+    with pytest.raises(BadFormat) as exc:
+        parse_graph(text)
+    assert exc.value.detail == detail
+
+
+def test_graph_checks_vertex_count_and_euler():
+    k4 = tetrahedron_graph().faces
+    with pytest.raises(BadFormat, match="^BadFormat: isolated vertices$"):
+        PlanarGraph(5, k4)
+    # Two disjoint tetrahedra: each orients coherently, V - E + F = 8 - 12 + 8.
+    with pytest.raises(BadFormat, match="^BadFormat: Euler formula violated: V-E\\+F = 4$"):
+        PlanarGraph(8, k4 + tuple(tuple(v + 4 for v in cyc) for cyc in k4))
 
 
 def test_parse_fixes_reversed_face():

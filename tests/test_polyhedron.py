@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 import polyvol.volume
-from conftest import ALMOST_PROPER_PYRAMID, chart_plane
+from conftest import ALMOST_PROPER_PYRAMID, chart_plane, dihedral_angle, polar_plane
 from polyvol.core import (
     OrientedPlane,
     PointKind,
     _unit_rows,
     apply_lorentz,
     classify_points,
-    dihedral_angle,
     lift,
     mdot,
-    polar_plane,
     random_isometry,
 )
 from polyvol.errors import (
     AngleOutOfRange,
+    BadFormat,
     EdgeMissesBall,
     ImproperInput,
     NonConvex,
@@ -325,6 +324,18 @@ def test_polyhedron_format_roundtrip(hyperideal_tetra):
     Q = parse_polyhedron(text)
     np.testing.assert_allclose(Q.vertex_lifts, hyperideal_tetra.vertex_lifts,
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda lines: ["P 5"] + lines[1:], "polyhedron header does not match plane count"),
+    (lambda lines: lines[:1] + lines[2:], "polyhedron header does not match plane count"),
+    (lambda lines: lines[:1] + lines, "duplicate P line: 'P 4'"),
+], ids=["count_above_N_lines", "missing_N_line", "repeated_P"])
+def test_parse_polyhedron_checks_its_header(compact_tetra, edit, detail):
+    lines = format_polyhedron(compact_tetra).splitlines()
+    with pytest.raises(BadFormat) as exc:
+        parse_polyhedron("\n".join(edit(lines)) + "\n")
+    assert exc.value.detail == detail
 
 
 # --- truncation against the all-pairs node pool -------------------------------------

@@ -5,13 +5,14 @@ oracles: the row-by-row Jacobian with its ``lstsq`` Gauss-Newton solve,
 the per-vertex plane intersections and per-edge ball test of
 ``build_polyhedron``, the per-face scan of ``flow._scan_signals``, the
 per-edge truncated lengths of ``edge_lengths``, the per-pair
-``classify_vertices``, the per-edge ``dihedral_angle``, the per-plane
+``classify_vertices``, the per-edge dihedral angle, the per-plane
 normalization of ``OrientedPlane`` and the per-plane transform of the
 escape and nudge deformations (``one_plane_apply``).
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from polyvol.core import (
     OrientedPlane,
     PointKind,
     _unit_rows,
-    dihedral_angle,
     lift,
     mdot,
 )
@@ -329,28 +329,27 @@ MODES = ("all", "dropped", "held")
 
 
 def system_state(name, mode, seed=7):
-    """A jittered compact state, targets 10% below its angles, per mode.
+    """A jittered compact state, targets 10% below its angles at ``target_edges``.
 
-    ``dropped`` leaves the first edge without a target; ``held`` drops it
-    and holds its endpoints' incidence instead.
+    ``dropped`` holds the incidence of the first edge's ends, which takes
+    that edge's target away; ``held`` holds the first pair that no edge
+    joins, so every edge keeps its target.  The targets are a dict, as the
+    loop references take them; the solver takes their values.
     """
     g = GRAPHS[name]
     P = jittered_compact(g, np.random.default_rng(seed))
-    targets = {e: -math.cos(0.9 * a) for e, a in dihedral_angles(P).items()}
-    held = ()
-    if mode != "all":
-        targets[g.edges[0]] = None
-    if mode == "held":
-        held = (g.edges[0],)
-    normals = np.array([p.normal for p in P.planes])
-    return g, targets, held, normals, P.vertex_charts.copy()
+    unjoined = next(p for p in combinations(range(g.n_vertices), 2) if p not in g.edge_index)
+    held = {"all": (), "dropped": (g.edges[0],), "held": (unjoined,)}[mode]
+    angles = dihedral_angles(P)
+    targets = {e: -math.cos(0.9 * angles[e]) for e in target_edges(g, held)}
+    return g, targets, held, P.normals.copy(), P.vertex_charts.copy()
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_jacobian_matches_loop_reference(name, mode):
     g, targets, held, normals, verts = system_state(name, mode)
-    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, list(targets.values()), held)(normals, verts)
     J = jacobian()
     r_ref, J_ref = loop_residual_and_jacobian(g, normals, verts, targets, held)
     assert np.array_equal(J, J_ref)
@@ -361,7 +360,7 @@ def test_jacobian_matches_loop_reference(name, mode):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_jacobian_matches_central_differences(name, mode):
     g, targets, held, normals, verts = system_state(name, mode)
-    system = _PlaneSystem(g, targets, held)
+    system = _PlaneSystem(g, list(targets.values()), held)
     nF = len(normals)
     x = np.concatenate([normals.ravel(), verts.ravel()])
 
@@ -380,7 +379,7 @@ def test_jacobian_matches_central_differences(name, mode):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_step_matches_stacked_lstsq(name, mode, lm):
     g, targets, held, normals, verts = system_state(name, mode)
-    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, list(targets.values()), held)(normals, verts)
     J = jacobian()
     d = _step(J, r, lm)
     d_ref = lstsq_step(J, r, lm)
@@ -389,7 +388,7 @@ def test_step_matches_stacked_lstsq(name, mode, lm):
 
 def test_singular_step_fails_until_damped():
     g, targets, held, normals, verts = system_state("cube", "all")
-    r, jacobian = _PlaneSystem(g, targets, held)(normals, verts)
+    r, jacobian = _PlaneSystem(g, list(targets.values()), held)(normals, verts)
     J = jacobian()
     J[3] = 0.0
     assert _step(J, r, 0.0) is None
@@ -398,8 +397,8 @@ def test_singular_step_fails_until_damped():
 
 
 def test_solve_matches_loop_reference():
-    g, targets, held, normals, verts = system_state("prism5", "held")
-    n1, v1, rep1 = solve_plane_system(g, targets, normals, verts, held=held)
+    g, targets, held, normals, verts = system_state("prism5", "dropped")
+    n1, v1, rep1 = solve_plane_system(g, list(targets.values()), normals, verts, held=held)
     n2, v2, rep2 = loop_solve_plane_system(g, targets, normals, verts, held=held)
     assert rep1.ok and rep2.ok
     assert abs(rep1.iterations - rep2.iterations) <= 1
@@ -704,10 +703,7 @@ def test_classify_vertices_keeps_the_loop_witness_order():
 
 def test_dihedral_angles_match_loop_on_recorded_flow_states(recorded):
     for P in _recorded_states(recorded):
-        want = loop_dihedral_angles(P)
-        assert dihedral_angles(P) == want
-        assert {e: dihedral_angle(*(P.planes[f] for f in P.skeleton.edge_faces[e]))
-                for e in P.skeleton.edges} == want
+        assert dihedral_angles(P) == loop_dihedral_angles(P)
 
 
 def test_dihedral_angles_raise_as_loop():
@@ -727,9 +723,6 @@ def test_dihedral_angles_raise_as_loop():
             loop_dihedral_angles(P)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
         assert type(got.value) is kind
-    plane = OrientedPlane(normal=planes[1])
-    with pytest.raises(PlanesEqual):
-        dihedral_angle(plane, plane)
 
 
 def one_plane_apply(T, plane):

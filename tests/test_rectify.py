@@ -5,8 +5,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import ICOSAHEDRON, closest_chart_point, stacked_triangulation, to_networkx
-from polyvol.core import dihedral_angle
+from conftest import (
+    ICOSAHEDRON,
+    adjacency,
+    closest_chart_point,
+    dihedral_angle,
+    stacked_triangulation,
+    to_networkx,
+)
 from polyvol.errors import NotPolyhedral
 from polyvol.graphs import (
     PlanarGraph,
@@ -211,7 +217,7 @@ def _dense_equations(m):
         for i, w in enumerate(tri):
             side = tuple(sorted((tri[(i + 1) % 3], tri[(i + 2) % 3])))
             rows.setdefault(side, (0.5 * math.pi if side in m.edge_index else math.pi, []))
-            rows.setdefault(w, (0.5 * math.pi if w in m.adjacency[0]
+            rows.setdefault(w, (0.5 * math.pi if w in adjacency(m)[0]
                                 else math.pi if w in on_face else 2.0 * math.pi, []))
             rows[side][1].append(3 * t + i)
             rows[w][1].append(3 * t + i)

@@ -20,6 +20,7 @@ from polyvol.shapes import (
 from polyvol.volume import (
     VolumeMethod,
     _chain_angles,
+    _cone_angles,
     _fan_tets,
     _halfspace_region,
     _ideal_decomposition,
@@ -28,6 +29,7 @@ from polyvol.volume import (
     _split8,
     _tet_rule,
     _truncation_region,
+    cone_triangles,
     ideal_tetrahedra_volume,
     ideal_tetrahedron_angles,
     ideal_tetrahedron_volume,
@@ -160,12 +162,12 @@ def pole_search_angles(points):
     return alpha, beta, math.pi - alpha - beta
 
 
-def loop_ideal_decomposition(T, apex_id=0):
+def loop_ideal_decomposition(T):
     charts = T.vertex_charts
-    apex = charts[apex_id] / np.linalg.norm(charts[apex_id])
+    apex = charts[0] / np.linalg.norm(charts[0])
     angles = []
     for cyc in T.skeleton.faces:
-        if apex_id in cyc:
+        if 0 in cyc:
             continue
         poly = charts[list(cyc)]
         poly = poly / np.linalg.norm(poly, axis=1, keepdims=True)
@@ -237,8 +239,10 @@ def test_rectified_tetrahedron_volume_exact():
 def test_decomposition_independent_of_cone_vertex():
     P = regular_tetrahedron(math.sqrt(3), rectified=True)
     T = truncate(P)
-    v0, _ = _ideal_decomposition(T, apex_id=0)
-    v3, _ = _ideal_decomposition(T, apex_id=3)
+    v0, _ = _ideal_decomposition(T)
+    points = T.vertex_charts / np.linalg.norm(T.vertex_charts, axis=1, keepdims=True)
+    tris = cone_triangles(T.skeleton.faces, 3)
+    v3 = ideal_tetrahedra_volume(_cone_angles(points, points[3], tris))
     assert abs(v0 - v3) < 1e-8
 
 
