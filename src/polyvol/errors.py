@@ -80,7 +80,19 @@ class ImproperInput(PolyvolError):
 
 
 class TruncationDegenerate(ImproperInput):
-    """A face of P or a truncation face collapses under truncation."""
+    """A face of P or a truncation face collapses under truncation.
+
+    The truncation's nodes still bound a region, which
+    :func:`polyvol.volume.polyhedron_volume` measures: ``points`` holds
+    the chart point of each node and ``cycles`` the node cycle of each
+    face with at least 3 distinct nodes.  ``cycles`` is None when a face
+    cycle repeats a node non-consecutively, which a face without a chord
+    cannot do.
+    """
+
+    def __init__(self, detail: str = "", points=None, cycles=None):
+        super().__init__(detail)
+        self.points, self.cycles = points, cycles
 
 
 # --- volume ---------------------------------------------------------------

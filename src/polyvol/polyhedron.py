@@ -350,7 +350,8 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
     point row of each node, the flags and the face pairs the invariants
     test) comes from :func:`_truncated_skeleton`, built once per truncated
     skeleton; a call computes the cut points, the polar planes and the
-    invariants' Gram products.
+    invariants' Gram products.  A :class:`TruncationDegenerate` it raises
+    carries the chart point of each node.
     """
     if P.report.is_improper():
         raise ImproperInput("cannot truncate an improper polyhedron")
@@ -360,9 +361,13 @@ def truncate(P: Polyhedron) -> TruncatedPolyhedron:
                                    P.vertex_lifts, P)
     x, y = _edge_segments(P)
     short = tuple((row_norms(x - y) <= MERGE_TOL).nonzero()[0].tolist())
-    skeleton, first, flags, pairs = _truncated_skeleton(P.skeleton, hyper, short)
-    polar = _unit_rows(P.vertex_lifts[list(hyper)])  # polar planes {v . x = 1}, origin side kept
     points = np.concatenate([P.vertex_charts, x, y])
+    try:
+        skeleton, first, flags, pairs = _truncated_skeleton(P.skeleton, hyper, short)
+    except TruncationDegenerate as exc:
+        exc.points = points[exc.points]  # node rows to chart points
+        raise
+    polar = _unit_rows(P.vertex_lifts[list(hyper)])  # polar planes {v . x = 1}, origin side kept
     T = TruncatedPolyhedron(np.concatenate([P.normals, polar]), flags, skeleton,
                             lift(points[first]), P)
     _assert_truncation_invariants(T, pairs)
@@ -384,6 +389,12 @@ def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
     walk the orthoscheme volume gathers by, :attr:`PlanarGraph.face_walk`),
     the node rows and the invariants' index pairs are each built once per
     truncated skeleton.
+
+    A face with fewer than 3 nodes, or a face of g whose node cycle
+    repeats a node non-consecutively, raises :class:`TruncationDegenerate`
+    with the node rows as its ``points`` and the node cycles of the faces
+    with at least 3 distinct nodes as its ``cycles``.  The repeat needs a
+    chord of the face boundary, which a polyhedral skeleton does not have.
     """
     hyper_set = set(hyper)
     n, n_edges = g.n_vertices, len(g.edges)
@@ -418,23 +429,21 @@ def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
         out = [nd for k, nd in enumerate(nodes) if k == 0 or nd != nodes[k - 1]]
         return out[:-1] if len(out) > 1 and out[0] == out[-1] else out
 
-    faces = []
-    for i, cyc in enumerate(g.faces):
-        nodes = [node(end(_norm_edge(w, v), v)) for k, v in enumerate(cyc)
-                 for w in (cyc[k - 1], cyc[(k + 1) % len(cyc)])]
-        dedup = cycle(nodes)
-        if len(dedup) < 3 or len(set(dedup)) != len(dedup):
-            raise TruncationDegenerate(f"face {i} degenerates under truncation")
-        faces.append(tuple(dedup))
-    for v in hyper:
-        dedup = cycle([node(end(e, v)) for e in g.vertex_edges[v]])
-        if len(dedup) < 3:
-            raise TruncationDegenerate(f"truncation face at vertex {v} degenerates")
-        faces.append(tuple(dedup))
-    skeleton = PlanarGraph(n_vertices=len(first), faces=tuple(faces))
-    flags = (False,) * len(g.faces) + (True,) * len(hyper)
+    faces = [cycle([node(end(_norm_edge(w, v), v)) for k, v in enumerate(cyc)
+                    for w in (cyc[k - 1], cyc[(k + 1) % len(cyc)])]) for cyc in g.faces]
+    faces += [cycle([node(end(e, v)) for e in g.vertex_edges[v]]) for v in hyper]
     first = np.array(first)
     first.setflags(write=False)
+    region = (None if any(2 < len(set(c)) < len(c) for c in faces)
+              else [c for c in faces if len(set(c)) > 2])
+    for i, c in enumerate(faces[:len(g.faces)]):
+        if len(c) < 3 or len(set(c)) != len(c):
+            raise TruncationDegenerate(f"face {i} degenerates under truncation", first, region)
+    for v, c in zip(hyper, faces[len(g.faces):]):
+        if len(c) < 3:
+            raise TruncationDegenerate(f"truncation face at vertex {v} degenerates", first, region)
+    skeleton = PlanarGraph(n_vertices=len(first), faces=tuple(map(tuple, faces)))
+    flags = (False,) * len(g.faces) + (True,) * len(hyper)
     return skeleton, first, flags, _invariant_pairs(skeleton, flags)
 
 

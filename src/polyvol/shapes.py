@@ -9,16 +9,15 @@ import numpy as np
 from ._steinitz import convex_realization
 from .core import _unit_rows, random_isometry
 from .errors import NewtonDiverged, SkeletonChanged
-from .graphs import PlanarGraph, check_hyperideal_angles, tetrahedron_graph
+from .graphs import PlanarGraph, tetrahedron_graph
 from .polyhedron import Polyhedron, build_polyhedron, dihedral_angles
 
 _TETRA_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        dtype=float) / math.sqrt(3)
 #: Range of the chart radius of a jittered compact seed.
 JITTER_SCALES = (0.35, 0.75)
-#: Range of the sampled angles of a random hyperideal seed, and the draws allowed.
+#: Range of the sampled angles of a random hyperideal seed, below pi / 3.
 HYPERIDEAL_ANGLES = (0.1, 0.75)
-HYPERIDEAL_TRIES = 200
 
 
 def regular_tetrahedron(radius: float, rectified: bool = False) -> Polyhedron:
@@ -101,15 +100,15 @@ def equiangular_hyperideal(g: PlanarGraph, angle: float) -> Polyhedron:
 def random_hyperideal(g: PlanarGraph, rng) -> Polyhedron:
     """Random proper seed with all vertices hyperideal.
 
-    Samples angle vectors until one passes the admissibility check, then
-    realizes it by continuation through the (convex) admissible region
-    from a small-equal-angle polyhedron.
+    Draws one angle per edge from ``HYPERIDEAL_ANGLES`` and realizes them
+    by continuation through the (convex) admissible region from a
+    small-equal-angle polyhedron.  Each draw is admissible, every angle
+    being below 0.75 < pi / 3: a closed curve crosses h >= 3 edges and
+    0.75 h < (h - 2) pi, an arc h >= 2 and 0.75 h < (h - 1) pi, and an arc
+    across one edge is exempt from the Bao-Bonahon inequalities.
     """
     kmax = max(g.degree(v) for v in range(g.n_vertices))
     eps = min(0.3, 0.8 * math.pi / kmax)
     base = equiangular_hyperideal(g, eps)
-    for _ in range(HYPERIDEAL_TRIES):
-        th = {e: float(rng.uniform(*HYPERIDEAL_ANGLES)) for e in g.edges}
-        if check_hyperideal_angles(g, th).admissible:
-            return realize_continuation(g, th, base)
-    raise ValueError(f"no admissible angle vector found in {HYPERIDEAL_TRIES} draws")
+    th = {e: float(rng.uniform(*HYPERIDEAL_ANGLES)) for e in g.edges}
+    return realize_continuation(g, th, base)

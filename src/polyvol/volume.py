@@ -10,13 +10,15 @@ exactly too: an interior point is boosted to the chart origin and the
 region is split into signed orthoschemes, one per (face, edge, vertex)
 flag, each summed by Kellerhals' closed form in the
 Lobachevsky function (Kellerhals, Math. Ann. 285 (1989); Vinberg,
-Russian Math. Surveys 48 (1993)).  Adaptive Klein quadrature of the
-volume element ``dx / (1 - |x|^2)^2`` stays as an oracle that a caller
-asks for explicitly: a collapsed Gauss product rule per tetrahedron of a
-cone decomposition, refined globally, each round splitting at most 64 of
-the worst cells picked by one partial selection and appending their
-children, so it costs at most 64 * 8 * 35 evaluations plus a few
-vectorized passes over the error array.
+Russian Math. Surveys 48 (1993)).  A degenerate truncation, with
+zero-length edges and faces of zero area, is measured the same way from
+its own nodes, its zero-area faces dropped.  Adaptive Klein quadrature
+of the volume element ``dx / (1 - |x|^2)^2`` stays as an oracle that a
+caller asks for explicitly: a collapsed Gauss product rule per
+tetrahedron of a cone decomposition, refined globally, each round
+splitting at most 64 of the worst cells picked by one partial selection
+and appending their children, so it costs at most 64 * 8 * 35
+evaluations plus a few vectorized passes over the error array.
 """
 
 from __future__ import annotations
@@ -392,78 +394,6 @@ def _ideal_decomposition(T: TruncatedPolyhedron):
     return ideal_tetrahedra_volume(_cone_angles(points, points[0], tris)), len(tris)
 
 
-def _truncation_or_none(P: Polyhedron):
-    try:
-        return truncate(P)
-    except TruncationDegenerate:
-        return None
-
-
-def _halfspace_region(P: Polyhedron):
-    """Fallback: vertex-enumerate P cut by all polar half-spaces.
-
-    Used when some face is swallowed whole by a polar plane, where the
-    combinatorial truncation walk does not apply.  Returns an interior
-    point and the face polygons of the region, in the form
-    :func:`_truncation_region` gives, or None if the region has no volume.
-    """
-    report = P.report
-    charts = P.vertex_charts
-    hyper = [v for v, k in enumerate(report.kinds) if k == PointKind.HYPERIDEAL]
-    # Face planes {n[1:] . x = n[0]}, then the polar planes {v . x = 1}.
-    D = np.concatenate([P.normals[:, 1:], charts[hyper]])
-    c = np.concatenate([P.normals[:, 0], np.ones(len(hyper))])
-    m = len(D)
-    pts = []
-    from itertools import combinations
-    for i, j, k in combinations(range(m), 3):
-        A = D[[i, j, k]]
-        if abs(np.linalg.det(A)) < 1e-12 * max(1.0, np.prod(np.linalg.norm(A, axis=1))):
-            continue
-        x = np.linalg.solve(A, c[[i, j, k]])
-        if np.all(D @ x <= c + 1e-9 * np.maximum(1.0, np.abs(c))):
-            pts.append(x)
-    if not pts:
-        return None
-    pts = np.array(pts)
-    keep = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < 1e-8 for q in keep):
-            keep.append(p)
-    pts = np.array(keep)
-    if len(pts) < 4:
-        return None
-    center = pts.mean(axis=0)
-    if np.linalg.norm(pts - center, axis=1).max() < 1e-8:
-        return None
-    cycles = []
-    for idx in range(m):
-        on = [i for i, p in enumerate(pts)
-              if abs(D[idx] @ p - c[idx]) < 1e-7 * max(1.0, abs(c[idx]))]
-        if len(on) < 3:
-            continue
-        corners = pts[on]
-        centroid = corners.mean(axis=0)
-        normal = D[idx] / np.linalg.norm(D[idx])
-        ref = corners[0] - centroid
-        nref = np.linalg.norm(ref)
-        if nref < 1e-12:
-            continue
-        ref /= nref
-        other = np.cross(normal, ref)
-        ang = np.arctan2((corners - centroid) @ other, (corners - centroid) @ ref)
-        cycles.append(np.array(on)[np.argsort(ang)])
-    if not cycles:
-        return None
-    polygons = _Polygons(pts, cycle_walk(cycles))
-    tets = _fan_tets(center, polygons)
-    if len(tets) == 0:
-        return None
-    if np.abs(np.linalg.det(tets[:, 1:, :] - tets[:, :1, :])).sum() / 6.0 < 1e-18:
-        return None
-    return center, polygons
-
-
 def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_000,
                       method: VolumeMethod | None = None) -> VolumeResult:
     """Hyperbolic volume of P, defined as the volume of its truncation.
@@ -472,17 +402,24 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
     every truncation vertex is ideal, and from signed orthoschemes
     otherwise.  ``method=VolumeMethod.KLEIN_QUADRATURE`` instead integrates
     the Klein volume element adaptively to ``tol`` within ``budget``
-    evaluations (the only method that reads them).  An empty truncation
-    has volume 0.
+    evaluations (the only method that reads them).  A truncation that
+    degenerates (:class:`TruncationDegenerate`) is measured from its own
+    nodes: the faces with at least 3 distinct nodes bound the region, and
+    fewer than 4 nodes bound none, volume 0.
     """
     if method not in (None, VolumeMethod.KLEIN_QUADRATURE):
         raise ValueError(f"method {method} cannot be forced")
     report = P.report
     if report.is_improper():
         raise ImproperInput("volume needs a proper or almost proper polyhedron")
-    T = _truncation_or_none(P)
-    if T is None:
-        region = _halfspace_region(P)
+    try:
+        T = truncate(P)
+    except TruncationDegenerate as exc:
+        if exc.cycles is None:
+            raise
+        points = exc.points
+        region = None if len(points) < 4 else (points.mean(axis=0),
+                                               _Polygons(points, cycle_walk(exc.cycles)))
     else:
         radii = np.linalg.norm(T.vertex_charts, axis=1)
         if method is None and np.all(np.abs(radii - 1.0) <= IDEAL_BAND):

@@ -54,6 +54,7 @@ from polyvol.shapes import (
     jittered_compact,
     planes_from_vertices,
     random_hyperideal,
+    realize_continuation,
     regular_tetrahedron,
 )
 from polyvol.volume import (
@@ -135,6 +136,51 @@ def test_realize_target_outside_open_interval_is_an_angle_error(hyperideal_tetra
     angles[g.edges[2]] = bad
     with pytest.raises(AngleOutOfRange, match=r"outside \(0, pi\)"):
         realize_from_angles(g, angles, hyperideal_tetra)
+
+
+def continuation_steps(monkeypatch, P, target, fails):
+    """The lambda of each solve of ``realize_continuation(g, target, P)``, and its result.
+
+    ``fails(k)`` tells whether solve k (from 0) raises instead of solving,
+    by turns NewtonDiverged and SkeletonChanged, the two failures a shorter
+    step retries; the result is None when the continuation raises.
+    """
+    import polyvol.flow as flow
+
+    g, start = P.skeleton, dihedral_angles(P)
+    e = max(g.edges, key=lambda e: abs(target[e] - start[e]))
+    lams, realize = [], flow.realize_from_angles
+
+    def solve(g_, th, P_, **kwargs):
+        lams.append((th[e] - start[e]) / (target[e] - start[e]))
+        if fails(len(lams) - 1):
+            raise (NewtonDiverged, SkeletonChanged)[len(lams) % 2]("synthetic failure")
+        return realize(g_, th, P_, **kwargs)
+
+    monkeypatch.setattr(flow, "realize_from_angles", solve)
+    try:
+        return lams, realize_continuation(g, target, P)
+    except (NewtonDiverged, SkeletonChanged):
+        return lams, None
+
+
+def test_realize_continuation_halves_a_failed_step(hyperideal_tetra, monkeypatch):
+    # The first step, to lambda = 0.5, fails: it retries at 0.25, then grows
+    # the step by 1.6 to 0.65 and reaches the target at 1.
+    target = {e: 0.6 * a for e, a in dihedral_angles(hyperideal_tetra).items()}
+    lams, P = continuation_steps(monkeypatch, hyperideal_tetra, target, lambda k: k == 0)
+    assert lams == pytest.approx([0.5, 0.25, 0.65, 1.0], abs=1e-12)
+    reached = dihedral_angles(P)
+    assert max(abs(reached[e] - target[e]) for e in target) < 1e-8
+
+
+def test_realize_continuation_gives_up_below_a_thousandth(hyperideal_tetra, monkeypatch):
+    # Every solve fails: the step halves from 0.5 until it would drop below
+    # 1e-3, and the ninth failure, at 0.5 / 2**8, is raised.
+    target = {e: 0.6 * a for e, a in dihedral_angles(hyperideal_tetra).items()}
+    lams, P = continuation_steps(monkeypatch, hyperideal_tetra, target, lambda k: True)
+    assert P is None
+    assert lams == pytest.approx([0.5 / 2 ** k for k in range(9)], abs=1e-12)
 
 
 def test_flow_rejects_an_improper_seed():
@@ -427,6 +473,22 @@ def test_flow_stacked_triangulation_reaches_collapsed_rectification():
             == trace.final_skeleton.canonical_hash())
 
 
+def test_flow_prism5_edge_collapse_reaches_collapsed_rectification():
+    # From this compact pentagonal prism edge 7-8 collapses, and the flow
+    # goes on from the rewritten skeleton to its rectification volume.
+    g = prism_graph(5)
+    trace = run_flow(jittered_compact(g, np.random.default_rng(29)), FlowOptions(seed=29))
+    collapses = [e for e in trace.events if e.kind in (FlowEventKind.EDGE_COLLAPSED,
+                                                       FlowEventKind.FACE_COLLAPSED)]
+    assert [(e.kind, e.data) for e in collapses] == [
+        (FlowEventKind.EDGE_COLLAPSED, {"edge": (7, 8)})]
+    assert (replay(g, trace.events).canonical_hash()
+            == trace.final_skeleton.canonical_hash())
+    final = rectification_volume(trace.final_skeleton).value
+    assert final <= rectification_volume(g).value
+    assert abs(trace.sup_estimate - final) <= 1e-6 * final
+
+
 def test_flow_endgame_stays_admissible(hyperideal_tetra):
     trace = run_flow(hyperideal_tetra, FlowOptions(seed=16))
     g = trace.final_skeleton
@@ -525,11 +587,12 @@ def synthetic_gap_trials(monkeypatch, P0, gap, signal=(FlowEventKind.EDGE_COLLAP
     return trials, info.value
 
 
-def located_on_the_dt_min_grid(trials, t_cross, error):
+def located_on_the_dt_min_grid(trials, t_cross, error, kind=FlowEventKind.EDGE_COLLAPSED):
     """The trials after the first signaled one, checked against the DT_MIN grid.
 
     Each trial is a whole number of DT_MIN below the current t, and the event
-    fires on a signaled step of DT_MIN from an accepted, unsignaled state.
+    of ``kind`` fires on a signaled step of DT_MIN from an accepted,
+    unsignaled state.
     """
     import polyvol.flow as flow
 
@@ -545,7 +608,7 @@ def located_on_the_dt_min_grid(trials, t_cross, error):
     assert current - located[-1] <= flow.DT_MIN * (1 + 1e-6)
     assert located[-1] < t_cross <= current
     event = error.trace.samples[-1]
-    assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, located[-1])
+    assert (event.event, event.t) == (kind, located[-1])
     return located
 
 
@@ -590,6 +653,47 @@ def test_flow_steps_dt_min_at_once_when_the_accepted_state_signals(compact_tetra
     assert trials == [1.0, 1.0 - flow.DT_INIT, 1.0 - flow.DT_MIN]
     event = error.trace.samples[-1]
     assert (event.event, event.t) == (FlowEventKind.EDGE_COLLAPSED, trials[-1])
+
+
+def test_flow_stalls_on_a_non_adjacent_almost_proper_onset(monkeypatch):
+    # A synthetic almost-proper gap of base vertices 1 and 3 of the square
+    # pyramid, which share no edge: the onset is located like any event,
+    # sampled, and then stops the flow as out of scope.
+    g = pyramid_graph(4)
+    assert (1, 3) not in g.edge_index
+    T_CROSS, RATE = 0.99371234567, 3.0
+    trials, error = synthetic_gap_trials(monkeypatch, compact_realization(g),
+                                         lambda t: RATE * (T_CROSS - t),
+                                         (FlowEventKind.ALMOST_PROPER_ONSET, (1, 3)))
+    assert error.detail == "non-adjacent almost-proper contact is out of scope"
+    located_on_the_dt_min_grid(trials, T_CROSS, error, FlowEventKind.ALMOST_PROPER_ONSET)
+    assert not error.trace.events
+
+
+def test_flow_narrows_a_bracket_past_a_failed_solve(compact_tetra, monkeypatch):
+    # The linear gap above, with the solve of the first trial inside the
+    # bracket failing.  That trial becomes the bracket's far end, with no
+    # signal and no gap, so the next trial bisects; the event still fires
+    # on the DT_MIN grid.
+    import polyvol.flow as flow
+
+    T_CROSS, RATE = 0.99371234567, 3.0
+    realize, calls = flow.realize_from_angles, []
+
+    def fail_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NewtonDiverged("synthetic failure inside the bracket")
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "realize_from_angles", fail_third)
+    trials, error = synthetic_gap_trials(monkeypatch, compact_tetra,
+                                         lambda t: RATE * (T_CROSS - t))
+    failed = trials.pop(2)
+    assert trials[1] < T_CROSS <= failed < 1.0
+    bisected = 1.0 - flow.DT_MIN * math.floor(0.5 * (1.0 - failed) / flow.DT_MIN)
+    assert trials[2] == pytest.approx(bisected, abs=1e-12)
+    located_on_the_dt_min_grid(trials, T_CROSS, error)
 
 
 def located_in_the_window(trials, gap, error):

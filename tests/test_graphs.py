@@ -41,6 +41,7 @@ from polyvol.graphs import (
     tetrahedron_graph,
 )
 from polyvol.polyhedron import _truncated_skeleton
+from polyvol.shapes import HYPERIDEAL_ANGLES
 
 
 def iso(g1, g2):
@@ -511,6 +512,19 @@ def test_admissibility_scaling_property(rng):
     for t in (0.9, 0.5, 0.2, 0.05):
         scaled = {e: t * a for e, a in base.items()}
         assert check_hyperideal_angles(g, scaled).admissible
+
+
+def test_random_hyperideal_draws_are_admissible(corpus_graphs):
+    # Below pi / 3 every Bao-Bonahon inequality holds strictly, so
+    # random_hyperideal takes its first draw unchecked; the check stays here,
+    # on the top of the range and on draws from it.
+    assert HYPERIDEAL_ANGLES[1] < math.pi / 3
+    rng = np.random.default_rng(29)
+    for g in corpus_graphs.values():
+        assert check_hyperideal_angles(g, dict.fromkeys(g.edges, HYPERIDEAL_ANGLES[1])).admissible
+        for _ in range(5):
+            th = {e: float(rng.uniform(*HYPERIDEAL_ANGLES)) for e in g.edges}
+            assert check_hyperideal_angles(g, th).admissible
 
 
 def test_angle_out_of_range():

@@ -22,7 +22,6 @@ from polyvol.volume import (
     _chain_angles,
     _cone_angles,
     _fan_tets,
-    _halfspace_region,
     _ideal_decomposition,
     _klein_integrand,
     _orthoscheme_decomposition,
@@ -325,15 +324,19 @@ def test_improper_volume_rejected():
         polyhedron_volume(P)
 
 
-def test_degenerate_truncation_falls_back_to_halfspaces():
+def test_degenerate_truncation_with_three_nodes_has_no_volume():
     # three real vertices on the polar plane of vertex 0: the face they
-    # span collapses under truncation, and the half-space region is flat
+    # span collapses under truncation, and the truncation's nodes are those
+    # three vertices, which bound no volume
     g = tetrahedron_graph()
     pts = np.array([[2.0, 0.0, 0.0], [0.5, 0.5, 0.0],
                     [0.5, -0.4, 0.4], [0.5, -0.1, -0.5]])
     P = build_polyhedron(planes_from_vertices(pts, g), g)
-    with pytest.raises(TruncationDegenerate):
+    with pytest.raises(TruncationDegenerate) as info:
         truncate(P)
+    nodes = info.value.points
+    assert len(nodes) == 3
+    assert np.linalg.norm(nodes[:, None] - pts[1:], axis=2).min(axis=0).max() < 1e-12
     res = polyhedron_volume(P)
     assert res.value == 0.0
     assert res.method == VolumeMethod.ORTHOSCHEME
@@ -425,17 +428,11 @@ def test_orthoscheme_ideal_regular_tetrahedron():
             polyhedron_volume(P, method=method)
 
 
-def test_orthoscheme_on_halfspace_region(hyperideal_tetra):
-    # On a proper polyhedron the half-space fallback region is the
-    # truncation, built as angle-sorted vertex-enumeration polygons.
-    value, _ = _orthoscheme_decomposition(*_halfspace_region(hyperideal_tetra))
-    assert abs(value - polyhedron_volume(hyperideal_tetra).value) < 1e-12
-
-
 def test_halfspace_region_measures_almost_proper_pyramid():
     # Base vertices 3 and 4 lie on the apex's polar plane x = 1/2: face 2
-    # degenerates under truncation, and the volume comes from the half-space
-    # region instead.  That region is the hull of the base and the points
+    # degenerates under truncation to the segment 3-4, and the volume comes
+    # from the truncation's nodes and its other faces.  The region, P cut by
+    # the apex's polar half-space, is the hull of the base and the points
     # where edges 0-1 and 0-2 cross x = 1/2; Klein quadrature over a Delaunay
     # split of those six points is the oracle.
     from scipy.spatial import Delaunay
@@ -443,8 +440,10 @@ def test_halfspace_region_measures_almost_proper_pyramid():
     verts = ALMOST_PROPER_PYRAMID
     g = pyramid_graph(4)
     P = build_polyhedron(planes_from_vertices(verts, g), g)
-    with pytest.raises(TruncationDegenerate, match="face 2 degenerates under truncation"):
+    with pytest.raises(TruncationDegenerate, match="face 2 degenerates under truncation") as info:
         truncate(P)
+    assert len(info.value.points) == 6
+    assert sorted(map(len, info.value.cycles)) == [3, 3, 4, 4, 4]
     res = polyhedron_volume(P)
     assert res.method == VolumeMethod.ORTHOSCHEME
     assert abs(res.value - 0.0479234054) < 1e-10
