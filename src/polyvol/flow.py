@@ -14,13 +14,17 @@ faces rewrite the skeleton.
 Once every vertex is hyperideal the target path stays realizable all
 the way down, and the supremum of the volume is estimated from the last
 computed volume plus a Schlafli bound on the remaining gain.
+A sample's volume is checked when it is recorded and measured where a
+volume is first read, together with every other sample waiting then: one
+orthoscheme kernel call per batch, each volume bit for bit the one
+measured alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .polyhedron import (
     dihedral_angles,
     edge_lengths,
 )
-from .volume import VolumeResult, polyhedron_volume
+from .volume import VolumeResult, _orthoscheme_volumes, _volume_or_region
 
 #: Initial and smallest step in t.  An accepted step grows dt by 1.7, up to
 #: DT_INIT before the all-hyperideal endgame and uncapped in it (each step
@@ -530,6 +534,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     Any other signaled trial brackets its worst signal (:func:`_bracket_step`),
     aimed at the window's middle for such a crossing and at the threshold
     otherwise, and the event fires on a signaled step of DT_MIN.
+    Sample volumes are measured where one is read: all queued before the
+    endgame at its first stop test, then each endgame sample at the next,
+    and whatever is still queued when the loop ends, by return or by error.
     """
     samples, events = trace.samples, trace.events
     report = P0.report
@@ -541,18 +548,45 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     theta_dir = _rebase(P0, t, rng)
     P = realize_from_angles(g, _scaled(theta_dir, t), P0, held=held)
 
+    regions = []  # the orthoscheme regions of the samples whose volume is None, in order
+
     def record(P_, t_, event=None):
-        """Sample P_ once: a state sampled last gets its event on that row, or a row per event."""
+        """Sample P_ once: a state sampled last gets its event on that row, or a row per event.
+
+        The checks of P_'s volume run now, so what they raise comes from this
+        sample; an orthoscheme region is queued, and the sample's volume is
+        None until :func:`flush`.  Returns the volume's value, NaN until then.
+        """
         if samples and samples[-1].polyhedron is P_:
             last = samples[-1]
             if event is not None:
                 if last.event is None:
                     samples.pop()
                 samples.append(FlowSample(t_, P_, last.volume, event))
-            return last.volume
-        vol = polyhedron_volume(P_)
-        samples.append(FlowSample(t_, P_, vol, event))
-        return vol
+        else:
+            vol = _volume_or_region(P_)
+            if not isinstance(vol, VolumeResult):
+                regions.append(vol)
+                vol = None
+            samples.append(FlowSample(t_, P_, vol, event))
+        vol = samples[-1].volume
+        return math.nan if vol is None else vol.value
+
+    def flush():
+        """Measure the queued regions in one kernel call; fill in the rows that wait on them."""
+        if not regions:
+            return
+        volumes = iter(_orthoscheme_volumes(regions))
+        regions.clear()
+        for i, s in enumerate(samples):
+            if s.volume is None:
+                # A row repeating the state of the row before shares its volume.
+                repeat = i and samples[i - 1].polyhedron is s.polyhedron
+                samples[i] = replace(s, volume=samples[i - 1].volume if repeat else next(volumes))
+        # Event j is on the j-th row with an event; a row whose handler raised has none.
+        for j, (e, s) in enumerate(zip(events, (s for s in samples if s.event is not None))):
+            if math.isnan(e.volume_at_event):
+                events[j] = replace(e, volume_at_event=s.volume.value)
 
     def pole_free(signal):
         """Whether ``signal`` is a crossing of the sphere by a vertex with no held pole."""
@@ -573,13 +607,13 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             pole = next((u for (w, u) in held if w == v), None)
             if pole is None:
                 exempt += (v,)
-                events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
+                events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": v}))
                 return None
             P_new = escape_deformation(P_state, v, almost_pole=pole)
             if P_new.kinds[v] != PointKind.HYPERIDEAL:
                 raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
             held = [(w, u) for (w, u) in held if w != v]
-            events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": v}))
+            events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": v}))
             theta_dir = _rebase(P_new, t_now, rng)
             return P_new
         if kind == FlowEventKind.ALMOST_PROPER_ONSET:
@@ -587,7 +621,7 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             if _norm_edge(w, u) not in P_state.skeleton.edge_index:
                 raise StallDetected("non-adjacent almost-proper contact is out of scope")
             held.append((w, u))
-            events.append(FlowEvent(kind, t_now, vol_ev.value, {"vertex": w, "pole": u}))
+            events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": w, "pole": u}))
             return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
         try:
             g_new, P_new, theta_dir, ev_data = _collapse_rewrite(
@@ -596,10 +630,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
             raise StallDetected(exc.detail) from exc
         g = trace.final_skeleton = g_new
         held, exempt = [], ()
-        events.append(FlowEvent(kind, t_now, vol_ev.value, ev_data))
+        events.append(FlowEvent(kind, t_now, vol_ev, ev_data))
         return P_new
 
-    record(P, t)
     dt = DT_INIT
     accepted = 0
     hyperideal_only = _hyperideal_only(P)
@@ -611,86 +644,93 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
     # signal, its gap).
     before = gaps = bracket = None
 
-    for _ in range(MAX_STEPS):
-        if len(events) > max_events:
-            raise MaxEventsExceeded(f"more than {max_events} events")
-        if hyperideal_only:
-            lens = edge_lengths(P)
-            bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
-            if bound < ENDGAME_REL * max(samples[-1].volume.value, 1e-9) or t <= T_FLOOR:
-                final_vol = record(P, t)
-                trace.sup_estimate = final_vol.value + 0.5 * bound
-                trace.sup_error = 0.5 * bound + final_vol.error_estimate
-                return
+    record(P, t)
+    try:
+        for _ in range(MAX_STEPS):
+            if len(events) > max_events:
+                raise MaxEventsExceeded(f"more than {max_events} events")
+            if hyperideal_only:
+                lens = edge_lengths(P)
+                bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
+                flush()
+                if bound < ENDGAME_REL * max(samples[-1].volume.value, 1e-9) or t <= T_FLOOR:
+                    record(P, t)
+                    flush()
+                    final_vol = samples[-1].volume
+                    trace.sup_estimate = final_vol.value + 0.5 * bound
+                    trace.sup_error = 0.5 * bound + final_vol.error_estimate
+                    return
 
-        step = dt
-        if bracket is not None:
-            t_hi, signal, gap_hi = bracket
-            if gaps is None:
-                _, gaps = _scan_signals(P, P, held, exempt)
-            aim = 0.25 * IDEAL_BAND if signal is not None and pole_free(signal) else 0.0
-            step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim)
-        elif before is not None and not hyperideal_only:
-            step = _aimed_step(dt, before, t, P, gaps, exempt + tuple(w for w, _ in held))
-        t_next = max(t - step, 0.2 * t)
-        start = None if before is None else _predicted(before, t, P, t_next)
-        try:
-            P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
-                                         start=start)
-            # The all-hyperideal endgame scans for no degenerations.
-            signals, next_gaps = (([], None) if hyperideal_only
-                                  else _scan_signals(P_next, P, held, exempt))
-        except (NewtonDiverged, SkeletonChanged) as exc:
-            if step > DT_MIN:
-                if bracket is None:
-                    dt = 0.5 * step
-                else:
-                    bracket = (t_next, None, None)
+            step = dt
+            if bracket is not None:
+                t_hi, signal, gap_hi = bracket
+                if gaps is None:
+                    _, gaps = _scan_signals(P, P, held, exempt)
+                aim = 0.25 * IDEAL_BAND if signal is not None and pole_free(signal) else 0.0
+                step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim)
+            elif before is not None and not hyperideal_only:
+                step = _aimed_step(dt, before, t, P, gaps, exempt + tuple(w for w, _ in held))
+            t_next = max(t - step, 0.2 * t)
+            start = None if before is None else _predicted(before, t, P, t_next)
+            try:
+                P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
+                                             start=start)
+                # The all-hyperideal endgame scans for no degenerations.
+                signals, next_gaps = (([], None) if hyperideal_only
+                                      else _scan_signals(P_next, P, held, exempt))
+            except (NewtonDiverged, SkeletonChanged) as exc:
+                if step > DT_MIN:
+                    if bracket is None:
+                        dt = 0.5 * step
+                    else:
+                        bracket = (t_next, None, None)
+                    continue
+                # Stalled against the realizability boundary: look for a
+                # degeneration of the current state with relaxed thresholds
+                # (the limit is approached but never reached numerically) and
+                # handle it as this step's signal, below, with step <= DT_MIN.
+                signals = [s for s in _scan_signals(P, P, held, exempt, relaxed=True)[0]
+                           if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
+                if not signals:
+                    raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
+                P_next, t_next, next_gaps = P, t, None
+
+            if signals and step > DT_MIN and not in_window(signals, next_gaps):
+                signal = signals[0][:2]
+                bracket = (t_next, signal, next_gaps.get(signal))
                 continue
-            # Stalled against the realizability boundary: look for a
-            # degeneration of the current state with relaxed thresholds
-            # (the limit is approached but never reached numerically) and
-            # handle it as this step's signal, below, with step <= DT_MIN.
-            signals = [s for s in _scan_signals(P, P, held, exempt, relaxed=True)[0]
-                       if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
-            if not signals:
-                raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
-            P_next, t_next, next_gaps = P, t, None
-
-        if signals and step > DT_MIN and not in_window(signals, next_gaps):
-            signal = signals[0][:2]
-            bracket = (t_next, signal, next_gaps.get(signal))
-            continue
-        if signals:
-            kind, data, _ = signals[0]
-            P_new = handle_event(kind, data, P_next, t_next)
-            bracket = None
-            if P_new is not None:  # a new stratum
-                t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
-            elif P_next is P:
-                continue  # a stall's event: the flow has not moved
-            else:  # the event state is the path's next accepted state
-                before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
-        else:
-            before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
-            accepted += 1
-            if accepted % SAMPLE_EVERY == 0:
-                record(P, t)
-            if bracket is None:
-                # The all-hyperideal path is realizable all the way down: no cap there.
-                dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
-            elif t <= bracket[0]:
+            if signals:
+                kind, data, _ = signals[0]
+                P_new = handle_event(kind, data, P_next, t_next)
                 bracket = None
-        if exempt:
-            radii = row_norms(P.vertex_charts)
-            exempt = tuple(v for v in exempt if P.kind_codes[v] != HYPERIDEAL_CODE
-                           and radii[v] > 1.0 - IDEAL_BAND)
-        if not hyperideal_only and _hyperideal_only(P):
-            hyperideal_only, bracket = True, None
-            kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
-            vol_ev = record(P, t, event=kind)
-            events.append(FlowEvent(kind, t, vol_ev.value, {}))
-    raise StallDetected("step limit reached")
+                if P_new is not None:  # a new stratum
+                    t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
+                elif P_next is P:
+                    continue  # a stall's event: the flow has not moved
+                else:  # the event state is the path's next accepted state
+                    before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
+            else:
+                before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
+                accepted += 1
+                if accepted % SAMPLE_EVERY == 0:
+                    record(P, t)
+                if bracket is None:
+                    # The all-hyperideal path is realizable all the way down: no cap there.
+                    dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
+                elif t <= bracket[0]:
+                    bracket = None
+            if exempt:
+                radii = row_norms(P.vertex_charts)
+                exempt = tuple(v for v in exempt if P.kind_codes[v] != HYPERIDEAL_CODE
+                               and radii[v] > 1.0 - IDEAL_BAND)
+            if not hyperideal_only and _hyperideal_only(P):
+                hyperideal_only, bracket = True, None
+                kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
+                vol_ev = record(P, t, event=kind)
+                events.append(FlowEvent(kind, t, vol_ev, {}))
+        raise StallDetected("step limit reached")
+    finally:
+        flush()
 
 
 def trace_to_csv(trace: FlowTrace) -> str:

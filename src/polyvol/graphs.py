@@ -63,12 +63,15 @@ class CycleWalk(NamedTuple):
 
 def cycle_walk(cycles) -> CycleWalk:
     """The :class:`CycleWalk` of a nonempty sequence of nonempty cycles."""
-    sizes = np.array([len(c) for c in cycles])
+    return sized_walk(np.concatenate(cycles), np.array([len(c) for c in cycles]))
+
+
+def sized_walk(order, sizes) -> CycleWalk:
+    """The :class:`CycleWalk` cutting ``order`` into cycles of ``sizes`` members, in turn."""
     starts = np.cumsum(sizes) - sizes
-    nxt = np.arange(starts[-1] + sizes[-1]) + 1
+    nxt = np.arange(len(order)) + 1
     nxt[starts + sizes - 1] = starts
-    walk = CycleWalk(np.concatenate(cycles), sizes, starts, nxt,
-                     np.repeat(np.arange(len(sizes)), sizes))
+    walk = CycleWalk(order, sizes, starts, nxt, np.repeat(np.arange(len(sizes)), sizes))
     for arr in walk:
         arr.setflags(write=False)
     return walk

@@ -274,8 +274,14 @@ def criterion_7(seed=0) -> CriterionResult:
 
 
 def _sample_admissible(g, rng):
+    """A uniform draw of angles in (0.08, 1.6) that passes the exhaustive check.
+
+    The range reaches past pi/3, below which every angle vector is
+    admissible, so the check rejects many draws and a midpoint of two
+    admitted ones can test convexity.
+    """
     for _ in range(4000):
-        th = {e: float(rng.uniform(0.08, 0.95)) for e in g.edges}
+        th = {e: float(rng.uniform(0.08, 1.6)) for e in g.edges}
         if check_hyperideal_angles(g, th).admissible:
             return th
     raise RuntimeError("no admissible sample found")

@@ -26,12 +26,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .core import TAU_IDEAL, boost_to_origin, lift, row_norms
 from .errors import ImproperInput, NotIdeal, PathDiscontinuous, TruncationDegenerate
-from .graphs import CycleWalk, cycle_walk
+from .graphs import CycleWalk, cycle_walk, sized_walk
 from .polyhedron import (
     PointKind,
     Polyhedron,
@@ -329,21 +330,40 @@ class _Polygons:
         return iter(np.split(self.corners(), self.walk.starts[1:]))
 
 
-def _orthoscheme_decomposition(center, polygons: _Polygons):
-    """Exact volume of a convex region from its face polygons and an interior point.
+def _orthoscheme_decomposition(regions):
+    """Exact volumes of convex regions, each from an interior point and its face polygons.
 
-    ``center`` is boosted to the chart origin O.  There the feet of the
-    perpendiculars from O are Euclidean: P_F is the foot on the plane of
-    face F and P_e the foot on the line of edge e, and P_F P_e is
-    perpendicular to e.  Each flag (F, e, v) spans the orthoscheme
-    (v, P_e, P_F, O), counted with the sign of two choices: whether P_F
-    lies on the inner side of e within F, and whether P_e lies beyond v
-    along e.  The signed sum over all flags is the region.  Returns the
-    volume and the number of orthoschemes.
+    In each region ``(center, polygons)``, ``center`` is boosted to the
+    chart origin O.  There the feet of the perpendiculars from O are
+    Euclidean: P_F is the foot on the plane of face F and P_e the foot on
+    the line of edge e, and P_F P_e is perpendicular to e.  Each flag (F,
+    e, v) spans the orthoscheme (v, P_e, P_F, O), counted with the sign of
+    two choices: whether P_F lies on the inner side of e within F, and
+    whether P_e lies beyond v along e.  The signed sum over all flags is
+    the region.
+
+    Each region is boosted on its own; then the regions' face walks are
+    laid end to end, and every later step runs once over all of them, each
+    row as it would alone.  A region's flags stay together, in the order
+    they have alone, and are summed on their own slice, so its volume rounds
+    as it would alone.  Returns each region's volume and number of
+    orthoschemes.
     """
-    walk = polygons.walk
-    lifted = lift(polygons.corners()) @ boost_to_origin(center).T
-    a = lifted[:, 1:] / lifted[:, :1]
+    corners = [lift(polygons.corners()) @ boost_to_origin(center).T
+               for center, polygons in regions]
+    a = np.concatenate(corners)
+    a = a[:, 1:] / a[:, :1]
+    ends = list(accumulate(len(x) for x in corners))
+    spans = list(zip([0, *ends[:-1]], ends))  # each region's edges
+    # A region alone keeps its own walk and its flags their order: building
+    # joint ones slows single volumes, the volume workload's, by some 7%.
+    if len(regions) == 1:
+        walk, flags = regions[0][1].walk, slice(None)
+    else:  # region by region, each its a's flags then its b's
+        walk = sized_walk(np.arange(len(a)),
+                          np.concatenate([polygons.walk.sizes for _, polygons in regions]))
+        flags = np.concatenate([np.r_[start:end, len(a) + start:len(a) + end]
+                                for start, end in spans])
     b = a[walk.next]
     normal = np.add.reduceat(np.cross(a, b), walk.starts)  # Newell normals
     centroid = np.add.reduceat(a, walk.starts) / walk.sizes[:, None]
@@ -355,12 +375,17 @@ def _orthoscheme_decomposition(center, polygons: _Polygons):
     inner = (np.sign(np.sum(np.cross(d, foot_f - a) * normal, axis=1))
              * np.sign(np.sum(np.cross(d, centroid - a) * normal, axis=1)))
     # Two flags per edge: v = a with w = b, then v = b with w = a.
-    v, w = np.concatenate([a, b]), np.concatenate([b, a])
-    foot_e, foot_f, inner = (np.concatenate([x, x]) for x in (foot_e, foot_f, inner))
+    v, w = np.concatenate([a, b])[flags], np.concatenate([b, a])[flags]
+    foot_e, foot_f, inner = (np.concatenate([x, x])[flags] for x in (foot_e, foot_f, inner))
     sign = inner * np.sign(np.sum((foot_e - v) * (w - v), axis=1))
     keep = (sign != 0) & (row_norms(v - foot_e) * row_norms(foot_e - foot_f) > FLAG_WIDTH_TOL)
-    angles = _chain_angles(v[keep], foot_e[keep], foot_f[keep])
-    return float(sign[keep] @ _orthoscheme_volume(*angles)), int(np.count_nonzero(keep))
+    volumes = _orthoscheme_volume(*_chain_angles(v[keep], foot_e[keep], foot_f[keep]))
+    sign, out, lo = sign[keep], [], 0
+    for start, end in spans:
+        hi = lo + int(np.count_nonzero(keep[2 * start:2 * end]))
+        out.append((float(sign[lo:hi] @ volumes[lo:hi]), hi - lo))
+        lo = hi
+    return out
 
 
 # --- truncation decompositions -------------------------------------------------
@@ -394,6 +419,42 @@ def _ideal_decomposition(T: TruncatedPolyhedron):
     return ideal_tetrahedra_volume(_cone_angles(points, points[0], tris)), len(tris)
 
 
+def _volume_or_region(P: Polyhedron, method: VolumeMethod | None = None):
+    """The half of :func:`polyhedron_volume` that runs before any orthoscheme.
+
+    Makes every check and raises every error, and returns the
+    :class:`VolumeResult` of an ideal truncation or of an empty region.
+    Any other truncation comes back as its region ``(center, polygons)``,
+    for Klein quadrature or :func:`_orthoscheme_volumes`.
+    """
+    report = P.report
+    if report.is_improper():
+        raise ImproperInput("volume needs a proper or almost proper polyhedron")
+    try:
+        T = truncate(P)
+    except TruncationDegenerate as exc:
+        if exc.cycles is None:
+            raise
+        points = exc.points
+        if len(points) < 4:
+            return VolumeResult(0.0, method or VolumeMethod.ORTHOSCHEME, 0.0)
+        return points.mean(axis=0), _Polygons(points, cycle_walk(exc.cycles))
+    radii = np.linalg.norm(T.vertex_charts, axis=1)
+    if method is None and np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
+        value, count = _ideal_decomposition(T)
+        return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
+                            1e-12 * max(1, count), False, 0)
+    if np.any(radii >= 1.0 + TAU_IDEAL):
+        raise ImproperInput("truncation has vertices outside the closed ball")
+    return _truncation_region(T)
+
+
+def _orthoscheme_volumes(regions) -> list:
+    """The :class:`VolumeResult` of each region, all from one :func:`_orthoscheme_decomposition`."""
+    return [VolumeResult(value, VolumeMethod.ORTHOSCHEME, 1e-12 * count, False, 0)
+            for value, count in _orthoscheme_decomposition(regions)]
+
+
 def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_000,
                       method: VolumeMethod | None = None) -> VolumeResult:
     """Hyperbolic volume of P, defined as the volume of its truncation.
@@ -409,35 +470,14 @@ def polyhedron_volume(P: Polyhedron, *, tol: float = 1e-5, budget: int = 10_000_
     """
     if method not in (None, VolumeMethod.KLEIN_QUADRATURE):
         raise ValueError(f"method {method} cannot be forced")
-    report = P.report
-    if report.is_improper():
-        raise ImproperInput("volume needs a proper or almost proper polyhedron")
-    try:
-        T = truncate(P)
-    except TruncationDegenerate as exc:
-        if exc.cycles is None:
-            raise
-        points = exc.points
-        region = None if len(points) < 4 else (points.mean(axis=0),
-                                               _Polygons(points, cycle_walk(exc.cycles)))
-    else:
-        radii = np.linalg.norm(T.vertex_charts, axis=1)
-        if method is None and np.all(np.abs(radii - 1.0) <= IDEAL_BAND):
-            value, count = _ideal_decomposition(T)
-            return VolumeResult(value, VolumeMethod.IDEAL_DECOMPOSITION,
-                                1e-12 * max(1, count), False, 0)
-        if np.any(radii >= 1.0 + TAU_IDEAL):
-            raise ImproperInput("truncation has vertices outside the closed ball")
-        region = _truncation_region(T)
-    method = method or VolumeMethod.ORTHOSCHEME
-    if region is None:
-        return VolumeResult(0.0, method, 0.0)
+    region = _volume_or_region(P, method)
+    if isinstance(region, VolumeResult):
+        return region
     if method == VolumeMethod.KLEIN_QUADRATURE:
         value, err, exceeded, evals = integrate_klein_tets(
             _fan_tets(*region), tol=tol, budget=budget)
         return VolumeResult(value, method, err, exceeded, evals)
-    value, count = _orthoscheme_decomposition(*region)
-    return VolumeResult(value, method, 1e-12 * count, False, 0)
+    return _orthoscheme_volumes([region])[0]
 
 
 # --- Schlafli residual ---------------------------------------------------------

@@ -301,7 +301,7 @@ def test_flow_classifies_each_state_once(compact_tetra, monkeypatch):
 
     monkeypatch.setattr(polyhedron, "classify_vertices", classify_once)
     monkeypatch.setattr(flow, "edge_lengths", evaluation(flow.edge_lengths, True))
-    monkeypatch.setattr(flow, "polyhedron_volume", evaluation(flow.polyhedron_volume))
+    monkeypatch.setattr(flow, "_volume_or_region", evaluation(flow._volume_or_region))
     trace = run_flow(compact_tetra, FlowOptions(seed=12))
     kinds = [e.kind for e in trace.events]
     assert FlowEventKind.BECAME_HYPERIDEAL_ONLY in kinds
@@ -380,8 +380,8 @@ def test_flow_samples_each_state_once(make, monkeypatch):
     # row, the stop adds none, and events and sup read the volume of that row.
     import polyvol.flow as flow
 
-    measured, volume = [], flow.polyhedron_volume
-    monkeypatch.setattr(flow, "polyhedron_volume", lambda P: measured.append(P) or volume(P))
+    measured, volume = [], flow._volume_or_region
+    monkeypatch.setattr(flow, "_volume_or_region", lambda P: measured.append(P) or volume(P))
     trace = run_flow(jittered_compact(make(), np.random.default_rng(6)), FlowOptions(seed=6))
     samples = trace.samples
     assert all(a.polyhedron is not b.polyhedron for a, b in zip(samples, samples[1:]))
@@ -394,6 +394,44 @@ def test_flow_samples_each_state_once(make, monkeypatch):
     last = samples[-1].volume
     assert (trace.sup_estimate - trace.sup_error
             == pytest.approx(last.value - last.error_estimate, rel=1e-15))
+
+
+def volume_rows(trace):
+    """``(method, value.hex(), error_estimate.hex())`` of each sample's volume."""
+    return [(s.volume.method, s.volume.value.hex(), s.volume.error_estimate.hex())
+            for s in trace.samples]
+
+
+def test_flow_volumes_are_flushed_before_the_trace_leaves(monkeypatch):
+    # Sample volumes are measured in batches, one kernel call per flush.  No
+    # trace leaves run_flow with a volume missing: not on success (the cube at
+    # seed 951) nor on an error (the almost-proper tetrahedron at seed 1, which
+    # stalls in the tangent edge regime before its endgame, so the flush as
+    # its loop ends measures every sample at once).  Each volume is what
+    # polyhedron_volume gives the sample's state alone, bit for bit, and each
+    # event reads its own row's.
+    import polyvol.flow as flow
+
+    batches, measure = [], flow._orthoscheme_volumes
+    monkeypatch.setattr(flow, "_orthoscheme_volumes",
+                        lambda regions: batches.append(len(regions)) or measure(regions))
+    done = run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
+    cube_batches = len(batches)
+    with pytest.raises(StallDetected, match="tangent edge regime") as info:
+        run_flow(almost_proper_tetrahedron(), FlowOptions(seed=1))
+    failed = info.value.trace
+    # The cube's 16 samples up to its all-hyperideal onset in one call at the
+    # endgame's first stop test, then its one endgame sample at the stop.
+    assert batches[:cube_batches] == [16, 1] and len(done.samples) == 17
+    assert batches[cube_batches:] == [len(failed.samples)]
+    for trace in (done, failed):
+        assert volume_rows(trace) == [
+            (v.method, v.value.hex(), v.error_estimate.hex())
+            for v in (polyhedron_volume(s.polyhedron) for s in trace.samples)]
+        rows = [s for s in trace.samples if s.event is not None]
+        assert [(e.kind, e.t_value, e.volume_at_event.hex()) for e in trace.events] == [
+            (s.event, s.t, s.volume.value.hex()) for s in rows[:len(trace.events)]]
+    assert len(failed.events) == 2 and len(rows) == 3  # the stall has a row but no event
 
 
 @functools.cache
@@ -1122,10 +1160,10 @@ def test_volume_just_past_ideal_depends_on_interior_point_known_failure():
     def spread(radii):
         P = build_polyhedron(planes_from_vertices(directions * np.array(radii)[:, None], g), g)
         center, polygons = _truncation_region(truncate(P))
-        value, _ = _orthoscheme_decomposition(center, polygons)
+        [(value, _)] = _orthoscheme_decomposition([(center, polygons)])
         volume = polyhedron_volume(P)
         assert value == volume.value
-        moved = max(abs(_orthoscheme_decomposition(center + 0.01 * axis, polygons)[0] - value)
+        moved = max(abs(_orthoscheme_decomposition([(center + 0.01 * axis, polygons)])[0][0] - value)
                     for axis in np.eye(3))
         return P, moved, volume.error_estimate
 

@@ -420,7 +420,7 @@ def test_default_volume_is_pinned_bit_for_bit(name):
 
 def test_orthoscheme_ideal_regular_tetrahedron():
     P = regular_tetrahedron(1.0)
-    value, _ = _orthoscheme_decomposition(*_truncation_region(truncate(P)))
+    [(value, _)] = _orthoscheme_decomposition([_truncation_region(truncate(P))])
     assert abs(value - 3 * lobachevsky(math.pi / 3)) < 1e-12
     assert polyhedron_volume(P).method == VolumeMethod.IDEAL_DECOMPOSITION
     for method in (VolumeMethod.IDEAL_DECOMPOSITION, VolumeMethod.ORTHOSCHEME):
@@ -485,11 +485,45 @@ def test_compact_pyramid_and_prism_against_quadrature(graph):
 def test_orthoscheme_independent_of_interior_point(rng, P):
     T = truncate(P)
     center, polygons = _truncation_region(T)
-    value, _ = _orthoscheme_decomposition(center, polygons)
+    [(value, _)] = _orthoscheme_decomposition([(center, polygons)])
     for _ in range(20):
         weights = rng.dirichlet(np.full(T.skeleton.n_vertices, 0.3))
-        moved, _ = _orthoscheme_decomposition(weights @ T.vertex_charts, polygons)
+        [(moved, _)] = _orthoscheme_decomposition([(weights @ T.vertex_charts, polygons)])
         assert abs(moved - value) < 1e-12
+
+
+def test_orthoscheme_regions_measured_together_as_alone():
+    # One kernel call over many regions gives each the value and orthoscheme
+    # count it gets alone, bit for bit, whatever its size and stratum: the
+    # samples of the tetrahedron and cube flows at seed 951 (12 to 72
+    # corners), the node region of a degenerate truncation and a hyperideal
+    # tetrahedron's truncation, in a mixed order.  One region alone is
+    # polyhedron_volume.
+    from polyvol.flow import FlowOptions, run_flow
+    from polyvol.graphs import cube_graph
+    from polyvol.shapes import jittered_compact
+    from polyvol.volume import VolumeResult, _volume_or_region
+
+    shapes = [s.polyhedron for g in (tetrahedron_graph(), cube_graph())
+              for s in run_flow(jittered_compact(g, np.random.default_rng(951)),
+                                FlowOptions(seed=951)).samples]
+    pyramid = pyramid_graph(4)
+    shapes.append(build_polyhedron(planes_from_vertices(ALMOST_PROPER_PYRAMID, pyramid), pyramid))
+    shapes.append(random_hyperideal(tetrahedron_graph(), np.random.default_rng(951)))
+    measured = [(P, _volume_or_region(P)) for P in shapes]
+    measured = [measured[i] for i in np.random.default_rng(0).permutation(len(measured))
+                if not isinstance(measured[i][1], VolumeResult)]
+    regions = [region for _, region in measured]
+    assert len(regions) == len(shapes) == 28
+    assert {len(polygons.corners()) for _, polygons in regions} == {12, 18, 24, 36, 42, 48, 66, 72}
+    together = _orthoscheme_decomposition(regions)
+    alone = [_orthoscheme_decomposition([region])[0] for region in regions]
+    assert [(value.hex(), count) for value, count in together] == [
+        (value.hex(), count) for value, count in alone]
+    for (P, _), (value, count) in zip(measured, alone):
+        res = polyhedron_volume(P)
+        assert (res.method, res.value.hex(), res.error_estimate) == (
+            VolumeMethod.ORTHOSCHEME, value.hex(), 1e-12 * count)
 
 
 @pytest.mark.parametrize("ideal", [False, True])
