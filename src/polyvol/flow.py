@@ -3,21 +3,17 @@
 Starting from a proper polyhedron with no ideal vertices, scale all its
 dihedral angles by t and follow the path t -> t * theta downward,
 realizing each target through the local-coordinate property of dihedral
-angles.  As t decreases the Schlafli identity makes the volume grow.
-Degenerations are detected and handled: a real vertex crossing the
-sphere at infinity is an event on the path, recorded at the first state
-that puts it in the outer half of the ideal band (one held on a polar
-plane is located to DT_MIN and pushed out by a translation, an escape
-deformation); a vertex landing on a truncation plane starts an
-almost-proper stratum where the incidence is held; collapsing edges or
-faces rewrite the skeleton.
-Once every vertex is hyperideal the target path stays realizable all
-the way down, and the supremum of the volume is estimated from the last
-computed volume plus a Schlafli bound on the remaining gain.
-A sample's volume is checked when it is recorded and measured where a
-volume is first read, together with every other sample waiting then: one
-orthoscheme kernel call per batch, each volume bit for bit the one
-measured alone.
+angles.  As t decreases the Schlafli identity makes the volume grow.  The
+flow's stratum is one frozen value: the skeleton, the incidences held on
+polar planes, the angle direction, the vertices crossing the sphere on the
+path and the endgame flag.  Each degeneration is a move to the next
+stratum: a pole-free crossing of the sphere goes on along the path; a
+held-pole crossing escapes by a translation; an almost-proper onset holds
+the new incidence; an edge or face collapse rewrites the skeleton; the
+endgame switch comes once every vertex is hyperideal, and from there the
+path stays realizable all the way down and the supremum is the last volume
+plus a Schlafli bound on the remaining gain.  Sample volumes are measured
+in batches, one orthoscheme kernel call each, bit for bit as measured alone.
 """
 
 from __future__ import annotations
@@ -410,34 +406,6 @@ def _bracket_step(width, gap_lo, gap_hi, aim=0.0):
     return DT_MIN * max(1, math.floor(min(s, width - DT_MIN) / DT_MIN))
 
 
-def _aimed_step(step, before, t, P, gaps, skip):
-    """``step``, shortened where a real vertex not in ``skip`` would pass the window.
-
-    The secant of each vertex's radius gap over the accepted states
-    ``before`` = (t0, P0, gaps0) and (t, P, gaps) gives the step at which
-    it reaches IDEAL_BAND / 4, the middle of the window.  A shortened step
-    is a whole number of DT_MIN, at least one.
-    """
-    t0, _, gaps0 = before
-    if gaps0 is None:
-        return step
-    g0, g1 = gaps0.radius, gaps.radius
-    near = (P.kind_codes == REAL_CODE) & (g1 > g0)
-    near[list(skip)] = False
-    if not near.any():
-        return step
-    s = (t0 - t) * float(np.min((0.25 * IDEAL_BAND - g1[near]) / (g1[near] - g0[near])))
-    return step if s >= step else DT_MIN * max(1, math.floor(s / DT_MIN))
-
-
-def _predicted(before, t, P, t_next):
-    """Normals and charts at t_next extrapolated from ``before`` = (t0, P0, _) and (t, P)."""
-    t0, P0, _ = before
-    w = (t - t_next) / (t0 - t)
-    n0, n1 = P0.normals, P.normals
-    return n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
-
-
 def _hyperideal_only(P: Polyhedron) -> bool:
     return bool(np.logical_and.reduce(P.kind_codes == HYPERIDEAL_CODE))
 
@@ -467,39 +435,161 @@ def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
     return None
 
 
-def _collapse_rewrite(kind, data, g, P_state, rng, t):
-    """Apply an edge or face collapse move and rebuild on the new skeleton.
+@dataclass(frozen=True)
+class _Stratum:
+    """The flow's stratum: targets ``t * theta_dir`` on ``skeleton``, no target at a
+    ``held`` (vertex, pole) edge; no ideal signal from an ``exempt`` vertex (crossing
+    on the path) nor any signal in the ``hyperideal_only`` endgame."""
 
-    Returns (new_g, new_P, new_theta_dir, event_data); raises
-    CollapseMakesDegenerate when the move leaves no polyhedral skeleton.
-    """
+    skeleton: PlanarGraph
+    held: tuple
+    theta_dir: dict
+    exempt: tuple
+    hyperideal_only: bool
+
+    def next_step(self, dt, bracket, before, t, P, gaps):
+        """``(step, gaps)`` from P at t, and P's gaps: in a bracket, :func:`_bracket_step`'s;
+        before the endgame, ``dt`` cut where the secant of a real vertex's radius gap over
+        ``before`` and (t, P) reaches IDEAL_BAND / 4, held and exempt vertices aside."""
+        if bracket is not None:
+            t_hi, signal, gap_hi = bracket
+            if gaps is None:
+                _, gaps = _scan_signals(P, P, self.held, self.exempt)
+            aim = 0.25 * IDEAL_BAND if signal is not None and self.pole_free(signal) else 0.0
+            return _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim), gaps
+        if before is None or self.hyperideal_only or before[2] is None:
+            return dt, gaps
+        t0, _, gaps0 = before
+        g0, g1 = gaps0.radius, gaps.radius
+        near = (P.kind_codes == REAL_CODE) & (g1 > g0)
+        near[list(self.exempt + tuple(w for w, _ in self.held))] = False
+        if not near.any():
+            return dt, gaps
+        s = (t0 - t) * float(np.min((0.25 * IDEAL_BAND - g1[near]) / (g1[near] - g0[near])))
+        return dt if s >= dt else DT_MIN * max(1, math.floor(s / DT_MIN)), gaps
+
+    def trial(self, before, t, P, t_next, step):
+        """``(t_next, state, signals, gaps)`` of the step from P at t, solved from the secant
+        through ``before`` and (t, P); None where it fails, but for a step of DT_MIN, near the
+        realizability boundary, where P's own signals (relaxed, onsets aside) are the step's."""
+        start = None
+        if before is not None:
+            t0, P0, _ = before
+            w = (t - t_next) / (t0 - t)
+            n0, n1 = P0.normals, P.normals
+            start = n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
+        try:
+            P_next = realize_from_angles(self.skeleton, _scaled(self.theta_dir, t_next), P,
+                                         held=self.held, start=start)
+            if self.hyperideal_only:
+                return t_next, P_next, [], None
+            return (t_next, P_next, *_scan_signals(P_next, P, self.held, self.exempt))
+        except (NewtonDiverged, SkeletonChanged) as exc:
+            if step > DT_MIN:
+                return None
+            signals = [s for s in _scan_signals(P, P, self.held, self.exempt, relaxed=True)[0]
+                       if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
+            if not signals:
+                raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
+            return t, P, signals, None
+
+    def pole_free(self, signal):
+        """Whether ``signal`` is a crossing of the sphere by a vertex with no held pole."""
+        return (signal[0] == FlowEventKind.VERTEX_BECAME_IDEAL
+                and all(w != signal[1] for w, _ in self.held))
+
+    def in_window(self, signals, gaps):
+        """Whether every signal is a pole-free crossing within IDEAL_BAND / 2 of the band's edge."""
+        return all(self.pole_free(s) and 0.0 < gaps.get(s[:2]) <= 0.5 * IDEAL_BAND
+                   for s in signals)
+
+    def settled(self, P):
+        """This stratum less the exempt vertices that P shows hyperideal or inside the band."""
+        if not self.exempt:
+            return self
+        radii = row_norms(P.vertex_charts)
+        exempt = tuple(v for v in self.exempt if P.kind_codes[v] != HYPERIDEAL_CODE
+                       and radii[v] > 1.0 - IDEAL_BAND)
+        return self if exempt == self.exempt else replace(self, exempt=exempt)
+
+
+def _move(stratum, signal):
+    """The move of the degeneration ``signal`` = (kind, data) on this stratum: a function of
+    (stratum, event state, signal, t, rng) giving (next stratum, its state, event data), the
+    state None where the event state is the path's next accepted state."""
+    if signal[0] == FlowEventKind.VERTEX_BECAME_IDEAL:
+        return _pole_free_crossing if stratum.pole_free(signal) else _held_pole_crossing
+    if signal[0] == FlowEventKind.ALMOST_PROPER_ONSET:
+        return _onset
+    if signal[0] == FlowEventKind.BECAME_HYPERIDEAL_ONLY:
+        return _endgame_switch
+    return _collapse_rewrite
+
+
+def _pole_free_crossing(stratum, P, signal, t, rng):
+    """A vertex with no held pole reaches the sphere: exempt, it goes on along the path."""
+    return replace(stratum, exempt=stratum.exempt + (signal[1],)), None, {"vertex": signal[1]}
+
+
+def _held_pole_crossing(stratum, P, signal, t, rng):
+    """A vertex held on a polar plane reaches the sphere: an escape translation frees it."""
+    v = signal[1]
+    P_new = escape_deformation(P, v, almost_pole=next(u for w, u in stratum.held if w == v))
+    if P_new.kinds[v] != PointKind.HYPERIDEAL:
+        raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
+    held = tuple((w, u) for w, u in stratum.held if w != v)
+    return replace(stratum, held=held, theta_dir=_rebase(P_new, t, rng)), P_new, {"vertex": v}
+
+
+def _onset(stratum, P, signal, t, rng):
+    """A real vertex reaches a neighbour's polar plane and is held there.  The state on the
+    new holds is realized once the event is on the trace: the move returns that call."""
+    w, u = signal[1]
+    if _norm_edge(w, u) not in P.skeleton.edge_index:
+        raise StallDetected("non-adjacent almost-proper contact is out of scope")
+    new = replace(stratum, held=stratum.held + ((w, u),))
+    realize = lambda: realize_from_angles(new.skeleton, _scaled(new.theta_dir, t), P, held=new.held)
+    return new, realize, {"vertex": w, "pole": u}
+
+
+def _collapse_rewrite(stratum, P, signal, t, rng):
+    """An edge or a face collapses: the skeleton is rewritten, and the merged state (surviving
+    planes, mean charts) realized at its own angles, where the angle direction is rebased."""
+    kind, data = signal
+    g = stratum.skeleton
     if kind == FlowEventKind.EDGE_COLLAPSED:
-        res = edge_collapse(g, data)
-        ev_data = {"edge": data}
+        split, ev_data = None, {"edge": data}
     else:
-        split = _face_collapse_split(g, data, P_state.vertex_charts,
-                                     1e3 * FACE_COLLAPSE_TOL)
+        split = _face_collapse_split(g, data, P.vertex_charts, 1e3 * FACE_COLLAPSE_TOL)
         if split is None:
-            raise CollapseMakesDegenerate(
-                f"face {data} degenerates without a collapse pattern")
-        res = face_collapse(g, data, split)
+            raise StallDetected(f"face {data} degenerates without a collapse pattern")
         ev_data = {"face": data, "split": split}
+    try:
+        res = edge_collapse(g, data) if split is None else face_collapse(g, data, split)
+    except CollapseMakesDegenerate as exc:
+        raise StallDetected(exc.detail) from exc
     if not res.graph.is_polyhedral():
-        raise CollapseMakesDegenerate("collapse leaves a non-3-connected skeleton")
+        raise StallDetected("collapse leaves a non-3-connected skeleton")
     new_g = res.graph
     order = sorted((new_idx, old) for old, new_idx in res.face_map.items()
                    if new_idx is not None)
-    normals = P_state.normals[[old for _, old in order]]
+    normals = P.normals[[old for _, old in order]]
     verts = np.zeros((new_g.n_vertices, 3))
     counts = np.zeros(new_g.n_vertices)
     for old, new in res.vertex_map.items():
         if new is not None:
-            verts[new] += P_state.vertex_charts[old]
+            verts[new] += P.vertex_charts[old]
             counts[new] += 1
     verts /= np.maximum(counts, 1)[:, None]
     seed_poly = Polyhedron(normals=normals, skeleton=new_g, vertex_lifts=lift(verts))
     P_new = realize_from_angles(new_g, dihedral_angles(seed_poly), seed_poly, held=())
-    return new_g, P_new, _rebase(P_new, t, rng), ev_data
+    new = replace(stratum, skeleton=new_g, held=(), theta_dir=_rebase(P_new, t, rng), exempt=())
+    return new, P_new, ev_data
+
+
+def _endgame_switch(stratum, P, signal, t, rng):
+    """Every vertex is hyperideal: the endgame, whose path is realizable all the way down."""
+    return replace(stratum, hyperideal_only=True), None, {}
 
 
 def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
@@ -525,28 +615,16 @@ def run_flow(P0: Polyhedron, opts: FlowOptions | None = None) -> FlowTrace:
 
 
 def _follow(P0: Polyhedron, trace: FlowTrace, rng):
-    """The loop of :func:`run_flow`: records into ``trace`` and sets its supremum.
-
-    Before the endgame a step is cut where the secant of a vertex's radius
-    gap would take it past the middle of the window (:func:`_aimed_step`).
-    A trial whose signals are all crossings in the window, by vertices with
-    no held pole, is the event state of the worst of them, with no bracket.
-    Any other signaled trial brackets its worst signal (:func:`_bracket_step`),
-    aimed at the window's middle for such a crossing and at the threshold
-    otherwise, and the event fires on a signaled step of DT_MIN.
-    Sample volumes are measured where one is read: all queued before the
-    endgame at its first stop test, then each endgame sample at the next,
-    and whatever is still queued when the loop ends, by return or by error.
-    """
+    """The loop of :func:`run_flow`: steps along a stratum (:class:`_Stratum`), brackets
+    each degeneration and makes its move (:func:`_move`); records into ``trace``."""
     samples, events = trace.samples, trace.events
-    report = P0.report
-    g = P0.skeleton
-    max_events = 10 * len(g.edges)
-    held: list = [(w, report.witnesses[w]) for w, s in enumerate(report.statuses)
-                  if s == VertexStatus.ALMOST_PROPER]
+    max_events = 10 * len(P0.skeleton.edges)
+    held = tuple((w, P0.report.witnesses[w]) for w, s in enumerate(P0.report.statuses)
+                 if s == VertexStatus.ALMOST_PROPER)
     t = 1.0
     theta_dir = _rebase(P0, t, rng)
-    P = realize_from_angles(g, _scaled(theta_dir, t), P0, held=held)
+    P = realize_from_angles(P0.skeleton, _scaled(theta_dir, t), P0, held=held)
+    stratum = _Stratum(P0.skeleton, held, theta_dir, (), _hyperideal_only(P))
 
     regions = []  # the orthoscheme regions of the samples whose volume is None, in order
 
@@ -583,75 +661,29 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
                 # A row repeating the state of the row before shares its volume.
                 repeat = i and samples[i - 1].polyhedron is s.polyhedron
                 samples[i] = replace(s, volume=samples[i - 1].volume if repeat else next(volumes))
-        # Event j is on the j-th row with an event; a row whose handler raised has none.
+        # Event j is on the j-th row with an event; a row whose move raised has none.
         for j, (e, s) in enumerate(zip(events, (s for s in samples if s.event is not None))):
             if math.isnan(e.volume_at_event):
                 events[j] = replace(e, volume_at_event=s.volume.value)
 
-    def pole_free(signal):
-        """Whether ``signal`` is a crossing of the sphere by a vertex with no held pole."""
-        return (signal[0] == FlowEventKind.VERTEX_BECAME_IDEAL
-                and all(w != signal[1] for w, _ in held))
+    def make_move(stratum, signal, P_, t_):
+        """Sample the event state P_ and make its move: ``(next stratum, its state or None)``."""
+        vol_ev = record(P_, t_, event=signal[0])
+        stratum, P_new, data = _move(stratum, signal)(stratum, P_, signal, t_, rng)
+        trace.final_skeleton = stratum.skeleton
+        events.append(FlowEvent(signal[0], t_, vol_ev, data))
+        return stratum, P_new() if callable(P_new) else P_new
 
-    def in_window(signals, gaps_):
-        """Whether every signal is a pole-free crossing within IDEAL_BAND / 2 of the band's edge."""
-        return all(pole_free(s) and 0.0 < gaps_.get(s[:2]) <= 0.5 * IDEAL_BAND
-                   for s in signals)
-
-    def handle_event(kind, data, P_state, t_now):
-        """Dispatch one degeneration of P_state; returns a new stratum's state, or None."""
-        nonlocal g, held, theta_dir, exempt
-        vol_ev = record(P_state, t_now, event=kind)
-        if kind == FlowEventKind.VERTEX_BECAME_IDEAL:
-            v = data
-            pole = next((u for (w, u) in held if w == v), None)
-            if pole is None:
-                exempt += (v,)
-                events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": v}))
-                return None
-            P_new = escape_deformation(P_state, v, almost_pole=pole)
-            if P_new.kinds[v] != PointKind.HYPERIDEAL:
-                raise StallDetected(f"escape left vertex {v} inside the ball (tangent edge regime)")
-            held = [(w, u) for (w, u) in held if w != v]
-            events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": v}))
-            theta_dir = _rebase(P_new, t_now, rng)
-            return P_new
-        if kind == FlowEventKind.ALMOST_PROPER_ONSET:
-            w, u = data
-            if _norm_edge(w, u) not in P_state.skeleton.edge_index:
-                raise StallDetected("non-adjacent almost-proper contact is out of scope")
-            held.append((w, u))
-            events.append(FlowEvent(kind, t_now, vol_ev, {"vertex": w, "pole": u}))
-            return realize_from_angles(g, _scaled(theta_dir, t_now), P_state, held=held)
-        try:
-            g_new, P_new, theta_dir, ev_data = _collapse_rewrite(
-                kind, data, g, P_state, rng, t_now)
-        except CollapseMakesDegenerate as exc:
-            raise StallDetected(exc.detail) from exc
-        g = trace.final_skeleton = g_new
-        held, exempt = [], ()
-        events.append(FlowEvent(kind, t_now, vol_ev, ev_data))
-        return P_new
-
-    dt = DT_INIT
-    accepted = 0
-    hyperideal_only = _hyperideal_only(P)
-    # Vertices crossing the sphere on the path: no ideal signal until an
-    # accepted state shows them hyperideal or back inside 1 - IDEAL_BAND.
-    exempt: tuple = ()
-    # On this stratum: the accepted state before P as (t, P, its signal
-    # gaps), P's signal gaps, and the nearest rejected trial as (t, worst
-    # signal, its gap).
-    before = gaps = bracket = None
-
+    # (t, P, gaps) accepted before P on this stratum, P's gaps, the nearest rejected trial.
+    dt, accepted, before, gaps, bracket = DT_INIT, 0, None, None, None
     record(P, t)
     try:
         for _ in range(MAX_STEPS):
             if len(events) > max_events:
                 raise MaxEventsExceeded(f"more than {max_events} events")
-            if hyperideal_only:
+            if stratum.hyperideal_only:
                 lens = edge_lengths(P)
-                bound = 0.5 * t * sum(lens[e] * theta_dir[e] for e in g.edges)
+                bound = 0.5 * t * sum(lens[e] * stratum.theta_dir[e] for e in P.skeleton.edges)
                 flush()
                 if bound < ENDGAME_REL * max(samples[-1].volume.value, 1e-9) or t <= T_FLOOR:
                     record(P, t)
@@ -660,74 +692,41 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
                     trace.sup_estimate = final_vol.value + 0.5 * bound
                     trace.sup_error = 0.5 * bound + final_vol.error_estimate
                     return
-
-            step = dt
-            if bracket is not None:
-                t_hi, signal, gap_hi = bracket
-                if gaps is None:
-                    _, gaps = _scan_signals(P, P, held, exempt)
-                aim = 0.25 * IDEAL_BAND if signal is not None and pole_free(signal) else 0.0
-                step = _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim)
-            elif before is not None and not hyperideal_only:
-                step = _aimed_step(dt, before, t, P, gaps, exempt + tuple(w for w, _ in held))
+            step, gaps = stratum.next_step(dt, bracket, before, t, P, gaps)
             t_next = max(t - step, 0.2 * t)
-            start = None if before is None else _predicted(before, t, P, t_next)
-            try:
-                P_next = realize_from_angles(g, _scaled(theta_dir, t_next), P, held=held,
-                                             start=start)
-                # The all-hyperideal endgame scans for no degenerations.
-                signals, next_gaps = (([], None) if hyperideal_only
-                                      else _scan_signals(P_next, P, held, exempt))
-            except (NewtonDiverged, SkeletonChanged) as exc:
-                if step > DT_MIN:
-                    if bracket is None:
-                        dt = 0.5 * step
-                    else:
-                        bracket = (t_next, None, None)
-                    continue
-                # Stalled against the realizability boundary: look for a
-                # degeneration of the current state with relaxed thresholds
-                # (the limit is approached but never reached numerically) and
-                # handle it as this step's signal, below, with step <= DT_MIN.
-                signals = [s for s in _scan_signals(P, P, held, exempt, relaxed=True)[0]
-                           if s[0] != FlowEventKind.ALMOST_PROPER_ONSET]
-                if not signals:
-                    raise StallDetected(f"no progress at t={t:.6g} ({exc})") from exc
-                P_next, t_next, next_gaps = P, t, None
-
-            if signals and step > DT_MIN and not in_window(signals, next_gaps):
-                signal = signals[0][:2]
-                bracket = (t_next, signal, next_gaps.get(signal))
+            tried = stratum.trial(before, t, P, t_next, step)
+            if tried is None:  # a failed step halves, or becomes the bracket's far end
+                if bracket is None:
+                    dt = 0.5 * step
+                else:
+                    bracket = (t_next, None, None)
                 continue
+            t_next, P_next, signals, next_gaps = tried
+            if signals and step > DT_MIN and not stratum.in_window(signals, next_gaps):
+                bracket = (t_next, signals[0][:2], next_gaps.get(signals[0][:2]))
+                continue
+            P_new = None
             if signals:
-                kind, data, _ = signals[0]
-                P_new = handle_event(kind, data, P_next, t_next)
+                stratum, P_new = make_move(stratum, signals[0][:2], P_next, t_next)
                 bracket = None
-                if P_new is not None:  # a new stratum
-                    t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
-                elif P_next is P:
+                if P_new is None and P_next is P:
                     continue  # a stall's event: the flow has not moved
-                else:  # the event state is the path's next accepted state
-                    before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
-            else:
+            if P_new is not None:  # a new stratum
+                t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
+            else:  # an accepted step, or an event state that is the path's next one
                 before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
+            if not signals:
                 accepted += 1
                 if accepted % SAMPLE_EVERY == 0:
                     record(P, t)
                 if bracket is None:
-                    # The all-hyperideal path is realizable all the way down: no cap there.
-                    dt = dt * 1.7 if hyperideal_only else min(dt * 1.7, DT_INIT)
+                    dt = dt * 1.7 if stratum.hyperideal_only else min(dt * 1.7, DT_INIT)
                 elif t <= bracket[0]:
                     bracket = None
-            if exempt:
-                radii = row_norms(P.vertex_charts)
-                exempt = tuple(v for v in exempt if P.kind_codes[v] != HYPERIDEAL_CODE
-                               and radii[v] > 1.0 - IDEAL_BAND)
-            if not hyperideal_only and _hyperideal_only(P):
-                hyperideal_only, bracket = True, None
-                kind = FlowEventKind.BECAME_HYPERIDEAL_ONLY
-                vol_ev = record(P, t, event=kind)
-                events.append(FlowEvent(kind, t, vol_ev, {}))
+            stratum = stratum.settled(P)
+            if not stratum.hyperideal_only and _hyperideal_only(P):
+                stratum, _ = make_move(stratum, (FlowEventKind.BECAME_HYPERIDEAL_ONLY, None), P, t)
+                bracket = None
         raise StallDetected("step limit reached")
     finally:
         flush()

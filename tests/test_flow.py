@@ -1,10 +1,14 @@
+import csv
 import functools
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import stacked_triangulation
+from conftest import ALMOST_PROPER_PYRAMID, stacked_triangulation
+from polyvol._realize import target_edges
 from polyvol.core import AffineDeformation
 from polyvol.errors import (
     AngleOutOfRange,
@@ -1066,6 +1070,209 @@ def test_flow_stacked_triangulation_collapse_rewrite_known_failure():
     assert trace.final_skeleton.n_vertices == 39
     assert (replay(g, trace.events).canonical_hash()
             == trace.final_skeleton.canonical_hash())
+
+
+# The flows from jittered_compact(g, default_rng(s)) with FlowOptions(seed=17)
+# on these polyhedral graphs with 7 to 8 vertices (ROADMAP item 7), which raise
+# StallDetected with 1 and 2 OpenBLAS threads: at the very start, where
+# Gauss-Newton's line search stalls just below t = 1 (the residual's digits
+# are not pinned), or where a face degenerates in no way face_collapse splits
+# it.  The one of s = 55 is test_flow_no_progress_stall_carries_the_failed_solve.
+SMALL_GRAPH_STALLS = {
+    96: (((4, 0, 6), (6, 1, 4), (5, 2, 7), (7, 3, 5), (0, 4, 1), (7, 2, 1, 6, 3), (5, 0, 1, 2),
+          (3, 6, 0, 5)), "no progress at t=0.999934 (NewtonDiverged: residual "),
+    105: (((0, 3, 6), (4, 0, 6), (5, 2, 7), (0, 4, 1), (5, 0, 1, 2), (6, 3, 7, 2, 1, 4),
+           (5, 7, 3, 0)), "no progress at t=0.999676 (NewtonDiverged: residual "),
+    246: (((0, 3, 6), (4, 0, 6), (5, 2, 7), (0, 4, 1), (7, 3, 0, 5), (7, 2, 1, 3), (6, 3, 1, 4),
+           (2, 5, 0, 1)), "no progress at t=0.99997 (NewtonDiverged: residual "),
+    184: (((4, 0, 6), (6, 1, 4), (5, 2, 7), (7, 3, 5), (0, 4, 1), (2, 5, 3), (3, 6, 0, 2),
+           (2, 0, 1, 7), (7, 1, 6, 3)), "face 3 degenerates without a collapse pattern"),
+    240: (((0, 3, 6), (3, 1, 6), (4, 0, 6), (6, 1, 4), (5, 2, 7), (7, 3, 0, 5), (7, 2, 1, 3),
+           (2, 5, 0, 4, 1)), "face 4 degenerates without a collapse pattern"),
+    242: (((0, 3, 6), (3, 1, 6), (4, 0, 6), (6, 1, 4), (5, 2, 7), (0, 4, 1), (7, 3, 0, 5),
+           (7, 2, 1, 3), (2, 5, 0, 1)), "face 4 degenerates without a collapse pattern"),
+}
+
+
+@pytest.mark.parametrize("s", sorted(SMALL_GRAPH_STALLS))
+def test_flow_small_graph_stalls_known_failure(s):
+    # Known failure: each flow stalls with the message above.  A fix makes it
+    # run through; then this test must expect success.
+    faces, message = SMALL_GRAPH_STALLS[s]
+    g = PlanarGraph(1 + max(map(max, faces)), faces)
+    with pytest.raises(StallDetected) as info:
+        run_flow(jittered_compact(g, np.random.default_rng(s)), FlowOptions(seed=17))
+    detail = info.value.detail
+    if message.startswith("no progress"):
+        assert detail.startswith(message) and detail.endswith(": line search stalled)"), detail
+    else:
+        assert detail == message
+
+
+def test_flow_stacked_triangulation_first_solve_known_failure():
+    # Known failure (ROADMAP item 10): the Steinitz seed of this 50-vertex
+    # stacked triangulation is nearly singular, and the flow's first solve, at
+    # t = 1, fails before any sample.  The rest of the message depends on the
+    # OpenBLAS thread count ("max iterations reached" with one thread, "line
+    # search stalled" with two or four).  A fix makes this flow start; then
+    # this test must expect that.
+    g = stacked_triangulation(50, np.random.default_rng(7))
+    with pytest.raises(NewtonDiverged) as info:
+        run_flow(jittered_compact(g, np.random.default_rng(7)), FlowOptions(seed=7))
+    assert info.value.detail.startswith("residual ")
+    assert info.value.trace.samples == [] and info.value.trace.events == []
+
+
+# --- the moves, each on a given state -------------------------------------------
+
+def stratum_at(P, t=1.0, held=(), exempt=()):
+    """A stratum on P's skeleton whose targets at t are P's angles."""
+    import polyvol.flow as flow
+
+    theta = {e: a / t for e, a in dihedral_angles(P).items()}
+    return flow._Stratum(P.skeleton, tuple(held), theta, tuple(exempt), False)
+
+
+def almost_proper_pyramid():
+    g = pyramid_graph(4)
+    return build_polyhedron(planes_from_vertices(ALMOST_PROPER_PYRAMID, g), g)
+
+
+def test_pole_free_crossing_exempts_the_vertex():
+    # Vertex 0 of held_near_sphere reaches the sphere with no hold: it goes on
+    # along the path.  It joins exempt, the event state stays the path's next
+    # state (None), and the rest of the stratum and the generator are unchanged.
+    import polyvol.flow as flow
+
+    P, rng = held_near_sphere(), np.random.default_rng(1)
+    stratum, signal = stratum_at(P, exempt=[2]), (FlowEventKind.VERTEX_BECAME_IDEAL, 0)
+    assert flow._move(stratum, signal) is flow._pole_free_crossing
+    drawn = rng.bit_generator.state
+    new, P_new, data = flow._pole_free_crossing(stratum, P, signal, 1.0, rng)
+    assert (P_new, data) == (None, {"vertex": 0})
+    assert new == replace(stratum, exempt=(2, 0)) and new.theta_dir is stratum.theta_dir
+    assert rng.bit_generator.state == drawn
+
+
+def test_held_pole_crossing_stalls_in_the_tangent_edge_regime():
+    # The same vertex held on the polar plane of vertex 1: the escape
+    # translation leaves it inside the ball, so the move stalls.
+    import polyvol.flow as flow
+
+    P = held_near_sphere()
+    stratum, signal = stratum_at(P, held=[(0, 1)]), (FlowEventKind.VERTEX_BECAME_IDEAL, 0)
+    assert flow._move(stratum, signal) is flow._held_pole_crossing
+    with pytest.raises(StallDetected) as info:
+        flow._held_pole_crossing(stratum, P, signal, 1.0, np.random.default_rng(1))
+    assert info.value.detail == "escape left vertex 0 inside the ball (tangent edge regime)"
+
+
+def test_onset_holds_an_adjacent_pair_and_realizes_after_its_event(monkeypatch):
+    # ALMOST_PROPER_PYRAMID with base vertex 3 held on the apex's polar plane:
+    # base vertex 4, on that plane too and adjacent to the apex, is an onset.
+    # The move adds the hold and returns the state's realization on the new
+    # holds as a call, so no solve runs before the event is on the trace.  The
+    # realized state at t = 0.99 keeps both on the plane and the other angles
+    # at t * theta.
+    import polyvol.flow as flow
+
+    P, t = almost_proper_pyramid(), 0.99
+    stratum, signal = stratum_at(P, held=[(3, 0)]), (FlowEventKind.ALMOST_PROPER_ONSET, (4, 0))
+    assert flow._move(stratum, signal) is flow._onset
+    solves, realize = [], flow.realize_from_angles
+    monkeypatch.setattr(flow, "realize_from_angles",
+                        lambda *args, **kwargs: solves.append(kwargs["held"]) or realize(*args, **kwargs))
+    new, realized, data = flow._onset(stratum, P, signal, t, np.random.default_rng(1))
+    assert data == {"vertex": 4, "pole": 0} and solves == []
+    assert new == replace(stratum, held=((3, 0), (4, 0)))
+    Q = realized()
+    assert solves == [((3, 0), (4, 0))] and Q.skeleton is P.skeleton
+    x = Q.vertex_charts
+    assert abs(1 - x[3] @ x[0]) < 1e-9 and abs(1 - x[4] @ x[0]) < 1e-9
+    angles = dihedral_angles(Q)
+    edges = target_edges(P.skeleton, new.held)
+    assert set(P.skeleton.edges) - set(edges) == {(0, 3), (0, 4)}
+    assert max(abs(angles[e] - t * stratum.theta_dir[e]) for e in edges) < 1e-9
+
+
+def test_onset_of_a_non_adjacent_pair_stalls():
+    import polyvol.flow as flow
+
+    P = almost_proper_pyramid()
+    assert (1, 3) not in P.skeleton.edge_index
+    with pytest.raises(StallDetected) as info:
+        flow._onset(stratum_at(P), P, (FlowEventKind.ALMOST_PROPER_ONSET, (1, 3)), 1.0,
+                    np.random.default_rng(1))
+    assert info.value.detail == "non-adjacent almost-proper contact is out of scope"
+
+
+def test_collapse_rewrite_replays_the_recorded_face_collapse(prism_collapse_trace):
+    # The FaceCollapsed row holds the state before the rewrite.  The move on it
+    # gives the recorded event data and the skeleton that replaying the events
+    # gives, with no hold and no exempt vertex, and rebases the angle direction
+    # on the realized state.
+    import polyvol.flow as flow
+
+    g, trace = prism_collapse_trace
+    rows = [s for s in trace.samples if s.event is not None]
+    (row, event), = [(s, e) for s, e in zip(rows, trace.events)
+                     if e.kind == FlowEventKind.FACE_COLLAPSED]
+    stratum = stratum_at(row.polyhedron, row.t, exempt=[1])
+    signal = (FlowEventKind.FACE_COLLAPSED, event.data["face"])
+    assert flow._move(stratum, signal) is flow._collapse_rewrite
+    new, P_new, data = flow._collapse_rewrite(stratum, row.polyhedron, signal, row.t,
+                                              np.random.default_rng(1000))
+    assert data == event.data
+    assert new.skeleton.canonical_hash() == replay(g, trace.events).canonical_hash()
+    assert P_new.skeleton is new.skeleton and (new.held, new.exempt) == ((), ())
+    assert list(new.theta_dir) == list(new.skeleton.edges)
+
+
+def test_collapse_rewrite_without_a_split_pattern_stalls(prism_collapse_trace):
+    # At t = 1 no face of the prism is flat, so no face_collapse split fits.
+    import polyvol.flow as flow
+
+    P, rng = prism_collapse_trace[1].samples[0].polyhedron, np.random.default_rng(1)
+    drawn = rng.bit_generator.state
+    with pytest.raises(StallDetected) as info:
+        flow._collapse_rewrite(stratum_at(P), P, (FlowEventKind.FACE_COLLAPSED, 1), 1.0, rng)
+    assert info.value.detail == "face 1 degenerates without a collapse pattern"
+    assert rng.bit_generator.state == drawn
+
+
+def test_endgame_switch_stops_the_scans(prism_collapse_trace, monkeypatch):
+    # The BecameHyperidealOnly row's state is all hyperideal.  The switch marks
+    # the stratum and keeps the event state on the path; a trial from there
+    # scans for no degeneration.
+    import polyvol.flow as flow
+
+    row = next(s for s in prism_collapse_trace[1].samples
+               if s.event == FlowEventKind.BECAME_HYPERIDEAL_ONLY)
+    P, stratum = row.polyhedron, stratum_at(row.polyhedron, row.t)
+    signal = (FlowEventKind.BECAME_HYPERIDEAL_ONLY, None)
+    assert _hyperideal_only(P) and flow._move(stratum, signal) is flow._endgame_switch
+    new, P_new, data = flow._endgame_switch(stratum, P, signal, row.t, np.random.default_rng(1))
+    assert (P_new, data) == (None, {}) and new == replace(stratum, hyperideal_only=True)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned in the endgame")
+
+    monkeypatch.setattr(flow, "_scan_signals", no_scan)
+    t_next, Q, signals, gaps = new.trial(None, row.t, P, row.t - 0.01, 0.01)
+    assert (t_next, signals, gaps) == (row.t - 0.01, [], None) and _hyperideal_only(Q)
+
+
+def test_trace_csv_hashes_the_skeleton_of_each_row(prism_collapse_trace):
+    # Up to and including the FaceCollapsed row, which records the state before
+    # the rewrite, the rows carry the prism's hash, and from there on the
+    # final skeleton's.
+    g, trace = prism_collapse_trace
+    rows = list(csv.DictReader(io.StringIO(trace_to_csv(trace))))
+    k = [r["event"] for r in rows].index("FaceCollapsed") + 1
+    assert (g.canonical_hash(), trace.final_skeleton.canonical_hash()) == (
+        "454bd49fb32a", "fb2725945656")
+    assert [r["skeleton_hash"] for r in rows] == (
+        ["454bd49fb32a"] * k + ["fb2725945656"] * (len(rows) - k))
 
 
 # --- the trace on every failure -------------------------------------------------
