@@ -7,8 +7,9 @@ opened is a domain error named after the OS error (``ERR FileNotFound
 <path>``, ``ERR IsADirectory <path>``), and input that is not UTF-8 text
 is ``BadFormat``.  Volumes are exact.
 Numeric output uses 12 significant digits, except the plane normals of
-``rectify``, which parse back to the same floats; the environment variable
-``POLYVOL_SEED`` overrides ``--seed``.
+``rectify``, which ``volume --rectified`` reads back as the same floats.
+The environment variable ``POLYVOL_SEED`` overrides ``--seed``; a seed
+that is not an integer >= 0 is a usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import os
 import sys
 
 from .errors import BadFormat, PolyvolError
+from .flow import FlowOptions, nudge_ideal_vertices, run_flow, trace_to_csv
+from .graphs import check_hyperideal_angles, parse_graph
+from .polyhedron import PointKind, classify_vertices, format_polyhedron, parse_polyhedron
+from .rectify import rectification_and_volume
+from .volume import polyhedron_volume
 
 
 def _fmt(x: float) -> str:
@@ -63,8 +69,6 @@ def _criteria(text: str) -> list[int]:
 
 
 def _cmd_classify(args) -> int:
-    from .polyhedron import parse_polyhedron, classify_vertices
-
     P = parse_polyhedron(_read(args.input))
     report = classify_vertices(P, tol=args.tol_ideal)
     lines = []
@@ -76,8 +80,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_angles_check(args) -> int:
-    from .graphs import parse_graph, check_hyperideal_angles
-
     g = parse_graph(_read(args.input))
     values = args.angles
     if len(values) != len(g.edges):
@@ -95,9 +97,6 @@ def _cmd_angles_check(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    from .polyhedron import parse_polyhedron
-    from .volume import polyhedron_volume
-
     P = parse_polyhedron(_read(args.input), rectified=args.rectified)
     res = polyhedron_volume(P)
     _emit(f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n", args.out)
@@ -105,10 +104,6 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_rectify(args) -> int:
-    from .graphs import parse_graph
-    from .polyhedron import format_polyhedron
-    from .rectify import rectification_and_volume
-
     P, res = rectification_and_volume(parse_graph(_read(args.input)))
     text = format_polyhedron(P) + f"VOL {_fmt(res.value)} {_fmt(res.error_estimate)}\n"
     _emit(text, args.out)
@@ -116,9 +111,6 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    from .flow import FlowOptions, run_flow, trace_to_csv, nudge_ideal_vertices
-    from .polyhedron import parse_polyhedron, PointKind
-
     P = parse_polyhedron(_read(args.input))
     if any(k == PointKind.IDEAL for k in P.report.kinds):
         P = nudge_ideal_vertices(P)
@@ -197,6 +189,8 @@ def main(argv=None) -> int:
             parser.error(f"POLYVOL_SEED must be an integer, got {env_seed!r}")
     if args.seed is None:
         args.seed = 0
+    if args.seed < 0:
+        parser.error(f"the seed must be an integer >= 0, got {args.seed}")
     try:
         return args.func(args)
     except PolyvolError as exc:

@@ -51,7 +51,7 @@ from .errors import (
     EdgeMissesBall,
     StallDetected,
 )
-from .graphs import PlanarGraph, edge_collapse, face_collapse, _norm_edge, _split_pairs
+from .graphs import PlanarGraph, edge_collapse, face_collapse, _flat_split, _norm_edge
 from .polyhedron import (
     Polyhedron,
     VertexStatus,
@@ -425,16 +425,6 @@ def _rebase(P, t, rng):
     return dict(zip(th, ((np.fromiter(th.values(), float, len(th)) + jitter) / t).tolist()))
 
 
-def _face_collapse_split(g: PlanarGraph, f: int, charts, tol):
-    """Infer the :func:`face_collapse` half-position of a geometrically flattening face."""
-    cyc = g.faces[f]
-    for split in range(2 * len(cyc)):
-        if all(np.linalg.norm(charts[a] - charts[b]) <= tol
-               for a, b in _split_pairs(cyc, split)):
-            return split
-    return None
-
-
 @dataclass(frozen=True)
 class _Stratum:
     """The flow's stratum: targets ``t * theta_dir`` on ``skeleton``, no target at a
@@ -560,7 +550,8 @@ def _collapse_rewrite(stratum, P, signal, t, rng):
     if kind == FlowEventKind.EDGE_COLLAPSED:
         split, ev_data = None, {"edge": data}
     else:
-        split = _face_collapse_split(g, data, P.vertex_charts, 1e3 * FACE_COLLAPSE_TOL)
+        charts, tol = P.vertex_charts, 1e3 * FACE_COLLAPSE_TOL
+        split = _flat_split(g, data, lambda a, b: np.linalg.norm(charts[a] - charts[b]) <= tol)
         if split is None:
             raise StallDetected(f"face {data} degenerates without a collapse pattern")
         ev_data = {"face": data, "split": split}

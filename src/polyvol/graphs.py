@@ -149,15 +149,20 @@ class PlanarGraph:
         object.__setattr__(self, "faces", tuple(_orient_faces(n, faces)))
         if len(set().union(*self.faces)) != n:  # all in range(n) by now
             raise BadFormat("isolated vertices")
-        V, E, F = n, len(self.edges), len(self.faces)
+        # Coherent faces traverse each edge once in each direction.
+        V, E, F = n, sum(map(len, self.faces)) // 2, len(self.faces)
         if V - E + F != 2:
             raise BadFormat(f"Euler formula violated: V-E+F = {V - E + F}")
 
     @cached_property
+    def _darts(self) -> dict[Edge, int]:
+        """Each dart (directed edge) to its face, in face order."""
+        return {d: f for f, cyc in enumerate(self.faces) for d in zip(cyc, cyc[1:] + cyc[:1])}
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         # Coherent faces traverse each edge once in each direction: keep the rising one.
-        return tuple(sorted((a, b) for cyc in self.faces for a, b in zip(cyc, cyc[1:] + cyc[:1])
-                            if a < b))
+        return tuple(sorted(d for d in self._darts if d[0] < d[1]))
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -165,13 +170,35 @@ class PlanarGraph:
 
     @cached_property
     def edge_faces(self) -> dict[Edge, tuple[int, int]]:
-        """The two faces adjacent to each edge."""
-        out = {}
-        for i, cyc in enumerate(self.faces):
-            for k in range(len(cyc)):
-                e = _norm_edge(cyc[k], cyc[(k + 1) % len(cyc)])
-                out.setdefault(e, []).append(i)
-        return {e: tuple(fs) for e, fs in out.items()}
+        """The two faces adjacent to each edge, the lower first."""
+        darts, out = self._darts, {}
+        for (a, b), f in darts.items():
+            out.setdefault((a, b) if a < b else (b, a), (f, darts[b, a]))
+        return out
+
+    @cached_property
+    def _rotations(self) -> tuple[tuple, tuple]:
+        """``(vertex_faces, vertex_edges)``, from one walk around each vertex.
+
+        The twin (v, x) of the dart (x, v) entering v in one face lies in
+        the next face around v; each walk starts in v's lowest face.
+        """
+        darts, faces, edges = self._darts, [], []
+        first = dict(reversed(darts))  # each vertex's dart in its lowest face
+        enter = {(b, f): a for (a, b), f in darts.items()}  # tail of the dart entering b in f
+        for v in range(self.n_vertices):
+            ring, w = [], first[v]
+            while not ring or w != first[v]:
+                f = darts[v, w]
+                w = enter[v, f]
+                ring.append((f, (v, w) if v < w else (w, v)))
+            faces.append(tuple(f for f, _ in ring))
+            edges.append(tuple(e for _, e in ring))
+        if sum(map(len, faces)) != len(darts):  # a walk missed some of its vertex's darts
+            degree = Counter(a for a, _ in darts)
+            v = next(v for v, ring in enumerate(faces) if len(ring) != degree[v])
+            raise BadFormat(f"vertex {v} link is not a single cycle")
+        return tuple(faces), tuple(edges)
 
     @cached_property
     def vertex_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -180,43 +207,12 @@ class PlanarGraph:
         Face f follows face g at v when they share the edge leaving v that
         g enters through; this walks the faces cyclically around v.
         """
-        nxt = {}  # (v, face) -> next face around v
-        for i, cyc in enumerate(self.faces):
-            m = len(cyc)
-            for k in range(m):
-                v = cyc[k]
-                w_prev = cyc[(k - 1) % m]
-                e = _norm_edge(v, w_prev)
-                a, b = self.edge_faces[e]
-                nxt[(v, i)] = a if b == i else b
-        out = []
-        count = [sum(1 for cyc in self.faces if v in cyc) for v in range(self.n_vertices)]
-        for v in range(self.n_vertices):
-            start = next(i for i, cyc in enumerate(self.faces) if v in cyc)
-            cycle = [start]
-            cur = nxt[(v, start)]
-            while cur != start:
-                cycle.append(cur)
-                cur = nxt[(v, cur)]
-                if len(cycle) > count[v]:
-                    raise BadFormat(f"vertex {v} link is not a single cycle")
-            if len(cycle) != count[v]:
-                raise BadFormat(f"vertex {v} link is not a single cycle")
-            out.append(tuple(cycle))
-        return tuple(out)
+        return self._rotations[0]
 
     @cached_property
     def vertex_edges(self) -> tuple[tuple[Edge, ...], ...]:
         """Edges at each vertex, in rotation order matching vertex_faces."""
-        out = []
-        for v in range(self.n_vertices):
-            ring = []
-            for f in self.vertex_faces[v]:
-                cyc = self.faces[f]
-                k = cyc.index(v)
-                ring.append(_norm_edge(v, cyc[(k - 1) % len(cyc)]))
-            out.append(tuple(ring))
-        return tuple(out)
+        return self._rotations[1]
 
     @cached_property
     def faces_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -383,7 +379,7 @@ class CollapseResult:
     face_map: dict
 
 
-def _cleanup(n_vertices, labelled_faces):
+def _cleanup(labelled_faces):
     """Merge 2-gons (parallel edges) and smooth degree-2 vertices.
 
     ``labelled_faces`` is a list of (label, cycle).  Returns
@@ -432,6 +428,32 @@ def _cleanup(n_vertices, labelled_faces):
     return g, vmap, fmap
 
 
+def _identify(n: int, pairs) -> list[int]:
+    """Union-find: each of ``range(n)`` named by the smallest member of its class,
+    once the ``pairs`` are identified."""
+    rep = list(range(n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        rep[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+def _contract(g: PlanarGraph, pairs, drop) -> CollapseResult:
+    """Identify the vertex ``pairs`` of g, drop face ``drop``, then :func:`_cleanup`."""
+    name = _identify(g.n_vertices, pairs)
+    out, vmap, fmap = _cleanup([(i, [name[w] for w in c]) for i, c in enumerate(g.faces)
+                                if i != drop])
+    return CollapseResult(out, {w: vmap.get(r) for w, r in enumerate(name)},
+                          {i: fmap.get(i) for i in range(len(g.faces))})
+
+
 def edge_collapse(g: PlanarGraph, e: Edge) -> CollapseResult:
     """Collapse edge e to a vertex; the two incident faces each lose an edge.
 
@@ -440,14 +462,9 @@ def edge_collapse(g: PlanarGraph, e: Edge) -> CollapseResult:
     CollapseMakesDegenerate when no polyhedral map at all remains; loss
     of 3-connectivity is left to ``graph.is_polyhedral()``, not repaired.
     """
-    u, v = _norm_edge(*e)
-    if (u, v) not in g.edge_index:
+    if _norm_edge(*e) not in g.edge_index:
         raise KeyError(f"no edge {e}")
-    faces = [(i, [u if w == v else w for w in cyc]) for i, cyc in enumerate(g.faces)]
-    out, vmap, fmap = _cleanup(g.n_vertices, faces)
-    full_map = {w: vmap.get(u if w == v else w) for w in range(g.n_vertices)}
-    face_map = {i: fmap.get(i) for i in range(len(g.faces))}
-    return CollapseResult(out, full_map, face_map)
+    return _contract(g, [e], None)
 
 
 def _split_pairs(cyc, split: int):
@@ -462,6 +479,14 @@ def _split_pairs(cyc, split: int):
                 yield a, b
 
 
+def _flat_split(g: PlanarGraph, face: int, close):
+    """The first :func:`face_collapse` split of ``face`` whose identified pairs are all
+    ``close(a, b)``, or None."""
+    cyc = g.faces[face]
+    return next((split for split in range(2 * len(cyc))
+                 if all(close(a, b) for a, b in _split_pairs(cyc, split))), None)
+
+
 def face_collapse(g: PlanarGraph, face: int, split: int) -> CollapseResult:
     """Collapse face ``face`` to an edge.
 
@@ -473,26 +498,9 @@ def face_collapse(g: PlanarGraph, face: int, split: int) -> CollapseResult:
     the face onto an edge between the anchors.
     """
     cyc = g.faces[face]
-    m = len(cyc)
-    if not 0 <= split < 2 * m:
-        raise ValueError(f"split {split} outside range({2 * m}) for face {face}")
-    rep = list(range(g.n_vertices))
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in _split_pairs(cyc, split):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            rep[max(ra, rb)] = min(ra, rb)
-    faces = [(i, [find(w) for w in c]) for i, c in enumerate(g.faces) if i != face]
-    out, vmap, fmap = _cleanup(g.n_vertices, faces)
-    full_map = {w: vmap.get(find(w)) for w in range(g.n_vertices)}
-    face_map = {i: fmap.get(i) for i in range(len(g.faces))}
-    return CollapseResult(out, full_map, face_map)
+    if not 0 <= split < 2 * len(cyc):
+        raise ValueError(f"split {split} outside range({2 * len(cyc)}) for face {face}")
+    return _contract(g, _split_pairs(cyc, split), face)
 
 
 # --- angle admissibility ----------------------------------------------------

@@ -48,7 +48,7 @@ from .errors import (
     TooFewAngles,
     TruncationDegenerate,
 )
-from .graphs import PlanarGraph, parse_graph, format_graph, _norm_edge
+from .graphs import PlanarGraph, parse_graph, format_graph, _identify, _norm_edge
 
 #: Residual bound on prescribed plane concurrences.
 VERTEX_RESIDUAL_TOL = 1e-8
@@ -403,22 +403,12 @@ def _truncated_skeleton(g: PlanarGraph, hyper: tuple, short: tuple):
         """Row of the points at edge e's end at v."""
         return v if v not in hyper_set else n + g.edge_index[e] + n_edges * (v == e[1])
 
-    merged = {}  # union-find over the rows of short segments' ends
-
-    def root(i):
-        while i in merged:
-            i = merged[i]
-        return i
-
-    for i in short:
-        e = g.edges[i]
-        a, b = root(end(e, e[0])), root(end(e, e[1]))
-        if a != b:
-            merged[a] = b
+    short_ends = [(end(e, e[0]), end(e, e[1])) for e in (g.edges[i] for i in short)]
+    root = _identify(n + 2 * n_edges, short_ends)  # the class of each point row
     number, first = {}, []  # node number of each root; row of each node's first-met end
 
     def node(i):
-        r = root(i)
+        r = root[i]
         if r not in number:
             number[r] = len(first)
             first.append(i)
@@ -502,8 +492,12 @@ def format_polyhedron(P: Polyhedron) -> str:
 
 
 def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
-    """Read the text format, scaling each normal to unit norm as :class:`OrientedPlane` does.
+    """Read the text format.
 
+    An ``N`` row whose Minkowski square is 1 within its rounding, 4 eps
+    times the sum of its squared components, is kept as read, so the rows
+    :func:`format_polyhedron` prints parse back to the same floats; any
+    other row is scaled to unit norm as :class:`OrientedPlane` scales it.
     A malformed ``P`` or ``N`` line, or a second ``P`` line, raises BadFormat naming the line.
     """
     lines = text.splitlines()
@@ -523,7 +517,10 @@ def parse_polyhedron(text: str, *, rectified: bool = False) -> Polyhedron:
                 (count,) = map(int, values)
             else:
                 a, b, c, d = map(float, values)
-                normals.append(_unit_rows(np.array([a, b, c, d])))
+                row = np.array([a, b, c, d])
+                unit = _unit_rows(row)  # raises for a row that is not spacelike
+                rounding = 4 * np.finfo(float).eps * (row @ row)
+                normals.append(row if abs(mdot(row, row) - 1) <= rounding else unit)
         except ValueError:
             need = "one integer" if head == "P" else "four numbers of a spacelike normal"
             raise BadFormat(f"{head} line needs {need}: {line!r}") from None

@@ -37,6 +37,7 @@ from .polyhedron import (
 )
 from .rectify import rectification_volume
 from .shapes import (
+    _TETRA_DIRS,
     jittered_compact,
     random_hyperideal,
     regular_tetrahedron,
@@ -62,8 +63,6 @@ def _antiprism_volume(n: int) -> float:
 
 def _random_tetrahedron(rng, radius_range):
     """Random tetrahedral polyhedron from jittered regular planes."""
-    from .shapes import _TETRA_DIRS
-
     g = tetrahedron_graph()
     r = float(rng.uniform(*radius_range))
     opp = [next(v for v in range(4) if v not in cyc) for cyc in g.faces]

@@ -9,8 +9,10 @@ import numpy as np
 from ._steinitz import convex_realization
 from .core import _unit_rows, random_isometry
 from .errors import NewtonDiverged, SkeletonChanged
+from .flow import realize_from_angles
 from .graphs import PlanarGraph, tetrahedron_graph
 from .polyhedron import Polyhedron, build_polyhedron, dihedral_angles
+from .rectify import rectification
 
 _TETRA_DIRS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                        dtype=float) / math.sqrt(3)
@@ -66,8 +68,6 @@ def jittered_compact(g: PlanarGraph, rng) -> Polyhedron:
 
 def realize_continuation(g: PlanarGraph, target: dict, P: Polyhedron) -> Polyhedron:
     """Realize ``target`` angles by adaptive continuation from P's angles."""
-    from .flow import realize_from_angles
-
     start = dihedral_angles(P)
     lam, dlam = 0.0, 0.5
     while lam < 1.0:
@@ -91,8 +91,6 @@ def equiangular_hyperideal(g: PlanarGraph, angle: float) -> Polyhedron:
     Exists for any angle below pi / max-degree; realized from the
     rectification (the zero-angle limit) by continuation.
     """
-    from .rectify import rectification
-
     seed = rectification(g)
     return realize_continuation(g, {e: angle for e in g.edges}, seed)
 

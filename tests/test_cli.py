@@ -260,6 +260,19 @@ def test_non_integer_env_seed_is_a_usage_error(hyper_file, capsys, monkeypatch):
     assert "POLYVOL_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")],
+                         ids=["option", "environment"])
+def test_negative_seed_is_a_usage_error(hyper_file, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("POLYVOL_SEED", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, "flow", hyper_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the seed must be an integer >= 0, got -1" in captured.err
+
+
 def test_non_numeric_angle_is_a_usage_error(k4_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["angles-check", k4_file, "--angles", "0.2,x,0.2,0.2,0.2,0.2"])

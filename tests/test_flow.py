@@ -149,11 +149,11 @@ def continuation_steps(monkeypatch, P, target, fails):
     by turns NewtonDiverged and SkeletonChanged, the two failures a shorter
     step retries; the result is None when the continuation raises.
     """
-    import polyvol.flow as flow
+    import polyvol.shapes as shapes
 
     g, start = P.skeleton, dihedral_angles(P)
     e = max(g.edges, key=lambda e: abs(target[e] - start[e]))
-    lams, realize = [], flow.realize_from_angles
+    lams, realize = [], shapes.realize_from_angles
 
     def solve(g_, th, P_, **kwargs):
         lams.append((th[e] - start[e]) / (target[e] - start[e]))
@@ -161,7 +161,7 @@ def continuation_steps(monkeypatch, P, target, fails):
             raise (NewtonDiverged, SkeletonChanged)[len(lams) % 2]("synthetic failure")
         return realize(g_, th, P_, **kwargs)
 
-    monkeypatch.setattr(flow, "realize_from_angles", solve)
+    monkeypatch.setattr(shapes, "realize_from_angles", solve)
     try:
         return lams, realize_continuation(g, target, P)
     except (NewtonDiverged, SkeletonChanged):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -264,10 +265,11 @@ def test_cubes_glued_at_two_vertices_are_no_sphere_map():
     relabel = {0: 0, 6: 6, 1: 8, 2: 9, 3: 10, 4: 11, 5: 12, 7: 13}
     g = PlanarGraph(14, faces + tuple(tuple(relabel[v] for v in f) for f in faces))
     assert nx.node_connectivity(to_networkx(g)) == 2
-    with pytest.raises(BadFormat):
-        is_3_connected(g)
-    with pytest.raises(BadFormat):
-        g.is_polyhedral()
+    for check in (is_3_connected, PlanarGraph.is_polyhedral):
+        with pytest.raises(BadFormat, match="vertex 0 link is not a single cycle$"):
+            check(g)
+    with pytest.raises(BadFormat, match="vertex 0 link is not a single cycle$"):
+        _views_reference(g)
 
 
 def _collapses(g):
@@ -455,6 +457,132 @@ def test_collapse_vertex_and_face_maps():
     assert res.vertex_map[1] == res.vertex_map[2]
     dropped = [old for old, new in res.face_map.items() if new is None]
     assert len(dropped) >= 1
+
+
+
+# --- references: the views' own loops and the two collapse bodies -----------------
+
+def _views_reference(g):
+    """``edges``, ``edge_faces`` (in its order), ``vertex_faces`` and ``vertex_edges``,
+    each by its own loop; the vertex rings scan every face per vertex."""
+    edges = tuple(sorted((a, b) for cyc in g.faces for a, b in zip(cyc, cyc[1:] + cyc[:1])
+                         if a < b))
+    edge_faces = {}
+    for i, cyc in enumerate(g.faces):
+        for k in range(len(cyc)):
+            e = tuple(sorted((cyc[k], cyc[(k + 1) % len(cyc)])))
+            edge_faces.setdefault(e, []).append(i)
+    nxt = {}  # (v, face) -> next face around v
+    for i, cyc in enumerate(g.faces):
+        for k, v in enumerate(cyc):
+            a, b = edge_faces[tuple(sorted((v, cyc[k - 1])))]
+            nxt[(v, i)] = a if b == i else b
+    vertex_faces = []
+    for v in range(g.n_vertices):
+        count = sum(1 for cyc in g.faces if v in cyc)
+        start = next(i for i, cyc in enumerate(g.faces) if v in cyc)
+        cycle, cur = [start], nxt[(v, start)]
+        while cur != start:
+            cycle.append(cur)
+            cur = nxt[(v, cur)]
+            if len(cycle) > count:
+                raise BadFormat(f"vertex {v} link is not a single cycle")
+        if len(cycle) != count:
+            raise BadFormat(f"vertex {v} link is not a single cycle")
+        vertex_faces.append(tuple(cycle))
+    vertex_edges = []
+    for v, ring in enumerate(vertex_faces):
+        cycs = [g.faces[f] for f in ring]
+        vertex_edges.append(tuple(tuple(sorted((v, c[c.index(v) - 1]))) for c in cycs))
+    return (edges, [(e, tuple(fs)) for e, fs in edge_faces.items()], tuple(vertex_faces),
+            tuple(vertex_edges))
+
+
+def _views(g):
+    return g.edges, list(g.edge_faces.items()), g.vertex_faces, g.vertex_edges
+
+
+def _edge_collapse_reference(g, e):
+    """Edge collapse by renaming the edge's higher end to its lower one."""
+    u, v = sorted(e)
+    if (u, v) not in g.edge_index:
+        raise KeyError(f"no edge {e}")
+    faces = [(i, [u if w == v else w for w in cyc]) for i, cyc in enumerate(g.faces)]
+    out, vmap, fmap = graphs._cleanup(faces)
+    full_map = {w: vmap.get(u if w == v else w) for w in range(g.n_vertices)}
+    return graphs.CollapseResult(out, full_map, {i: fmap.get(i) for i in range(len(g.faces))})
+
+
+def _face_collapse_reference(g, face, split):
+    """Face collapse by its own union-find over the pairs at equal steps from the split."""
+    cyc = g.faces[face]
+    m = len(cyc)
+    if not 0 <= split < 2 * m:
+        raise ValueError(f"split {split} outside range({2 * m}) for face {face}")
+    rep = list(range(g.n_vertices))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    for s in range(1, m):
+        pa, pb = (split + s) % (2 * m), (split - s) % (2 * m)
+        if pa % 2 == 0 and cyc[pa // 2] != cyc[pb // 2]:
+            ra, rb = find(cyc[pa // 2]), find(cyc[pb // 2])
+            if ra != rb:
+                rep[max(ra, rb)] = min(ra, rb)
+    faces = [(i, [find(w) for w in c]) for i, c in enumerate(g.faces) if i != face]
+    out, vmap, fmap = graphs._cleanup(faces)
+    full_map = {w: vmap.get(find(w)) for w in range(g.n_vertices)}
+    return graphs.CollapseResult(out, full_map, {i: fmap.get(i) for i in range(len(g.faces))})
+
+
+def _outcome(collapse, *args):
+    """A collapse's graph and maps, in order, or the message of its CollapseMakesDegenerate."""
+    try:
+        res = collapse(*args)
+    except CollapseMakesDegenerate as exc:
+        return str(exc)
+    return (res.graph.n_vertices, res.graph.faces, list(res.vertex_map.items()),
+            list(res.face_map.items()))
+
+
+def _derived_graphs(corpus_graphs):
+    """The corpus, prisms, pyramids, the icosahedron and stacked triangulations up to
+    100 vertices, each with its dual and medial."""
+    base = [*corpus_graphs.values(), ICOSAHEDRON]
+    base += [prism_graph(n) for n in range(3, 11)] + [pyramid_graph(n) for n in range(3, 13)]
+    base += [stacked_triangulation(n, np.random.default_rng(n)) for n in (6, 12, 25, 50, 100)]
+    return [h for g in base for h in (g, dual_graph(g), medial_graph(g))]
+
+
+def test_views_match_their_reference_loops(corpus_graphs):
+    # The derived graphs and every edge collapse of those up to 10 vertices: 602 graphs.
+    derived = _derived_graphs(corpus_graphs)
+    collapsed = [edge_collapse(g, e).graph for g in derived if g.n_vertices <= 10
+                 for e in g.edges if not isinstance(_outcome(edge_collapse, g, e), str)]
+    assert len(derived + collapsed) == 602
+    for g in derived + collapsed:
+        assert _views(PlanarGraph(g.n_vertices, g.faces)) == _views_reference(g)
+
+
+def test_collapses_match_their_reference_bodies(corpus_graphs):
+    # Every edge collapse and face split of the derived graphs up to 10 vertices.
+    small = [g for g in _derived_graphs(corpus_graphs) if g.n_vertices <= 10]
+    outcomes = Counter()
+    for g in small:
+        for e in g.edges:
+            got = _outcome(edge_collapse, g, e)
+            assert got == _outcome(_edge_collapse_reference, g, e)
+            outcomes[isinstance(got, str)] += 1
+        for f, cyc in enumerate(g.faces):
+            for split in range(2 * len(cyc)):
+                got = _outcome(face_collapse, g, f, split)
+                assert got == _outcome(_face_collapse_reference, g, f, split)
+                outcomes[isinstance(got, str)] += 1
+    assert outcomes == {False: 2180, True: 1225}
 
 
 # --- admissibility ----------------------------------------------------------------

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import polyvol.volume
-from conftest import ALMOST_PROPER_PYRAMID, chart_plane, dihedral_angle, polar_plane
+from conftest import (
+    ALMOST_PROPER_PYRAMID,
+    chart_plane,
+    dihedral_angle,
+    polar_plane,
+    stacked_triangulation,
+)
 from polyvol.core import (
     OrientedPlane,
     PointKind,
@@ -44,7 +50,7 @@ from polyvol.polyhedron import (
     strip_truncation,
     truncate,
 )
-from polyvol.rectify import rectification
+from polyvol.rectify import rectification, rectification_and_volume
 from polyvol.shapes import (
     equiangular_hyperideal,
     jittered_compact,
@@ -324,6 +330,28 @@ def test_polyhedron_format_roundtrip(hyperideal_tetra):
     Q = parse_polyhedron(text)
     np.testing.assert_allclose(Q.vertex_lifts, hyperideal_tetra.vertex_lifts,
                                atol=1e-9)
+
+
+def test_rectification_parses_back_to_its_own_normals(corpus_graphs):
+    # Each printed normal parses back to the same floats, and one that is unit within
+    # its rounding is kept as read: rescaled, 81% of the 100-vertex rows moved.
+    stacked = stacked_triangulation(100, np.random.default_rng(3))
+    for g in [*corpus_graphs.values(), stacked]:
+        P, rivin = rectification_and_volume(g)
+        Q = parse_polyhedron(format_polyhedron(P), rectified=True)
+        assert Q.normals.tobytes() == P.normals.tobytes()
+        measured = polyvol.volume.polyhedron_volume(Q)
+        assert measured.value == polyvol.volume.polyhedron_volume(P).value
+        if g is not stacked:  # its realization's accuracy varies with the BLAS threads
+            assert abs(measured.value - rivin.value) <= measured.error_estimate
+
+
+def test_parse_scales_a_normal_that_is_not_unit(compact_tetra):
+    doubled = compact_tetra.normals * 2.0
+    text = format_polyhedron(compact_tetra).splitlines()
+    text[1:5] = ["N " + " ".join(map(repr, row)) for row in doubled.tolist()]
+    Q = parse_polyhedron("\n".join(text) + "\n")
+    assert Q.normals.tobytes() == _unit_rows(doubled).tobytes()
 
 
 @pytest.mark.parametrize("edit, detail", [
