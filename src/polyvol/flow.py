@@ -12,8 +12,11 @@ held-pole crossing escapes by a translation; an almost-proper onset holds
 the new incidence; an edge or face collapse rewrites the skeleton; the
 endgame switch comes once every vertex is hyperideal, and from there the
 path stays realizable all the way down and the supremum is the last volume
-plus a Schlafli bound on the remaining gain.  Sample volumes are measured
-in batches, one orthoscheme kernel call each, bit for bit as measured alone.
+plus a Schlafli bound on the remaining gain.  Steps grow geometrically,
+each cut short where the secant of a radius, edge or face gap over the last
+two accepted states reaches that gap's signal band, and each solve starts
+from the quadratic through the last three.  Sample volumes are measured in
+batches, one orthoscheme kernel call each, bit for bit as measured alone.
 """
 
 from __future__ import annotations
@@ -61,14 +64,15 @@ from .polyhedron import (
 )
 from .volume import VolumeResult, _orthoscheme_volumes, _volume_or_region
 
-#: Initial and smallest step in t.  An accepted step grows dt by 1.7, up to
-#: DT_INIT before the all-hyperideal endgame and uncapped in it (each step
-#: still goes at most to 0.2 t).  A step toward the sphere is cut to a whole
-#: multiple of DT_MIN aimed into the window (IDEAL_BAND).  A step that fails
-#: to realize halves; a step that signals a degeneration brackets it, and
-#: the next trials are whole multiples of DT_MIN placed by the secant of the
-#: signal's gap, or DT_MIN itself when the accepted state signals too.  Every
-#: degeneration but a crossing in the window is located to DT_MIN.
+#: A stratum's first step in t, and the smallest.  An accepted step grows dt
+#: by 1.7 (each step goes at most to 0.2 t).  Before the all-hyperideal
+#: endgame a step toward the sphere or toward a collapse is cut to a whole
+#: multiple of DT_MIN aimed into the window (IDEAL_BAND) or half the
+#: collapse tolerance into its band.  A step that fails to realize halves; a
+#: step that signals a degeneration brackets it, and the next trials are
+#: whole multiples of DT_MIN placed by the secant of the signal's gap, or
+#: DT_MIN itself when the accepted state signals too.  Every degeneration
+#: but a crossing in the window is located to DT_MIN.
 DT_INIT = 1e-2
 DT_MIN = 1e-7
 #: A real vertex within this chart distance of the sphere is becoming ideal.
@@ -317,6 +321,11 @@ class _Gaps:
             yield kind, offset, data
             offset += len(data)
 
+    def run(self, kind):
+        """The gaps of ``kind``'s candidates in the scan's order; none where it tested none."""
+        offset, data = next(((o, d) for k, o, d in self.spans() if k == kind), (0, ()))
+        return self.vector[offset:offset + len(data)]
+
     def get(self, key):
         """The gap of candidate ``key``; None for no key or one the scan did not test."""
         if key is None:
@@ -437,37 +446,47 @@ class _Stratum:
     exempt: tuple
     hyperideal_only: bool
 
-    def next_step(self, dt, bracket, before, t, P, gaps):
+    def next_step(self, dt, bracket, history, t, P, gaps):
         """``(step, gaps)`` from P at t, and P's gaps: in a bracket, :func:`_bracket_step`'s;
-        before the endgame, ``dt`` cut where the secant of a real vertex's radius gap over
-        ``before`` and (t, P) reaches IDEAL_BAND / 4, held and exempt vertices aside."""
+        before the endgame, ``dt`` cut where the secant over the last accepted state in
+        ``history`` and (t, P) puts an approaching gap into its signal band: a real vertex's
+        radius gap at IDEAL_BAND / 4, held and exempt vertices aside, an edge's or a face's
+        gap at half its tolerance."""
         if bracket is not None:
             t_hi, signal, gap_hi = bracket
             if gaps is None:
                 _, gaps = _scan_signals(P, P, self.held, self.exempt)
             aim = 0.25 * IDEAL_BAND if signal is not None and self.pole_free(signal) else 0.0
             return _bracket_step(t - t_hi, gaps.get(signal), gap_hi, aim), gaps
-        if before is None or self.hyperideal_only or before[2] is None:
+        if not history or self.hyperideal_only or history[-1][2] is None:
             return dt, gaps
-        t0, _, gaps0 = before
-        g0, g1 = gaps0.radius, gaps.radius
-        near = (P.kind_codes == REAL_CODE) & (g1 > g0)
-        near[list(self.exempt + tuple(w for w, _ in self.held))] = False
-        if not near.any():
-            return dt, gaps
-        s = (t0 - t) * float(np.min((0.25 * IDEAL_BAND - g1[near]) / (g1[near] - g0[near])))
+        t0, _, gaps0 = history[-1]
+        real = P.kind_codes == REAL_CODE
+        real[list(self.exempt + tuple(w for w, _ in self.held))] = False
+        edge, face = FlowEventKind.EDGE_COLLAPSED, FlowEventKind.FACE_COLLAPSED
+        s = math.inf
+        for aim, g0, g1 in ((0.25 * IDEAL_BAND, gaps0.radius[real], gaps.radius[real]),
+                            (0.5 * EDGE_COLLAPSE_TOL, gaps0.run(edge), gaps.run(edge)),
+                            (0.5 * FACE_COLLAPSE_TOL, gaps0.run(face), gaps.run(face))):
+            near = g1 > g0
+            if near.any():
+                s = min(s, (t0 - t) * float(np.min((aim - g1[near]) / (g1[near] - g0[near]))))
         return dt if s >= dt else DT_MIN * max(1, math.floor(s / DT_MIN)), gaps
 
-    def trial(self, before, t, P, t_next, step):
-        """``(t_next, state, signals, gaps)`` of the step from P at t, solved from the secant
-        through ``before`` and (t, P); None where it fails, but for a step of DT_MIN, near the
-        realizability boundary, where P's own signals (relaxed, onsets aside) are the step's."""
-        start = None
-        if before is not None:
-            t0, P0, _ = before
-            w = (t - t_next) / (t0 - t)
-            n0, n1 = P0.normals, P.normals
-            start = n1 + w * (n1 - n0), P.vertex_charts + w * (P.vertex_charts - P0.vertex_charts)
+    def trial(self, history, t, P, t_next, step):
+        """``(t_next, state, signals, gaps)`` of the step from P at t, solved from the
+        extrapolation to ``t_next`` of the states ``(t, P, gaps)`` accepted before P on this
+        stratum (``history``, oldest first; None or empty for none) and (t, P): the quadratic
+        through three states, the secant through two; None where it fails, but for a step of
+        DT_MIN, near the realizability boundary, where P's own signals (relaxed, onsets aside)
+        are the step's."""
+        history = history or ()
+        ts = [h[0] for h in history] + [t]
+        states = [h[1] for h in history] + [P]
+        weights = [math.prod((t_next - b) / (a - b) for j, b in enumerate(ts) if j != i)
+                   for i, a in enumerate(ts)]
+        start = (sum(w * Q.normals for w, Q in zip(weights, states)),
+                 sum(w * Q.vertex_charts for w, Q in zip(weights, states)))
         try:
             P_next = realize_from_angles(self.skeleton, _scaled(self.theta_dir, t_next), P,
                                          held=self.held, start=start)
@@ -665,8 +684,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
         events.append(FlowEvent(signal[0], t_, vol_ev, data))
         return stratum, P_new() if callable(P_new) else P_new
 
-    # (t, P, gaps) accepted before P on this stratum, P's gaps, the nearest rejected trial.
-    dt, accepted, before, gaps, bracket = DT_INIT, 0, None, None, None
+    # (t, P, gaps) of the last two states accepted before P on this stratum, oldest first,
+    # P's gaps, the nearest rejected trial.
+    dt, accepted, history, gaps, bracket = DT_INIT, 0, (), None, None
     record(P, t)
     try:
         for _ in range(MAX_STEPS):
@@ -683,9 +703,9 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
                     trace.sup_estimate = final_vol.value + 0.5 * bound
                     trace.sup_error = 0.5 * bound + final_vol.error_estimate
                     return
-            step, gaps = stratum.next_step(dt, bracket, before, t, P, gaps)
+            step, gaps = stratum.next_step(dt, bracket, history, t, P, gaps)
             t_next = max(t - step, 0.2 * t)
-            tried = stratum.trial(before, t, P, t_next, step)
+            tried = stratum.trial(history, t, P, t_next, step)
             if tried is None:  # a failed step halves, or becomes the bracket's far end
                 if bracket is None:
                     dt = 0.5 * step
@@ -703,15 +723,15 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
                 if P_new is None and P_next is P:
                     continue  # a stall's event: the flow has not moved
             if P_new is not None:  # a new stratum
-                t, P, dt, before, gaps = t_next, P_new, DT_INIT, None, None
+                t, P, dt, history, gaps = t_next, P_new, DT_INIT, (), None
             else:  # an accepted step, or an event state that is the path's next one
-                before, P, t, gaps = (t, P, gaps), P_next, t_next, next_gaps
+                history, P, t, gaps = history[-1:] + ((t, P, gaps),), P_next, t_next, next_gaps
             if not signals:
                 accepted += 1
                 if accepted % SAMPLE_EVERY == 0:
                     record(P, t)
                 if bracket is None:
-                    dt = dt * 1.7 if stratum.hyperideal_only else min(dt * 1.7, DT_INIT)
+                    dt *= 1.7
                 elif t <= bracket[0]:
                     bracket = None
             stratum = stratum.settled(P)

@@ -483,14 +483,15 @@ def test_truncation_matches_pool_on_hyperideal_tetrahedron(hyperideal_tetra):
 
 @pytest.fixture(scope="module")
 def truncated_flow_states():
-    """The polyhedra three flows truncate for their volumes, as vertices turn hyperideal."""
+    """The polyhedra five flows truncate for their volumes, as vertices turn hyperideal."""
     states, cut = [], polyvol.volume.truncate
     mp = pytest.MonkeyPatch()
     mp.setattr(polyvol.volume, "truncate", lambda P: states.append(P) or cut(P))
     try:
         run_flow(regular_tetrahedron(0.55), FlowOptions(seed=3))
         run_flow(jittered_compact(pyramid_graph(4), np.random.default_rng(11)), FlowOptions(seed=11))
-        run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
+        for g, seed in [(pyramid_graph(4), 951), (cube_graph(), 951), (cube_graph(), 4242)]:
+            run_flow(jittered_compact(g, np.random.default_rng(seed)), FlowOptions(seed=seed))
     finally:
         mp.undo()
     return states

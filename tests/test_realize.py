@@ -426,10 +426,10 @@ def test_plane_system_builds_one_jacobian_per_newton_step(monkeypatch):
     monkeypatch.setattr(_PlaneSystem, "__call__", counted_call)
     monkeypatch.setattr(polyvol.flow, "solve_plane_system", counted_solve)
     run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
-    assert len(jacobians) == sum(iterations) == 152
+    assert len(jacobians) == sum(iterations) == 49
     # A residual at each solve's start and one per accepted step: this flow
-    # rejects no line-search point, and 78 converged iterates build no J.
-    assert len(evaluations) == len(iterations) + sum(iterations) == 230
+    # rejects no line-search point, and 26 converged iterates build no J.
+    assert len(evaluations) == len(iterations) + sum(iterations) == 75
 
 
 # --- flow agreement ----------------------------------------------------------------
@@ -554,7 +554,7 @@ def test_build_takes_the_closest_point_on_the_edge_not_its_line(first):
 
 @pytest.fixture(scope="module")
 def recorded():
-    """Arguments of ``_scan_signals`` and ``edge_lengths`` during two flows."""
+    """Arguments of ``_scan_signals`` and ``edge_lengths`` during three flows."""
     scans, lengths = [], []
     scan, measure = polyvol.flow._scan_signals, polyvol.flow.edge_lengths
     mp = pytest.MonkeyPatch()
@@ -562,7 +562,7 @@ def recorded():
                lambda *args, **kw: scans.append((args, kw)) or scan(*args, **kw))
     mp.setattr(polyvol.flow, "edge_lengths", lambda P: lengths.append(P) or measure(P))
     try:
-        for g, seed in [(pyramid_graph(4), 11), (prism_graph(3), 12)]:
+        for g, seed in [(pyramid_graph(4), 11), (prism_graph(3), 12), (cube_graph(), 4242)]:
             run_flow(jittered_compact(g, np.random.default_rng(seed)), FlowOptions(seed=seed))
     finally:
         mp.undo()

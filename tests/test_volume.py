@@ -495,18 +495,19 @@ def test_orthoscheme_independent_of_interior_point(rng, P):
 def test_orthoscheme_regions_measured_together_as_alone():
     # One kernel call over many regions gives each the value and orthoscheme
     # count it gets alone, bit for bit, whatever its size and stratum: the
-    # samples of the tetrahedron and cube flows at seed 951 (12 to 72
-    # corners), the node region of a degenerate truncation and a hyperideal
-    # tetrahedron's truncation, in a mixed order.  One region alone is
-    # polyhedron_volume.
+    # samples of the tetrahedron flows at seeds 951 and 4242 and of the cube
+    # flow at seed 951 (12 to 72 corners), the node region of a degenerate
+    # truncation and a hyperideal tetrahedron's truncation, in a mixed order.
+    # One region alone is polyhedron_volume.
     from polyvol.flow import FlowOptions, run_flow
     from polyvol.graphs import cube_graph
     from polyvol.shapes import jittered_compact
     from polyvol.volume import VolumeResult, _volume_or_region
 
-    shapes = [s.polyhedron for g in (tetrahedron_graph(), cube_graph())
-              for s in run_flow(jittered_compact(g, np.random.default_rng(951)),
-                                FlowOptions(seed=951)).samples]
+    shapes = [s.polyhedron for g, seed in ((tetrahedron_graph(), 951), (tetrahedron_graph(), 4242),
+                                           (cube_graph(), 951))
+              for s in run_flow(jittered_compact(g, np.random.default_rng(seed)),
+                                FlowOptions(seed=seed)).samples]
     pyramid = pyramid_graph(4)
     shapes.append(build_polyhedron(planes_from_vertices(ALMOST_PROPER_PYRAMID, pyramid), pyramid))
     shapes.append(random_hyperideal(tetrahedron_graph(), np.random.default_rng(951)))
