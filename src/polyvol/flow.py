@@ -13,10 +13,13 @@ the new incidence; an edge or face collapse rewrites the skeleton; the
 endgame switch comes once every vertex is hyperideal, and from there the
 path stays realizable all the way down and the supremum is the last volume
 plus a Schlafli bound on the remaining gain.  Steps grow geometrically,
-each cut short where the secant of a radius, edge or face gap over the last
-two accepted states reaches that gap's signal band, and each solve starts
-from the quadratic through the last three.  Sample volumes are measured in
-batches, one orthoscheme kernel call each, bit for bit as measured alone.
+each cut short where a gap reaches its signal band: a radius gap by the
+inverse quadratic of t in it through the last three accepted states, an
+edge or face gap by the secant over the last two.  In the endgame each
+accepted state aims its next step at the stop test.  Each solve starts
+from the quadratic through the last three states.  Sample volumes are
+measured in batches, one orthoscheme kernel call each, bit for bit as
+measured alone.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ from .volume import VolumeResult, _orthoscheme_volumes, _volume_or_region
 #: by 1.7 (each step goes at most to 0.2 t).  Before the all-hyperideal
 #: endgame a step toward the sphere or toward a collapse is cut to a whole
 #: multiple of DT_MIN aimed into the window (IDEAL_BAND) or half the
-#: collapse tolerance into its band.  A step that fails to realize halves; a
+#: collapse tolerance into its band.  In the endgame an accepted state's
+#: next step is at least the one that puts the Schlafli bound, linear in t
+#: at the state's edge lengths, at the stop test.  A step that fails to
+#: realize halves, and is not aimed again until a state is accepted; a
 #: step that signals a degeneration brackets it, and the next trials are
 #: whole multiples of DT_MIN placed by the secant of the signal's gap, or
 #: DT_MIN itself when the accepted state signals too.  Every degeneration
@@ -415,6 +421,30 @@ def _bracket_step(width, gap_lo, gap_hi, aim=0.0):
     return DT_MIN * max(1, math.floor(min(s, width - DT_MIN) / DT_MIN))
 
 
+def _crossing_step(*states):
+    """The step from the last of two or three states ``(t, radius gaps)``, oldest first, to
+    where the approaching gaps reach IDEAL_BAND / 4, inf where none approaches.
+
+    Each gap is aimed by inverse quadratic interpolation of t in it through the three
+    states (Brent's method's step), and by the secant through the last two where there
+    are two states, where its three values do not rise strictly, or where the quadratic
+    does not aim below the last t.
+    """
+    aim = 0.25 * IDEAL_BAND
+    (t0, g0), (t, g1) = states[-2:]
+    near = g1 > g0
+    g0, g1 = g0[near], g1[near]
+    steps = (t0 - t) * ((aim - g1) / (g1 - g0))
+    if len(states) == 3:
+        t2, g2 = states[0][0], states[0][1][near]
+        rise = g2 < g0
+        a, b, c = g2[rise], g0[rise], g1[rise]
+        quad = ((t - t2) * (aim - b) / (a - b) * (aim - c) / (a - c)
+                + (t - t0) * (aim - a) / (b - a) * (aim - c) / (b - c))
+        steps[rise] = np.where(quad > 0, quad, steps[rise])
+    return float(np.min(steps, initial=math.inf))
+
+
 def _hyperideal_only(P: Polyhedron) -> bool:
     return bool(np.logical_and.reduce(P.kind_codes == HYPERIDEAL_CODE))
 
@@ -448,10 +478,11 @@ class _Stratum:
 
     def next_step(self, dt, bracket, history, t, P, gaps):
         """``(step, gaps)`` from P at t, and P's gaps: in a bracket, :func:`_bracket_step`'s;
-        before the endgame, ``dt`` cut where the secant over the last accepted state in
-        ``history`` and (t, P) puts an approaching gap into its signal band: a real vertex's
-        radius gap at IDEAL_BAND / 4, held and exempt vertices aside, an edge's or a face's
-        gap at half its tolerance."""
+        before the endgame, ``dt`` cut where an approaching gap reaches its signal band: a
+        real vertex's radius gap at IDEAL_BAND / 4, held and exempt vertices aside, by the
+        inverse quadratic of t in the gap through the last two accepted states in ``history``
+        and (t, P) (:func:`_crossing_step`); an edge's or a face's gap at half its tolerance
+        by the secant over the last accepted state and (t, P)."""
         if bracket is not None:
             t_hi, signal, gap_hi = bracket
             if gaps is None:
@@ -463,10 +494,10 @@ class _Stratum:
         t0, _, gaps0 = history[-1]
         real = P.kind_codes == REAL_CODE
         real[list(self.exempt + tuple(w for w, _ in self.held))] = False
+        s = _crossing_step(*((t_, g.radius[real]) for t_, _, g in history[-2:] if g is not None),
+                           (t, gaps.radius[real]))
         edge, face = FlowEventKind.EDGE_COLLAPSED, FlowEventKind.FACE_COLLAPSED
-        s = math.inf
-        for aim, g0, g1 in ((0.25 * IDEAL_BAND, gaps0.radius[real], gaps.radius[real]),
-                            (0.5 * EDGE_COLLAPSE_TOL, gaps0.run(edge), gaps.run(edge)),
+        for aim, g0, g1 in ((0.5 * EDGE_COLLAPSE_TOL, gaps0.run(edge), gaps.run(edge)),
                             (0.5 * FACE_COLLAPSE_TOL, gaps0.run(face), gaps.run(face))):
             near = g1 > g0
             if near.any():
@@ -685,24 +716,28 @@ def _follow(P0: Polyhedron, trace: FlowTrace, rng):
         return stratum, P_new() if callable(P_new) else P_new
 
     # (t, P, gaps) of the last two states accepted before P on this stratum, oldest first,
-    # P's gaps, the nearest rejected trial.
-    dt, accepted, history, gaps, bracket = DT_INIT, 0, (), None, None
+    # P's gaps, the nearest rejected trial, the last endgame state tested and aimed.
+    dt, accepted, history, gaps, bracket, aimed = DT_INIT, 0, (), None, None, None
     record(P, t)
     try:
         for _ in range(MAX_STEPS):
             if len(events) > max_events:
                 raise MaxEventsExceeded(f"more than {max_events} events")
-            if stratum.hyperideal_only:
+            if stratum.hyperideal_only and aimed is not P:  # once per accepted state
                 lens = edge_lengths(P)
                 bound = 0.5 * t * sum(lens[e] * stratum.theta_dir[e] for e in P.skeleton.edges)
                 flush()
-                if bound < ENDGAME_REL * max(samples[-1].volume.value, 1e-9) or t <= T_FLOOR:
+                stop = ENDGAME_REL * max(samples[-1].volume.value, 1e-9)
+                if bound < stop or t <= T_FLOOR:
                     record(P, t)
                     flush()
                     final_vol = samples[-1].volume
                     trace.sup_estimate = final_vol.value + 0.5 * bound
                     trace.sup_error = 0.5 * bound + final_vol.error_estimate
                     return
+                # At P's edge lengths the bound is linear in t.  Held to 0.2 t, so that
+                # a failure halves the step it tried; the retries from P are not aimed.
+                dt, aimed = min(max(dt, t - t * stop / bound), 0.8 * t), P
             step, gaps = stratum.next_step(dt, bracket, history, t, P, gaps)
             t_next = max(t - step, 0.2 * t)
             tried = stratum.trial(history, t, P, t_next, step)

@@ -50,6 +50,7 @@ from polyvol.polyhedron import (
     build_polyhedron,
     classify_vertices,
     dihedral_angles,
+    edge_lengths,
     truncate,
 )
 from polyvol.rectify import rectification_volume
@@ -806,19 +807,19 @@ def flow_pins(trace):
 # once, sup lies 1.5e-7 relative above rect(final), and no sample volume is
 # below the one before it.
 PYRAMID4_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.e51cd522dca3ep-1", "0x1.40f21d5d10f9ep-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cd63886594af6p-1", "0x1.3c17eee1a6daap+0"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cd6348a4b47fep-1", "0x1.3c1b34c3092dap+0"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.712bfc074cfb7p-1", "0x1.9e6d21d80df10p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.712ba82476d7ep-1", "0x1.9e6f8a3855fb6p+1"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.2756201d2bdffp-3", "0x1.7c411db4f645ep+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.e51cc7b6e3568p-1", "0x1.40f37ec3ac138p-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cd63baba7b917p-1", "0x1.3c15669dedf1fp+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cd6348a4b47fdp-1", "0x1.3c1b34c3092d7p+0"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.712bf5515054bp-1", "0x1.9e6d527b5c26ap+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.712ba4c978848p-1", "0x1.9e6fa34fc289cp+1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.27561d6dfa03ap-3", "0x1.7c411dcd6f492p+2"),
 ]
 PYRAMID4_951_SAMPLES = [
-    "0x1.3e363d56a4aaap-3", "0x1.40f21d5d10f9ep-1", "0x1.3c17eee1a6daap+0",
-    "0x1.3c1b34c3092dap+0", "0x1.7f254a1bbb64bp+1", "0x1.9e6d21d80df10p+1",
-    "0x1.9e6f8a3855fb6p+1", "0x1.7c411db4f645ep+2", "0x1.81447f6b9decep+2",
+    "0x1.3e363d56a4aaap-3", "0x1.40f37ec3ac138p-1", "0x1.3c15669dedf1fp+0",
+    "0x1.3c1b34c3092d7p+0", "0x1.9e6d527b5c26ap+1", "0x1.9e6fa34fc289cp+1",
+    "0x1.7c411dcd6f492p+2", "0x1.81447f6c959d2p+2",
 ]
-PYRAMID4_951_SUP = "0x1.817999e8acbbap+2"
+PYRAMID4_951_SUP = "0x1.817999e8ad27dp+2"
 
 
 def test_flow_pyramid4_951_is_pinned_bit_for_bit():
@@ -850,23 +851,23 @@ def test_flow_cluster_crossings_take_no_bracket_trial(monkeypatch):
 # threads.  Each of the 8 vertices crosses once, sup lies 4.8e-8 relative above
 # rect(final), and no sample volume is below the one before it.
 CUBE_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.b52efc6ccd88ap-1", "0x1.09a3093e971f3p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.b52e86fc0823ap-1", "0x1.09a7ac99e0b8cp+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.b52e656e18e23p-1", "0x1.09a908461cb23p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.aa7ca13b4e8a9p-1", "0x1.45af3179240e7p+1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.4814006804cbfp-1", "0x1.83a4825969468p+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 5}, "0x1.4813e23513ddep-1", "0x1.83a53846524a7p+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 7}, "0x1.481333b96af01p-1", "0x1.83a96c1efb92ep+2"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 6}, "0x1.b042b07eb86c7p-2", "0x1.33a1a7efc977ap+3"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.59cef398938a0p-4", "0x1.7ee1eb42f2c83p+3"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.b52f0322ca2f6p-1", "0x1.09a2c67eb5ea3p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.b52e86fc0823bp-1", "0x1.09a7ac9a171aap+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 4}, "0x1.b52e656e18e24p-1", "0x1.09a9084664131p+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.aa7ca4964cddfp-1", "0x1.45af1b2909c1dp+1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.48144383e34eep-1", "0x1.83a2f19334564p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 5}, "0x1.4813e23513ddfp-1", "0x1.83a5384652898p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 7}, "0x1.481333b96af02p-1", "0x1.83a96c1efdcb6p+2"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 6}, "0x1.b04295a6c5d1dp-2", "0x1.33a1c01038868p+3"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.59cede1f04a7ep-4", "0x1.7ee1eb95bfe46p+3"),
 ]
 CUBE_951_SAMPLES = [
-    "0x1.15e7f9fa72f53p-2", "0x1.09a3093e971f3p+1", "0x1.09a7ac99e0b8cp+1",
-    "0x1.09a908461cb23p+1", "0x1.45af3179240e7p+1", "0x1.3df42a372182bp+2",
-    "0x1.83a4825969468p+2", "0x1.83a53846524a7p+2", "0x1.83a96c1efb92ep+2",
-    "0x1.33a1a7efc977ap+3", "0x1.7ee1eb42f2c83p+3", "0x1.815f27420f741p+3",
+    "0x1.15e7f9fa72f53p-2", "0x1.09a2c67eb5ea3p+1", "0x1.09a7ac9a171aap+1",
+    "0x1.09a9084664131p+1", "0x1.45af1b2909c1dp+1", "0x1.83a2f19334564p+2",
+    "0x1.83a5384652898p+2", "0x1.83a96c1efdcb6p+2", "0x1.3331c870a7ccdp+3",
+    "0x1.33a1c01038868p+3", "0x1.7ee1eb95bfe46p+3", "0x1.815f27455921ap+3",
 ]
-CUBE_951_SUP = "0x1.817997375a5c4p+3"
+CUBE_951_SUP = "0x1.817997375b27ap+3"
 
 
 def test_flow_cube_951_is_pinned_bit_for_bit():
@@ -910,9 +911,9 @@ def test_flow_bracketing_keeps_events_with_fewer_solves(name, monkeypatch):
 
 @pytest.mark.parametrize("seed", [6, 951, 4242])
 def test_flow_hyperideal_endgame_strides(seed, monkeypatch):
-    # Every vertex starts hyperideal, so the whole flow is endgame: dt grows
-    # by 1.7 per step without the DT_INIT cap, and the flow takes a dozen
-    # solves where steps of at most DT_INIT took about 90.
+    # Every vertex starts hyperideal, so the whole flow is endgame: without the
+    # DT_INIT cap the flow takes at most a dozen solves where steps of at most
+    # DT_INIT took about 90.  Each step aimed at the stop test, it takes three.
     import polyvol.flow as flow
 
     g = prism_graph(3)
@@ -933,9 +934,9 @@ def test_flow_hyperideal_endgame_strides(seed, monkeypatch):
 # with 1 and 2 OpenBLAS threads.
 PRISM3_951_SAMPLES = [
     ("0x1.0000000000000p+0", "0x1.ac3a6ff73bd7ep+2", "0x1.dafd309fd7afdp-34"),
-    ("0x1.5eb07a8f45e14p-4", "0x1.d4aff9a435563p+2", "0x1.dafd309fd7afdp-34"),
+    ("0x1.47ae147ae147cp-5", "0x1.d4e968f54842dp+2", "0x1.dafd309fd7afdp-34"),
 ]
-PRISM3_951_SUP = ("0x1.d4f9764295fcap+2", "0x1.25f279f95914fp-8")
+PRISM3_951_SUP = ("0x1.d4f9717b9c667p+2", "0x1.0088671d3774ap-10")
 
 
 def test_flow_hyperideal_prism3_951_is_pinned_bit_for_bit():
@@ -952,26 +953,26 @@ def test_flow_hyperideal_prism3_951_is_pinned_bit_for_bit():
 # (kind, data, t_value.hex()) of the events of the tetrahedron flow from
 # jittered_compact(g, default_rng(951)) with seed 951, each crossing of the
 # sphere followed on the path.  They all come before the all-hyperideal
-# endgame, so its stride does not move them.
+# endgame, so its steps do not move them.
 TETRAHEDRON_951_EVENTS = [
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.cf1c35c0ac2d2p-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.cf1c2f0aaf867p-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cf1c1432bcebbp-1"),
-    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1bf95aca50fp-1"),
-    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.5386612d9767ep-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 3}, "0x1.cf1c3265add9bp-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 0}, "0x1.cf1c2f0aaf866p-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 1}, "0x1.cf1c1432bcebap-1"),
+    (FlowEventKind.VERTEX_BECAME_IDEAL, {"vertex": 2}, "0x1.cf1bf95aca50ep-1"),
+    (FlowEventKind.BECAME_HYPERIDEAL_ONLY, {}, "0x1.86699fd6ca7c8p-1"),
 ]
 
 
 # The hex volume of each sample and sup_estimate.hex() of that flow, the same
 # with 1 and 2 OpenBLAS threads.  Each of the 4 vertices crosses once, sup
-# lies 1.6e-9 relative above rect(final), and no sample volume is below the
+# lies 1.3e-7 relative above rect(final), and no sample volume is below the
 # one before it.
 TETRAHEDRON_951_SAMPLES = [
-    "0x1.72beac4d7a1e7p-3", "0x1.03c80c17d888ep+0", "0x1.03c895a37d3bfp+0",
-    "0x1.03cac2a5cf200p+0", "0x1.03ccfd0a1778fp+0", "0x1.50d4fe285c4dap+1",
-    "0x1.d4f2b4a76fdbdp+1",
+    "0x1.72beac4d7a1e7p-3", "0x1.03c850c9acbb1p+0", "0x1.03c895a37f23cp+0",
+    "0x1.03cac2a5cbcbfp+0", "0x1.03ccfd0a0e4c1p+0", "0x1.18ca947c7935fp+1",
+    "0x1.d4bc22833d9e7p+1",
 ]
-TETRAHEDRON_951_SUP = "0x1.d4f9714b1ad03p+1"
+TETRAHEDRON_951_SUP = "0x1.d4f975531c455p+1"
 
 
 def test_flow_tetrahedron_951_is_pinned_bit_for_bit():
@@ -1012,6 +1013,80 @@ def test_flow_endgame_stride_keeps_the_events_and_halves_on_failure(monkeypatch)
     assert t - retry == pytest.approx(0.5 * (t - t_fail), rel=1e-12)
     assert events(trace) == TETRAHEDRON_951_EVENTS
     assert trace.volumes_nondecreasing()
+
+
+@pytest.mark.parametrize("stop_at", [None, 0.5, 0.995])
+def test_flow_endgame_aims_its_first_step_at_the_stop_test(stop_at, monkeypatch):
+    # The all-hyperideal prism(3) of the pinned flow, stopped at its first step.
+    # At fixed edge lengths the Schlafli bound b = t/2 sum(length * theta) is
+    # linear in t, so it meets the stop threshold ENDGAME_REL * volume at
+    # t* = t * threshold / b.  The step is max(DT_INIT, t - t*), to 0.2 t at
+    # most: at the default threshold t* is about 0.01, and two thresholds raised
+    # for this test put t* at 0.5 and at 0.995, within DT_INIT of t = 1.
+    import polyvol.flow as flow
+
+    P0 = random_hyperideal(prism_graph(3), np.random.default_rng(951))
+    realize, scaled = flow.realize_from_angles, flow._scaled
+
+    def first_trial(rel):
+        trials = []
+
+        def stop_after_one_trial(*args, **kwargs):
+            if len(trials) > 1:
+                raise StallDetected("the first trial is recorded")
+            return realize(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "ENDGAME_REL", rel)
+        monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+        monkeypatch.setattr(flow, "realize_from_angles", stop_after_one_trial)
+        with pytest.raises(StallDetected) as info:
+            run_flow(P0, FlowOptions(seed=951))
+        (start,) = info.value.trace.samples
+        assert trials[0] == start.t == 1.0 and start.event is None
+        return trials[1], start.polyhedron, start.volume.value
+
+    _, P, volume = first_trial(flow.ENDGAME_REL)
+    assert _hyperideal_only(P)
+    lengths, theta = edge_lengths(P), dihedral_angles(P)
+    bound = 0.5 * sum(lengths[e] * theta[e] for e in P.skeleton.edges)
+    rel = flow.ENDGAME_REL if stop_at is None else stop_at * bound / volume
+    t_stop = rel * volume / bound
+    t_next, _, _ = first_trial(rel)
+    assert t_next == pytest.approx(max(1.0 - max(flow.DT_INIT, 1.0 - t_stop), 0.2), rel=1e-9)
+    assert t_next == {None: 0.2, 0.5: pytest.approx(0.5), 0.995: 1.0 - flow.DT_INIT}[stop_at]
+
+
+def test_flow_endgame_failures_halve_the_aimed_step_to_a_stall(monkeypatch):
+    # Every endgame solve of the tetrahedron flow fails.  The first step from the
+    # all-hyperideal state is aimed at the stop test; each failure halves the
+    # step, and the state is not aimed again, so the steps fall to DT_MIN and the
+    # flow stalls in a few dozen trials with the events before the endgame.
+    import polyvol.flow as flow
+
+    P0 = jittered_compact(tetrahedron_graph(), np.random.default_rng(951))
+    realize, scaled = flow.realize_from_angles, flow._scaled
+    trials, failed = [], []
+
+    def fail_in_the_endgame(g, angles, P, **kwargs):
+        if _hyperideal_only(P):
+            failed.append(trials[-1])
+            raise NewtonDiverged("forced")
+        return realize(g, angles, P, **kwargs)
+
+    monkeypatch.setattr(flow, "_scaled", lambda theta, t: trials.append(t) or scaled(theta, t))
+    monkeypatch.setattr(flow, "realize_from_angles", fail_in_the_endgame)
+    with pytest.raises(StallDetected) as info:
+        run_flow(P0, FlowOptions(seed=951))
+    trace = info.value.trace
+    t = trace.events[-1].t_value
+    assert info.value.detail.startswith(f"no progress at t={t:.6g} (NewtonDiverged: forced")
+    assert [(e.kind, e.data, e.t_value.hex()) for e in trace.events] == TETRAHEDRON_951_EVENTS
+    assert trials[-len(failed):] == failed and 20 <= len(failed) <= 30
+    steps = [t - t_next for t_next in failed]
+    assert steps[0] > 0.5 * t
+    for before, after in zip(steps, steps[1:]):
+        assert after == pytest.approx(0.5 * before, rel=1e-6)
+    assert steps[-1] <= flow.DT_MIN < steps[-2]
 
 
 def test_flow_no_progress_stall_carries_the_failed_solve():
@@ -1333,6 +1408,75 @@ def test_next_step_stops_short_of_a_face_collapse(prism_collapse_trace):
                                       (start.t, start.polyhedron), (row.t, row.polyhedron),
                                       (FlowEventKind.FACE_COLLAPSED, 1), flow.FACE_COLLAPSE_TOL)
     assert edge < 1e-4
+
+
+# --- the aim of a crossing, from three given states -------------------------------
+
+def cube_approach():
+    """(stratum, states, realize) of the cube flow from jittered_compact(cube_graph(),
+    default_rng(951)) with seed 951 on its first stratum: the states ``(t, P, gaps)``
+    at t = 0.90, 0.89 and 0.88, realized from t = 1 in steps of 0.01, and
+    ``realize(s)``, the state a step s below the last.  Vertices 1, 3 and 4 near the
+    sphere together and cross near t = 0.8539; no vertex is in the band yet."""
+    import polyvol.flow as flow
+
+    g = cube_graph()
+    P = jittered_compact(g, np.random.default_rng(951))
+    theta = flow._rebase(P, 1.0, np.random.default_rng(951))
+    states = []
+    for k in range(13):
+        t = round(1.0 - 0.01 * k, 2)
+        P = realize_from_angles(g, flow._scaled(theta, t), P)
+        states.append((t, P, _scan_signals(P, P, (), ())[1]))
+    states = states[-3:]
+    t, P, _ = states[-1]
+    assert all(k == PointKind.REAL for k in P.kinds) and max(states[-1][2].radius) < 0
+    realize = lambda s: realize_from_angles(g, flow._scaled(theta, t - s), P)
+    return flow._Stratum(g, (), theta, (), False), states, realize
+
+
+def test_next_step_aims_a_crossing_by_the_quadratic_through_three_states():
+    # Vertex 1's radius gap bends upward as it nears the sphere: the secant over
+    # the last two states falls short of where the gap reaches IDEAL_BAND / 4.
+    # The quadratic of t in each real vertex's gap through all three (numpy's
+    # fit here) aims vertex 1 over four times nearer, short of the band, and the
+    # step is its aim cut to the DT_MIN grid.
+    import polyvol.flow as flow
+
+    stratum, states, realize = cube_approach()
+    t, P, gaps = states[-1]
+    step, _ = stratum.next_step(0.5, None, tuple(states[:2]), t, P, gaps)
+    aims = [t - np.polyval(np.polyfit([s[2].radius[v] for s in states], [s[0] for s in states], 2),
+                           0.25 * flow.IDEAL_BAND)
+            for v in range(cube_graph().n_vertices)]
+    assert int(np.argmin(aims)) == 1
+    assert step / flow.DT_MIN == pytest.approx(round(step / flow.DT_MIN))
+    assert min(aims) - flow.DT_MIN < step <= min(aims) + 1e-12
+    secant, _ = stratum.next_step(0.5, None, tuple(states[1:2]), t, P, gaps)
+    gap_at = lambda s: float(np.linalg.norm(realize(s).vertex_charts[1])) - (1 - flow.IDEAL_BAND)
+    assert gap_at(secant) < 4 * gap_at(step) < 0
+
+
+def test_next_step_falls_back_to_the_secant_of_the_last_two_states():
+    # The same states.  The step is the secant's, over the last accepted state
+    # and (t, P), cut to the DT_MIN grid, where history holds one state, where
+    # the older state has no gaps, where the three gaps do not rise strictly
+    # (the older equal to the last), and where the quadratic does not aim
+    # below t (an older gap just under the last bends it back up).
+    import polyvol.flow as flow
+
+    stratum, ((t2, P2, _), (t0, P0, gaps0), (t, P, gaps)), _ = cube_approach()
+    g0, g1 = gaps0.radius, gaps.radius
+    aim = 0.25 * flow.IDEAL_BAND
+    secant = min((t0 - t) * (aim - b) / (b - a) for a, b in zip(g0, g1) if b > a)
+    expected = flow.DT_MIN * math.floor(secant / flow.DT_MIN)
+    older = lambda radius: (t2, P2, flow._Gaps(np.empty(0), (), radius))
+    bent = g0 - 1e-9
+    assert all(np.polyval(np.polyfit([a, b, c], [t2, t0, t], 2), aim) > t
+               for a, b, c in zip(bent, g0, g1))
+    for history in ([], [(t2, P2, None)], [older(g0.copy())], [older(bent)]):
+        step, _ = stratum.next_step(0.5, None, tuple(history) + ((t0, P0, gaps0),), t, P, gaps)
+        assert step == pytest.approx(expected, abs=1e-12)
 
 
 def test_trace_csv_hashes_the_skeleton_of_each_row(prism_collapse_trace):

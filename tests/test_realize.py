@@ -426,10 +426,10 @@ def test_plane_system_builds_one_jacobian_per_newton_step(monkeypatch):
     monkeypatch.setattr(_PlaneSystem, "__call__", counted_call)
     monkeypatch.setattr(polyvol.flow, "solve_plane_system", counted_solve)
     run_flow(jittered_compact(cube_graph(), np.random.default_rng(951)), FlowOptions(seed=951))
-    assert len(jacobians) == sum(iterations) == 49
+    assert len(jacobians) == sum(iterations) == 46
     # A residual at each solve's start and one per accepted step: this flow
-    # rejects no line-search point, and 26 converged iterates build no J.
-    assert len(evaluations) == len(iterations) + sum(iterations) == 75
+    # rejects no line-search point, and 23 converged iterates build no J.
+    assert len(evaluations) == len(iterations) + sum(iterations) == 69
 
 
 # --- flow agreement ----------------------------------------------------------------
